@@ -21,7 +21,7 @@ from .alltoall import (
     alltoall_two_level,
 )
 from .base import NOTIFY_NBYTES, binomial_peers, dissemination_rounds, payload_nbytes
-from .macro import MacroBarriers, MacroCollectives, Replayed
+from .macro import MacroCollectives, Replayed
 from .gather import (
     allgather_bruck_flat,
     allgather_linear_flat,
@@ -77,7 +77,6 @@ __all__ = [
     "BROADCASTS",
     "resolve",
     "NOTIFY_NBYTES",
-    "MacroBarriers",
     "MacroCollectives",
     "Replayed",
     "binomial_peers",

@@ -80,8 +80,17 @@ calls, same max/add structure, same combine order (deposit order at
 each leader, MPICH fold/exchange order among leaders), per-resource
 FIFO orderings — so the floats and values produced are the very floats
 the event path would have produced (floating-point addition is
-deterministic; the replay never re-associates it).  See
-``docs/simulation.md`` for the full argument.
+deterministic; the replay never re-associates it).
+
+Round-synchronous leader phases (TDLB's dissemination, recursive
+doubling's fold/exchange/unfold) replay one *round* at a time as NumPy
+sweeps over the leaders.  Leaders sit on pairwise distinct nodes, so a
+round holds each leader's NIC (and conduit progress engine) exactly
+once and the per-resource FIFO order within a round is moot; elementwise
+``np.maximum``/``+`` on float64 are the same IEEE operations the scalar
+ledger performs.  Built-in reductions over same-shape ndarray payloads
+combine a whole round as ``ufunc(own, partner)`` over a stacked array.
+See ``docs/simulation.md`` for the full argument.
 """
 
 from __future__ import annotations
@@ -89,12 +98,14 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from ..calibration import DIRECT_SMP
 from ..sim import SimEvent, Wait
 from .base import NOTIFY_NBYTES, binomial_peers, combine_flops, payload_nbytes
-from .reduce import _combine, _freeze
+from .reduce import REDUCE_OPS, _combine, _freeze
 
-__all__ = ["MacroCollectives", "MacroBarriers", "Replayed"]
+__all__ = ["MacroCollectives", "Replayed"]
 
 #: data-carrying window kinds (the replay also produces result values)
 DATA_KINDS = ("reduce-2l", "reduce-rd", "bcast-2l")
@@ -149,12 +160,14 @@ class _ReplayState:
     released ``duration`` later.  Requests must be fed in fine-grained
     arrival order per resource; the engagement guard guarantees every
     resource starts the window idle, so the ledger starts empty.
+    ``grants`` counts every grant the replay mirrors, scalar or swept.
     """
 
-    __slots__ = ("free",)
+    __slots__ = ("free", "grants")
 
     def __init__(self):
         self.free: Dict[object, float] = {}
+        self.grants = 0
 
     def hold(self, resource, t: float, duration: float) -> float:
         granted = self.free.get(resource, t)
@@ -163,18 +176,166 @@ class _ReplayState:
         end = granted + duration
         self.free[resource] = end
         resource._granted += 1  # mirror the grant statistics
+        self.grants += 1
         return end
+
+
+class _LeaderRing:
+    """Per-team constants of the leader rounds, built once per team.
+
+    Slot ``i`` is the team's ``i``-th node leader (``hierarchy.leaders``
+    order).  Leaders own pairwise distinct nodes, so every message
+    between two of them takes the remote path and slot ``i``'s sends
+    hold only node ``i``'s NIC and conduit progress engine.
+    """
+
+    def __init__(self, world, shared):
+        h = shared.hierarchy
+        members = shared.members
+        self.leaders: List[int] = list(h.leaders)
+        self.slaves: List[List[int]] = [h.slaves_of(L) for L in self.leaders]
+        placements = world.conduit._placements
+        nodes = [placements[members[L - 1]].node for L in self.leaders]
+        nics = world.machine.interconnect._nics
+        engines = world.conduit._engines
+        self.nics = [nics[node] for node in nodes]
+        self.engines = [engines[node] for node in nodes]
+        self.size = k = len(self.leaders)
+        self.slots = slots = np.arange(k)
+        #: dissemination round r: slot j hears from slot (j - 2^r) mod k
+        self.diss_sources = [
+            (slots - (1 << r)) % k for r in range(math.ceil(math.log2(k)))
+        ] if k > 1 else []
+        # MPICH recursive doubling over the power-of-two core
+        pow2 = 1 << (k.bit_length() - 1)
+        rem = k - pow2
+        #: fold/unfold pairs: even slot 2i absorbs odd slot 2i+1
+        self.evens = slots[0:2 * rem:2]
+        self.odds = slots[1:2 * rem:2]
+        #: exchange participants, position = new rank
+        self.active = np.concatenate([self.evens, slots[2 * rem:]])
+        #: per exchange round, position → partner position
+        core = np.arange(pow2)
+        self.partners = [core ^ (1 << b) for b in range(pow2.bit_length() - 1)]
+
+
+class _RoundLedger:
+    """Vector twin of :class:`_ReplayState` for one window's leader
+    rounds: one NIC and one progress-engine ledger slot per leader.
+
+    :meth:`send` issues one remote message from each selected slot.  A
+    round touches each slot at most once, so the per-resource FIFO order
+    within it is irrelevant; ``np.maximum(free, t) + duration`` is the
+    scalar ``hold`` arithmetic elementwise.
+    """
+
+    def __init__(self, world, ring: _LeaderRing):
+        profile = world.conduit.profile
+        self.world = world
+        self.ring = ring
+        self.net = world.machine.spec.network
+        self.overhead = profile.remote_overhead
+        k = ring.size
+        self.nic = np.full(k, -np.inf)
+        self.engine = (
+            np.full(k, -np.inf)
+            if self.overhead > 0.0 and profile.serialize_overhead else None
+        )
+        self.sent = np.zeros(k, dtype=np.int64)
+        self.bytes = 0
+        self._times: Dict[int, Tuple[float, float]] = {}
+
+    def _cost(self, nbytes: int) -> Tuple[float, float]:
+        cost = self._times.get(nbytes)
+        if cost is None:
+            net = self.net
+            cost = self._times[nbytes] = (
+                net.inject_time(nbytes), net.wire_time(nbytes)
+            )
+        return cost
+
+    def send(self, slots, t: np.ndarray, nbytes) -> Tuple[np.ndarray, np.ndarray]:
+        """One message per slot in ``slots`` (an index array), issued at
+        ``t``; ``nbytes`` is one size for all or a list per slot.
+        Returns ``(source_done, delivered)`` per slot."""
+        if isinstance(nbytes, int):
+            inject, wire = self._cost(nbytes)
+            self.bytes += nbytes * len(slots)
+        else:
+            costs = [self._cost(nb) for nb in nbytes]
+            inject = np.array([c[0] for c in costs])
+            wire = np.array([c[1] for c in costs])
+            self.bytes += sum(nbytes)
+        if self.overhead > 0.0:
+            if self.engine is not None:
+                t = np.maximum(self.engine[slots], t) + self.overhead
+                self.engine[slots] = t
+            else:
+                t = t + self.overhead
+        t = np.maximum(self.nic[slots], t) + inject
+        self.nic[slots] = t
+        self.sent[slots] += 1
+        return t, t + wire
+
+    def flush(self, st: _ReplayState) -> None:
+        """Apply the swept messages to the conduit, interconnect and
+        resource grant counters (and to ``st.grants``)."""
+        messages = int(self.sent.sum())
+        world = self.world
+        world.conduit.counts["remote"] += messages
+        ic = world.machine.interconnect
+        ic.messages += messages
+        ic.bytes += self.bytes
+        held = [self.ring.nics]
+        if self.engine is not None:
+            held.append(self.ring.engines)
+        sent = self.sent.tolist()
+        for resources in held:
+            for resource, count in zip(resources, sent):
+                resource._granted += count
+        st.grants += messages * len(held)
+
+
+def _stack(op, vals: list) -> Optional[np.ndarray]:
+    """``vals`` stacked into one array when a round's combine can run as
+    a single ufunc call: a built-in op over plain ndarrays of one shape
+    and one native numeric dtype (so the ufunc result keeps that dtype,
+    exactly as the per-pair combine does).  None otherwise."""
+    if not isinstance(op, str) or op not in REDUCE_OPS:
+        return None
+    first = vals[0]
+    if type(first) is not np.ndarray or first.ndim == 0:
+        return None
+    dtype = first.dtype
+    if dtype.kind not in "biufc" or not dtype.isnative:
+        return None
+    shape = first.shape
+    for v in vals:
+        if type(v) is not np.ndarray or v.shape != shape or v.dtype != dtype:
+            return None
+    return np.stack(vals)
+
+
+def _fold(op, work, own: np.ndarray, other: np.ndarray) -> None:
+    """``work[own[j]] = op(work[own[j]], work[other[j]])`` for every
+    ``j``, all from the pre-round values, own operand first."""
+    if isinstance(work, np.ndarray):
+        work[own] = REDUCE_OPS[op](work[own], work[other])
+        return
+    own_l = own.tolist()
+    new = [_combine(op, work[a], work[b]) for a, b in zip(own_l, other.tolist())]
+    for a, value in zip(own_l, new):
+        work[a] = value
 
 
 class MacroCollectives:
     """Per-World coordinator that gathers collective arrivals and, when
     the window is provably unobservable, replays it analytically.
 
-    Grew out of the barrier-only ``MacroBarriers`` coordinator; the name
-    is kept as an alias.  Beyond TDLB/linear barriers it now collapses
-    the paper's two-level reduction, flat recursive-doubling reduction
-    (on flat teams), and two-level broadcast — the full window including
-    payload movement, combine compute, and the result values themselves.
+    Beyond TDLB/linear barriers it collapses the paper's two-level
+    reduction, flat recursive-doubling reduction (on flat teams), and
+    two-level broadcast — the full window including payload movement,
+    combine compute, and the result values themselves.
     """
 
     def __init__(self, world):
@@ -215,6 +376,8 @@ class MacroCollectives:
         #: audit only trips on genuinely foreign traffic.
         self._active_windows: List[list] = []
         self._resources: Optional[list] = None
+        #: team uid → its :class:`_LeaderRing`
+        self._rings: Dict[int, _LeaderRing] = {}
         self._hook_installed = False
 
     # ------------------------------------------------------------------
@@ -263,6 +426,12 @@ class MacroCollectives:
 
     def _total_grants(self) -> int:
         return sum(r._granted for r in self._all_resources())
+
+    def _ring(self, shared) -> _LeaderRing:
+        ring = self._rings.get(shared.uid)
+        if ring is None:
+            ring = self._rings[shared.uid] = _LeaderRing(self.world, shared)
+        return ring
 
     def _window_clear(self, view, allow_overlap: bool) -> bool:
         """The dynamic quiet-window test, taken at first arrival.
@@ -403,7 +572,7 @@ class MacroCollectives:
                 t != engine.now for t, _ in g.arrivals
             )
             if not stagger and self._commit_clear():
-                self._commit(view, kind, seq, path, g)
+                self._commit(view, kind, path, g)
                 # fall through: the last arriver waits on its own wake
             else:
                 # The window was perturbed after registration — too late
@@ -420,20 +589,19 @@ class MacroCollectives:
     # ------------------------------------------------------------------
     # Commit: replay + wake scheduling + state mirroring
     # ------------------------------------------------------------------
-    def _commit(self, view, kind: str, seq, path: str,
-                g: _Gather) -> None:
-        grants_before = self._total_grants()
+    def _commit(self, view, kind: str, path: str, g: _Gather) -> None:
+        st = _ReplayState()
         results: Optional[Dict[int, Any]] = None
         if kind == "tdlb":
-            exits = self._replay_tdlb(view, seq, g.arrivals)
+            exits = self._replay_tdlb(st, view, g.arrivals)
         elif kind == "linear":
-            exits = self._replay_linear(view, seq, g.arrivals, path)
+            exits = self._replay_linear(st, view, g.arrivals, path)
         elif kind == "reduce-2l":
-            exits, results = self._replay_reduce_two_level(view, g)
+            exits, results = self._replay_reduce_two_level(st, view, g)
         elif kind == "reduce-rd":
-            exits, results = self._replay_reduce_rd(view, g)
+            exits, results = self._replay_reduce_rd(st, view, g)
         else:  # "bcast-2l"
-            exits, results = self._replay_bcast_two_level(view, g)
+            exits, results = self._replay_bcast_two_level(st, view, g)
         self.replays += 1
         self.replays_by_kind[kind] = self.replays_by_kind.get(kind, 0) + 1
 
@@ -454,11 +622,13 @@ class MacroCollectives:
         # A chained window committing under this one's wakes is *not*
         # foreign — its replay grants are exact by construction — so
         # fold this replay's grants into every still-delivering
-        # window's expectation before snapshotting our own.
-        grants_after = self._total_grants()
+        # window's expectation before recording our own.  The commit
+        # check just confirmed the live total equals the first-arrival
+        # mark, so the post-replay total is the mark plus what the
+        # replay mirrored — no resource sweep needed.
         for earlier in self._active_windows:
-            earlier[1] += grants_after - grants_before
-        window = [len(groups), grants_after]
+            earlier[1] += st.grants
+        window = [len(groups), self._grant_mark + st.grants]
         self._active_windows.append(window)
         for t in sorted(groups):
             pairs = [(waiter[i], wake[i]) for i in sorted(groups[t])]
@@ -550,66 +720,54 @@ class MacroCollectives:
         ).delay
 
     # -- Algorithm 1 (barrier_tdlb) -------------------------------------
-    def _replay_tdlb(self, view, seq: int,
+    def _replay_tdlb(self, st: _ReplayState, view,
                      arrivals: List[Tuple[float, int]]) -> List[Tuple[float, int]]:
         shared = view.shared
-        h = shared.hierarchy
-        proc_of = shared.proc_of
+        members = shared.members
+        ring = self._ring(shared)
         arrive = {index: t for t, index in arrivals}
         order = {index: i for i, (_, index) in enumerate(arrivals)}
-        st = _ReplayState()
-        exits: List[Tuple[float, int]] = []
 
         # Step 1: slaves arrive at their node leader (direct stores).
         # Same-node requests contend on the leader-socket bus in the
         # order the engine would grant them: FIFO by (issue time,
         # registration order) — ties broken by who got to the bus first,
         # which on the fast path is registration (scheduling) order.
-        ready: Dict[int, float] = {}
-        for leader in h.leaders:
-            slaves = h.slaves_of(leader)
+        ready: List[float] = []
+        for leader, slaves in zip(ring.leaders, ring.slaves):
             latest = arrive[leader]
-            for s in sorted(slaves, key=lambda i: (arrive[i], order[i])):
-                _, delivered = self._replay_transfer(
-                    st, proc_of(s), proc_of(leader), NOTIFY_NBYTES,
-                    arrive[s], "direct",
-                )
-                if delivered > latest:
-                    latest = delivered
             if slaves:
-                shared.cocounter(leader).add(len(slaves))
-            ready[leader] = latest
-
-        # Step 2: one-wait dissemination among the node leaders.
-        leaders = h.leaders
-        k = len(leaders)
-        if k > 1:
-            rounds = math.ceil(math.log2(k))
-            for r in range(rounds):
-                deliver: Dict[int, float] = {}
-                send_done: Dict[int, float] = {}
-                for rank, leader in enumerate(leaders):
-                    target = leaders[(rank + (1 << r)) % k]
-                    done, delivered = self._replay_transfer(
-                        st, proc_of(leader), proc_of(target),
-                        NOTIFY_NBYTES, ready[leader], "auto",
+                dst = members[leader - 1]
+                for s in sorted(slaves, key=lambda i: (arrive[i], order[i])):
+                    _, delivered = self._replay_transfer(
+                        st, members[s - 1], dst, NOTIFY_NBYTES,
+                        arrive[s], "direct",
                     )
-                    send_done[leader] = done
-                    deliver[target] = delivered
-                    shared.diss_flag(target, r, "tdlb-leaders").add(1)
-                for leader in leaders:
-                    t = send_done[leader]
-                    if deliver[leader] > t:
-                        t = deliver[leader]
-                    ready[leader] = t
+                    if delivered > latest:
+                        latest = delivered
+                shared.cocounter(leader).add(len(slaves))
+            ready.append(latest)
+
+        # Step 2: one-wait dissemination among the node leaders, one
+        # vector sweep per round.  Every window notifies every
+        # (leader, round) flag once, so the flags are credited in O(1).
+        if ring.diss_sources:
+            rounds = _RoundLedger(self.world, ring)
+            t = np.array(ready)
+            for sources in ring.diss_sources:
+                done, delivered = rounds.send(ring.slots, t, NOTIFY_NBYTES)
+                t = np.maximum(done, delivered[sources])
+            rounds.flush(st)
+            shared.credit_diss("tdlb-leaders")
+            ready = t.tolist()
 
         # Step 3: each leader releases its intranode set serially.
-        for leader in leaders:
-            t = ready[leader]
-            for s in h.slaves_of(leader):  # algorithm order: sorted
+        exits: List[Tuple[float, int]] = []
+        for leader, slaves, t in zip(ring.leaders, ring.slaves, ready):
+            src = members[leader - 1]
+            for s in slaves:  # algorithm order: sorted
                 t, delivered = self._replay_transfer(
-                    st, proc_of(leader), proc_of(s), NOTIFY_NBYTES,
-                    t, "direct",
+                    st, src, members[s - 1], NOTIFY_NBYTES, t, "direct",
                 )
                 shared.release_flag(s).add(1)
                 exits.append((delivered, s))
@@ -617,23 +775,22 @@ class MacroCollectives:
         return exits
 
     # -- barrier_linear -------------------------------------------------
-    def _replay_linear(self, view, seq: int,
+    def _replay_linear(self, st: _ReplayState, view,
                        arrivals: List[Tuple[float, int]],
                        path: str) -> List[Tuple[float, int]]:
         shared = view.shared
-        proc_of = shared.proc_of
+        members = shared.members
         n = view.size
         leader = 1
+        root = members[leader - 1]
         arrive = {index: t for t, index in arrivals}
         order = {index: i for i, (_, index) in enumerate(arrivals)}
-        st = _ReplayState()
 
         latest = arrive[leader]
         slaves = [i for i in range(1, n + 1) if i != leader]
         for s in sorted(slaves, key=lambda i: (arrive[i], order[i])):
             _, delivered = self._replay_transfer(
-                st, proc_of(s), proc_of(leader), NOTIFY_NBYTES,
-                arrive[s], path,
+                st, members[s - 1], root, NOTIFY_NBYTES, arrive[s], path,
             )
             if delivered > latest:
                 latest = delivered
@@ -643,134 +800,103 @@ class MacroCollectives:
         t = latest
         for s in range(2, n + 1):  # algorithm order: ascending index
             t, delivered = self._replay_transfer(
-                st, proc_of(leader), proc_of(s), NOTIFY_NBYTES, t, path,
+                st, root, members[s - 1], NOTIFY_NBYTES, t, path,
             )
             shared.release_flag(s).add(1)
             exits.append((delivered, s))
         exits.append((t, leader))
         return exits
 
-    # -- reduce._recursive_doubling among one-per-node participants -----
-    def _replay_rd(self, st: _ReplayState, view, participants,
-                   ready: Dict[int, float], vals: Dict[int, Any],
-                   op, path: str) -> None:
-        """Replay the MPICH fold/exchange/unfold allreduce among
-        ``participants`` (team indices, caller's rank order).
+    # -- reduce._recursive_doubling among the node leaders ---------------
+    def _replay_rd(self, st: _ReplayState, ring: _LeaderRing,
+                   ready: List[float], vals: list,
+                   op) -> Tuple[List[float], list]:
+        """Replay the MPICH fold/exchange/unfold allreduce among the
+        ring's leaders, one vector sweep per round.
 
-        ``ready``/``vals`` map index → (time the participant enters the
-        exchange, its accumulator); both are updated in place to the
-        post-exchange state.  Participants must sit on pairwise-distinct
-        nodes (node leaders, or a flat team) so senders never share a
-        fabric resource — per-round issue order is then free, and only
-        per-sender serialization (which the time chaining captures)
-        matters.
+        ``ready``/``vals`` give, per leader slot, the time it enters the
+        exchange and its accumulator; returns the post-exchange pair.
+        Each round's senders sit on pairwise-distinct nodes, so only
+        per-sender serialization (the per-slot ledger) matters.
         """
-        n = len(participants)
-        if n <= 1:
-            return
-        proc_of = view.shared.proc_of
+        k = ring.size
+        if k <= 1:
+            return ready, vals
         # combine_flops of each participant's *entry* accumulator, as the
         # fine-grained generator captures it in its ``value`` argument
-        dt = {p: self._compute_delay(combine_flops(vals[p]))
-              for p in participants}
-        pow2 = 1 << (n.bit_length() - 1)
-        if pow2 > n:
-            pow2 >>= 1
-        rem = n - pow2
+        work = _stack(op, vals)
+        if work is not None:
+            dt = np.full(k, self._compute_delay(combine_flops(vals[0])))
+            row_nbytes = payload_nbytes(work[0])
 
-        newrank: Dict[int, int] = {}
-        for rank, p in enumerate(participants):
-            if rank < 2 * rem:
-                newrank[p] = rank // 2 if rank % 2 == 0 else -1
-            else:
-                newrank[p] = rank - rem
+            def sizes(slots):
+                return row_nbytes
+        else:
+            work = list(vals)
+            dt = np.array([self._compute_delay(combine_flops(v)) for v in vals])
+
+            def sizes(slots):
+                return [payload_nbytes(work[i]) for i in slots.tolist()]
+
+        rounds = _RoundLedger(self.world, ring)
+        t = np.array(ready)
+        evens, odds, active = ring.evens, ring.odds, ring.active
 
         # Fold: odd extras push into their even neighbour and sit out.
-        for rank in range(0, 2 * rem, 2):
-            even = participants[rank]
-            odd = participants[rank + 1]
-            done, delivered = self._replay_transfer(
-                st, proc_of(odd), proc_of(even),
-                payload_nbytes(vals[odd]), ready[odd], path,
-            )
-            t = ready[even]
-            if delivered > t:
-                t = delivered
-            vals[even] = _combine(op, vals[even], vals[odd])
-            ready[even] = t + dt[even]
-            ready[odd] = done
+        if len(odds):
+            done, delivered = rounds.send(odds, t[odds], sizes(odds))
+            t[evens] = np.maximum(t[evens], delivered) + dt[evens]
+            t[odds] = done
+            _fold(op, work, evens, odds)
 
         # Pairwise exchange rounds over the power-of-two core.
-        active = [p for p in participants if newrank[p] >= 0]
-        mask = 1
-        while mask < pow2:
-            sent_val = {p: vals[p] for p in active}
-            arrived: Dict[int, Tuple[float, Any]] = {}
-            for p in active:
-                partner_new = newrank[p] ^ mask
-                partner_rank = (
-                    partner_new * 2 if partner_new < rem else partner_new + rem
-                )
-                partner = participants[partner_rank]
-                done, delivered = self._replay_transfer(
-                    st, proc_of(p), proc_of(partner),
-                    payload_nbytes(sent_val[p]), ready[p], path,
-                )
-                ready[p] = done
-                arrived[partner] = (delivered, sent_val[p])
-            for p in active:
-                delivered, contrib = arrived[p]
-                t = ready[p]
-                if delivered > t:
-                    t = delivered
-                vals[p] = _combine(op, vals[p], contrib)
-                ready[p] = t + dt[p]
-            mask <<= 1
+        for partner in ring.partners:
+            done, delivered = rounds.send(active, t[active], sizes(active))
+            t[active] = np.maximum(done, delivered[partner]) + dt[active]
+            _fold(op, work, active, active[partner])
 
         # Unfold: evens hand the finished value back to their odd.
-        for rank in range(0, 2 * rem, 2):
-            even = participants[rank]
-            odd = participants[rank + 1]
-            done, delivered = self._replay_transfer(
-                st, proc_of(even), proc_of(odd),
-                payload_nbytes(vals[even]), ready[even], path,
-            )
-            ready[even] = done
-            t = ready[odd]
-            if delivered > t:
-                t = delivered
-            vals[odd] = _freeze(vals[even])
-            ready[odd] = t
+        if len(odds):
+            done, delivered = rounds.send(evens, t[evens], sizes(evens))
+            t[evens] = done
+            t[odds] = np.maximum(t[odds], delivered)
+            if isinstance(work, np.ndarray):
+                work[odds] = work[evens]
+            else:
+                for e, o in zip(evens.tolist(), odds.tolist()):
+                    work[o] = _freeze(work[e])
+        rounds.flush(st)
+        return t.tolist(), list(work)
 
     # -- allreduce_two_level --------------------------------------------
     def _replay_reduce_two_level(
-        self, view, g: _Gather
+        self, st: _ReplayState, view, g: _Gather
     ) -> Tuple[List[Tuple[float, int]], Dict[int, Any]]:
         shared = view.shared
-        h = shared.hierarchy
-        proc_of = shared.proc_of
+        members = shared.members
+        ring = self._ring(shared)
         arrive = {index: t for t, index in g.arrivals}
         order = {index: i for i, (_, index) in enumerate(g.arrivals)}
         base = {index: v for (_, index), v in zip(g.arrivals, g.payloads)}
-        vals = dict(base)
         op = g.meta["op"]
-        st = _ReplayState()
 
         # Intranode gather: slave contributions reach the leader's socket
         # bus in fine-grained grant order — FIFO by (issue time,
         # registration order), same rule as the TDLB replay — and the
         # leader folds them in deposit (= delivery) order after the last
         # one lands, then pays one combine timeout for the batch.
-        ready: Dict[int, float] = {}
-        for leader in h.leaders:
-            slaves = h.slaves_of(leader)
+        ready: List[float] = []
+        vals: list = []
+        for leader, slaves in zip(ring.leaders, ring.slaves):
             t = arrive[leader]
+            acc = base[leader]
             if slaves:
+                dst = members[leader - 1]
                 deposits: List[Tuple[float, int]] = []
                 for s in sorted(slaves, key=lambda i: (arrive[i], order[i])):
                     _, delivered = self._replay_transfer(
-                        st, proc_of(s), proc_of(leader),
-                        payload_nbytes(base[s]), arrive[s], "direct",
+                        st, members[s - 1], dst, payload_nbytes(base[s]),
+                        arrive[s], "direct",
                     )
                     deposits.append((delivered, s))
                     if delivered > t:
@@ -780,28 +906,27 @@ class MacroCollectives:
                 # from bus-request order.  Stable sort: same-instant
                 # deliveries fire in scheduling (= request) order.
                 deposits.sort(key=lambda d: d[0])
-                acc = vals[leader]
                 for _, s in deposits:
                     acc = _combine(op, acc, base[s])
-                vals[leader] = acc
                 t = t + self._compute_delay(
                     combine_flops(base[leader]) * len(slaves)
                 )
-            ready[leader] = t
+            ready.append(t)
+            vals.append(acc)
 
         # Internode: recursive doubling among the node leaders.
-        self._replay_rd(st, view, h.leaders, ready, vals, op, "auto")
+        ready, vals = self._replay_rd(st, ring, ready, vals, op)
 
         # Intranode fan-out: each leader pushes the result serially.
         exits: List[Tuple[float, int]] = []
         results: Dict[int, Any] = {}
-        for leader in h.leaders:
-            t = ready[leader]
-            acc = vals[leader]
-            for s in h.slaves_of(leader):
+        for leader, slaves, t, acc in zip(ring.leaders, ring.slaves,
+                                          ready, vals):
+            src = members[leader - 1]
+            for s in slaves:
                 t, delivered = self._replay_transfer(
-                    st, proc_of(leader), proc_of(s),
-                    payload_nbytes(acc), t, "direct",
+                    st, src, members[s - 1], payload_nbytes(acc), t,
+                    "direct",
                 )
                 exits.append((delivered, s))
                 results[s] = _freeze(acc)
@@ -811,29 +936,29 @@ class MacroCollectives:
 
     # -- allreduce_recursive_doubling -----------------------------------
     def _replay_reduce_rd(
-        self, view, g: _Gather
+        self, st: _ReplayState, view, g: _Gather
     ) -> Tuple[List[Tuple[float, int]], Dict[int, Any]]:
+        # join() admits this kind on flat teams only, where the leaders
+        # are exactly the images 1..n in rank order.
+        ring = self._ring(view.shared)
         arrive = {index: t for t, index in g.arrivals}
-        vals = {index: v for (_, index), v in zip(g.arrivals, g.payloads)}
-        op = g.meta["op"]
-        st = _ReplayState()
-        participants = list(range(1, view.size + 1))
-        ready = dict(arrive)
-        self._replay_rd(st, view, participants, ready, vals, op, "auto")
-        exits = [(ready[p], p) for p in participants]
-        return exits, vals
+        base = {index: v for (_, index), v in zip(g.arrivals, g.payloads)}
+        ready, vals = self._replay_rd(
+            st, ring, [arrive[p] for p in ring.leaders],
+            [base[p] for p in ring.leaders], g.meta["op"],
+        )
+        return list(zip(ready, ring.leaders)), dict(zip(ring.leaders, vals))
 
     # -- bcast_two_level ------------------------------------------------
     def _replay_bcast_two_level(
-        self, view, g: _Gather
+        self, st: _ReplayState, view, g: _Gather
     ) -> Tuple[List[Tuple[float, int]], Dict[int, Any]]:
         shared = view.shared
         h = shared.hierarchy
-        proc_of = shared.proc_of
+        members = shared.members
         arrive = {index: t for t, index in g.arrivals}
         base = {index: v for (_, index), v in zip(g.arrivals, g.payloads)}
         source = g.meta["source"]
-        st = _ReplayState()
         leaders = h.leaders
         source_leader = h.leader_of[source]
         seed = base[source]
@@ -845,7 +970,7 @@ class MacroCollectives:
         # over shared memory, then is done (it already holds the value).
         if source != source_leader:
             done, delivered = self._replay_transfer(
-                st, proc_of(source), proc_of(source_leader), nbytes,
+                st, members[source - 1], members[source_leader - 1], nbytes,
                 arrive[source], "direct",
             )
             exits.append((done, source))
@@ -859,6 +984,9 @@ class MacroCollectives:
         # Phase 1: binomial tree among leaders rooted at the source's
         # leader.  Parents always carry a smaller virtual rank, so
         # walking leaders in vrank order replays sends before receives.
+        # Tree levels are not rounds (a parent's sends serialize and its
+        # children start at different instants), so this phase stays on
+        # the scalar ledger.
         num_leaders = len(leaders)
         root_rank = h.leader_rank[source_leader]
         vrank = {
@@ -874,10 +1002,11 @@ class MacroCollectives:
                 t = arrive[L]
                 if inbox[L] > t:
                     t = inbox[L]
+            src = members[L - 1]
             for child in children:  # largest stride first, serial sends
                 target = leaders[(child + root_rank) % num_leaders]
                 t, delivered = self._replay_transfer(
-                    st, proc_of(L), proc_of(target), nbytes, t, "auto",
+                    st, src, members[target - 1], nbytes, t, "auto",
                 )
                 inbox[target] = delivered
             hold_t[L] = t
@@ -885,11 +1014,12 @@ class MacroCollectives:
         # Phase 2: intranode fan-out with direct stores.
         for L in leaders:
             t = hold_t[L]
+            src = members[L - 1]
             for s in h.slaves_of(L):
                 if s == source:
                     continue  # the source already holds the payload
                 t, delivered = self._replay_transfer(
-                    st, proc_of(L), proc_of(s), nbytes, t, "direct",
+                    st, src, members[s - 1], nbytes, t, "direct",
                 )
                 e = arrive[s]
                 if delivered > e:
@@ -899,7 +1029,3 @@ class MacroCollectives:
             exits.append((t, L))
             results[L] = _freeze(seed)
         return exits, results
-
-
-#: historical name from the barrier-only era; kept for back-compat
-MacroBarriers = MacroCollectives

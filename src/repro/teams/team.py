@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Any, Dict, Hashable, List, Optional, Sequence
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..machine import Topology
 from ..sim import Cell, Engine
@@ -75,7 +75,11 @@ class TeamShared:
         n = len(self.members)
         self.num_rounds = max(1, math.ceil(math.log2(n))) if n > 1 else 0
         # --- synchronization cells, indexed by 1-based team index -------
-        self._diss_flags: Dict[tuple, Cell] = {}
+        #: variant → {(index, round): cell}
+        self._diss_flags: Dict[str, Dict[Tuple[int, int], Cell]] = {}
+        #: variant → dissemination windows credited without materializing
+        #: their flags (see :meth:`credit_diss`)
+        self._diss_credit: Dict[str, int] = {}
         self._cocounter: Dict[int, Cell] = {}
         self._release: Dict[int, Cell] = {}
         # --- tagged mailboxes for data-carrying collectives --------------
@@ -128,17 +132,34 @@ class TeamShared:
     # member per round — the "carry" that makes the one-wait barrier work)
     # ------------------------------------------------------------------
     def diss_flag(self, index: int, round_: int, variant: str = "tdlb") -> Cell:
-        key = (variant, index, round_)
-        cell = self._diss_flags.get(key)
+        flags = self._diss_flags.get(variant)
+        if flags is None:
+            flags = self._diss_flags[variant] = {}
+        cell = flags.get((index, round_))
         if cell is None:
             cell = Cell(
-                self.engine, 0,
+                self.engine, self._diss_credit.get(variant, 0),
                 name=f"t{self.uid}.{variant}[{index}][{round_}]",
                 meta={"kind": "diss", "team": self, "index": index,
                       "round": round_, "variant": variant},
             )
-            self._diss_flags[key] = cell
+            flags[(index, round_)] = cell
         return cell
+
+    def credit_diss(self, variant: str) -> None:
+        """Account one complete dissemination window of ``variant``
+        without touching every flag it notifies.
+
+        A window among a fixed participant list notifies every
+        (participant, round) flag of its variant exactly once, so the
+        effect is "+1 on every flag": existing cells get their ``add(1)``
+        now, and cells first materialized later start at the credit.  A
+        later fine-grained window's carry predicate ``flag >= seq`` then
+        sees exactly the values it would had every flag been written.
+        """
+        self._diss_credit[variant] = self._diss_credit.get(variant, 0) + 1
+        for cell in self._diss_flags.get(variant, {}).values():
+            cell.add(1)
 
     def cocounter(self, index: int) -> Cell:
         """Arrival counter at a node leader (Algorithm 1's ``cocounter``)."""

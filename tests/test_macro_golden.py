@@ -369,6 +369,53 @@ class TestSustainedCollapseFlat:
         assert not on.world.macro.inexact
 
 
+def _credit_then_fine(ctx, macro_iters, fine_iters, seen):
+    """Macro TDLB windows, then a ``put_nb`` (sticky async disable), then
+    fine-grained barriers that read the dissemination flags the macro
+    windows only credited."""
+    me = ctx.this_image()
+    for _ in range(macro_iters):
+        yield from ctx.sync_all()
+    co = yield from ctx.allocate("credit", (1,))  # one more macro window
+    shared = ctx.current_team.shared
+    if me == 1:
+        seen["cells_before_fine"] = len(
+            shared._diss_flags.get("tdlb-leaders", {}))
+        seen["shared"] = shared
+    handle = yield from ctx.put_nb(co, me % ctx.num_images() + 1, float(me))
+    yield from ctx.wait_rma(handle)
+    for _ in range(fine_iters):
+        yield from ctx.sync_all()
+    return ctx.now, ctx.local(co).tolist()
+
+
+class TestDisseminationCredit:
+    def test_credited_flags_feed_later_fine_barriers(self):
+        n, macro_iters, fine_iters = 1000, 2, 1
+        seen_on: dict = {}
+        seen_off: dict = {}
+        on = _run_flat(n, _credit_then_fine, macro=True,
+                       args=(macro_iters, fine_iters, seen_on))
+        off = _run_flat(n, _credit_then_fine, macro=False,
+                        args=(macro_iters, fine_iters, seen_off))
+        _assert_golden(on, off)
+        m = on.world.macro
+        assert m.replays == macro_iters + 1
+        assert m.disabled_reason == "async" and not m.inexact
+        # macro windows never materialized a leader flag ...
+        assert seen_on["cells_before_fine"] == 0
+        assert seen_off["cells_before_fine"] > 0
+
+        # ... yet every flag ends where the fine-grained run leaves it
+        def flags(seen):
+            cells = seen["shared"]._diss_flags["tdlb-leaders"]
+            return {key: cell.value for key, cell in cells.items()}
+
+        total = macro_iters + 1 + fine_iters
+        assert flags(seen_on) == flags(seen_off)
+        assert set(flags(seen_on).values()) == {total}
+
+
 class TestCollectiveBoundaries:
     def test_tight_broadcast_chain_stays_semantically_exact(self):
         # Chained broadcast windows open under the previous window's

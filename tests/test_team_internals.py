@@ -81,6 +81,25 @@ class TestSyncCells:
         assert shared.diss_flag(1, 0, "x") is not shared.diss_flag(2, 0, "x")
         assert shared.diss_flag(1, 0, "x") is not shared.diss_flag(1, 1, "x")
 
+    def test_diss_flag_materialized_after_credits_starts_at_credit(self):
+        _, shared = make_shared()
+        for _ in range(3):
+            shared.credit_diss("v")
+        assert shared.diss_flag(2, 1, "v").value == 3
+        assert shared.diss_flag(2, 1, "w").value == 0  # other variants
+
+    def test_existing_diss_flag_gains_one_per_credit(self):
+        _, shared = make_shared()
+        cell = shared.diss_flag(1, 0, "v")
+        cell.add(1)
+        fired = []
+        cell.wait_until(lambda v: v >= 3, fired.append)
+        shared.credit_diss("v")
+        assert cell.value == 2 and not fired
+        shared.credit_diss("v")
+        assert cell.value == 3 and fired == [3]  # watchers see the credit
+        assert shared.diss_flag(1, 0, "v") is cell
+
     def test_cocounter_and_release_cached(self):
         _, shared = make_shared()
         assert shared.cocounter(1) is shared.cocounter(1)
