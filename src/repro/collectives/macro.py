@@ -155,7 +155,7 @@ class _Gather:
 class _ReplayState:
     """Per-commit FIFO ledger of virtual resource holds.
 
-    ``hold`` mirrors :meth:`repro.sim.Resource.occupy` arithmetic for a
+    ``hold`` mirrors :meth:`repro.sim.Resource.hold` arithmetic for a
     request arriving at ``t``: granted at ``max(t, previous release)``,
     released ``duration`` later.  Requests must be fed in fine-grained
     arrival order per resource; the engagement guard guarantees every

@@ -407,15 +407,23 @@ class CafContext:
     # ------------------------------------------------------------------
     # stat= semantics (Fortran 2018 failed-image handling)
     # ------------------------------------------------------------------
+    # The statement wrappers below return the algorithm's generator
+    # itself when there is no fault manager and no ``stat=``: a guard
+    # generator would only pass every resume through, and a collective
+    # resumes thousands of times.  Callers ``yield from`` the result
+    # either way.
     def _catch_stat(self, stat: Optional[Stat], gen):
         """Run a synchronization/collective generator under ``stat=``
         semantics: an :class:`ImageControlError` (failed image, stopped
         image, lock condition) either lands in ``stat`` or propagates
         (error termination) when no ``stat`` was supplied — exactly the
-        standard's dichotomy."""
+        standard's dichotomy.  Returns ``gen`` unwrapped when there is
+        nothing to catch."""
         if self.world.faults is None and stat is None:
-            result = yield from gen
-            return result
+            return gen
+        return self._catching(stat, gen)
+
+    def _catching(self, stat: Optional[Stat], gen):
         try:
             result = yield from gen
         except ImageControlError as err:
@@ -430,7 +438,16 @@ class CafContext:
 
     def _stat_guard(self, stat: Optional[Stat], view: TeamView, gen,
                     check_stopped: bool = False):
-        """:meth:`_catch_stat` plus the *entry checks*: a team operation
+        """:meth:`_catch_stat` plus the *entry checks* (see
+        :meth:`_guarding`); returns ``gen`` unwrapped when there is nothing
+        to check or catch."""
+        if self.world.faults is None and stat is None:
+            return gen
+        return self._guarding(stat, view, gen, check_stopped)
+
+    def _guarding(self, stat: Optional[Stat], view: TeamView, gen,
+                  check_stopped: bool):
+        """Entry checks, then :meth:`_catching`: a team operation
         started after a member failed observes the failure immediately,
         even on images whose role in the algorithm never blocks (e.g. a
         broadcast source) — this is what makes failure detection a
@@ -459,7 +476,7 @@ class CafContext:
                 raise
             stat._set(err)
             return None
-        result = yield from self._catch_stat(stat, gen)
+        result = yield from self._catching(stat, gen)
         return result
 
     # ------------------------------------------------------------------
@@ -470,14 +487,14 @@ class CafContext:
         configured strategy.  ``stat`` receives ``STAT_FAILED_IMAGE``
         instead of raising when a team member has failed."""
         self._log("sync_all", f"team{self.current_team.shared.uid}")
-        yield from self.sync_team(self.current_team, stat=stat)
+        return self.sync_team(self.current_team, stat=stat)
 
     def sync_team(self, team: TeamView, stat: Optional[Stat] = None):
         """``sync team(T)``: barrier over team ``T`` (must be the current
         team or an ancestor/descendant this image belongs to)."""
         barrier = resolve("barrier", self.config.barrier)
-        yield from self._stat_guard(stat, team, barrier(self, team),
-                                    check_stopped=True)
+        return self._stat_guard(stat, team, barrier(self, team),
+                                check_stopped=True)
 
     def sync_images(self, images: Union[str, Sequence[int]],
                     stat: Optional[Stat] = None):
@@ -542,28 +559,21 @@ class CafContext:
             )
         fn = resolve("reduce", self.config.reduce)
         view = team if team is not None else self.current_team
-        result = yield from self._stat_guard(
+        return self._stat_guard(
             stat, view, fn(self, view, value, op, result_image=result_image)
         )
-        return result
 
     def co_sum(self, value: Any, result_image: Optional[int] = None,
                team: Optional[TeamView] = None, stat: Optional[Stat] = None):
-        result = yield from self.co_reduce(value, "sum", result_image, team,
-                                           stat=stat)
-        return result
+        return self.co_reduce(value, "sum", result_image, team, stat=stat)
 
     def co_max(self, value: Any, result_image: Optional[int] = None,
                team: Optional[TeamView] = None, stat: Optional[Stat] = None):
-        result = yield from self.co_reduce(value, "max", result_image, team,
-                                           stat=stat)
-        return result
+        return self.co_reduce(value, "max", result_image, team, stat=stat)
 
     def co_min(self, value: Any, result_image: Optional[int] = None,
                team: Optional[TeamView] = None, stat: Optional[Stat] = None):
-        result = yield from self.co_reduce(value, "min", result_image, team,
-                                           stat=stat)
-        return result
+        return self.co_reduce(value, "min", result_image, team, stat=stat)
 
     def co_broadcast(self, value: Any, source_image: int,
                      team: Optional[TeamView] = None,
@@ -572,10 +582,7 @@ class CafContext:
         everywhere.  ``team`` and ``stat`` work as in :meth:`co_reduce`."""
         fn = resolve("broadcast", self.config.broadcast)
         view = team if team is not None else self.current_team
-        result = yield from self._stat_guard(
-            stat, view, fn(self, view, value, source_image)
-        )
-        return result
+        return self._stat_guard(stat, view, fn(self, view, value, source_image))
 
     def co_alltoall(self, payloads, team: Optional[TeamView] = None,
                     stat: Optional[Stat] = None):
@@ -585,8 +592,7 @@ class CafContext:
         methodology's stress test; see collectives.alltoall.)"""
         fn = resolve("alltoall", self.config.alltoall)
         view = team if team is not None else self.current_team
-        result = yield from self._stat_guard(stat, view, fn(self, view, payloads))
-        return result
+        return self._stat_guard(stat, view, fn(self, view, payloads))
 
     def co_allgather(self, value: Any, team: Optional[TeamView] = None,
                      stat: Optional[Stat] = None):
@@ -596,8 +602,7 @@ class CafContext:
         with the same flat/two-level strategy split.)"""
         fn = resolve("allgather", self.config.allgather)
         view = team if team is not None else self.current_team
-        result = yield from self._stat_guard(stat, view, fn(self, view, value))
-        return result
+        return self._stat_guard(stat, view, fn(self, view, value))
 
     # ------------------------------------------------------------------
     # Teams

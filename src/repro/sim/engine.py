@@ -61,7 +61,7 @@ import itertools
 import math
 import random
 from bisect import insort
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Optional
 
 from .errors import DeadlockError, ProcessFailure, SimulationLimitExceeded
 
@@ -131,7 +131,7 @@ class Engine:
     __slots__ = (
         "_times", "_buckets", "_seq_counter", "_now", "_max_events",
         "_events_processed", "_trace", "_tiebreak_seed", "_tiebreak_rng",
-        "monitor", "_blocked", "_blocked_info", "_blocked_seq", "_running",
+        "monitor", "_blocked", "_blocked_seq", "_running",
         "_drain_hooks", "_deferred", "schedule", "call_now", "schedule_at",
     )
 
@@ -178,10 +178,12 @@ class Engine:
         #: :class:`repro.verify.HBMonitor`).  The sim primitives consult it
         #: on every write/wait when set; ``None`` costs one attribute read.
         self.monitor: Optional[Any] = None
-        # Registry of blocked-process descriptions for deadlock reporting.
-        # Keyed by an opaque token so waiters can deregister in O(1).
-        self._blocked: dict[int, Union[str, Callable[[], str]]] = {}
-        self._blocked_info: dict[int, Any] = {}
+        # Registry of blocked waiters for deadlock reporting, in block
+        # order (dict insertion order).  A blocked Process registers itself
+        # as ``proc -> proc`` and builds its report text only on demand
+        # (``blocked_description``/``blocked_info``); ``note_blocked``
+        # entries are ``token -> (description, info)``.
+        self._blocked: dict[Any, Any] = {}
         self._blocked_seq = itertools.count()
         self._running = False
         # Last-chance hooks consulted when the queue drains with blocked
@@ -421,49 +423,41 @@ class Engine:
     # ------------------------------------------------------------------
     # Blocked-process bookkeeping (for deadlock diagnostics)
     # ------------------------------------------------------------------
-    def note_blocked(
-        self, description: Union[str, Callable[[], str]], info: Any = None
-    ) -> int:
-        """Record that a process is blocked; returns a token for :meth:`note_unblocked`.
-
-        ``description`` may be a plain string or a zero-argument callable
-        returning one — waiters on the hot path pass a callable so the
-        human-readable text is only materialized if a deadlock report
-        actually needs it.
+    def note_blocked(self, description: str, info: Any = None) -> int:
+        """Record that a waiter is blocked; returns a token for :meth:`note_unblocked`.
 
         ``info`` may carry a structured record (see
         :class:`repro.sim.process.BlockedInfo`) that deadlock reports use
-        to reconstruct the wait-for graph.
+        to reconstruct the wait-for graph.  Processes do not come through
+        here: they register themselves in the same ordered registry.
         """
         token = next(self._blocked_seq)
-        self._blocked[token] = description
-        if info is not None:
-            self._blocked_info[token] = info
+        self._blocked[token] = (description, info)
         return token
 
     def note_unblocked(self, token: int) -> None:
         """Forget a blocked-process record created by :meth:`note_blocked`."""
         self._blocked.pop(token, None)
-        self._blocked_info.pop(token, None)
 
     @property
     def blocked_descriptions(self) -> list[str]:
         """Descriptions of currently blocked processes (ordered by block time)."""
         return [
-            d() if callable(d) else d
-            for d in (self._blocked[k] for k in sorted(self._blocked))
+            entry[0] if entry.__class__ is tuple else entry.blocked_description()
+            for entry in self._blocked.values()
         ]
 
     @property
     def blocked_details(self) -> list[Any]:
         """Structured records of currently blocked processes, where the
-        waiter supplied one (ordered by block time).  Records registered
-        as zero-argument callables are materialized here — the cold path
-        of deadlock reporting."""
-        return [
-            info() if callable(info) else info
-            for info in (self._blocked_info[k] for k in sorted(self._blocked_info))
-        ]
+        waiter supplied one (ordered by block time)."""
+        details = []
+        for entry in self._blocked.values():
+            if entry.__class__ is not tuple:
+                details.append(entry.blocked_info())
+            elif entry[1] is not None:
+                details.append(entry[1])
+        return details
 
     # ------------------------------------------------------------------
     # Drain hooks (macro-event fallback)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from functools import partial
 from typing import Any, Callable, Optional
 
 from .engine import Engine
@@ -193,9 +194,19 @@ class Resource:
     notifications through it queue up in deterministic FIFO order — this is
     precisely the serialization effect the paper's Section IV-A argues
     makes flat dissemination slow on multicore nodes.
+
+    One FIFO serves two kinds of request.  A *hold* (:meth:`hold`, and
+    through it :meth:`occupy` and the ``Hold`` process command) is queued
+    as one ``(duration, waiter)`` entry: at grant the resource schedules
+    the holder's completion ``duration`` later, and the completion
+    releases the resource (granting the next entry) before it calls
+    ``waiter()``.  An explicit :meth:`acquire` is queued as
+    ``(None, grant_event)`` and granted by triggering its event; the
+    caller releases it.
     """
 
-    __slots__ = ("_engine", "capacity", "_in_use", "_queue", "name", "_granted", "_peak")
+    __slots__ = ("_engine", "capacity", "_in_use", "_queue", "name", "_granted",
+                 "_peak", "_hold_label")
 
     def __init__(self, engine: Engine, capacity: int = 1, name: str = ""):
         if capacity < 1:
@@ -205,10 +216,11 @@ class Resource:
         self._in_use = 0
         # deque: grants pop from the left in O(1); a list's pop(0) is O(n)
         # and showed up under contention (every NIC gap on a busy node).
-        self._queue: deque[SimEvent] = deque()
+        self._queue: deque[tuple[Optional[float], Any]] = deque()
         self.name = name
         self._granted = 0
         self._peak = 0
+        self._hold_label = f"{name}.hold"
 
     @property
     def in_use(self) -> int:
@@ -239,6 +251,12 @@ class Resource:
         """Longest queue observed (contention statistics)."""
         return self._peak
 
+    def _enqueue(self, duration: Optional[float], waiter: Any) -> None:
+        queue = self._queue
+        queue.append((duration, waiter))
+        if len(queue) > self._peak:
+            self._peak = len(queue)
+
     def acquire(self) -> SimEvent:
         """Request the resource; the returned event triggers when granted."""
         grant = SimEvent(self._engine, name=f"{self.name}.grant")
@@ -247,37 +265,57 @@ class Resource:
             self._granted += 1
             grant.trigger()
         else:
-            self._queue.append(grant)
-            self._peak = max(self._peak, len(self._queue))
+            self._enqueue(None, grant)
         return grant
 
     def release(self) -> None:
         if self._in_use <= 0:
             raise RuntimeError(f"release of idle resource {self.name!r}")
         if self._queue:
-            nxt = self._queue.popleft()
+            duration, waiter = self._queue.popleft()
             self._granted += 1
-            nxt.trigger()
+            if duration is None:
+                waiter.trigger()
+            else:
+                self._engine.schedule(duration, partial(_complete, self, waiter),
+                                      label=self._hold_label)
         else:
             self._in_use -= 1
+
+    def hold(self, duration: float, waiter: Callable[[], None]) -> None:
+        """Acquire, hold for ``duration`` simulated seconds, release, then
+        call ``waiter()`` — all from one queue entry, with no event
+        objects.  A :class:`~repro.sim.process.Process` is its own waiter
+        (calling it resumes the generator), which is how the ``Hold``
+        command blocks."""
+        if self._in_use < self.capacity:
+            self._in_use += 1
+            self._granted += 1
+            self._engine.schedule(duration, partial(_complete, self, waiter),
+                                  label=self._hold_label)
+        else:
+            self._enqueue(duration, waiter)
 
     def occupy(self, duration: float, then: Optional[Callable[[], None]] = None) -> SimEvent:
         """Acquire, hold for ``duration`` simulated seconds, release.
 
         Returns an event that triggers at release time; ``then`` (if given)
-        runs at that moment.  This is the one-liner the network model uses
-        for NIC injection gaps.
+        runs at that moment, before the event fires.  This is the
+        one-liner the network model uses for NIC injection gaps.
         """
         done = SimEvent(self._engine, name=f"{self.name}.occupy")
 
-        def _granted(_: Any) -> None:
-            def _finish() -> None:
-                self.release()
-                if then is not None:
-                    then()
-                done.trigger()
+        def _finish() -> None:
+            if then is not None:
+                then()
+            done.trigger()
 
-            self._engine.schedule(duration, _finish, label=f"{self.name}.hold")
-
-        self.acquire().on_trigger(_granted)
+        self.hold(duration, _finish)
         return done
+
+
+def _complete(resource: Resource, waiter: Callable[[], None]) -> None:
+    """End of a hold: release first (which may grant and schedule the next
+    queued holder), then hand control to the holder."""
+    resource.release()
+    waiter()

@@ -25,6 +25,7 @@ Commands
     ``resource.release()`` itself.
 ``Hold(resource, duration)``
     Acquire, hold for ``duration``, release; resumes at release time.
+    A hold always has a scheduled end, so it never counts as blocked.
 
 Sub-generators compose with plain ``yield from``, so runtime layers nest
 without any driver support.
@@ -136,7 +137,8 @@ class Process:
     """
 
     __slots__ = ("_engine", "_gen", "_send", "name", "actor", "done",
-                 "_blocked_token", "_finished", "_timeout_label")
+                 "_blocked", "_wait_kind", "_wait_target", "_finished",
+                 "_timeout_label")
 
     def __init__(self, engine: Engine, gen: ProcGen, name: str = "proc",
                  actor: Optional[Any] = None):
@@ -146,7 +148,12 @@ class Process:
         self.name = name
         self.actor = actor
         self.done = SimEvent(engine, name=f"{name}.done")
-        self._blocked_token: Optional[int] = None
+        # While blocked, the process is a key of the engine's blocked
+        # registry and ``_wait_kind``/``_wait_target`` say on what; the
+        # deadlock report text is built from these only if it is needed.
+        self._blocked = engine._blocked
+        self._wait_kind: Optional[str] = None
+        self._wait_target: Any = None
         self._finished = False
         # A process has at most one outstanding no-value resume (it drives
         # a single generator), so the process object itself is the
@@ -160,11 +167,13 @@ class Process:
         engine.call_now(self, label=f"{name}.start")
 
     def __call__(self) -> None:
-        """Resume the generator with no value (spawn step or Timeout
-        expiry).  ``Engine._run_fast`` inlines this exact body when it
-        recognizes a scheduled :class:`Process`; this method is the same
-        logic for every other dispatch path (``step()``, trace lane,
-        tiebreak/until runs) — the two must stay behaviourally identical.
+        """Resume the generator with no value (spawn step, Timeout
+        expiry, or the end of a Hold, which calls its waiter).
+        ``Engine._run_fast`` inlines this exact body when it recognizes a
+        scheduled :class:`Process`; this method is the same logic for
+        every other dispatch path (``step()``, trace lane, tiebreak/until
+        runs, hold completions) — the two must stay behaviourally
+        identical.
         """
         if self._finished:
             return  # fail-stopped (or completed): stale wake-up
@@ -212,28 +221,35 @@ class Process:
         if self._finished:
             return
         self._finished = True
-        if self._blocked_token is not None:
-            self._engine.note_unblocked(self._blocked_token)
-            self._blocked_token = None
+        if self._wait_kind is not None:
+            self._wait_kind = None
+            del self._blocked[self]
         self._gen.close()
         if not self.done.triggered:
             self.done.trigger(result)
 
     # ------------------------------------------------------------------
-    def _mark_blocked(self, verb: str, noun: str, kind: str, target: Any) -> None:
-        """Register this process as blocked.  Both the human-readable
-        description (``"imageN: waiting on cell 'x'"``) and the structured
-        :class:`BlockedInfo` record are deferred behind closures — they are
-        only materialized if the run actually deadlocks."""
-        self._blocked_token = self._engine.note_blocked(
-            lambda: f"{self.name}: {verb} {noun} {target.name!r}",
-            info=lambda: BlockedInfo(self.name, self.actor, kind, target),
-        )
+    def _block(self, kind: str, target: Any) -> None:
+        """Enter the engine's blocked registry (dict order = block order;
+        a process that wakes and blocks again moves to the end)."""
+        self._wait_kind = kind
+        self._wait_target = target
+        self._blocked[self] = self
+
+    def blocked_description(self) -> str:
+        """Deadlock-report line, e.g. ``"image3: waiting on cell 'x'"``."""
+        verb = "acquiring" if self._wait_kind == "resource" else "waiting on"
+        return f"{self.name}: {verb} {self._wait_kind} {self._wait_target.name!r}"
+
+    def blocked_info(self) -> BlockedInfo:
+        """Structured deadlock-report record of the current wait."""
+        return BlockedInfo(self.name, self.actor, self._wait_kind,
+                           self._wait_target)
 
     def _resume(self, value: Any) -> None:
-        if self._blocked_token is not None:
-            self._engine.note_unblocked(self._blocked_token)
-            self._blocked_token = None
+        if self._wait_kind is not None:
+            self._wait_kind = None
+            del self._blocked[self]
         self._step(value)
 
     def _step(self, send_value: Any) -> None:
@@ -306,7 +322,7 @@ class Process:
     def _do_wait(self, command: Wait) -> None:
         ev = command.event
         if not ev.triggered:
-            self._mark_blocked("waiting on", "event", "event", ev)
+            self._block("event", ev)
         if self._engine.monitor is None:
             ev.on_trigger(self._resume)
         else:
@@ -315,7 +331,7 @@ class Process:
     def _do_wait_for(self, command: WaitFor) -> None:
         cell, pred = command.cell, command.pred
         if not pred(cell.value):
-            self._mark_blocked("waiting on", "cell", "cell", cell)
+            self._block("cell", cell)
         if self._engine.monitor is None:
             cell.wait_until(pred, self._resume)
         else:
@@ -325,15 +341,13 @@ class Process:
         res = command.resource
         grant = res.acquire()
         if not grant.triggered:
-            self._mark_blocked("acquiring", "resource", "resource", res)
+            self._block("resource", res)
         grant.on_trigger(self._resume)
 
     def _do_hold(self, command: Hold) -> None:
-        res, dur = command.resource, command.duration
-        done = res.occupy(dur)
-        if not done.triggered:
-            self._mark_blocked("holding", "resource", "resource", res)
-        done.on_trigger(self._resume)
+        # The process is its own waiter: the hold's completion releases
+        # the resource, then calls the process (a no-value resume).
+        command.resource.hold(command.duration, self)
 
     def _dispatch_other(self, command: Any) -> None:
         """Fallback for command *subclasses* (exact-type dispatch missed)

@@ -2,7 +2,16 @@
 
 import pytest
 
-from repro.sim import Cell, Engine, Resource, SimEvent
+from repro.sim import (
+    Acquire,
+    Cell,
+    Engine,
+    Hold,
+    Process,
+    Resource,
+    SimEvent,
+    Timeout,
+)
 
 
 @pytest.fixture
@@ -194,3 +203,117 @@ class TestResource:
             r.occupy(1.0).on_trigger(lambda _: finish.append(eng.now))
         eng.run()
         assert finish == [1.0, 1.0, 2.0, 2.0]
+
+
+class TestHoldQueue:
+    """``Hold``, ``occupy()`` and ``Acquire``/``release`` share one FIFO.
+
+    A hold's completion releases the resource (which grants the next
+    entry, and resumes a granted acquirer on the spot) before its own
+    holder runs on; the times and orders below pin that.
+    """
+
+    @staticmethod
+    def _holder(eng, res, log, tag, duration):
+        yield Hold(res, duration)
+        log.append((tag, eng.now))
+
+    @staticmethod
+    def _acquirer(eng, res, log, tag, duration):
+        yield Acquire(res)
+        log.append((tag + ".granted", eng.now))
+        yield Timeout(duration)
+        res.release()
+        log.append((tag + ".released", eng.now))
+
+    @staticmethod
+    def _occupy(eng, res, log, tag, duration):
+        res.occupy(duration, then=lambda: log.append((tag + ".then", eng.now))
+                   ).on_trigger(lambda _: log.append((tag, eng.now)))
+
+    def test_mixed_requests_capacity_one(self, eng):
+        r = Resource(eng, capacity=1, name="nic")
+        log = []
+        self._occupy(eng, r, log, "D", 3.0)  # granted before any process runs
+        Process(eng, self._holder(eng, r, log, "A", 2.0))
+        Process(eng, self._acquirer(eng, r, log, "B", 1.0))
+        Process(eng, self._holder(eng, r, log, "C", 0.5))
+        assert not r.idle
+        eng.run()
+        assert log == [
+            ("D.then", 3.0), ("D", 3.0),
+            # A's completion grants B first; B resumes inside the release
+            ("B.granted", 5.0), ("A", 5.0),
+            ("B.released", 6.0), ("C", 6.5),
+        ]
+        assert (r.total_grants, r.peak_queue) == (4, 3)
+        assert r.idle and r.in_use == 0 and r.queue_length == 0
+
+    def test_mixed_requests_capacity_two(self, eng):
+        r = Resource(eng, capacity=2, name="bus")
+        log = []
+        self._occupy(eng, r, log, "D", 1.0)
+        Process(eng, self._holder(eng, r, log, "A", 3.0))
+        Process(eng, self._acquirer(eng, r, log, "B", 0.5))
+        Process(eng, self._holder(eng, r, log, "C", 1.0))
+        Process(eng, self._holder(eng, r, log, "E", 1.0))
+        eng.run()
+        assert log == [
+            ("B.granted", 1.0), ("D.then", 1.0), ("D", 1.0),
+            ("B.released", 1.5), ("C", 2.5), ("A", 3.0), ("E", 3.5),
+        ]
+        assert (r.total_grants, r.peak_queue) == (5, 3)
+        assert r.idle
+
+    def test_zero_duration_holds_keep_fifo_order(self, eng):
+        r = Resource(eng, capacity=1, name="pe")
+        log = []
+        for tag in "abc":
+            Process(eng, self._holder(eng, r, log, tag, 0.0))
+        eng.run()
+        assert log == [("a", 0.0), ("b", 0.0), ("c", 0.0)]
+        assert (r.total_grants, r.peak_queue) == (3, 2)
+
+    def test_killed_holder_still_releases_on_schedule(self, eng):
+        r = Resource(eng, capacity=1, name="nic")
+        log = []
+        victim = Process(eng, self._holder(eng, r, log, "A", 2.0))
+        Process(eng, self._holder(eng, r, log, "B", 1.0))
+
+        def killer():
+            yield Timeout(1.0)
+            victim.kill("dead")
+            log.append(("kill", eng.now, r.in_use, r.queue_length))
+
+        Process(eng, killer())
+        eng.run()
+        # A dies mid-hold; its hold still ends at 2.0 and B takes over
+        assert log == [("kill", 1.0, 1, 1), ("B", 3.0)]
+        assert victim.finished and victim.result == "dead"
+        assert (r.total_grants, r.idle) == (2, True)
+
+    def test_killed_queued_holder_still_takes_its_turn(self, eng):
+        r = Resource(eng, capacity=1, name="nic")
+        log = []
+        Process(eng, self._holder(eng, r, log, "A", 2.0))
+        victim = Process(eng, self._holder(eng, r, log, "B", 1.0))
+        Process(eng, self._holder(eng, r, log, "C", 1.0))
+
+        def killer():
+            yield Timeout(1.0)
+            victim.kill()
+
+        Process(eng, killer())
+        eng.run()
+        # B was queued when killed: its entry is still granted and held,
+        # it just never resumes
+        assert log == [("A", 2.0), ("C", 4.0)]
+        assert (r.total_grants, r.peak_queue) == (3, 2)
+
+    def test_hold_completion_label(self):
+        labels = []
+        eng = Engine(trace=lambda t, label: labels.append((t, label)))
+        r = Resource(eng, name="nic3")
+        r.occupy(1.5)
+        eng.run()
+        assert labels == [(1.5, "nic3.hold")]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.sim import (
     Acquire,
+    BlockedInfo,
     Cell,
     DeadlockError,
     Engine,
@@ -214,3 +215,110 @@ class TestLifecycle:
         Process(eng, proc("b"))
         eng.run()
         assert order == ["a", "b"]
+
+
+class TestBlockedRegistry:
+    """Deadlock reports: one line and one :class:`BlockedInfo` per blocked
+    process, in the order the processes blocked."""
+
+    @staticmethod
+    def _report(eng):
+        with pytest.raises(DeadlockError) as exc:
+            eng.run()
+        return exc.value
+
+    def test_cell_event_and_acquire_waiters(self, eng):
+        ev = SimEvent(eng, name="ev")
+        cell = Cell(eng, 0, name="flag")
+        res = Resource(eng, name="nic")
+
+        def late_event():
+            yield Timeout(1.0)
+            yield Acquire(res)
+            yield Wait(ev)
+
+        def cell_waiter():
+            yield WaitFor(cell, lambda v: v > 0)
+
+        def acquirer():
+            yield Timeout(2.0)
+            yield Acquire(res)
+
+        Process(eng, late_event(), name="p1", actor=1)
+        Process(eng, cell_waiter(), name="p2", actor=2)
+        Process(eng, acquirer(), name="p3", actor=3)
+        err = self._report(eng)
+        assert err.blocked == [
+            "p2: waiting on cell 'flag'",
+            "p1: waiting on event 'ev'",
+            "p3: acquiring resource 'nic'",
+        ]
+        assert err.details == [
+            BlockedInfo("p2", 2, "cell", cell),
+            BlockedInfo("p1", 1, "event", ev),
+            BlockedInfo("p3", 3, "resource", res),
+        ]
+
+    def test_reblocking_moves_to_the_end(self, eng):
+        cell = Cell(eng, 0, name="c")
+        ev = SimEvent(eng, name="ev")
+        never = SimEvent(eng, name="never")
+        eng.note_blocked("external: waiting")
+
+        def twice():
+            yield WaitFor(cell, lambda v: v >= 1)
+            yield Wait(ev)
+
+        def once():
+            yield Wait(never)
+
+        def writer():
+            yield Timeout(1.0)
+            cell.set(1)
+
+        Process(eng, twice(), name="twice")
+        Process(eng, once(), name="once")
+        Process(eng, writer(), name="writer")
+        err = self._report(eng)
+        assert err.blocked == [
+            "external: waiting",
+            "once: waiting on event 'never'",
+            "twice: waiting on event 'ev'",
+        ]
+        assert [d.process for d in err.details] == ["once", "twice"]
+
+    def test_killed_blocked_process_leaves_no_entry(self, eng):
+        never = SimEvent(eng, name="never")
+
+        def waiter():
+            yield Wait(never)
+
+        victim = Process(eng, waiter(), name="victim")
+        Process(eng, waiter(), name="survivor")
+
+        def killer():
+            yield Timeout(1.0)
+            victim.kill()
+
+        Process(eng, killer(), name="killer")
+        err = self._report(eng)
+        assert err.blocked == ["survivor: waiting on event 'never'"]
+        assert [d.process for d in err.details] == ["survivor"]
+
+    def test_holds_never_appear(self, eng):
+        res = Resource(eng, name="nic")
+        never = SimEvent(eng, name="never")
+        seen = []
+
+        def holder():
+            yield Hold(res, 2.0)
+            yield Wait(never)
+
+        Process(eng, holder(), name="h1")
+        Process(eng, holder(), name="h2")  # queued behind h1
+        eng.schedule(1.0, lambda: seen.append(
+            (eng.blocked_descriptions, eng.blocked_details)))
+        err = self._report(eng)
+        assert seen == [([], [])]
+        assert err.blocked == ["h1: waiting on event 'never'",
+                               "h2: waiting on event 'never'"]
