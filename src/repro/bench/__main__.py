@@ -37,24 +37,11 @@ from .xscale import geometric_ladder, xscale_sweep
 
 
 def _run_experiment(experiment: str, nodes: list[int], ipn: int,
-                    nelems: int, jobs=None, server: str | None = None,
-                    tenant: str | None = None) -> None:
-    """Run one sweep experiment locally or via a ``repro.serve`` job
-    server; the printed output is identical either way."""
+                    nelems: int, jobs=None) -> None:
+    from ..exec import run_tasks
+
     plans = plan_experiment(experiment, nodes, ipn=ipn, nelems=nelems)
-    if server:
-        from ..serve.client import run_bench_remote
-
-        spec = {"kind": "bench", "experiment": experiment,
-                "nodes": list(nodes), "ipn": ipn, "nelems": nelems}
-        if tenant:
-            spec["tenant"] = tenant
-        outcomes = run_bench_remote(server, spec)
-    else:
-        from ..exec import run_tasks
-
-        outcomes = run_tasks(plan_tasks(plans), jobs=jobs)
-    print(render_results(plans, outcomes))
+    print(render_results(plans, run_tasks(plan_tasks(plans), jobs=jobs)))
 
 
 def _parse_images_spec(spec: str) -> list[int]:
@@ -157,13 +144,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("-j", "--jobs", default=None,
                         help="worker processes for sweep cells: an integer "
                              "or 'auto' (default: REPRO_JOBS env, else 1)")
-    parser.add_argument("--server", default=None, metavar="URL",
-                        help="delegate sweep cells to a repro.serve job "
-                             "server (e.g. http://127.0.0.1:8750); output "
-                             "is identical to a local run")
-    parser.add_argument("--tenant", default=None,
-                        help="tenant name reported to --server "
-                             "(default: the local username)")
     parser.add_argument("--images", default="10000",
                         help="xscale mode: image-count ladder — one integer, "
                              "a comma list, or MIN..MAX (geometric, see "
@@ -205,8 +185,7 @@ def main(argv: list[str] | None = None) -> int:
     for experiment in ("barrier", "reduce", "broadcast"):
         if args.experiment in (experiment, "all"):
             _run_experiment(experiment, args.nodes, args.ipn, args.nelems,
-                            jobs=args.jobs, server=args.server,
-                            tenant=args.tenant)
+                            jobs=args.jobs)
             print()
     if args.experiment in ("hpl", "all"):
         table = figure1(quick=args.quick)

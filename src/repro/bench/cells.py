@@ -9,15 +9,14 @@ grid:
   pickle into worker processes and fingerprint stably into cache keys
   from any entry point.  (They used to live in ``repro.bench.__main__``,
   where running the CLI renames the module to ``__main__`` and every
-  cache key silently changes identity — a server and a CLI could never
-  share a cache that way.)
+  cache key silently changes identity — the CLI and any other entry
+  point could never share a cache that way.)
 * a :class:`SweepPlan` names one table of the experiment — title,
   configs, systems, and which speedup rows follow it; and
 * :func:`plan_experiment` / :func:`plan_tasks` / :func:`render_results`
   turn a plan into the canonical ordered cell list and fold per-cell
-  outcomes back into output **byte-identical** to the sequential CLI —
-  the property the ``repro.serve`` job server and its ``--server``
-  thin clients are held to.
+  outcomes back into output **byte-identical** to the sequential CLI,
+  whatever order or process the cells ran in.
 """
 
 from __future__ import annotations

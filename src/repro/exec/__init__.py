@@ -8,10 +8,9 @@ primitive:
 * :class:`TaskSpec` / :class:`TaskResult` — picklable task descriptors
   with results always delivered in submission order
   (:mod:`repro.exec.task`);
-* :class:`WorkerPool` / :func:`run_tasks` — a persistent
-  ``multiprocessing`` worker pool with chunked dispatch, per-task
-  timeout, retry-once on worker crash, and a graceful inline fallback
-  (:mod:`repro.exec.pool`);
+* :func:`run_tasks` — fan-out over a stdlib ``ProcessPoolExecutor``
+  with per-task timeout, retry-once on worker crash, and a graceful
+  inline fallback (:mod:`repro.exec.pool`);
 * :class:`ResultCache` — an on-disk result cache under
   ``.repro-cache/`` keyed by task content + source-tree fingerprint, so
   unchanged grid cells are skipped on re-runs
@@ -25,11 +24,11 @@ Command line::
 
     python -m repro.exec            # cores, cache location, entry count
     python -m repro.exec --clear    # drop every cached result
+    python -m repro.exec --evict --max-mb 64   # bound the cache size
 """
 
 from .cache import DEFAULT_CACHE_DIR, ResultCache, source_fingerprint
-from .pool import WorkerPool, auto_jobs, resolve_jobs, run_tasks
-from .shared import SharedPoolExecutor
+from .pool import auto_jobs, resolve_jobs, run_tasks
 from .task import (
     TaskResult,
     TaskSpec,
@@ -42,8 +41,6 @@ __all__ = [
     "DEFAULT_CACHE_DIR",
     "ResultCache",
     "source_fingerprint",
-    "SharedPoolExecutor",
-    "WorkerPool",
     "auto_jobs",
     "resolve_jobs",
     "run_tasks",

@@ -30,10 +30,9 @@ perfectly valid and the next reader will get it.  The cache is strictly
 an accelerator, never a source of truth.
 
 The source fingerprint is memoized per root set, guarded by a cheap
-stat scan (file list + mtimes + sizes): a long-lived process — the
-``repro.serve`` job server in particular — re-hashes the tree only when
-some ``*.py`` file actually changed, instead of serving keys computed
-from stale source forever.
+stat scan (file list + mtimes + sizes): a long-lived process re-hashes
+the tree only when some ``*.py`` file actually changed, instead of
+serving keys computed from stale source forever.
 """
 
 from __future__ import annotations
@@ -105,7 +104,7 @@ def source_fingerprint(roots: Optional[Sequence[os.PathLike]] = None) -> str:
 
     Memoized per root set, revalidated by a stat scan on every call: the
     harness hashes ~10^2 files once, then re-hashes only when the file
-    set, an mtime, or a size changes — so a long-lived server picks up
+    set, an mtime, or a size changes — so a long-lived process picks up
     source edits without restarting, while the steady-state cost stays
     at one ``stat`` per file.
     """
@@ -227,23 +226,26 @@ class ResultCache:
 
     def put(self, key: str, value: Any) -> bool:
         """Store ``value``; returns False (and stores nothing) when the
-        value itself cannot be pickled."""
+        value cannot be pickled or the cache location cannot be written
+        — a cache failure never fails the computation it would store."""
         try:
             blob = pickle.dumps(value, protocol=PICKLE_PROTOCOL)
         except Exception:
             return False
         path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        tmp = None
         try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             with os.fdopen(fd, "wb") as fh:
                 fh.write(blob)
             os.replace(tmp, path)
         except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            if tmp is not None:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
             return False
         self.puts += 1
         return True

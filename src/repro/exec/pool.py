@@ -1,71 +1,56 @@
-"""Persistent worker-pool fan-out with deterministic result ordering.
+"""Fan independent tasks across worker processes, results in order.
 
 The simulation grids this repo runs (conformance matrix cells, fuzz
 seeds, benchmark sweep cells, calibration probes) are embarrassingly
 parallel: every task is an independent, deterministic, CPU-bound
-function call.  :class:`WorkerPool` fans them across a set of
-long-lived ``multiprocessing`` workers and guarantees:
+function call.  :func:`run_tasks` runs them through the content-keyed
+:class:`~repro.exec.cache.ResultCache` and a stdlib
+:class:`~concurrent.futures.ProcessPoolExecutor`, and guarantees:
 
-* **Determinism** — results come back indexed by submission order, so
-  the caller-visible output of a parallel run is identical to the
-  sequential run, regardless of completion order.
-* **Warm reuse** — workers are spawned once (``fork`` where available,
-  so the parent's imported modules come for free) and stream **chunks**
-  of tasks off a shared queue, amortizing IPC and scheduling overhead
-  across many sub-10ms simulation runs.  Each chunk is encoded with a
-  *single* ``pickle.dumps`` covering all of its tasks (shared memo
-  table, one frame per queue message) instead of one dumps per task;
-  ``stats()`` reports the encode time and an estimate of what the
-  batching saved.
-* **Robustness** — a per-task timeout kills and replaces a stuck
-  worker; a crashed worker (hard exit, OOM kill) is detected, its
-  in-flight task retried once on a fresh worker, and its undispatched
-  chunk remainder requeued.  Results travel over a lock-guarded pipe
-  written *synchronously* in the worker (no queue feeder thread), so a
-  hard-exiting task cannot truncate a frame and desync the shared
-  stream; if the stream is broken anyway (a worker terminated mid-send)
-  the silent-stall detector rebuilds pipes and workers once and
-  redispatches the orphaned chunks.  A task that times out on every pooled
-  attempt gets one final **untimed inline attempt** in the parent — a
-  hang specific to the worker environment (fork-state corruption, a
-  wedged queue feeder) completes there instead of failing the cell,
-  while a genuinely divergent task still hangs visibly rather than
-  being silently dropped.  A task that raises an ordinary exception is
-  *not* retried (it is deterministic); the error text lands in its
-  :class:`~repro.exec.task.TaskResult`.
-* **Graceful degradation** — with ``jobs<=1``, with unpicklable tasks,
-  or when process spawning is unavailable (restricted sandboxes), work
-  runs inline in the parent with identical semantics.
-* **Cold-path economics** — on an *auto* jobs request (``-j auto``,
-  ``REPRO_JOBS=auto``, ``jobs<=0``), :func:`run_tasks` refuses to spawn
-  a pool that cannot win: one available core (workers would time-slice
-  it — BENCH_HARNESS.json measured pooled 0.87x sequential on the 1-CPU
-  CI runner) or fewer pending cells than the spawn-amortization
-  threshold both run inline instead.  An explicit ``-j N`` is honored
-  as stated — the caller measured their machine; ordering and results
-  are identical either way.
-
-:func:`run_tasks` is the one-call façade used by the verify/bench/
-calibration harnesses; it layers the content-keyed
-:class:`~repro.exec.cache.ResultCache` in front of the pool so
-unchanged grid cells are skipped entirely on re-runs.
+* **Determinism** — results and ``progress`` callbacks come back in
+  submission order, so a parallel run prints exactly what the
+  sequential run prints.
+* **Cache first** — hits are returned without executing anything, and
+  a fully warm cache starts no process.
+* **Inline fallback** — when ``jobs`` resolves to 1, for a task that
+  does not pickle, and when no executor can be created (restricted
+  sandboxes), tasks run in the parent with identical results.
+* **Cold-path economics** — an *auto* request (``-j auto``,
+  ``REPRO_JOBS=auto``, ``jobs<=0``) runs inline on one available core
+  (BENCH_HARNESS.json measured pooled 0.93x sequential on a 1-CPU
+  runner) or with fewer than :data:`SPAWN_AMORTIZATION_MIN` cache
+  misses.  An explicit ``-j N`` is honored as stated.  Either way the
+  executor gets ``min(jobs, misses)`` workers: under ``fork`` it starts
+  all of them at once.
+* **Robustness** — a task that raises reports its error string and is
+  not retried (tasks are deterministic).  A worker crash breaks the
+  executor; the unfinished tasks re-run once on a fresh one, and if
+  that breaks too each of them runs on an executor of its own, so only
+  the task that kills its worker fails.  A task that runs past
+  ``task_timeout`` gets its executor's workers terminated; its
+  unfinished siblings move to a fresh executor, and the stuck task gets
+  one untimed inline attempt after the pool drains.  A hang caused by
+  the worker environment completes there, while a real hang stays
+  visible instead of becoming a silently failed cell.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
+import multiprocessing
 import os
 import pickle
+import queue
 import time
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from collections import deque
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .cache import ResultCache
 from .task import PICKLE_PROTOCOL, TaskResult, TaskSpec
 
-__all__ = ["WorkerPool", "run_tasks", "resolve_jobs", "auto_jobs",
-           "effective_cpu_count", "SPAWN_AMORTIZATION_MIN"]
+__all__ = ["run_tasks", "resolve_jobs", "auto_jobs", "effective_cpu_count",
+           "SPAWN_AMORTIZATION_MIN"]
 
 #: environment variable consulted when a harness passes ``jobs=None``
 JOBS_ENV = "REPRO_JOBS"
@@ -73,19 +58,14 @@ JOBS_ENV = "REPRO_JOBS"
 #: upper bound on worker count (grids rarely have >10^2 cells in flight)
 MAX_JOBS = 64
 
-#: parent poll tick while waiting on worker messages (seconds)
-_TICK = 0.05
-
-#: quiet period after which an idle pool with pending work is assumed to
-#: have lost a chunk (a worker hard-exited before its queue feeder
-#: flushed the pick/start messages) and requeues the orphans
-_STALL_S = 1.0
-
-#: minimum pending cells for :func:`run_tasks` to spawn a pool at all:
-#: worker spawn + pickling costs ~0.5 s, and a sub-10ms simulation cell
-#: pays that back only across a grid — a couple of cells finish inline
-#: before the first worker is even up
+#: minimum cache misses for an auto request to start a pool at all:
+#: starting a fork pool and shutting it down around one trivial task
+#: takes about 10-15 ms on a 2-core Xeon VM (perfbench ``tables_cold``
+#: ``setup_s``), which a couple of short cells never pay back
 SPAWN_AMORTIZATION_MIN = 4
+
+#: poll period (seconds) while a ``task_timeout`` is armed
+_TICK = 0.05
 
 
 def effective_cpu_count() -> int:
@@ -157,623 +137,203 @@ def _is_auto_request(jobs) -> bool:
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-def _worker_main(slot: int, gen: int, task_q, result_send,
-                 result_lock) -> None:
-    """Worker loop: stream chunks, report per-task starts and results.
-
-    A chunk arrives as **one** pickle blob covering all of its tasks
-    (one ``loads`` here mirrors the single ``dumps`` on the parent's
-    dispatch path); a blob that fails to decode is reported as
-    ``badchunk`` so the parent can re-frame its tasks instead of the
-    whole pool wedging.  Every result is pre-pickled here so an
-    unpicklable return value becomes an ordinary per-task error instead
-    of poisoning the channel.
-
-    Results travel over a raw ``Pipe`` guarded by a shared lock rather
-    than an ``mp.Queue``: a queue's feeder *thread* writes frames
-    asynchronously, so a task that hard-exits the process (``os._exit``,
-    OOM kill) can truncate a frame mid-write and desync the shared
-    stream for every surviving worker.  A locked in-line ``send``
-    completes before the task function ever runs — a crash between
-    messages leaves the stream clean.
-
-    ``gen`` is this worker incarnation's spawn generation; it rides in
-    every message so the parent can tell a live worker's reports from
-    the final, already-in-the-pipe reports of a dead predecessor on the
-    same slot (crediting a stale ``pick``/``start`` to the idle
-    replacement would park the pool forever — the stall detector only
-    fires when every worker looks idle).
-    """
+def _init_worker() -> None:
     # Harnesses inside a worker (e.g. fuzz_schedules within run_case)
-    # must not spawn nested pools off an inherited REPRO_JOBS.
+    # must not start nested pools off an inherited REPRO_JOBS.
     os.environ[JOBS_ENV] = "1"
 
-    def put(msg) -> None:
-        with result_lock:
-            result_send.send(msg)
 
-    while True:
-        msg = task_q.get()
-        if msg is None:
-            break
-        chunk_id, blob = msg
-        put(("pick", slot, gen, chunk_id))
-        try:
-            items = pickle.loads(blob)
-        except BaseException:  # noqa: BLE001 — reported, not hidden
-            put(("badchunk", slot, gen, chunk_id))
-            continue
-        for index, (fn, args, kwargs) in items:
-            put(("start", slot, gen, index))
-            t0 = time.perf_counter()
-            try:
-                value = fn(*args, **kwargs)
-                payload = pickle.dumps((True, value), protocol=PICKLE_PROTOCOL)
-            except BaseException as exc:  # noqa: BLE001 — reported, not hidden
-                payload = pickle.dumps(
-                    (False, f"{type(exc).__name__}: {exc}"),
-                    protocol=PICKLE_PROTOCOL,
-                )
-            put(("done", slot, gen, index, payload,
-                 time.perf_counter() - t0))
-        put(("free", slot, gen, chunk_id))
+def _describe(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _call(fn, args, kwargs):
+    """Run one task in a worker: ``(pickled (ok, value or error), wall
+    seconds, pid)``.  Pickling here turns an unpicklable return value
+    into an ordinary per-task error, and each result is pickled once."""
+    t0 = time.perf_counter()
+    try:
+        blob = pickle.dumps((True, fn(*args, **kwargs)),
+                            protocol=PICKLE_PROTOCOL)
+    except BaseException as exc:  # noqa: BLE001 — reported, not hidden
+        blob = pickle.dumps((False, _describe(exc)), protocol=PICKLE_PROTOCOL)
+    return blob, time.perf_counter() - t0, os.getpid()
 
 
 # ----------------------------------------------------------------------
 # Parent side
 # ----------------------------------------------------------------------
-@dataclass
-class _WorkerState:
-    proc: object
-    #: spawn generation — messages from an earlier incarnation of this
-    #: slot (already in the pipe when it died) carry an older gen and
-    #: must not be credited to this one
-    gen: int = 0
-    #: chunk the worker announced picking up (None when idle)
-    chunk: Optional[int] = None
-    #: task currently executing, and when it started (monotonic)
-    current: Optional[int] = None
-    started: float = 0.0
-    busy_s: float = 0.0
-    tasks_done: int = 0
+def _run_inline(index: int, task: TaskSpec, attempts: int) -> TaskResult:
+    start = time.perf_counter()
+    value, error = None, None
+    try:
+        value = task.run_inline()
+    except KeyboardInterrupt:  # stops the sweep, as it does a pooled one
+        raise
+    except BaseException as exc:  # noqa: BLE001 — reported, not hidden
+        error = _describe(exc)
+    return TaskResult(index=index, value=value, error=error, inline=True,
+                      attempts=attempts, wall_s=time.perf_counter() - start)
 
 
-@dataclass
-class _Chunk:
-    #: indices not yet reported done (requeued if the holder dies); the
-    #: task payloads themselves travel as one batch-encoded blob and are
-    #: re-encoded from the live TaskSpecs on any retry
-    remaining: Set[int]
+def _processes(executor) -> list:
+    """The executor's worker processes (its private table; empty once
+    it is shut down)."""
+    return list((getattr(executor, "_processes", None) or {}).values())
 
 
-class WorkerPool:
-    """A persistent pool; ``map`` may be called many times.
+def _terminate(executor) -> None:
+    """Kill the executor's workers now, running tasks included."""
+    terminate = getattr(executor, "terminate_workers", None)  # Python 3.14+
+    if terminate is not None:
+        terminate()
+        return
+    for proc in _processes(executor):
+        if proc.is_alive():
+            proc.terminate()
 
-    Use as a context manager (or call :meth:`close`) so workers are
-    reaped.  With ``jobs<=1`` or when worker processes cannot be
-    created, the pool is *inline*: ``map`` runs tasks in the parent and
-    every guarantee except parallelism still holds.
-    """
 
-    def __init__(self, jobs=None, *, chunk_size: Optional[int] = None,
-                 task_timeout: Optional[float] = None, retries: int = 1):
-        self.jobs = resolve_jobs(jobs)
-        self.chunk_size = chunk_size
+class _Fanout:
+    """The pooled part of one :func:`run_tasks` call."""
+
+    def __init__(self, tasks: Sequence[TaskSpec], workers: int,
+                 task_timeout: Optional[float],
+                 land: Callable[[int, TaskResult], None]):
+        self.tasks = tasks
+        self.workers = workers
         self.task_timeout = task_timeout
-        self.retries = retries
-        self.respawns = 0
-        self.last_wall_s = 0.0
-        # --- dispatch-encode accounting (batch pickling) --------------
-        #: seconds spent batch-encoding chunks for dispatch
-        self.encode_s = 0.0
-        #: pickle.dumps calls on the dispatch path (one per chunk)
-        self.encode_batches = 0
-        #: tasks covered by those batch encodes
-        self.encode_tasks = 0
-        #: measured per-task cost of the old frame-each-task-individually
-        #: encoding (probed once, on the first multi-task chunk)
-        self._encode_probe: Optional[float] = None
-        self._chunk_ids = itertools.count()
-        self._gens = itertools.count()
-        self._workers: List[_WorkerState] = []
-        self._task_q = None
-        self._result_recv = None
-        self._result_send = None
-        self._result_lock = None
-        self._mp = None
-        self._broken = False
-        if self.jobs > 1:
-            self._start_workers()
+        self.land = land
+        #: pooled attempts per task (executors it was submitted to)
+        self.attempts: Dict[int, int] = {}
+        #: tasks that get one inline attempt once the pool has drained:
+        #: they do not pickle, their attempt timed out, or no executor
+        #: could be created
+        self.inline: List[int] = []
+        self.executors = 0
+        #: per worker pid: busy seconds and finished tasks
+        self.busy: Dict[int, float] = {}
+        self.done: Dict[int, int] = {}
 
-    # -- lifecycle -----------------------------------------------------
-    def _start_workers(self) -> None:
+    def run(self, todo: List[int]) -> None:
+        crashes = 0
+        while todo and crashes < 2:
+            todo, crash = self._round(todo)
+            crashes += crash is not None
+        # The pool broke twice: run each suspect on an executor of its
+        # own, so only a task that kills its worker fails.
+        for index in todo:
+            left, crash = self._round([index])
+            if left:
+                self.land(index, TaskResult(index=index, error=crash,
+                                            attempts=self.attempts[index]))
+
+    def _round(self, batch: List[int]):
+        """Run ``batch`` on a fresh executor.  Returns the tasks it left
+        unfinished and, when a worker died on its own, why."""
+        size = min(self.workers, len(batch))
+        method = ("fork" if "fork" in multiprocessing.get_all_start_methods()
+                  else None)
         try:
-            import multiprocessing as mp
-            method = "fork" if "fork" in mp.get_all_start_methods() else None
-            self._mp = mp.get_context(method)
-            self._task_q = self._mp.Queue()
-            self._result_recv, self._result_send = self._mp.Pipe(duplex=False)
-            self._result_lock = self._mp.Lock()
-            for slot in range(self.jobs):
-                self._workers.append(self._spawn(slot))
-        except Exception:
-            # restricted environments (no /dev/shm, no fork): run inline
-            self._broken = True
-            self._workers = []
+            executor = ProcessPoolExecutor(
+                size, mp_context=multiprocessing.get_context(method),
+                initializer=_init_worker)
+        except Exception:  # no semaphores or processes in this sandbox
+            self.inline.extend(batch)
+            return [], None
+        self.executors += 1
+        todo = deque(batch)
+        finished: queue.SimpleQueue = queue.SimpleQueue()
+        outstanding: Dict[Future, int] = {}
+        started: Dict[Future, float] = {}
+        left: List[int] = []
+        broken = killed = False
 
-    def _spawn(self, slot: int) -> _WorkerState:
-        gen = next(self._gens)
-        proc = self._mp.Process(
-            target=_worker_main,
-            args=(slot, gen, self._task_q, self._result_send,
-                  self._result_lock),
-            daemon=True, name=f"repro-exec-{slot}",
-        )
-        proc.start()
-        return _WorkerState(proc=proc, gen=gen)
-
-    def _rebuild(self) -> None:
-        """Replace both queues and every worker with fresh ones.
-
-        A worker hard-exiting *mid-write* can leave a truncated frame in
-        the shared result pipe; every later message on that pipe is then
-        unreadable and the pool looks permanently idle while work is
-        pending.  Fresh pipes and fresh workers recover everything
-        except the bytes that were in flight — the caller requeues the
-        orphaned chunks.  On failure the pool is marked broken and the
-        remaining work falls back inline.
-        """
-        old = self._workers
-        for state in old:
-            if state.proc.is_alive():
-                state.proc.terminate()
-                state.proc.join(timeout=1.0)
-        for q in (self._task_q, self._result_recv, self._result_send):
-            try:
-                q.close()
-            except Exception:
-                pass
-        self._workers = []
-        try:
-            self._task_q = self._mp.Queue()
-            self._result_recv, self._result_send = self._mp.Pipe(duplex=False)
-            self._result_lock = self._mp.Lock()
-            for slot in range(self.jobs):
-                self._workers.append(self._spawn(slot))
-            for fresh, prev in zip(self._workers, old):
-                fresh.busy_s = prev.busy_s
-                fresh.tasks_done = prev.tasks_done
-            self.respawns += self.jobs
-        except Exception:
-            self._broken = True
-            self._workers = []
-
-    @property
-    def inline(self) -> bool:
-        return self.jobs <= 1 or self._broken or not self._workers
-
-    def close(self) -> None:
-        if self._task_q is not None:
-            for _ in self._workers:
+        def submit() -> None:
+            # One task per worker in flight plus one queued, so a worker
+            # that finishes finds its next task waiting, and an attempt
+            # timed from submission waits behind one running task at most.
+            nonlocal broken
+            while todo and len(outstanding) <= size:
+                task = self.tasks[todo[0]]
                 try:
-                    self._task_q.put(None)
-                except Exception:
-                    break
-            for state in self._workers:
-                state.proc.join(timeout=2.0)
-                if state.proc.is_alive():
-                    state.proc.terminate()
-                    state.proc.join(timeout=1.0)
-            self._task_q.close()
-            self._result_recv.close()
-            self._result_send.close()
-        self._workers = []
-        self._task_q = None
-        self._result_recv = self._result_send = self._result_lock = None
-        self._broken = True
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # -- stats ---------------------------------------------------------
-    def stats(self) -> dict:
-        # What the per-task framing of the same dispatches would have
-        # cost, minus what batch encoding actually cost: the saved
-        # cold-path time, estimated from the probed per-task rate.
-        saved = 0.0
-        if self._encode_probe is not None:
-            saved = max(0.0,
-                        self._encode_probe * self.encode_tasks - self.encode_s)
-        return {
-            "jobs": self.jobs,
-            "inline": self.inline,
-            "respawns": self.respawns,
-            "wall_s": self.last_wall_s,
-            "encode_s": round(self.encode_s, 6),
-            "encode_batches": self.encode_batches,
-            "encode_tasks": self.encode_tasks,
-            "encode_saved_est_s": round(saved, 6),
-            "per_worker_busy_s": [round(w.busy_s, 6) for w in self._workers],
-            "per_worker_tasks": [w.tasks_done for w in self._workers],
-        }
-
-    # -- execution -----------------------------------------------------
-    def map(self, tasks: Sequence[TaskSpec],
-            on_result: Optional[Callable[[TaskResult], None]] = None,
-            ) -> List[TaskResult]:
-        """Run every task; results indexed by submission order.
-
-        ``on_result`` is invoked **in submission order** (completions
-        are buffered), so progress output of a parallel run is
-        byte-identical to the sequential one.
-        """
-        t0 = time.perf_counter()
-        results: List[Optional[TaskResult]] = [None] * len(tasks)
-        reported = 0
-
-        def settle(index: int, result: TaskResult) -> None:
-            nonlocal reported
-            results[index] = result
-            if on_result is not None:
-                while reported < len(results) and results[reported] is not None:
-                    on_result(results[reported])
-                    reported += 1
-
-        def run_one_inline(index: int, task: TaskSpec) -> None:
-            start = time.perf_counter()
-            try:
-                value = task.run_inline()
-                settle(index, TaskResult(index=index, value=value, inline=True,
-                                         attempts=1,
-                                         wall_s=time.perf_counter() - start))
-            except BaseException as exc:  # noqa: BLE001
-                settle(index, TaskResult(
-                    index=index, error=f"{type(exc).__name__}: {exc}",
-                    inline=True, attempts=1,
-                    wall_s=time.perf_counter() - start))
-
-        if self.inline:
-            for index, task in enumerate(tasks):
-                run_one_inline(index, task)
-            self.last_wall_s = time.perf_counter() - t0
-            return results  # type: ignore[return-value]
-
-        # Everything enters the pooled path; tasks that turn out not to
-        # pickle are detected on their first batch encode and come back
-        # here for an inline run.
-        inline_indices = self._run_pooled(tasks, settle)
-        for index in inline_indices:
-            run_one_inline(index, tasks[index])
-        self.last_wall_s = time.perf_counter() - t0
-        return results  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------
-    def _run_pooled(self, tasks, settle) -> List[int]:
-        """Dispatch every task through the workers; returns the indices
-        that could not be pickled (the caller runs those inline)."""
-        if not tasks:
-            return []
-        pending: Set[int] = set(range(len(tasks)))
-        unpicklable: List[int] = []
-        #: timeout-exhausted tasks awaiting one last untimed inline attempt
-        fallback: Set[int] = set()
-        attempts: Dict[int, int] = {index: 0 for index in pending}
-        dispatches: Dict[int, int] = {index: 0 for index in pending}
-        chunks: Dict[int, _Chunk] = {}
-
-        def encode_batch(indices: Sequence[int]) -> Optional[bytes]:
-            """One ``pickle.dumps`` for the whole chunk (None on failure).
-
-            The old path framed every task individually — len(chunk)
-            dumps calls plus a list of blobs per queue message; batching
-            shares the pickle memo table and the framing overhead across
-            the chunk.  The first multi-task batch also times the
-            per-task framing once, so ``stats()`` can report the encode
-            time the batching saved.
-            """
-            items = [(i, (tasks[i].fn, tasks[i].args, tasks[i].kwargs))
-                     for i in indices]
-            t0 = time.perf_counter()
-            try:
-                blob = pickle.dumps(items, protocol=PICKLE_PROTOCOL)
-            except Exception:
-                return None
-            self.encode_s += time.perf_counter() - t0
-            self.encode_batches += 1
-            self.encode_tasks += len(items)
-            if self._encode_probe is None and len(items) > 1:
-                t1 = time.perf_counter()
-                for item in items:
-                    pickle.dumps(item, protocol=PICKLE_PROTOCOL)
-                self._encode_probe = (time.perf_counter() - t1) / len(items)
-            return blob
-
-        def enqueue(indices: Sequence[int]) -> None:
-            good = list(indices)
-            blob = encode_batch(good)
-            if blob is None:
-                # Some task in the batch does not pickle: probe each one,
-                # re-batch the good subset, route the bad ones inline.
-                ok: List[int] = []
-                for i in good:
-                    task = tasks[i]
-                    try:
-                        pickle.dumps((task.fn, task.args, task.kwargs),
-                                     protocol=PICKLE_PROTOCOL)
-                        ok.append(i)
-                    except Exception:
-                        pending.discard(i)
-                        unpicklable.append(i)
-                if not ok:
+                    future = executor.submit(_call, task.fn, task.args,
+                                             task.kwargs)
+                except BrokenProcessPool:  # a worker died since the last one
+                    broken = True
+                    left.extend(todo)
+                    todo.clear()
                     return
-                good = ok
-                blob = encode_batch(good)
-                if blob is None:  # unreproducible pickling failure
-                    for i in good:
-                        pending.discard(i)
-                        unpicklable.append(i)
-                    return
-            chunk_id = next(self._chunk_ids)
-            chunks[chunk_id] = _Chunk(set(good))
-            for i in good:
-                dispatches[i] = dispatches.get(i, 0) + 1
-            self._task_q.put((chunk_id, blob))
+                index = todo.popleft()
+                self.attempts[index] = self.attempts.get(index, 0) + 1
+                outstanding[future] = index
+                started[future] = time.monotonic()
+                future.add_done_callback(finished.put)
 
-        def requeue_chunk(chunk_id: int) -> None:
-            """A worker could not decode ``chunk_id``: re-frame its tasks
-            (each retry re-encodes from the live specs) unless one keeps
-            failing, which fails that task rather than looping."""
-            chunk = chunks.pop(chunk_id, None)
-            if chunk is None:
+        def settle(future: Future) -> None:
+            nonlocal broken
+            index = outstanding.pop(future)
+            del started[future]
+            if future.cancelled():  # dropped at shutdown, never started
+                left.append(index)
                 return
-            retry = [i for i in sorted(chunk.remaining)
-                     if i in pending
-                     and dispatches.get(i, 0) <= self.retries + 1]
-            for index in sorted(chunk.remaining.difference(retry)):
-                if index in pending:
-                    finish(index, TaskResult(
-                        index=index, attempts=attempts.get(index, 0),
-                        error="chunk repeatedly failed to decode in the "
-                              "worker"))
-            if retry:
-                enqueue(retry)
-
-        size = self.chunk_size or max(
-            1, min(32, math.ceil(len(tasks) / (self.jobs * 4))))
-        order = sorted(pending)
-        for lo in range(0, len(order), size):
-            enqueue(order[lo:lo + size])
-
-        def finish(index: int, result: TaskResult) -> None:
-            if index in pending or index in fallback:
-                pending.discard(index)
-                fallback.discard(index)
-                settle(index, result)
-
-        def fail_or_retry(index: int, why: str,
-                          inline_fallback: bool = False) -> None:
-            """A crash/timeout consumed one attempt of ``index``."""
-            if index not in pending:
-                return
-            if attempts[index] <= self.retries:
-                enqueue([index])
-            elif inline_fallback:
-                # Every pooled attempt timed out.  Give the task one
-                # untimed attempt in the parent after the pool drains:
-                # if the hang was an artifact of the worker environment
-                # the task completes; if it is real, the hang stays
-                # visible instead of becoming a silently-failed cell.
-                pending.discard(index)
-                fallback.add(index)
+            exc = future.exception()
+            if isinstance(exc, BrokenProcessPool):
+                broken = True
+                left.append(index)
+            elif exc is not None:  # the call never reached a worker
+                self.inline.append(index)
             else:
-                finish(index, TaskResult(index=index, error=why,
-                                         attempts=attempts[index]))
+                blob, wall, pid = future.result()
+                ok, value = pickle.loads(blob)
+                self.busy[pid] = self.busy.get(pid, 0.0) + wall
+                self.done[pid] = self.done.get(pid, 0) + 1
+                self.land(index, TaskResult(
+                    index=index, attempts=self.attempts[index], wall_s=wall,
+                    worker=pid, **({"value": value} if ok else {"error": value})))
 
-        def reap(slot: int, why: str, inline_fallback: bool = False) -> None:
-            """Kill+replace worker ``slot``; reschedule its work."""
-            state = self._workers[slot]
-            if state.proc.is_alive():
-                state.proc.terminate()
-                state.proc.join(timeout=2.0)
-            current, chunk_id = state.current, state.chunk
-            state.current = state.chunk = None
-            leftovers: List[int] = []
-            if chunk_id is not None and chunk_id in chunks:
-                leftovers = [i for i in chunks.pop(chunk_id).remaining
-                             if i in pending and i != current]
-            if leftovers:
-                enqueue(leftovers)
-            if current is not None:
-                fail_or_retry(current, why, inline_fallback)
-            try:
-                replacement = self._spawn(slot)
-                replacement.busy_s = state.busy_s
-                replacement.tasks_done = state.tasks_done
-                self._workers[slot] = replacement
-                self.respawns += 1
-            except Exception:
-                self._broken = True
-
-        last_activity = time.monotonic()
-        stalled_rounds = 0
-        rebuilt = False
-        while pending:
-            drained = self._drain_messages(chunks, attempts, finish,
-                                           requeue_chunk)
-            now = time.monotonic()
-            if drained:
-                last_activity = now
-                stalled_rounds = 0
-            else:
-                self._check_timeouts(reap)
-                self._check_deaths(reap)
-                # Stall recovery: a worker can hard-exit between taking a
-                # chunk off the queue and flushing its pick/start
-                # messages — the chunk simply vanishes.  When the pool
-                # has been completely idle for a while with work still
-                # pending *and the task queue is empty* (a non-empty
-                # queue means the chunks are merely waiting for a slow
-                # worker, not lost), requeue every unfinished chunk
-                # (duplicate completions are idempotent: first result
-                # wins).
-                if (pending and now - last_activity > _STALL_S
-                        and all(w.current is None and w.chunk is None
-                                for w in self._workers)
-                        and all(w.proc.is_alive() for w in self._workers)
-                        and self._task_q_empty()):
-                    stalled_rounds += 1
-                    orphans: Set[int] = set()
-                    for chunk_id in list(chunks):
-                        orphans.update(i for i in chunks.pop(chunk_id).remaining
-                                       if i in pending)
-                    if stalled_rounds >= 2 and not rebuilt:
-                        # Two silent stalls in a row with live, idle
-                        # workers: the requeued chunks should have
-                        # produced at least a "pick" within a stall
-                        # period, so the shared pipes themselves are
-                        # suspect (a worker hard-exiting mid-write
-                        # desyncs the result stream).  Rebuild queues
-                        # and workers once, and give the orphans a
-                        # clean dispatch slate — their earlier
-                        # dispatches went into a black hole, not a
-                        # crashing task.
-                        rebuilt = True
-                        self._rebuild()
-                        if not self._broken:
-                            for i in orphans:
-                                dispatches[i] = 0
-                    retry = [i for i in sorted(orphans)
-                             if dispatches.get(i, 0) <= self.retries + 1]
-                    for index in sorted(orphans.difference(retry)):
-                        finish(index, TaskResult(
-                            index=index, attempts=attempts.get(index, 0),
-                            error="worker crashed repeatedly before "
-                                  "reporting a result"))
-                    if retry:
-                        enqueue(retry)
-                    last_activity = time.monotonic()
-            if self._broken or not any(
-                    w.proc.is_alive() for w in self._workers):
-                break
-
-        # Timeout-exhausted tasks get their last untimed attempt here;
-        # also, if the pool died mid-run (or could not be repaired),
-        # whatever is left finishes inline.
-        for index in sorted(pending | fallback):
-            task = tasks[index]
-            start = time.perf_counter()
-            try:
-                value = task.run_inline()
-                finish(index, TaskResult(
-                    index=index, value=value, inline=True,
-                    attempts=attempts[index] + 1,
-                    wall_s=time.perf_counter() - start))
-            except BaseException as exc:  # noqa: BLE001
-                finish(index, TaskResult(
-                    index=index, error=f"{type(exc).__name__}: {exc}",
-                    inline=True, attempts=attempts[index] + 1,
-                    wall_s=time.perf_counter() - start))
-        return sorted(unpicklable)
-
-    def _task_q_empty(self) -> bool:
-        """Best-effort emptiness probe of the shared task queue.
-
-        ``multiprocessing.Queue.empty`` is advisory, which is exactly the
-        strength we need: a False answer proves chunks are still waiting
-        for a slow worker (so stall recovery must hold off), and a
-        spuriously-True answer merely reverts to the old, more eager
-        behavior.  Platforms without the underlying semaphore support
-        report empty, again degrading to the historical code path.
-        """
         try:
-            return self._task_q.empty()
-        except (NotImplementedError, OSError):
-            return True
-
-    def _drain_messages(self, chunks, attempts, finish, requeue_chunk) -> bool:
-        """Process every queued worker message; True if any arrived."""
-        drained = False
-        while True:
-            try:
-                if not self._result_recv.poll(_TICK):
-                    return drained
-                msg = self._result_recv.recv()
-            except (OSError, EOFError):
-                return drained
-            except Exception:
-                # Garbage frame — a worker was terminated mid-send and
-                # truncated the stream.  Stop draining; the silent-stall
-                # detector rebuilds the pipes.
-                return drained
-            drained = True
-            kind, slot, gen = msg[0], msg[1], msg[2]
-            # A message whose generation predates the slot's current
-            # incarnation was sent by a worker that has since died and
-            # been replaced.  Its *results* are still valid (first
-            # completion wins), but it must not mutate the replacement's
-            # bookkeeping: a stale pick/start marking an idle replacement
-            # busy would pin the stall detector open forever.
-            fresh = self._workers[slot].gen == gen
-            if kind == "pick":
-                chunk_id = msg[3]
-                if fresh:
-                    self._workers[slot].chunk = chunk_id
-            elif kind == "start":
-                index = msg[3]
-                if fresh:
-                    state = self._workers[slot]
-                    state.current = index
-                    state.started = time.monotonic()
-                    attempts[index] = attempts.get(index, 0) + 1
-            elif kind == "done":
-                index, payload, wall = msg[3], msg[4], msg[5]
-                if fresh:
-                    state = self._workers[slot]
-                    state.current = None
-                    state.busy_s += wall
-                    state.tasks_done += 1
-                    chunk = chunks.get(state.chunk)
-                    if chunk is not None:
-                        chunk.remaining.discard(index)
-                ok, value = pickle.loads(payload)
-                result = TaskResult(
-                    index=index, attempts=attempts.get(index, 1),
-                    wall_s=wall, worker=slot,
-                    **({"value": value} if ok else {"error": value}))
-                finish(index, result)
-            elif kind == "free":
-                chunk_id = msg[3]
-                chunks.pop(chunk_id, None)
-                if fresh and self._workers[slot].chunk == chunk_id:
-                    self._workers[slot].chunk = None
-            elif kind == "badchunk":
-                chunk_id = msg[3]
-                if fresh and self._workers[slot].chunk == chunk_id:
-                    self._workers[slot].chunk = None
-                requeue_chunk(chunk_id)
-            # anything else: ignore (unknown kind from a future format)
-            if not self._result_recv.poll(0):
-                return drained
-
-    def _check_timeouts(self, reap) -> None:
-        if self.task_timeout is None:
-            return
-        now = time.monotonic()
-        for slot, state in enumerate(self._workers):
-            if (state.current is not None
-                    and now - state.started > self.task_timeout):
-                reap(slot, f"task timeout after {self.task_timeout:g}s "
-                           f"(worker {slot} killed)",
-                     inline_fallback=True)
-
-    def _check_deaths(self, reap) -> None:
-        for slot, state in enumerate(self._workers):
-            if not state.proc.is_alive():
-                code = state.proc.exitcode
-                reap(slot, f"worker crashed (exit code {code})")
+            submit()
+        except Exception:  # the workers could not be started
+            _terminate(executor)
+            executor.shutdown(wait=True)
+            self.inline.extend(batch)
+            return [], None
+        procs = _processes(executor)
+        try:
+            while outstanding:
+                try:
+                    settle(finished.get(
+                        timeout=_TICK if self.task_timeout is not None
+                        else None))
+                except queue.Empty:
+                    pass
+                submit()
+                if self.task_timeout is None:
+                    continue
+                now = time.monotonic()
+                stuck = [f for f, t in started.items()
+                         if now - t > self.task_timeout and not f.done()]
+                if stuck:
+                    killed = True
+                    for future in stuck:
+                        self.inline.append(outstanding.pop(future))
+                        del started[future]
+                    break
+        finally:
+            if outstanding or killed:
+                _terminate(executor)
+            executor.shutdown(wait=True, cancel_futures=True)
+        left.extend(todo)
+        # Settle what the shutdown finished or cancelled.  (The stdlib's
+        # wait() would block forever on a future cancelled at shutdown.)
+        while outstanding:
+            future = finished.get()
+            if future in outstanding:
+                settle(future)
+        if killed or not broken:
+            return sorted(left), None
+        codes = ", ".join(str(proc.exitcode) for proc in procs)
+        return sorted(left), f"worker crashed (exit code {codes})"
 
 
 # ----------------------------------------------------------------------
@@ -785,10 +345,7 @@ def run_tasks(
     *,
     cache: Optional[ResultCache] = None,
     task_timeout: Optional[float] = None,
-    chunk_size: Optional[int] = None,
-    retries: int = 1,
     progress: Optional[Callable[[TaskResult], None]] = None,
-    pool: Optional[WorkerPool] = None,
     stats_out: Optional[dict] = None,
 ) -> List[TaskResult]:
     """Run independent tasks through cache + pool; results in order.
@@ -796,77 +353,62 @@ def run_tasks(
     The cache, when given, is consulted first: hits are returned without
     executing anything, misses are executed (pooled or inline) and
     stored on success.  ``progress`` fires once per task in submission
-    order.  ``stats_out`` (a dict) receives pool utilization and cache
-    counters for harness reporting.  Pass ``pool`` to reuse a warm
-    :class:`WorkerPool` across several calls.
+    order.  ``task_timeout`` bounds each pooled attempt in wall-clock
+    seconds.  ``stats_out`` (a dict) receives worker utilization and
+    cache counters for harness reporting.
     """
     t0 = time.perf_counter()
     results: List[Optional[TaskResult]] = [None] * len(tasks)
+    keys: Dict[int, str] = {}
     reported = 0
 
-    def flush(index: int, result: TaskResult) -> None:
+    def land(index: int, result: TaskResult) -> None:
         nonlocal reported
         results[index] = result
+        if result.ok and index in keys:
+            cache.put(keys[index], result.value)
         if progress is not None:
             while reported < len(results) and results[reported] is not None:
                 progress(results[reported])
                 reported += 1
 
-    keys: Dict[int, str] = {}
     misses: List[int] = []
     for index, task in enumerate(tasks):
         key = cache.task_key(task) if cache is not None else None
         if key is not None:
-            keys[index] = key
             hit, value = cache.get(key)
             if hit:
-                flush(index, TaskResult(index=index, value=value, cached=True))
+                land(index, TaskResult(index=index, value=value, cached=True))
                 continue
+            keys[index] = key
         misses.append(index)
 
-    # A fully-warm cache never pays pool startup: only spawn workers
-    # when there is something to execute — and, on an auto request, only
-    # when the fan-out can win.  One available core means workers
-    # time-slice it; fewer misses than the amortization threshold never
-    # pay back worker spawn.  An explicit -j N is honored as stated.
-    # Either way the tasks run inline with identical ordering/results.
-    own_pool: Optional[WorkerPool] = None
-    if misses and pool is None:
-        jobs_n = resolve_jobs(jobs)
-        if jobs_n > 1 and _is_auto_request(jobs):
-            if (effective_cpu_count() == 1
-                    or len(misses) < SPAWN_AMORTIZATION_MIN):
-                jobs_n = 1
-            else:
-                jobs_n = min(jobs_n, len(misses))
-        pool = own_pool = WorkerPool(jobs_n, chunk_size=chunk_size,
-                                     task_timeout=task_timeout,
-                                     retries=retries)
-    try:
-        def landed(sub: TaskResult) -> None:
-            index = misses[sub.index]
-            result = TaskResult(
-                index=index, value=sub.value, error=sub.error,
-                cached=False, inline=sub.inline, attempts=sub.attempts,
-                wall_s=sub.wall_s, worker=sub.worker)
-            if cache is not None and result.ok and index in keys:
-                cache.put(keys[index], result.value)
-            flush(index, result)
-
-        if misses:
-            pool.map([tasks[i] for i in misses], on_result=landed)
-        if stats_out is not None:
-            stats_out.update(pool.stats() if pool is not None
-                             else {"jobs": resolve_jobs(jobs), "inline": True,
-                                   "respawns": 0, "wall_s": 0.0,
-                                   "per_worker_busy_s": [],
-                                   "per_worker_tasks": []})
-            stats_out["wall_s"] = round(time.perf_counter() - t0, 6)
-            stats_out["tasks"] = len(tasks)
-            stats_out["executed"] = len(misses)
-            if cache is not None:
-                stats_out["cache"] = cache.stats()
-    finally:
-        if own_pool is not None:
-            own_pool.close()
+    # An auto request runs inline when the fan-out cannot win: one
+    # available core means workers time-slice it, and a few misses never
+    # pay back starting the pool.  An explicit -j N is honored as stated.
+    jobs_n = resolve_jobs(jobs)
+    if jobs_n > 1 and _is_auto_request(jobs) and (
+            effective_cpu_count() == 1
+            or len(misses) < SPAWN_AMORTIZATION_MIN):
+        jobs_n = 1
+    stats = {"jobs": jobs_n, "inline": True, "respawns": 0,
+             "per_worker_busy_s": [], "per_worker_tasks": []}
+    inline, attempts = misses, {}
+    if misses and jobs_n > 1:
+        fanout = _Fanout(tasks, min(jobs_n, len(misses)), task_timeout, land)
+        fanout.run(misses)
+        inline, attempts = sorted(fanout.inline), fanout.attempts
+        stats.update(
+            jobs=fanout.workers, inline=fanout.executors == 0,
+            respawns=max(0, fanout.executors - 1),
+            per_worker_busy_s=[round(b, 6) for b in fanout.busy.values()],
+            per_worker_tasks=list(fanout.done.values()))
+    for index in inline:
+        land(index, _run_inline(index, tasks[index],
+                                attempts.get(index, 0) + 1))
+    if stats_out is not None:
+        stats_out.update(stats, wall_s=round(time.perf_counter() - t0, 6),
+                         tasks=len(tasks), executed=len(misses))
+        if cache is not None:
+            stats_out["cache"] = cache.stats()
     return results  # type: ignore[return-value]

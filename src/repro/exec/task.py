@@ -4,8 +4,8 @@ A :class:`TaskSpec` is the unit of work the execution layer moves
 around: a plain ``(fn, args, kwargs)`` triple plus a display label.
 Everything in it must survive a pickle round-trip to run in a worker
 process; tasks that do not (closures, lambdas, live simulator objects)
-are detected up front and executed inline in the parent instead, so
-callers never have to care.
+fail to reach the worker pool and are executed inline in the parent
+instead, so callers never have to care.
 
 :func:`stable_fingerprint` turns a task (or any supported value) into a
 hex digest that is stable across processes and interpreter runs — the
@@ -21,7 +21,6 @@ import dataclasses
 import functools
 import hashlib
 import math
-import pickle
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
 
@@ -54,11 +53,6 @@ class TaskSpec:
     def run_inline(self) -> Any:
         return self.fn(*self.args, **self.kwargs)
 
-    def payload(self) -> bytes:
-        """The bytes shipped to a worker; raises if not picklable."""
-        return pickle.dumps((self.fn, self.args, self.kwargs),
-                            protocol=PICKLE_PROTOCOL)
-
     def describe(self) -> str:
         if self.label:
             return self.label
@@ -87,7 +81,8 @@ class TaskResult:
     attempts: int = 0
     #: wall-clock seconds of the successful attempt (0 for cache hits)
     wall_s: float = 0.0
-    #: worker slot that produced the value (None for inline/cached)
+    #: pid of the worker process that produced the value (None for
+    #: inline/cached)
     worker: Optional[int] = None
 
     @property

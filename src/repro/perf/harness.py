@@ -13,25 +13,29 @@ machine by running the same quick conformance matrix three ways:
 The numbers feed ``BENCH_HARNESS.json`` (see ``python -m repro.perf
 --harness``) and the CI speedup gate.  On a single-core box the pooled
 run is expected to *lose* to sequential (workers time-slice one core);
-the gate is therefore only meaningful when ``cpu_count >= 2``.
+the gate is therefore only meaningful when ``cpu_count >= 2``.  That
+count is the cores this process may run on (its affinity mask), not
+the machine's: a process pinned to one core of a big host time-slices
+its workers just the same.
 """
 
 from __future__ import annotations
 
-import os
 import shutil
 import tempfile
 from time import perf_counter
 from typing import Optional
 
 from ..exec import ResultCache, resolve_jobs
+from ..exec.pool import effective_cpu_count
 from ..verify.conformance import build_matrix, run_matrix
 
 __all__ = ["bench_harness"]
 
 #: Fuzz seeds per case.  Chosen so the sequential quick matrix takes a
-#: few seconds — long enough that the pool's fixed cost (worker spawn +
-#: pickling, ~0.5 s) cannot mask a genuine multi-core speedup.
+#: few seconds — long enough that the pool's fixed cost (starting and
+#: stopping the workers, ~15 ms, plus per-task IPC) cannot mask a
+#: genuine multi-core speedup.
 DEFAULT_SEEDS = 15
 
 
@@ -79,7 +83,7 @@ def bench_harness(jobs="auto", seeds: int = DEFAULT_SEEDS,
         "cases": len(cases),
         "seeds": seeds,
         "jobs": jobs_n,
-        "cpu_count": os.cpu_count() or 1,
+        "cpu_count": effective_cpu_count(),
         "sequential_wall_s": round(seq_wall, 3),
         "pooled_wall_s": round(par_wall, 3),
         "speedup": round(seq_wall / par_wall, 3) if par_wall > 0 else 0.0,

@@ -30,47 +30,6 @@ from .conformance import KINDS, SHAPES, build_matrix, run_matrix
 from .faultconf import SCHEDULE_NAMES, build_fault_matrix, run_fault_matrix
 
 
-def _run_remote(args, cases) -> int:
-    """Delegate the (already filtered) matrix to a ``repro.serve`` job
-    server; the pass/fail lines and summary match a local run."""
-    from ..serve.client import ServerError, run_verify_remote
-
-    spec = {"kind": "verify", "quick": args.quick, "seeds": args.seeds,
-            "kinds": args.kind, "algs": args.alg, "shapes": args.shape}
-    print(f"running {len(cases)} conformance case(s), "
-          f"{args.seeds} seed(s) each...")
-    start = time.perf_counter()
-    try:
-        passed, total, records = run_verify_remote(args.server, spec,
-                                                   tenant=args.tenant)
-    except (ServerError, OSError) as exc:
-        print(f"server error: {exc}", file=sys.stderr)
-        return 2
-    elapsed = time.perf_counter() - start
-    failed = []
-    for case, record in zip(cases, records):
-        value = record.get("value") or {}
-        ok = bool(record.get("ok")) and bool(value.get("ok"))
-        if args.verbose or not ok:
-            status = "ok" if ok else "FAIL"
-            seeds = value.get("seeds")
-            suffix = f" ({seeds} seed(s))" if seeds is not None else ""
-            print(f"  {case.label:<58} {status}{suffix}")
-            if not ok:
-                detail = record.get("error") or value.get("detail") or "failed"
-                for line in str(detail).splitlines():
-                    print(f"    {line}")
-        if not ok:
-            failed.append(case)
-    print(f"{passed}/{total} case(s) passed in {elapsed:.1f}s")
-    if failed:
-        print("failed cases:")
-        for case in failed:
-            print(f"  {case.label}")
-        return 1
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.verify",
@@ -103,20 +62,14 @@ def main(argv=None) -> int:
                         help="worker processes: an integer or 'auto' "
                              "(one per core); default 1 = sequential")
     parser.add_argument("--task-timeout", type=float, default=None,
-                        help="kill any single case after this many "
-                             "wall-clock seconds (default: none)")
+                        help="with -j > 1: kill a pooled case after this "
+                             "many wall-clock seconds and run it once more "
+                             "inline, untimed (default: none)")
     parser.add_argument("--no-cache", action="store_true",
                         help="always re-run cases, ignore cached results")
     parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
                         help="result-cache root "
                              f"(default: {DEFAULT_CACHE_DIR})")
-    parser.add_argument("--server", default=None, metavar="URL",
-                        help="delegate cases to a repro.serve job server "
-                             "(e.g. http://127.0.0.1:8750); pass/fail "
-                             "output is identical to a local run")
-    parser.add_argument("--tenant", default=None,
-                        help="tenant name reported to --server "
-                             "(default: the local username)")
     args = parser.parse_args(argv)
 
     if args.faults:
@@ -134,13 +87,6 @@ def main(argv=None) -> int:
             print(case.label)
         print(f"{len(cases)} case(s)")
         return 0
-
-    if args.server:
-        if args.faults:
-            print("--server does not support --faults (run the fault "
-                  "matrix locally)", file=sys.stderr)
-            return 2
-        return _run_remote(args, cases)
 
     start = time.perf_counter()
 

@@ -374,16 +374,17 @@ def run_matrix(
 ) -> List[CaseResult]:
     """Run ``cases``; ``progress(result)`` is called after each one.
 
-    ``jobs`` fans the cases across a :class:`repro.exec.WorkerPool`
-    (int, ``"auto"``, or None = sequential/``REPRO_JOBS``); results and
-    progress calls keep submission order regardless, so parallel output
-    is identical to sequential.  ``cache`` (a
-    :class:`repro.exec.ResultCache`) skips cases whose content key —
-    case spec, seed count, and source-tree fingerprint — already has a
-    stored result.  ``task_timeout`` bounds one case's wall-clock in a
-    worker; a crashed or timed-out case comes back as a failed
-    :class:`CaseResult` instead of aborting the matrix.  ``stats_out``
-    receives pool utilization and cache counters.
+    ``jobs`` fans the cases across worker processes via
+    :func:`repro.exec.run_tasks` (int, ``"auto"``, or None =
+    sequential/``REPRO_JOBS``); results and progress calls keep
+    submission order regardless, so parallel output is identical to
+    sequential.  ``cache`` (a :class:`repro.exec.ResultCache`) skips
+    cases whose content key — case spec, seed count, and source-tree
+    fingerprint — already has a stored result.  ``task_timeout`` bounds
+    one pooled attempt of a case in wall-clock seconds; a timed-out case
+    gets one untimed inline attempt, and a case that crashes its worker
+    comes back as a failed :class:`CaseResult` instead of aborting the
+    matrix.  ``stats_out`` receives pool utilization and cache counters.
     """
     from ..exec import TaskSpec, run_tasks
 

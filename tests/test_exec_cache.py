@@ -350,6 +350,35 @@ class TestRunTasksCaching:
         assert not results[0].ok  # re-executed, same verdict, not served
         assert again.hits == 0
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unwritable_cache_never_fails_a_cell(self, tmp_path, jobs):
+        """A cache root that cannot hold directories (a regular file)
+        costs the cache entries, never the cells or the sweep."""
+        root = tmp_path / "not-a-directory"
+        root.write_text("")
+        cache = ResultCache(root=root)
+        tasks = [TaskSpec(abs, (-3,))] + [TaskSpec(job, (i,)) for i in range(4)]
+        results = run_tasks(tasks, jobs=jobs, cache=cache)
+        assert [r.value for r in results] == [3, 0, 1, 2, 3]
+        assert all(r.ok for r in results)
+        assert cache.puts == 0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_progress_failure_is_not_a_task_error(self, tmp_path, jobs):
+        """Callbacks run outside the task's error handler: a raising
+        progress callback surfaces to the caller once, instead of being
+        recorded as the cell's failure."""
+        seen = []
+
+        def progress(result):
+            seen.append(result)
+            raise RuntimeError("progress sink closed")
+
+        with pytest.raises(RuntimeError, match="progress sink closed"):
+            run_tasks([TaskSpec(job, (i,)) for i in range(4)], jobs=jobs,
+                      cache=ResultCache(root=tmp_path), progress=progress)
+        assert len(seen) == 1 and seen[0].ok
+
 
 # ----------------------------------------------------------------------
 class TestCachedValueFidelity:

@@ -1,24 +1,20 @@
-"""Concurrent access to the result cache and the in-flight dedup index.
+"""Concurrent access to the result cache.
 
-The cache is shared by design: parallel CLI runs, the multi-tenant job
-server, and background eviction all touch one directory tree at once.
-These tests pin the three properties that make that safe:
+The cache is shared by design: parallel CLI runs and
+``python -m repro.exec --evict`` can touch one directory tree at once.
+These tests pin the two properties that make that safe:
 
 * concurrent ``put``/``get`` on the same keys never yields a *wrong*
   value — a reader sees a miss or the (single, correct) value, never a
   torn entry (atomic ``os.replace`` publication);
 * eviction never breaks a reader mid-read — POSIX ``unlink`` leaves an
-  already-open handle fully readable;
-* the in-flight index fans one execution's result out to every waiter,
-  so N overlapping tenants pay for one run per unique cell.
+  already-open handle fully readable.
 """
 
-import asyncio
 import multiprocessing
 import pickle
 
 from repro.exec import ResultCache, TaskSpec
-from repro.serve.jobs import InFlightIndex
 
 
 def job(x):
@@ -103,39 +99,3 @@ class TestEvictionVsReaders:
         assert not hit
         assert cache.corrupt == 0
 
-
-class TestInFlightDedup:
-    def test_one_result_reaches_every_waiter(self):
-        async def scenario():
-            index = InFlightIndex()
-            key = "k" * 64
-            assert index.lookup(key) is None  # nothing in flight yet
-            future = index.begin(key)
-
-            async def wait():
-                flight = index.lookup(key)
-                assert flight is not None
-                return await flight
-
-            waiters = [asyncio.ensure_future(wait()) for _ in range(5)]
-            await asyncio.sleep(0)  # let every waiter reach the await
-            assert len(index) == 1
-            index.settle(key, (True, 42, None, 0.5))
-            got = await asyncio.gather(*waiters)
-            assert got == [(True, 42, None, 0.5)] * 5
-            assert len(index) == 0  # flight retired
-            assert index.deduped == 5
-            assert index.lookup(key) is None  # next request re-executes
-            future.result()  # the executing side's future resolved too
-
-        asyncio.run(scenario())
-
-    def test_settle_is_idempotent_and_tolerates_unknown_keys(self):
-        async def scenario():
-            index = InFlightIndex()
-            index.begin("a" * 64)
-            index.settle("a" * 64, "first")
-            index.settle("a" * 64, "second")  # no-op, no raise
-            index.settle("b" * 64, "never-began")  # no-op, no raise
-
-        asyncio.run(scenario())

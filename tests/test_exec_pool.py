@@ -1,12 +1,13 @@
-"""The exec worker pool: ordering, fallback layers, crash recovery.
+"""The exec fan-out: ordering, fallback layers, crash recovery.
 
-The pool's contract (see ``docs/parallel.md``) is that a parallel run is
-indistinguishable from a sequential one except in wall-clock time, and
-that misbehaving tasks — raising, hanging, hard-crashing the worker —
-cost only their own result.  These tests exercise each clause with real
-worker processes where the sandbox allows them; the pool transparently
-degrades to inline execution where it does not, and every assertion
-below holds either way.
+The contract of ``run_tasks`` (see ``docs/parallel.md``) is that a
+parallel run is indistinguishable from a sequential one except in
+wall-clock time, and that misbehaving tasks — raising, hanging,
+hard-crashing the worker — cost only their own result.  These tests
+exercise each clause with real worker processes where the sandbox
+allows them; ``run_tasks`` degrades to inline execution where it does
+not, and the ordering assertions below hold either way.  The crash and
+timeout tests skip when no worker process can be started.
 """
 
 import os
@@ -14,7 +15,7 @@ import time
 
 import pytest
 
-from repro.exec import TaskSpec, WorkerPool, resolve_jobs, run_tasks
+from repro.exec import TaskSpec, resolve_jobs, run_tasks
 from repro.exec.pool import JOBS_ENV, MAX_JOBS
 
 
@@ -44,6 +45,10 @@ def crash_always(_):
 def napper(seconds):
     time.sleep(seconds)
     return "slept"
+
+
+def jobs_env(_):
+    return os.environ.get(JOBS_ENV)
 
 
 def hang_in_worker(seconds):
@@ -120,33 +125,28 @@ class TestResolveJobs:
 # ----------------------------------------------------------------------
 class TestOrderingAndFallback:
     def test_inline_map_preserves_order(self):
-        tasks = [TaskSpec(square, (i,)) for i in range(7)]
-        with WorkerPool(jobs=1) as pool:
-            results = pool.map(tasks)
+        results = run_tasks([TaskSpec(square, (i,)) for i in range(7)],
+                            jobs=1)
         assert [r.value for r in results] == [i * i for i in range(7)]
         assert all(r.inline for r in results)
 
     def test_pooled_matches_inline(self):
-        tasks = [TaskSpec(square, (i,)) for i in range(20)]
-        with WorkerPool(jobs=1) as seq, WorkerPool(jobs=2) as par:
-            a = seq.map([TaskSpec(square, (i,)) for i in range(20)])
-            b = par.map(tasks)
+        a = run_tasks([TaskSpec(square, (i,)) for i in range(20)], jobs=1)
+        b = run_tasks([TaskSpec(square, (i,)) for i in range(20)], jobs=2)
         assert [r.value for r in a] == [r.value for r in b]
         assert [r.index for r in b] == list(range(20))
 
     def test_on_result_fires_in_submission_order(self):
         seen = []
-        tasks = [TaskSpec(square, (i,)) for i in range(16)]
-        with WorkerPool(jobs=2, chunk_size=1) as pool:
-            pool.map(tasks, on_result=lambda r: seen.append(r.index))
+        run_tasks([TaskSpec(square, (i,)) for i in range(16)], jobs=2,
+                  progress=lambda r: seen.append(r.index))
         assert seen == list(range(16))
 
     def test_closures_fall_back_inline(self):
         captured = 3
         tasks = [TaskSpec(square, (2,)),
                  TaskSpec(lambda: captured * 2)]
-        with WorkerPool(jobs=2) as pool:
-            results = pool.map(tasks)
+        results = run_tasks(tasks, jobs=2)
         assert results[0].value == 4
         assert results[1].value == 6
         assert results[1].inline  # the lambda never left the parent
@@ -154,63 +154,73 @@ class TestOrderingAndFallback:
     def test_raising_task_reports_error_and_siblings_survive(self):
         tasks = [TaskSpec(square, (1,)), TaskSpec(boom, (7,)),
                  TaskSpec(square, (3,))]
-        with WorkerPool(jobs=2) as pool:
-            results = pool.map(tasks)
+        results = run_tasks(tasks, jobs=2)
         assert results[0].ok and results[2].ok
         assert not results[1].ok
         assert "ValueError" in results[1].error
         assert "bad cell 7" in results[1].error
 
-    def test_pool_reuse_across_maps(self):
-        with WorkerPool(jobs=2) as pool:
-            first = pool.map([TaskSpec(square, (i,)) for i in range(6)])
-            second = pool.map([TaskSpec(square, (i,)) for i in range(6, 12)])
-        assert [r.value for r in first] == [i * i for i in range(6)]
-        assert [r.value for r in second] == [i * i for i in range(6, 12)]
+    def test_unpicklable_task_runs_inline_siblings_pooled(self):
+        tasks = [TaskSpec(square, (i,)) for i in range(6)]
+        tasks[2] = TaskSpec(lambda: "closure")  # not picklable
+        stats = {}
+        results = run_tasks(tasks, jobs=2, stats_out=stats)
+        assert [r.value for r in results] == [0, 1, "closure", 9, 16, 25]
+        assert results[2].inline
+        if not stats["inline"]:
+            # the picklable siblings still went to the pool
+            assert not any(r.inline for i, r in enumerate(results) if i != 2)
 
-    def test_explicit_chunk_size(self):
-        tasks = [TaskSpec(square, (i,)) for i in range(9)]
-        with WorkerPool(jobs=2, chunk_size=2) as pool:
-            results = pool.map(tasks)
-        assert [r.value for r in results] == [i * i for i in range(9)]
+    def test_pooled_task_sees_jobs_pinned_to_one(self, monkeypatch):
+        # a harness nested in a pooled task must never start a pool
+        monkeypatch.setenv(JOBS_ENV, "4")
+        stats = {}
+        results = run_tasks([TaskSpec(jobs_env, (i,)) for i in range(2)],
+                            jobs=2, stats_out=stats)
+        if stats["inline"]:
+            pytest.skip("no worker processes in this environment")
+        assert [r.value for r in results] == ["1", "1"]
+        assert os.environ[JOBS_ENV] == "4"  # the parent is untouched
 
 
 # ----------------------------------------------------------------------
-def _pool_is_real(pool) -> bool:
-    """Crash/timeout semantics need actual worker processes."""
-    return not pool.inline
+@pytest.fixture
+def real_pool():
+    """Crash/timeout semantics need actual worker processes; the crash
+    tasks would take the test process down if they ran inline."""
+    stats = {}
+    run_tasks([TaskSpec(square, (i,)) for i in range(2)], jobs=2,
+              stats_out=stats)
+    if stats["inline"]:
+        pytest.skip("no worker processes in this environment")
 
 
+@pytest.mark.usefixtures("real_pool")
 class TestRobustness:
     def test_worker_crash_retried_once(self, tmp_path):
         sentinel = str(tmp_path / "crashed-once")
-        tasks = [TaskSpec(square, (5,)), TaskSpec(crash_once, (sentinel,))]
-        with WorkerPool(jobs=2) as pool:
-            if not _pool_is_real(pool):
-                pytest.skip("no worker processes in this environment")
-            results = pool.map(tasks)
+        stats = {}
+        results = run_tasks([TaskSpec(square, (5,)),
+                             TaskSpec(crash_once, (sentinel,))],
+                            jobs=2, stats_out=stats)
         assert results[0].value == 25
         assert results[1].value == "recovered"
-        assert pool.respawns >= 1
+        assert stats["respawns"] >= 1
 
-    def test_poison_task_errors_out_but_siblings_finish(self, tmp_path):
-        tasks = [TaskSpec(crash_always, (0,)), TaskSpec(square, (6,))]
-        with WorkerPool(jobs=2) as pool:
-            if not _pool_is_real(pool):
-                pytest.skip("no worker processes in this environment")
-            results = pool.map(tasks)
+    def test_poison_task_errors_out_but_siblings_finish(self):
+        # the sibling is still running when the poison task breaks the
+        # pool, twice, so it is one of the suspects run one per executor
+        results = run_tasks([TaskSpec(crash_always, (0,)),
+                             TaskSpec(napper, (0.2,))], jobs=2)
         assert not results[0].ok
-        assert "crash" in results[0].error
-        assert results[1].value == 36
+        assert results[0].error == "worker crashed (exit code 17)"
+        assert results[1].value == "slept"
 
     def test_task_timeout_kills_only_the_stuck_task(self):
         tasks = [TaskSpec(hang_in_worker, (30.0,)), TaskSpec(square, (4,))]
-        with WorkerPool(jobs=2, task_timeout=0.5, retries=0) as pool:
-            if not _pool_is_real(pool):
-                pytest.skip("no worker processes in this environment")
-            t0 = time.perf_counter()
-            results = pool.map(tasks)
-            wall = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        results = run_tasks(tasks, jobs=2, task_timeout=0.5)
+        wall = time.perf_counter() - t0
         # the hung worker is killed; the sibling is unaffected; the
         # stuck task completes on its final inline attempt
         assert results[0].value == "inline-ok"
@@ -219,21 +229,35 @@ class TestRobustness:
         assert not results[1].inline
         assert wall < 20  # nowhere near the 30s nap
 
-    def test_timeout_retry_then_inline_fallback(self):
-        """The full escalation ladder: pooled attempt times out, the
-        retry times out too, then the task gets one untimed inline
-        attempt in the parent and succeeds."""
+    def test_timeout_then_inline_fallback(self):
+        """A pooled attempt times out; the task gets one untimed inline
+        attempt in the parent and succeeds (no pooled retry: the tasks
+        are deterministic, a real hang would hang again)."""
         tasks = [TaskSpec(hang_in_worker, (30.0,)), TaskSpec(square, (9,))]
-        with WorkerPool(jobs=2, task_timeout=0.4, retries=1) as pool:
-            if not _pool_is_real(pool):
-                pytest.skip("no worker processes in this environment")
-            results = pool.map(tasks)
+        results = run_tasks(tasks, jobs=2, task_timeout=0.4)
         assert results[0].value == "inline-ok"
         assert results[0].inline
-        # two pooled starts + the inline attempt
-        assert results[0].attempts == 3
+        # one pooled start + the inline attempt
+        assert results[0].attempts == 2
         assert results[1].value == 81
-        assert pool.respawns >= 2  # one kill per timed-out pooled attempt
+
+    def test_siblings_behind_a_hang_move_to_a_fresh_executor(self):
+        """Killing a stuck executor also kills the sibling it was running
+        and the ones queued behind; they finish on a fresh executor.  A
+        kill is not a crash: after two kills the rest still share one
+        executor instead of getting one each."""
+        hang = TaskSpec(hang_in_worker, (30.0,))
+        nap = TaskSpec(napper, (0.3,))
+        tasks = [hang] + [nap] * 3 + [hang] + [nap] * 8
+        stats = {}
+        results = run_tasks(tasks, jobs=2, task_timeout=1.0,
+                            stats_out=stats)
+        assert results[0].value == results[4].value == "inline-ok"
+        naps = results[1:4] + results[5:]
+        assert [r.value for r in naps] == ["slept"] * 11
+        assert not any(r.inline for r in naps)
+        assert any(r.attempts > 1 for r in naps)  # were resubmitted
+        assert stats["respawns"] == 2  # one fresh executor per kill
 
 
 # ----------------------------------------------------------------------
@@ -246,6 +270,12 @@ class TestRunTasksFacade:
         assert stats["tasks"] == 5
         assert stats["executed"] == 5
         assert stats["jobs"] == 2
+        assert set(stats) == {"jobs", "inline", "respawns", "wall_s",
+                              "per_worker_busy_s", "per_worker_tasks",
+                              "tasks", "executed"}
+        if not stats["inline"]:
+            assert stats["respawns"] == 0
+            assert sum(stats["per_worker_tasks"]) == 5
 
     def test_progress_in_submission_order(self):
         seen = []
@@ -260,75 +290,18 @@ class TestRunTasksFacade:
         assert results[0].value == 9
         assert stats["jobs"] == 1
 
-    def test_external_pool_reused(self):
-        with WorkerPool(jobs=2) as pool:
-            a = run_tasks([TaskSpec(square, (i,)) for i in range(4)],
-                          pool=pool)
-            b = run_tasks([TaskSpec(square, (i,)) for i in range(4, 8)],
-                          pool=pool)
-        assert [r.value for r in a + b] == [i * i for i in range(8)]
+    def test_executor_sized_to_misses(self):
+        # an explicit -j 4 over one cell starts one worker, not four
+        stats = {}
+        run_tasks([TaskSpec(square, (3,))], jobs=4, stats_out=stats)
+        assert stats["jobs"] == 1
 
+    def test_render_parity_with_sequential_cli(self):
+        from repro.bench.cells import (plan_experiment, plan_tasks,
+                                       render_results)
 
-class TestBatchEncoding:
-    """Dispatch chunks travel as one pickle blob per chunk."""
-
-    def test_encode_stats_counted(self):
-        with WorkerPool(jobs=2, chunk_size=8) as pool:
-            if not _pool_is_real(pool):
-                pytest.skip("no worker processes in this environment")
-            results = pool.map([TaskSpec(square, (i,)) for i in range(16)])
-            assert [r.value for r in results] == [i * i for i in range(16)]
-            stats = pool.stats()
-        assert stats["encode_tasks"] == 16
-        # 16 tasks in chunks of 8 → exactly 2 dumps calls, not 16
-        assert stats["encode_batches"] == 2
-        assert stats["encode_s"] >= 0.0
-        assert stats["encode_saved_est_s"] >= 0.0
-
-    def test_unpicklable_detected_in_batch_and_run_inline(self):
-        tasks = [TaskSpec(square, (i,)) for i in range(6)]
-        tasks[2] = TaskSpec(lambda: "closure")  # not picklable
-        with WorkerPool(jobs=2, chunk_size=3) as pool:
-            real = _pool_is_real(pool)
-            results = pool.map(tasks)
-        expected = [0, 1, "closure", 9, 16, 25]
-        assert [r.value for r in results] == expected
-        if real:
-            assert results[2].inline
-            # picklable siblings of the poisoned chunk still went pooled
-            assert not results[0].inline and not results[5].inline
-
-    def test_inline_pool_has_no_encode_cost(self):
-        with WorkerPool(jobs=1) as pool:
-            pool.map([TaskSpec(square, (i,)) for i in range(4)])
-            stats = pool.stats()
-        assert stats["encode_batches"] == 0
-        assert stats["encode_tasks"] == 0
-
-    def test_retry_reencodes_from_specs(self, tmp_path):
-        """A crash retry re-frames the task (no stale blob cache)."""
-        sentinel = tmp_path / "crashed-once"
-        with WorkerPool(jobs=2, chunk_size=2) as pool:
-            if not _pool_is_real(pool):
-                pytest.skip("no worker processes in this environment")
-            results = pool.map([TaskSpec(crash_once, (str(sentinel),))]
-                               + [TaskSpec(square, (i,)) for i in range(5)])
-        assert results[0].value == "recovered"
-        assert [r.value for r in results[1:]] == [i * i for i in range(5)]
-        assert results[0].attempts >= 1
-
-    def test_pool_survives_queue_rebuild(self):
-        """Poisoned-pipe recovery: after a full queue + worker rebuild
-        (what stall recovery does when requeued chunks keep vanishing
-        silently), the pool keeps dispatching and results stay exact."""
-        with WorkerPool(jobs=2) as pool:
-            if not _pool_is_real(pool):
-                pytest.skip("no worker processes in this environment")
-            before = pool.map([TaskSpec(square, (i,)) for i in range(4)])
-            pool._rebuild()
-            assert not pool._broken
-            after = pool.map([TaskSpec(square, (i,)) for i in range(8)])
-            stats = pool.stats()
-        assert [r.value for r in before] == [i * i for i in range(4)]
-        assert [r.value for r in after] == [i * i for i in range(8)]
-        assert stats["respawns"] >= 2
+        plans = plan_experiment("barrier", [2])
+        sequential = render_results(plans, run_tasks(plan_tasks(plans),
+                                                     jobs=1))
+        pooled = render_results(plans, run_tasks(plan_tasks(plans), jobs=2))
+        assert pooled == sequential
