@@ -393,8 +393,8 @@ class MacroCollectives:
         engine = world.engine
         if (
             engine.monitor is not None
-            or engine._trace is not None
-            or engine._tiebreak_rng is not None
+            or engine.trace is not None
+            or engine.tiebreak_seed is not None
         ):
             return False
         if world.faults is not None or world.trace is not None:
@@ -732,7 +732,7 @@ class MacroCollectives:
         # Same-node requests contend on the leader-socket bus in the
         # order the engine would grant them: FIFO by (issue time,
         # registration order) — ties broken by who got to the bus first,
-        # which on the fast path is registration (scheduling) order.
+        # which on the default path is registration (scheduling) order.
         ready: List[float] = []
         for leader, slaves in zip(ring.leaders, ring.slaves):
             latest = arrive[leader]

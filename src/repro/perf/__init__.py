@@ -4,16 +4,15 @@ The discrete-event engine's throughput is the "hardware speed" of this
 reproduction — every experiment regenerates by pushing events through
 it — so this package makes that speed observable:
 
-* :func:`~repro.perf.stats.run_with_stats` — drive any engine through
-  the instrumented path and get events/sec, wall time, peak heap depth
-  and an event-label histogram back.
+* :func:`~repro.perf.stats.run_with_stats` — drive any engine one instant
+  at a time and get events/sec, wall time, peak queue depth and an
+  event-label histogram back.
 * :mod:`repro.perf.bench` — microbenchmarks (engine dispatch, same-time
   burst, trampoline, sync-cell kernel, end-to-end TDLB barrier, and the
-  macro-event barrier A/B) that run the same workload against the live
-  kernel and the frozen pre-change kernel (:mod:`repro.perf._legacy`)
-  for a noise-free in-process speedup.
+  macro-event barrier/reduce/broadcast A/Bs).
 * ``python -m repro.perf`` — the CLI; writes ``BENCH_SIM_KERNEL.json``
-  (the perf trajectory consumed by CI's perf-smoke job).
+  (the perf trajectory consumed by CI's perf-smoke job, which gates the
+  engine microbenchmark against the committed file).
 """
 
 from .bench import (

@@ -1,9 +1,8 @@
 """``python -m repro.perf`` — simulation-kernel throughput report.
 
-Runs the kernel microbenchmarks (each against both the live kernel and
-the frozen pre-change baseline in :mod:`repro.perf._legacy`), one
-end-to-end TDLB barrier sweep, and an instrumented stats sample; prints
-a table and writes ``BENCH_SIM_KERNEL.json``.
+Runs the kernel microbenchmarks, one end-to-end TDLB barrier sweep, the
+macro-event A/Bs and an instrumented stats sample; prints a table and
+writes ``BENCH_SIM_KERNEL.json``.
 
 Modes
 -----
@@ -69,7 +68,7 @@ SIZES = {
     },
 }
 
-_AB_BENCHES = {
+_KERNEL_BENCHES = {
     "trampoline": bench_trampoline,
     "engine_dispatch": bench_engine_dispatch,
     "burst": bench_burst,
@@ -107,21 +106,10 @@ def _stats_sample(num_images: int = 16, images_per_node: int = 8,
 def run_benchmarks(mode: str) -> dict:
     sizes = SIZES[mode]
     benchmarks: dict = {}
-    for name, fn in _AB_BENCHES.items():
-        kw = sizes[name]
-        cur = fn("current", **kw)
-        leg = fn("legacy", **kw)
-        speedup = (cur.events_per_sec / leg.events_per_sec
-                   if leg.events_per_sec else float("nan"))
-        entry = cur.as_dict()
-        entry.pop("kernel")
-        entry["legacy_events_per_sec"] = round(leg.events_per_sec, 1)
-        entry["speedup_vs_legacy"] = round(speedup, 3)
-        benchmarks[name] = entry
-    tdlb = bench_tdlb_barrier(**sizes["tdlb_barrier"])
-    entry = tdlb.as_dict()
-    entry.pop("kernel")
-    benchmarks["tdlb_barrier"] = entry
+    for name, fn in _KERNEL_BENCHES.items():
+        benchmarks[name] = fn(**sizes[name]).as_dict()
+    benchmarks["tdlb_barrier"] = bench_tdlb_barrier(
+        **sizes["tdlb_barrier"]).as_dict()
     benchmarks["tdlb_barrier_stats"] = _stats_sample()
     benchmarks["macro_barrier"] = bench_macro_barrier(**sizes["macro_barrier"])
     benchmarks["macro_reduce"] = bench_macro_reduce(**sizes["macro_reduce"])
@@ -134,23 +122,15 @@ def render(payload: dict) -> str:
         "# repro.perf — simulation-kernel throughput "
         f"({payload['mode']}, python {payload['python']})",
         "",
-        f"{'benchmark':<18} {'events/s':>12} {'legacy ev/s':>12} {'speedup':>8}",
+        f"{'benchmark':<18} {'events/s':>12}",
     ]
     for name, entry in payload["benchmarks"].items():
-        if "events_per_sec" not in entry:
-            continue
-        legacy = entry.get("legacy_events_per_sec")
-        speed = entry.get("speedup_vs_legacy")
-        lines.append(
-            f"{name:<18} {entry['events_per_sec']:>12,.0f} "
-            f"{legacy:>12,.0f} {speed:>7.2f}x" if legacy is not None else
-            f"{name:<18} {entry['events_per_sec']:>12,.0f} {'—':>12} {'—':>8}"
-        )
+        if "events_per_sec" in entry:
+            lines.append(f"{name:<18} {entry['events_per_sec']:>12,.0f}")
     head = payload["headline"]
     lines += [
         "",
-        f"engine microbenchmark: {head['engine_events_per_sec']:,.0f} events/s, "
-        f"{head['speedup_vs_legacy']:.2f}x vs. pre-change kernel",
+        f"engine microbenchmark: {head['engine_events_per_sec']:,.0f} events/s",
     ]
     for key, label in (("macro_barrier", "barrier"),
                        ("macro_reduce", "reduce"),
@@ -252,7 +232,6 @@ def main(argv=None) -> int:
         "benchmarks": benchmarks,
         "headline": {
             "engine_events_per_sec": engine_entry["events_per_sec"],
-            "speedup_vs_legacy": engine_entry["speedup_vs_legacy"],
             "macro_event_ratio": benchmarks["macro_barrier"]["event_ratio"],
             "macro_identical_final_time":
                 benchmarks["macro_barrier"]["identical_final_time"],

@@ -1,11 +1,4 @@
-"""Simulation-kernel microbenchmarks, runnable against two kernels.
-
-Every workload here is written against the five names a kernel module
-must expose — ``Engine``, ``Process``, ``Timeout``, ``WaitFor``,
-``Cell`` — so the *same* workload runs on the live :mod:`repro.sim`
-kernel and on the frozen pre-change kernel (:mod:`repro.perf._legacy`).
-The reported speedup is therefore an in-process A/B on identical work,
-not a comparison against a number measured on some other machine.
+"""Simulation-kernel microbenchmarks.
 
 Workloads
 ---------
@@ -28,11 +21,10 @@ Workloads
     barrier ``sync_flags`` traffic.
 ``tdlb_barrier``
     End-to-end: a real :func:`~repro.runtime.program.run_spmd` TDLB
-    barrier sweep on the current kernel (no legacy twin — the runtime
-    layers only speak to :mod:`repro.sim`).
+    barrier sweep through the full runtime stack.
 ``macro_barrier``
     The macro-event A/B: the hierarchical TDLB barrier on a flat
-    ≥ 1k-image team, macro-events on vs off, on the current kernel.
+    ≥ 1k-image team, macro-events on vs off.
     Reports the engine-event ratio and checks the final simulated times
     agree — the exactness contract, measured rather than assumed.
 ``macro_reduce`` / ``macro_bcast``
@@ -51,21 +43,16 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Callable, Tuple
 
-from .. import sim as _current
 from ..machine import build_machine, paper_cluster
 from ..runtime.program import run_spmd
-from ..sim.engine import Engine as _CurrentEngine
-from . import _legacy
+from ..sim import Cell, Engine, Process, Timeout, WaitFor
 
 __all__ = [
-    "BenchResult", "KERNELS",
+    "BenchResult",
     "bench_trampoline", "bench_engine_dispatch", "bench_burst",
     "bench_sync_kernel", "bench_tdlb_barrier", "bench_macro_barrier",
     "bench_macro_reduce", "bench_macro_bcast",
 ]
-
-#: The two kernels every microbenchmark can run against.
-KERNELS = {"current": _current, "legacy": _legacy}
 
 
 @dataclass
@@ -73,7 +60,6 @@ class BenchResult:
     """One measured workload run (best of ``repeats``)."""
 
     name: str
-    kernel: str
     events: int
     wall_s: float
     sim_time: float
@@ -84,7 +70,6 @@ class BenchResult:
 
     def as_dict(self) -> dict:
         return {
-            "kernel": self.kernel,
             "events": self.events,
             "wall_s": round(self.wall_s, 6),
             "events_per_sec": round(self.events_per_sec, 1),
@@ -93,32 +78,34 @@ class BenchResult:
 
 
 def _best_of(
-    name: str,
-    kernel_name: str,
-    once: Callable[[], Tuple[int, float, float]],
-    repeats: int,
+    name: str, once: Callable[[], Tuple[int, float, float]], repeats: int,
 ) -> BenchResult:
     """Run ``once`` ``repeats`` times, keep the fastest (least-noisy) run."""
     best: BenchResult = None  # type: ignore[assignment]
     for _ in range(max(1, repeats)):
         events, wall, sim_time = once()
-        result = BenchResult(name, kernel_name, events, wall, sim_time)
+        result = BenchResult(name, events, wall, sim_time)
         if best is None or result.events_per_sec > best.events_per_sec:
             best = result
     return best
 
 
+def _timed_run(engine: Engine) -> Tuple[int, float, float]:
+    t0 = perf_counter()
+    engine.run()
+    wall = perf_counter() - t0
+    return engine.events_processed, wall, engine.now
+
+
 # ----------------------------------------------------------------------
 def bench_trampoline(
-    kernel_name: str = "current", events: int = 200_000, chains: int = 8,
-    repeats: int = 3,
+    events: int = 200_000, chains: int = 8, repeats: int = 3,
 ) -> BenchResult:
     """Pure engine loop: ``chains`` callbacks re-scheduling themselves."""
-    kernel = KERNELS[kernel_name]
     per_chain = events // chains
 
     def once() -> Tuple[int, float, float]:
-        engine = kernel.Engine()
+        engine = Engine()
 
         def make_chain(idx: int) -> Callable[[], None]:
             remaining = per_chain
@@ -134,105 +121,87 @@ def bench_trampoline(
 
         for idx in range(chains):
             engine.schedule(0.0, make_chain(idx))
-        t0 = perf_counter()
-        engine.run()
-        wall = perf_counter() - t0
-        return engine.events_processed, wall, engine.now
+        return _timed_run(engine)
 
-    return _best_of("trampoline", kernel_name, once, repeats)
+    return _best_of("trampoline", once, repeats)
 
 
 def bench_engine_dispatch(
-    kernel_name: str = "current", procs: int = 32, events_per_proc: int = 4_000,
-    repeats: int = 3,
+    procs: int = 32, events_per_proc: int = 4_000, repeats: int = 3,
 ) -> BenchResult:
     """The engine microbenchmark: Timeout chains through the process driver."""
-    kernel = KERNELS[kernel_name]
 
     def image(idx: int) -> Any:
         delay = (idx % 7 + 1) * 1e-9
-        timeout = kernel.Timeout(delay)
+        timeout = Timeout(delay)
         for _ in range(events_per_proc):
             yield timeout
 
     def once() -> Tuple[int, float, float]:
-        engine = kernel.Engine()
+        engine = Engine()
         for idx in range(procs):
-            kernel.Process(engine, image(idx), name=f"bench{idx}")
-        t0 = perf_counter()
-        engine.run()
-        wall = perf_counter() - t0
-        return engine.events_processed, wall, engine.now
+            Process(engine, image(idx), name=f"bench{idx}")
+        return _timed_run(engine)
 
-    return _best_of("engine_dispatch", kernel_name, once, repeats)
+    return _best_of("engine_dispatch", once, repeats)
 
 
 def bench_burst(
-    kernel_name: str = "current", procs: int = 128, events_per_proc: int = 2_000,
-    repeats: int = 3,
+    procs: int = 128, events_per_proc: int = 2_000, repeats: int = 3,
 ) -> BenchResult:
     """Batched-heap stress: every process ticks with the *same* delay.
 
     All ``procs`` events land on identical timestamps, so each dispatch
-    instant is a full same-time cohort — the shape the batched drain in
-    ``Engine._run_fast`` amortizes and a per-event loop pays for one
-    heap round-trip at a time.
+    instant is a full same-time cohort — the shape the batched drain
+    amortizes and a per-event loop pays for one heap round-trip at a
+    time.
     """
-    kernel = KERNELS[kernel_name]
 
     def image() -> Any:
-        timeout = kernel.Timeout(1e-9)
+        timeout = Timeout(1e-9)
         for _ in range(events_per_proc):
             yield timeout
 
     def once() -> Tuple[int, float, float]:
-        engine = kernel.Engine()
+        engine = Engine()
         for idx in range(procs):
-            kernel.Process(engine, image(), name=f"burst{idx}")
-        t0 = perf_counter()
-        engine.run()
-        wall = perf_counter() - t0
-        return engine.events_processed, wall, engine.now
+            Process(engine, image(), name=f"burst{idx}")
+        return _timed_run(engine)
 
-    return _best_of("burst", kernel_name, once, repeats)
+    return _best_of("burst", once, repeats)
 
 
 def bench_sync_kernel(
-    kernel_name: str = "current", pairs: int = 8, rounds: int = 2_000,
-    repeats: int = 3,
+    pairs: int = 8, rounds: int = 2_000, repeats: int = 3,
 ) -> BenchResult:
     """Cell spin-wait ping-pong: watcher checks + blocked bookkeeping.
 
     Each round hops through a zero-ish Timeout so wakes trampoline through
     the engine instead of recursing through synchronous callbacks.
     """
-    kernel = KERNELS[kernel_name]
 
     def left(ping: Any, pong: Any) -> Any:
         for r in range(1, rounds + 1):
             ping.add(1)
-            yield kernel.WaitFor(pong, lambda v, r=r: v >= r)
-            yield kernel.Timeout(1e-9)
+            yield WaitFor(pong, lambda v, r=r: v >= r)
+            yield Timeout(1e-9)
 
     def right(ping: Any, pong: Any) -> Any:
         for r in range(1, rounds + 1):
-            yield kernel.WaitFor(ping, lambda v, r=r: v >= r)
-            yield kernel.Timeout(1e-9)
+            yield WaitFor(ping, lambda v, r=r: v >= r)
+            yield Timeout(1e-9)
             pong.add(1)
 
     def once() -> Tuple[int, float, float]:
-        engine = kernel.Engine()
+        engine = Engine()
         for p in range(pairs):
-            ping = kernel.Cell(engine, name=f"ping{p}")
-            pong = kernel.Cell(engine, name=f"pong{p}")
-            kernel.Process(engine, left(ping, pong), name=f"left{p}")
-            kernel.Process(engine, right(ping, pong), name=f"right{p}")
-        t0 = perf_counter()
-        engine.run()
-        wall = perf_counter() - t0
-        return engine.events_processed, wall, engine.now
+            ping = Cell(engine, name=f"ping{p}")
+            pong = Cell(engine, name=f"pong{p}")
+            Process(engine, left(ping, pong), name=f"left{p}")
+            Process(engine, right(ping, pong), name=f"right{p}")
+        return _timed_run(engine)
 
-    return _best_of("sync_kernel", kernel_name, once, repeats)
+    return _best_of("sync_kernel", once, repeats)
 
 
 # ----------------------------------------------------------------------
@@ -248,7 +217,7 @@ def bench_tdlb_barrier(
     """End-to-end TDLB barrier sweep through the full runtime stack."""
 
     def once() -> Tuple[int, float, float]:
-        engine = _CurrentEngine()
+        engine = Engine()
         nodes = -(-num_images // images_per_node)
         machine = build_machine(
             engine, paper_cluster(max(nodes, 1)), num_images,
@@ -259,7 +228,7 @@ def bench_tdlb_barrier(
         wall = perf_counter() - t0
         return engine.events_processed, wall, result.time
 
-    return _best_of("tdlb_barrier", "current", once, repeats)
+    return _best_of("tdlb_barrier", once, repeats)
 
 
 def bench_macro_barrier(
@@ -277,7 +246,7 @@ def bench_macro_barrier(
     """
 
     def once(macro: bool) -> Tuple[int, float, float]:
-        engine = _CurrentEngine()
+        engine = Engine()
         machine = build_machine(
             engine, paper_cluster(num_images), num_images, images_per_node=1,
         )
@@ -344,7 +313,7 @@ def _bench_macro_collective(
     """
 
     def once(macro: bool) -> Tuple[int, float, Any]:
-        engine = _CurrentEngine()
+        engine = Engine()
         machine = build_machine(
             engine, paper_cluster(num_images), num_images, images_per_node=1,
         )

@@ -1,11 +1,11 @@
-"""Engine run statistics: throughput, heap depth, event-label histogram.
+"""Engine run statistics: throughput, queue depth, event-label histogram.
 
 :func:`run_with_stats` drives an :class:`~repro.sim.engine.Engine` to
-completion through the instrumented ``step()`` path, sampling the heap
-before every dispatch.  It is the observability counterpart of the
-kernel fast path: ``Engine.run`` tells you nothing about *where* the
-events went; this tells you events/sec, how deep the heap got, and which
-labels dominated — at the cost of running the slow path.
+completion one instant at a time, sampling the queue depth before every
+instant and counting labels through a chained trace.  ``Engine.run``
+tells you nothing about *where* the events went; this tells you
+events/sec, how deep the queue got, and which labels dominated — at the
+cost of the traced dispatch branch.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from time import perf_counter
 from typing import Optional
 
 from ..sim.engine import Engine
-from ..sim.errors import DeadlockError
 
 __all__ = ["EngineStats", "run_with_stats"]
 
@@ -56,45 +55,47 @@ class EngineStats:
 def run_with_stats(engine: Engine, until: Optional[float] = None) -> EngineStats:
     """Run ``engine`` to completion, collecting :class:`EngineStats`.
 
-    Drives the per-event ``step()`` path (so the run is instrumented, not
-    fast-pathed) and peeks the next record before each dispatch to
-    attribute the event to its label.  ``peak_heap`` reports the maximum
-    number of simultaneously pending events (``Engine.pending_events``,
-    sampled before each dispatch).  Raises
+    Drives ``Engine.run(until=<next instant>)`` one instant at a time,
+    sampling ``Engine.pending_events`` before each instant into
+    ``peak_heap``.  ``events`` is the ``events_processed`` delta; labels
+    come from a trace attached for the run that chains to any trace
+    already there.  An attached trace keeps macro-events disengaged, so a
+    stats run stays fine-grained.  With ``until`` the run stops before
+    the first instant past it.  Raises
     :class:`~repro.sim.errors.DeadlockError` exactly as ``run()`` would
     if the queue drains with blocked processes.
     """
     stats = EngineStats()
     histogram = stats.label_histogram
-    peek = engine.peek
+    chained = engine.trace
+
+    def count(time: float, label: str) -> None:
+        histogram[label] = histogram.get(label, 0) + 1
+        if chained is not None:
+            chained(time, label)
+
+    engine.trace = count
+    start = engine.events_processed
     peak = 0
-    drained = True
     t0 = perf_counter()
-    while True:
-        head = peek()
-        if head is None:
-            # Queue dry: give drain hooks (macro-event demotion, see
-            # Engine.add_drain_hook) the same last chance run() gives
-            # them — any progress refills the queue and the loop resumes.
-            if engine.blocked_descriptions and any(
-                hook() for hook in list(engine._drain_hooks)
-            ):
-                continue
-            break
-        depth = engine.pending_events
-        if depth > peak:
-            peak = depth
-        time, label = head
-        if until is not None and time > until:
-            drained = False
-            break
-        histogram[label or UNLABELED] = histogram.get(label or UNLABELED, 0) + 1
-        engine.step()
-    stats.wall_s = perf_counter() - t0
+    try:
+        while True:
+            nxt = engine.next_time
+            if nxt is None:
+                # drain hooks and deadlock detection, as run() has them
+                engine.run()
+                break
+            if until is not None and nxt > until:
+                break
+            peak = max(peak, engine.pending_events)
+            engine.run(until=nxt)
+    finally:
+        engine.trace = chained
+        stats.wall_s = perf_counter() - t0
+    stats.events = engine.events_processed - start
+    unlabeled = stats.events - sum(histogram.values())
+    if unlabeled:
+        histogram[UNLABELED] = unlabeled
     stats.peak_heap = peak
-    stats.events = sum(histogram.values())
     stats.sim_time = engine.now
-    if drained and engine.blocked_descriptions:
-        raise DeadlockError(engine.blocked_descriptions,
-                            details=engine.blocked_details)
     return stats

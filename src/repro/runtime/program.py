@@ -23,6 +23,7 @@ the current team**, exactly as in Coarray Fortran.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -933,15 +934,15 @@ class SpmdResult:
         return self.world.trace
 
 
-def _finishing(gen, liveness, proc: int):
-    """Wrap an image's main generator so its *normal* end of execution
-    marks the image stopped (F2018: a normally-terminated image is a
-    "stopped image", distinct from a fail-stopped one).  ``yield from``
-    is transparent, so wrapping changes no schedule; a fail-stop kill
-    (GeneratorExit) or an escaping error skips the mark."""
-    result = yield from gen
-    liveness.mark_stopped(proc)
-    return result
+def _image_done(world: World, proc: int, _result: Any) -> None:
+    """``done`` callback of image ``proc``: its *normal* end of execution
+    marks it stopped (F2018: a normally-terminated image is a "stopped
+    image", distinct from a fail-stopped one).  A fail-stop records the
+    failure before its kill triggers ``done``, so it skips the mark; an
+    escaping error never triggers ``done`` at all."""
+    faults = world.faults
+    if faults is None or not faults.is_failed(proc):
+        world.liveness.mark_stopped(proc)
 
 
 def run_spmd(
@@ -1025,9 +1026,10 @@ def run_spmd(
                   fault_schedule=faults)
     processes = []
     for proc in range(machine.num_images):
-        ctx = CafContext(world, proc)
-        gen = _finishing(main(ctx, *args), world.liveness, proc)
-        processes.append(Process(engine, gen, name=f"image{proc + 1}", actor=proc))
+        process = Process(engine, main(CafContext(world, proc), *args),
+                          name=f"image{proc + 1}", actor=proc)
+        process.done.on_trigger(partial(_image_done, world, proc))
+        processes.append(process)
     if world.faults is not None:
         world.faults.arm(processes)
     final_time = engine.run()

@@ -160,7 +160,7 @@ class Process:
         # callback for its spawn step and every Timeout it ever yields
         # (``__call__`` below), and one preformatted label serves them
         # all.  Scheduling ``self`` instead of a closure is what lets the
-        # engine's fast loop recognize the record by class and inline the
+        # engine's drain loop recognize the record by class and inline the
         # resume without any per-event indirection.
         self._timeout_label = f"{name}.timeout"
         # Start at the current instant so spawn order = first-step order.
@@ -169,11 +169,11 @@ class Process:
     def __call__(self) -> None:
         """Resume the generator with no value (spawn step, Timeout
         expiry, or the end of a Hold, which calls its waiter).
-        ``Engine._run_fast`` inlines this exact body when it recognizes a
-        scheduled :class:`Process`; this method is the same logic for
-        every other dispatch path (``step()``, trace lane, tiebreak/until
-        runs, hold completions) — the two must stay behaviourally
-        identical.
+        The engine's drain loop inlines this exact body when it
+        recognizes a scheduled :class:`Process` and no trace or monitor
+        is attached; this method serves every other dispatch (traced or
+        monitored runs, hold completions) — the two must stay
+        behaviourally identical.
         """
         if self._finished:
             return  # fail-stopped (or completed): stale wake-up
@@ -329,13 +329,17 @@ class Process:
             ev.on_trigger(self._observing_resume("event", ev))
 
     def _do_wait_for(self, command: WaitFor) -> None:
-        cell, pred = command.cell, command.pred
-        if not pred(cell.value):
-            self._block("cell", cell)
+        # One predicate check: ``wait_until`` resumes synchronously when
+        # the predicate already holds, and returns a watcher key only
+        # when the process has to block.
+        cell = command.cell
         if self._engine.monitor is None:
-            cell.wait_until(pred, self._resume)
+            key = cell.wait_until(command.pred, self._resume)
         else:
-            cell.wait_until(pred, self._observing_resume("cell", cell))
+            key = cell.wait_until(command.pred,
+                                  self._observing_resume("cell", cell))
+        if key is not None:
+            self._block("cell", cell)
 
     def _do_acquire(self, command: Acquire) -> None:
         res = command.resource
@@ -391,8 +395,8 @@ _DISPATCH: dict = {
     Hold: Process._do_hold,
 }
 
-# Let the engine's fast run loop recognize scheduled Process records and
-# inline the no-value resume (see Engine._run_fast).
+# Let the engine's drain loop recognize scheduled Process records and
+# inline the no-value resume (see Engine._drain).
 from . import engine as _engine_module  # noqa: E402 - registration hook
 
 _engine_module._register_process_types(Process, Timeout)

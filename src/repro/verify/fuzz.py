@@ -1,13 +1,14 @@
 """Schedule fuzzing: run one SPMD program under many legal interleavings.
 
-The simulation kernel is deterministic: events at the same
-``(time, priority)`` fire in insertion order.  That determinism is great
+The simulation kernel is deterministic: events at the same instant
+fire in insertion order.  That determinism is great
 for reproducing experiments and terrible for finding synchronization
 bugs — a missing ``sync_all`` can hide behind the one schedule the seed
 happens to produce.  :func:`fuzz_schedules` re-runs the program with the
-engine's seeded tie-break policy (see
-:class:`~repro.sim.engine.Engine`), which permutes *only* same-instant
-events — every permutation is a causally legal interleaving — and
+engine's seeded tie-break policy (see :mod:`repro.sim.engine`), which
+permutes *only* same-instant events — every permutation is a causally
+legal interleaving, and an event scheduled into the instant being
+drained still fires after the batch already pending there — and
 asserts the **semantic result** is interleaving-independent.
 
 Semantic comparison is structural and tolerance-aware: floating-point

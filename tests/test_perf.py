@@ -77,32 +77,35 @@ class TestRunWithStats:
 
 
 class TestMicrobenchmarks:
-    @pytest.mark.parametrize("bench, kwargs", [
-        (bench_trampoline, dict(events=2_000, chains=4)),
-        (bench_engine_dispatch, dict(procs=4, events_per_proc=100)),
-        (bench_burst, dict(procs=4, events_per_proc=100)),
-        (bench_sync_kernel, dict(pairs=2, rounds=50)),
+    # Event counts and end times the bucketed kernel and the flat
+    # tuple-heap kernel it replaced both produced on these workloads.
+    @pytest.mark.parametrize("bench, kwargs, events, end_time", [
+        pytest.param(bench_trampoline, dict(events=2_000, chains=4),
+                     2000, 1.9960000000000157e-06, id="trampoline"),
+        pytest.param(bench_engine_dispatch, dict(procs=4, events_per_proc=100),
+                     404, 3.9999999999999956e-07, id="engine_dispatch"),
+        pytest.param(bench_burst, dict(procs=4, events_per_proc=100),
+                     404, 9.999999999999989e-08, id="burst"),
+        pytest.param(bench_sync_kernel, dict(pairs=2, rounds=50),
+                     204, 9.999999999999989e-08, id="sync_kernel"),
     ])
-    def test_same_workload_same_event_count_on_both_kernels(self, bench, kwargs):
-        # The A/B comparison is only meaningful if both kernels do
-        # identical work: equal event counts and equal final sim time.
-        cur = bench("current", repeats=1, **kwargs)
-        leg = bench("legacy", repeats=1, **kwargs)
-        assert cur.events == leg.events > 0
-        assert cur.sim_time == leg.sim_time
-        assert cur.events_per_sec > 0 and leg.events_per_sec > 0
+    def test_event_count_and_end_time_pinned(self, bench, kwargs, events,
+                                             end_time):
+        result = bench(repeats=1, **kwargs)
+        assert result.events == events
+        assert result.sim_time == end_time
+        assert result.events_per_sec > 0
 
     def test_tdlb_barrier_end_to_end(self):
         result = bench_tdlb_barrier(iters=5, num_images=8, images_per_node=4,
                                     repeats=1)
         assert result.events > 0
         assert result.sim_time > 0
-        assert result.kernel == "current"
+        assert result.name == "tdlb_barrier"
 
     def test_timeout_chain_event_count_is_exact(self):
         # procs * (1 start + events_per_proc timeouts) engine events.
-        res = bench_engine_dispatch("current", procs=3, events_per_proc=10,
-                                    repeats=1)
+        res = bench_engine_dispatch(procs=3, events_per_proc=10, repeats=1)
         assert res.events == 3 * 11
 
     def test_macro_barrier_collapses_events_with_identical_time(self):
@@ -163,7 +166,7 @@ class TestPerfCli:
         }
         head = payload["headline"]
         assert head["engine_events_per_sec"] > 0
-        assert head["speedup_vs_legacy"] > 0
+        assert "speedup_vs_legacy" not in head
         assert head["macro_identical_final_time"] is True
         assert head["macro_event_ratio"] > 1
         assert head["macro_reduce_exact"] is True
@@ -186,7 +189,6 @@ class TestPerfCli:
         impossible = dict(payload)
         impossible["headline"] = {
             "engine_events_per_sec": payload["headline"]["engine_events_per_sec"] * 1e6,
-            "speedup_vs_legacy": 1.0,
         }
         strict = tmp_path / "strict.json"
         strict.write_text(json.dumps(impossible))

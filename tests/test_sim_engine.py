@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event engine: ordering, determinism,
 clock behaviour, limits, and deadlock reporting."""
 
+import math
+
 import pytest
 
 from repro.sim import (
@@ -35,14 +37,6 @@ class TestScheduling:
             eng.schedule(1.0, lambda i=i: fired.append(i))
         eng.run()
         assert fired == list(range(10))
-
-    def test_priority_breaks_ties_before_insertion_order(self):
-        eng = Engine()
-        fired = []
-        eng.schedule(1.0, lambda: fired.append("low"), priority=1)
-        eng.schedule(1.0, lambda: fired.append("high"), priority=0)
-        eng.run()
-        assert fired == ["high", "low"]
 
     def test_nested_scheduling_from_callback(self):
         eng = Engine()
@@ -108,16 +102,82 @@ class TestScheduling:
         eng.run()
         assert fired == [1, 10]
 
-    def test_step_returns_false_on_empty(self):
-        assert Engine().step() is False
-
-    def test_step_processes_one_event(self):
+    def test_run_until_earlier_horizon_rejected(self):
+        # The clock never moves backwards: a second horizon before the
+        # first one is refused, so no later schedule_at can land there.
         eng = Engine()
-        fired = []
-        eng.schedule(1.0, lambda: fired.append(1))
-        eng.schedule(2.0, lambda: fired.append(2))
-        assert eng.step() is True
-        assert fired == [1]
+        eng.schedule(1.0, lambda: None)
+        eng.schedule(3.0, lambda: None)
+        eng.run(until=2.0)
+        with pytest.raises(ValueError, match="until"):
+            eng.run(until=1.5)
+        assert eng.now == 2.0
+        with pytest.raises(ValueError, match="schedule_at"):
+            eng.schedule_at(1.6, lambda: None)
+
+    def test_run_until_negative_rejected(self):
+        eng = Engine()
+        with pytest.raises(ValueError, match="until"):
+            eng.run(until=-1.0)
+        assert eng.now == 0.0
+
+    def test_run_until_nan_rejected(self):
+        eng = Engine()
+        eng.schedule(1.0, lambda: None)
+        with pytest.raises(ValueError, match="until"):
+            eng.run(until=float("nan"))
+        assert eng.now == 0.0
+        assert eng.run() == 1.0  # the rejected call left the engine usable
+
+    def test_run_until_inf_drains_everything(self):
+        eng = Engine()
+        eng.schedule(1.0, lambda: None)
+        assert eng.run(until=math.inf) == 1.0
+
+    def test_next_time_is_the_earliest_pending_instant(self):
+        eng = Engine()
+        assert eng.next_time is None
+        eng.schedule(2.0, lambda: None)
+        eng.schedule(1.0, lambda: None)
+        assert eng.next_time == 1.0
+        eng.run(until=1.5)
+        assert eng.next_time == 2.0
+
+    def test_pending_events_excludes_rest_of_own_batch(self):
+        # A callback sees later instants and anything scheduled into its
+        # own instant since its batch began, but not the undispatched
+        # remainder of its own batch.
+        eng = Engine()
+        seen = []
+
+        def probe():
+            seen.append(eng.pending_events)
+            eng.call_now(lambda: None)
+            seen.append(eng.pending_events)
+
+        eng.schedule(1.0, probe)
+        eng.schedule(1.0, lambda: None)
+        eng.schedule(1.0, lambda: None)
+        eng.schedule(2.0, lambda: None)
+        eng.schedule(3.0, lambda: None)
+        eng.run()
+        assert seen == [2, 3]
+        assert eng.pending_events == 0
+
+    def test_same_instant_insert_fires_after_pending_batch(self):
+        # Under any seed, a record scheduled into the instant being
+        # drained never overtakes the batch already pending there.
+        for seed in (None, 1, 2, 3):
+            eng = Engine(tiebreak_seed=seed)
+            fired = []
+            for i in range(6):
+                def first(i=i):
+                    fired.append(i)
+                    eng.call_now(lambda i=i: fired.append(10 + i))
+                eng.schedule(1.0, first)
+            eng.run()
+            assert sorted(fired[:6]) == list(range(6))
+            assert sorted(fired[6:]) == list(range(10, 16))
 
     def test_determinism_across_runs(self):
         def build():
@@ -151,6 +211,36 @@ class TestLimits:
         eng.schedule(1.0, reschedule)
         with pytest.raises(SimulationLimitExceeded):
             eng.run()
+
+    def test_crossing_event_counted_and_dropped_rest_kept(self):
+        eng = Engine(max_events=5)
+        fired = []
+        for i in range(8):
+            eng.schedule(1.0, lambda i=i: fired.append(i))
+        with pytest.raises(SimulationLimitExceeded):
+            eng.run()
+        assert fired == [0, 1, 2, 3, 4]
+        assert eng.events_processed == 6
+        assert eng.pending_events == 2
+        assert eng.next_time == 1.0
+
+    def test_failing_event_restores_undispatched_remainder(self):
+        eng = Engine()
+        fired = []
+
+        def boom():
+            eng.call_now(lambda: fired.append("newer"))
+            raise RuntimeError("boom")
+
+        eng.schedule(1.0, lambda: fired.append("a"))
+        eng.schedule(1.0, boom)
+        eng.schedule(1.0, lambda: fired.append("b"))
+        with pytest.raises(RuntimeError, match="boom"):
+            eng.run()
+        assert eng.events_processed == 2
+        assert eng.pending_events == 2
+        eng.run()  # the remainder fires before what the failure scheduled
+        assert fired == ["a", "b", "newer"]
 
 
 class TestDeadlockDetection:

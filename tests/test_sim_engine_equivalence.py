@@ -1,21 +1,22 @@
-"""Lean-record vs tiebreak-record engine equivalence.
+"""Default-key vs seeded-key engine equivalence.
 
-``Engine.__init__`` documents that event records are lean 3-tuples
-``(key, fn, label)`` on the default path and 5-tuples
-``(priority, jitter, seq, fn, label)`` under a ``tiebreak_seed`` — and
-asserts that with the jitter pinned at 0.0 the 5-tuple orders exactly as
-the 3-tuple's merged key, so the lean record cannot reorder anything.
-This module is the proof the comment promises: identical workloads on
-both paths must produce byte-identical event traces.
+Under a ``tiebreak_seed`` an event's key is seeded random bits above its
+insertion sequence number; by default it is the sequence number alone.
+Both modes share one record shape, one insert path and one drain loop,
+so with the random bits pinned to 0 a seeded engine must reproduce the
+default engine's schedule exactly.  This module checks that on four
+workloads: identical workloads on both engines must produce
+byte-identical event traces.
 
-The jitter is pinned by swapping the engine's tiebreak RNG for one whose
-``random()`` is constantly ``0.0`` and re-binding the schedule closures
-(they capture the RNG at bind time).
+The bits are pinned on the test side: the seeded engine is built while
+``random.Random`` is patched to a subclass whose ``getrandbits`` is
+constantly 0.
 """
 
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
 
@@ -25,63 +26,56 @@ from repro.sim import Cell, Process, Timeout, WaitFor
 from repro.sim.engine import Engine
 
 
-class ZeroRandom(random.Random):
-    """An RNG whose jitter stream is identically zero."""
+class ZeroBits(random.Random):
+    """An RNG whose random bits are identically zero."""
 
-    def random(self) -> float:  # noqa: D102
-        return 0.0
+    def getrandbits(self, k: int) -> int:  # noqa: D102
+        return 0
 
 
-def _tiebreak_engine(trace) -> Engine:
-    """An engine on the 5-tuple record path with jitter pinned to 0.0."""
-    engine = Engine(trace=trace, tiebreak_seed=12345)
-    engine._tiebreak_rng = ZeroRandom()
-    engine._bind_schedule()  # closures capture the RNG; rebind with the pin
-    return engine
+def _pinned_engine(trace) -> Engine:
+    """A seeded engine whose random key bits are pinned to 0."""
+    with mock.patch.object(random, "Random", ZeroBits):
+        return Engine(trace=trace, tiebreak_seed=12345)
 
 
 def _paired_engines():
-    """(lean engine, pinned tiebreak engine, lean trace, tiebreak trace)."""
-    lean_trace: list = []
-    tb_trace: list = []
-    lean = Engine(trace=lambda t, lbl: lean_trace.append((t, lbl)))
-    tb = _tiebreak_engine(lambda t, lbl: tb_trace.append((t, lbl)))
-    return lean, tb, lean_trace, tb_trace
+    """(default engine, pinned seeded engine, default trace, seeded trace)."""
+    default_trace: list = []
+    seeded_trace: list = []
+    default = Engine(trace=lambda t, lbl: default_trace.append((t, lbl)))
+    seeded = _pinned_engine(lambda t, lbl: seeded_trace.append((t, lbl)))
+    return default, seeded, default_trace, seeded_trace
 
 
-def _assert_byte_identical(lean_trace, tb_trace):
-    assert lean_trace, "workload produced no labeled events"
-    assert lean_trace == tb_trace
+def _assert_byte_identical(default_trace, seeded_trace):
+    assert default_trace, "workload produced no labeled events"
+    assert default_trace == seeded_trace
     # byte-identical, not merely ==: same float bit patterns, same text
-    assert repr(lean_trace) == repr(tb_trace)
+    assert repr(default_trace) == repr(seeded_trace)
 
 
 class TestScheduleEquivalence:
-    def test_same_slot_priority_and_insertion_order(self):
-        # Events colliding on one timestamp with mixed priorities: the
-        # pinned 5-tuple must fall back to (priority, seq) exactly like
-        # the lean merged key.
+    def test_same_slot_insertion_order(self):
+        # Events colliding on one timestamp, scheduled through all three
+        # entry points: the pinned key must fall back to insertion order
+        # exactly like the default key.
         def load(engine):
             for i in range(40):
-                engine.schedule(1e-6, lambda: None,
-                                priority=(3 - i % 4), label=f"p{3 - i % 4}.{i}")
+                engine.schedule(1e-6, lambda: None, label=f"s.{i}")
             for i in range(10):
                 engine.call_now(lambda: None, label=f"now.{i}")
-                engine.schedule_at(2e-6, lambda: None, priority=i % 2,
-                                   label=f"at.{i}")
+                engine.schedule_at(2e-6, lambda: None, label=f"at.{i}")
             engine.run()
 
-        lean, tb, lean_trace, tb_trace = _paired_engines()
-        load(lean)
-        load(tb)
-        _assert_byte_identical(lean_trace, tb_trace)
+        default, seeded, default_trace, seeded_trace = _paired_engines()
+        load(default)
+        load(seeded)
+        _assert_byte_identical(default_trace, seeded_trace)
 
     def test_cascading_reschedules(self):
         # Events that schedule more events from inside the run loop, with
-        # same-instant fan-out (the batched-drain shape).  Default
-        # priority only: the engine module doc explicitly scopes the
-        # fast-path same-instant refinement to priority-0 events when
-        # scheduling from inside a same-instant callback.
+        # same-instant fan-out (the batched-drain shape).
         def load(engine):
             def fan(depth):
                 if depth == 0:
@@ -93,10 +87,10 @@ class TestScheduleEquivalence:
             engine.schedule(0.0, lambda: fan(4), label="root")
             engine.run()
 
-        lean, tb, lean_trace, tb_trace = _paired_engines()
-        load(lean)
-        load(tb)
-        _assert_byte_identical(lean_trace, tb_trace)
+        default, seeded, default_trace, seeded_trace = _paired_engines()
+        load(default)
+        load(seeded)
+        _assert_byte_identical(default_trace, seeded_trace)
 
     def test_process_timeout_and_waitfor_workload(self):
         # The sync_kernel shape: generator processes, Cell watchers,
@@ -123,16 +117,15 @@ class TestScheduleEquivalence:
                         name=f"right{p}")
             engine.run()
 
-        lean, tb, lean_trace, tb_trace = _paired_engines()
-        load(lean)
-        load(tb)
-        _assert_byte_identical(lean_trace, tb_trace)
-        lean_now, tb_now = lean.now, tb.now
-        assert lean_now == tb_now
+        default, seeded, default_trace, seeded_trace = _paired_engines()
+        load(default)
+        load(seeded)
+        _assert_byte_identical(default_trace, seeded_trace)
+        assert default.now == seeded.now
 
     def test_full_runtime_barrier_sweep(self):
         # End to end through run_spmd: a hierarchical TDLB sweep must
-        # give identical traces and final time on both record paths.
+        # give identical traces and final time on both engines.
         def main(ctx, iters):
             for _ in range(iters):
                 yield from ctx.sync_all()
@@ -143,34 +136,15 @@ class TestScheduleEquivalence:
             result = run_spmd(main, machine=machine, args=(3,))
             return result.time
 
-        lean, tb, lean_trace, tb_trace = _paired_engines()
-        t_lean = load(lean)
-        t_tb = load(tb)
-        _assert_byte_identical(lean_trace, tb_trace)
-        assert t_lean == t_tb > 0
-
-    def test_record_shapes_actually_differ(self):
-        # Guard the premise: the two paths must really use different
-        # record tuples, or this module tests nothing.
-        lean, tb, _, _ = _paired_engines()
-        lean.schedule(1e-6, lambda: None, label="x")
-        tb.schedule(1e-6, lambda: None, label="x")
-        # default path stores a lone record bare; jittered keeps a list
-        lean_rec = lean._buckets[1e-6]
-        assert isinstance(lean_rec, tuple)
-        (tb_rec,) = tb._buckets[1e-6]
-        assert len(lean_rec) == 3
-        assert len(tb_rec) == 5
-        assert tb_rec[1] == 0.0  # the pin
-        # a second same-instant insert promotes the bare record to a list
-        lean.schedule(1e-6, lambda: None, label="y")
-        promoted = lean._buckets[1e-6]
-        assert isinstance(promoted, list) and len(promoted) == 2
-        assert promoted[0] is lean_rec
+        default, seeded, default_trace, seeded_trace = _paired_engines()
+        t_default = load(default)
+        t_seeded = load(seeded)
+        _assert_byte_identical(default_trace, seeded_trace)
+        assert t_default == t_seeded > 0
 
     def test_unpinned_seed_can_reorder(self):
-        # And the converse: with a real seed the jitter may legally
-        # permute same-slot events — the fuzzing behavior repro.verify
+        # And the converse: with a real seed the key bits may legally
+        # permute same-instant events — the fuzzing behavior repro.verify
         # relies on.  (Deterministic given the seed; just not insertion
         # order for this one.)
         order: list = []
