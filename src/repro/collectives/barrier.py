@@ -27,11 +27,19 @@ program would.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterator
 
 from ..faults.manager import wait_or_fail
 from ..teams.team import TeamView
-from .base import binomial_peers, dissemination_rounds, notify
+from .base import (
+    NOTIFY_NBYTES,
+    binomial_peers,
+    dissemination_rounds,
+    member_plan,
+    node_plan,
+    notify,
+)
 
 __all__ = [
     "barrier_dissemination",
@@ -51,16 +59,12 @@ MCS_EXTRA_ROUND_COST = 0.12e-6
 TWOWAIT_EXTRA_ROUND_COST = 0.25e-6
 
 
-def _all_indices(view: TeamView) -> list[int]:
-    return list(range(1, view.size + 1))
-
-
 def barrier_dissemination(ctx, view: TeamView, path: str = "auto") -> Iterator:
     """Flat one-wait dissemination over the whole team: n·⌈log2 n⌉
     notifications, ⌈log2 n⌉ rounds."""
     seq = view.next_seq("diss")
     yield from dissemination_rounds(
-        ctx, view, _all_indices(view), variant="diss", seq=seq, path=path
+        ctx, view, view.shared.indices, variant="diss", seq=seq, path=path
     )
 
 
@@ -68,7 +72,7 @@ def barrier_dissemination_mcs(ctx, view: TeamView, path: str = "auto") -> Iterat
     """Flat dissemination with the two-sync-array bookkeeping of [7]."""
     seq = view.next_seq("diss-mcs")
     yield from dissemination_rounds(
-        ctx, view, _all_indices(view), variant="diss-mcs", seq=seq,
+        ctx, view, view.shared.indices, variant="diss-mcs", seq=seq,
         path=path, extra_round_cost=MCS_EXTRA_ROUND_COST,
     )
 
@@ -77,7 +81,7 @@ def barrier_dissemination_twowait(ctx, view: TeamView, path: str = "auto") -> It
     """Flat dissemination with the two-wait bookkeeping of [3]."""
     seq = view.next_seq("diss-2w")
     yield from dissemination_rounds(
-        ctx, view, _all_indices(view), variant="diss-2w", seq=seq,
+        ctx, view, view.shared.indices, variant="diss-2w", seq=seq,
         path=path, extra_round_cost=TWOWAIT_EXTRA_ROUND_COST,
     )
 
@@ -169,37 +173,64 @@ def barrier_tdlb(ctx, view: TeamView) -> Iterator:
         replayed = yield from macro.join(ctx, view, "tdlb", seq)
         if replayed:
             return
-    shared = view.shared
-    h = shared.hierarchy
-    me = view.index
-    leader = h.leader_of[me]
-
-    if me != leader:
+    plan = _tdlb_plan(ctx, view)
+    send = ctx.conduit.send
+    if plan.released is not None:
         # Step 1 (slave side): arrive at the leader, then wait for release.
-        yield from notify(
-            ctx, view, leader, shared.cocounter(leader), path="direct"
-        )
+        yield from send(plan.to_leader, NOTIFY_NBYTES, plan.arrive)
         yield from wait_or_fail(
-            ctx, view, shared.release_flag(me), lambda v, s=seq: v >= s
+            ctx, view, plan.released, lambda v, s=seq: v >= s
         )
         return
 
-    slaves = h.slaves_of(me)
-    if slaves:
+    if plan.arrived is not None:
         # Step 1 (leader side): wait for the whole intranode set.
         yield from wait_or_fail(
-            ctx, view, shared.cocounter(me),
-            lambda v, s=seq * len(slaves): v >= s,
+            ctx, view, plan.arrived,
+            lambda v, s=seq * len(plan.releases): v >= s,
         )
     # Step 2: inter-node dissemination among leaders only.
     yield from dissemination_rounds(
-        ctx, view, h.leaders, variant="tdlb-leaders", seq=seq, path="auto"
+        ctx, view, view.shared.hierarchy.leaders, variant="tdlb-leaders",
+        seq=seq, path="auto",
     )
     # Step 3: release the intranode set.
-    for slave in slaves:
-        yield from notify(
-            ctx, view, slave, shared.release_flag(slave), path="direct"
-        )
+    for route, release in plan.releases:
+        yield from send(route, NOTIFY_NBYTES, release)
+
+
+class _TdlbPlan:
+    """A member's TDLB steps.  A slave holds the route to its leader,
+    the increment of the leader's cocounter and its own release flag;
+    a leader holds its cocounter (None without slaves) and, per slave,
+    the route and the increment of that slave's release flag."""
+
+    __slots__ = ("to_leader", "arrive", "released", "arrived", "releases")
+
+    def __init__(self, ctx, view: TeamView):
+        node = node_plan(ctx, view)
+        shared = view.shared
+        self.to_leader = node.to_leader
+        if node.to_leader is not None:
+            self.arrive = partial(shared.cocounter(node.leader).add, 1)
+            self.released = shared.release_flag(view.index)
+            self.arrived = None
+            self.releases = []
+        else:
+            self.arrive = self.released = None
+            self.arrived = shared.cocounter(view.index) if node.slaves else None
+            self.releases = [
+                (route, partial(shared.release_flag(slave).add, 1))
+                for slave, route in zip(node.slaves, node.to_slaves)
+            ]
+
+
+def _tdlb_plan(ctx, view: TeamView) -> _TdlbPlan:
+    plan = member_plan(view)
+    tdlb = plan.tdlb
+    if tdlb is None:
+        tdlb = plan.tdlb = _TdlbPlan(ctx, view)
+    return tdlb
 
 
 def barrier_tdlb_numa(ctx, view: TeamView) -> Iterator:

@@ -13,11 +13,24 @@ keeps one monotonically increasing counter per round; the partner's
 notification is an increment, and arrival at invocation ``seq`` is the
 predicate ``counter >= seq``.  Nothing is ever reset, so there is no
 second wait and no parity bookkeeping.
+
+Member plans
+------------
+Everything a member's steps need except the per-call tag and payload is
+fixed once the team is formed: partners, their routes, the flag cells
+they bump.  Each :class:`~repro.teams.team.TeamView` therefore carries
+a :class:`MemberPlan`, filled per algorithm the first time that
+algorithm runs fine-grained on the team (a replayed macro window builds
+nothing), and the fine-grained generators walk it.  Delivery callbacks
+in a plan are ``functools.partial`` objects, never closures: a closure
+inside a collective generator costs a cell per captured local every
+time the generator starts, replayed or not.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Iterator, List, Sequence
 
 from ..faults.manager import wait_or_fail
@@ -26,6 +39,10 @@ from ..teams.team import TeamView
 
 __all__ = [
     "NOTIFY_NBYTES",
+    "MemberPlan",
+    "NodePlan",
+    "member_plan",
+    "node_plan",
     "payload_nbytes",
     "combine_flops",
     "dissemination_rounds",
@@ -44,6 +61,15 @@ def payload_nbytes(value) -> int:
     lists/dicts of contributions) are summed recursively; anything else
     is one word.
     """
+    cls = value.__class__
+    if cls is int or cls is float:
+        return 8
+    if cls is tuple:  # e.g. maxloc (value, location) pairs
+        total = 0
+        for v in value:
+            c = v.__class__
+            total += 8 if c is int or c is float else payload_nbytes(v)
+        return max(8, total)
     nbytes = getattr(value, "nbytes", None)
     if nbytes is not None:
         return int(nbytes)
@@ -65,11 +91,100 @@ def combine_flops(value) -> float:
 def notify(ctx, view: TeamView, target_index: int, cell, path: str = "auto") -> Iterator:
     """Send one flag-word notification to team member ``target_index``,
     incrementing ``cell`` on delivery."""
-    src = view.proc
-    dst = view.shared.proc_of(target_index)
-    yield from ctx.conduit.transfer(
-        src, dst, NOTIFY_NBYTES, on_delivered=lambda: cell.add(1), path=path
+    return ctx.conduit.transfer(
+        view.proc, view.shared.proc_of(target_index), NOTIFY_NBYTES,
+        partial(cell.add, 1), path,
     )
+
+
+# ----------------------------------------------------------------------
+# Member plans
+# ----------------------------------------------------------------------
+class MemberPlan:
+    """One member's resolved collective steps on one team.
+
+    Each part is built by the first fine-grained run of its algorithm:
+    ``node`` (the intranode edges, :class:`NodePlan`), ``tdlb``
+    (:mod:`~repro.collectives.barrier`), ``bcast`` (source leader →
+    binomial edges, :mod:`~repro.collectives.broadcast`), and the two
+    participant-list walkers: ``diss`` for :func:`dissemination_rounds`
+    and ``rd`` for recursive doubling (:mod:`~repro.collectives.reduce`).
+    The walkers are keyed by the identity of the participant sequence —
+    callers pass the team's own persistent lists
+    (:attr:`HierarchyInfo.leaders <repro.teams.hierarchy.HierarchyInfo.leaders>`,
+    :attr:`TeamShared.indices <repro.teams.team.TeamShared.indices>`) — and
+    each entry keeps its sequence alive, so an identity is never reused.
+    """
+
+    __slots__ = ("node", "tdlb", "bcast", "diss", "rd")
+
+    def __init__(self):
+        self.node = None
+        self.tdlb = None
+        self.bcast = {}
+        self.diss = {}
+        self.rd = {}
+
+
+def member_plan(view: TeamView) -> MemberPlan:
+    """``view``'s plan, created empty on first use."""
+    plan = view.plan
+    if plan is None:
+        plan = view.plan = MemberPlan()
+    return plan
+
+
+class NodePlan:
+    """A member's intranode edges: its node leader and the direct route
+    to it (None at the leader), and at a leader its slaves in index
+    order with the direct routes to each."""
+
+    __slots__ = ("leader", "to_leader", "slaves", "to_slaves")
+
+    def __init__(self, conduit, view: TeamView):
+        shared = view.shared
+        h = shared.hierarchy
+        me = view.index
+        self.leader = leader = h.leader_of[me]
+        if leader != me:
+            self.to_leader = conduit.route(
+                view.proc, shared.proc_of(leader), "direct")
+            self.slaves = []
+            self.to_slaves = []
+        else:
+            self.to_leader = None
+            self.slaves = h.slaves_of(me)
+            self.to_slaves = [
+                conduit.route(view.proc, shared.proc_of(s), "direct")
+                for s in self.slaves
+            ]
+
+
+def node_plan(ctx, view: TeamView) -> NodePlan:
+    plan = member_plan(view)
+    node = plan.node
+    if node is None:
+        node = plan.node = NodePlan(ctx.conduit, view)
+    return node
+
+
+def _diss_rounds(ctx, view: TeamView, participants: Sequence[int],
+                 variant: str, path: str) -> list:
+    """Per round: the route to this member's partner, the increment of
+    the partner's flag, and this member's own flag."""
+    conduit = ctx.conduit
+    shared = view.shared
+    n = len(participants)
+    rank = participants.index(view.index)
+    rounds = []
+    for r in range(math.ceil(math.log2(n))):
+        send_to = participants[(rank + (1 << r)) % n]
+        rounds.append((
+            conduit.route(view.proc, shared.proc_of(send_to), path),
+            partial(shared.diss_flag(send_to, r, variant).add, 1),
+            shared.diss_flag(view.index, r, variant),
+        ))
+    return rounds
 
 
 def dissemination_rounds(
@@ -90,18 +205,18 @@ def dissemination_rounds(
     additional local bookkeeping of the two-array [7] / two-wait [3]
     historical variants (experiment E6 compares them).
     """
-    n = len(participants)
-    if n <= 1:
+    if len(participants) <= 1:
         return
-    shared = view.shared
-    rank = participants.index(view.index)
-    rounds = math.ceil(math.log2(n))
-    for r in range(rounds):
-        dist = 1 << r
-        send_to = participants[(rank + dist) % n]
-        flag = shared.diss_flag(send_to, r, variant)
-        yield from notify(ctx, view, send_to, flag, path=path)
-        my_flag = shared.diss_flag(view.index, r, variant)
+    plans = member_plan(view).diss
+    key = (id(participants), variant, path)
+    entry = plans.get(key)
+    if entry is None:
+        entry = plans[key] = (
+            participants, _diss_rounds(ctx, view, participants, variant, path)
+        )
+    send = ctx.conduit.send
+    for route, bump, my_flag in entry[1]:
+        yield from send(route, NOTIFY_NBYTES, bump)
         yield from wait_or_fail(ctx, view, my_flag, lambda v, s=seq: v >= s)
         if extra_round_cost > 0.0:
             yield Timeout(extra_round_cost)

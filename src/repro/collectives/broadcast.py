@@ -21,8 +21,8 @@ from typing import Any, Iterator
 import numpy as np
 
 from ..teams.team import TeamView
-from .base import binomial_peers
-from .reduce import _send_value, _wait_values
+from .base import binomial_peers, member_plan, node_plan
+from .reduce import _post, _send_value, _wait_values
 
 __all__ = ["bcast_linear_flat", "bcast_binomial_flat", "bcast_two_level"]
 
@@ -107,17 +107,18 @@ def bcast_two_level(
         )
         if replayed:
             return replayed.value
-    h = view.shared.hierarchy
-    my_leader = h.leader_of[me]
-    source_leader = h.leader_of[source_image]
-    leaders = h.leaders
+    shared = view.shared
+    conduit = ctx.conduit
+    node = node_plan(ctx, view)
+    my_leader = node.leader
+    source_leader = shared.hierarchy.leader_of[source_image]
     lead_tag = tag + ("lead",)
     fan_tag = tag + ("fan",)
 
     # Phase 0: source hands off to its node leader if needed.
     if me == source_image and my_leader != me:
-        yield from _send_value(ctx, view, my_leader, lead_tag + ("seed",),
-                               _freeze(value), path="direct")
+        yield from _post(conduit, node.to_leader, shared, my_leader,
+                         lead_tag + ("seed",), value)
 
     if me == my_leader:
         # Phase 1: binomial tree among leaders, rooted at the source's leader.
@@ -129,21 +130,21 @@ def bcast_two_level(
                 payload = got[0]
         else:
             payload = None
-        num_leaders = len(leaders)
-        root_rank = h.leader_rank[source_leader]
-        vrank = (h.leader_rank[me] - root_rank) % num_leaders
-        parent, children = binomial_peers(vrank, num_leaders)
-        if parent is not None:
+        plans = member_plan(view).bcast
+        edges = plans.get(source_leader)
+        if edges is None:
+            edges = plans[source_leader] = _leader_edges(ctx, view, source_leader)
+        has_parent, children = edges
+        if has_parent:
             got = yield from _wait_values(ctx, view, lead_tag, 1)
             payload = got[0]
-        for child in children:
-            target = leaders[(child + root_rank) % num_leaders]
-            yield from _send_value(ctx, view, target, lead_tag, payload, path="auto")
+        for route, target in children:
+            yield from _post(conduit, route, shared, target, lead_tag, payload)
         # Phase 2: intranode fan-out with direct stores.
-        for slave in h.slaves_of(me):
+        for slave, route in zip(node.slaves, node.to_slaves):
             if slave == source_image:
                 continue  # the source already holds the payload
-            yield from _send_value(ctx, view, slave, fan_tag, payload, path="direct")
+            yield from _post(conduit, route, shared, slave, fan_tag, payload)
         return payload
 
     # Non-leader, non-source images wait for their leader's copy.
@@ -151,3 +152,23 @@ def bcast_two_level(
         return _freeze(value)
     got = yield from _wait_values(ctx, view, fan_tag, 1)
     return got[0]
+
+
+def _leader_edges(ctx, view: TeamView, source_leader: int) -> tuple:
+    """A leader's place in the leader tree rooted at ``source_leader``:
+    whether it has a parent, and its children in send order (largest
+    stride first), each as ``(route, team index)``."""
+    shared = view.shared
+    h = shared.hierarchy
+    leaders = h.leaders
+    num_leaders = len(leaders)
+    root_rank = h.leader_rank[source_leader]
+    vrank = (h.leader_rank[view.index] - root_rank) % num_leaders
+    parent, children = binomial_peers(vrank, num_leaders)
+    edges = []
+    for child in children:
+        target = leaders[(child + root_rank) % num_leaders]
+        edges.append((
+            ctx.conduit.route(view.proc, shared.proc_of(target), "auto"), target
+        ))
+    return parent is not None, edges

@@ -75,12 +75,15 @@ be promised), at most one window per run can be perturbed, and only in
 programs that race asynchronous traffic against a collective.
 
 The replay itself mirrors the fine-grained cost model operation by
-operation — same ``_plan``/``inject_time``/``wire_time``/``compute``
-calls, same max/add structure, same combine order (deposit order at
-each leader, MPICH fold/exchange order among leaders), per-resource
-FIFO orderings — so the floats and values produced are the very floats
-the event path would have produced (floating-point addition is
-deterministic; the replay never re-associates it).
+operation — it prices every virtual transfer from the same conduit
+:class:`~repro.runtime.conduit.Route` (overhead command, cost-table
+entry, loopback penalty) the event path sends over, with the same
+``compute`` calls, the same max/add structure, the same combine order
+(deposit order at each leader, MPICH fold/exchange order among
+leaders) and per-resource FIFO orderings — so the floats and values
+produced are the very floats the event path would have produced
+(floating-point addition is deterministic; the replay never
+re-associates it).
 
 Round-synchronous leader phases (TDLB's dissemination, recursive
 doubling's fold/exchange/unfold) replay one *round* at a time as NumPy
@@ -100,8 +103,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..calibration import DIRECT_SMP
-from ..sim import SimEvent, Wait
+from ..sim import Hold, SimEvent, Wait
 from .base import NOTIFY_NBYTES, binomial_peers, combine_flops, payload_nbytes
 from .reduce import REDUCE_OPS, _combine, _freeze
 
@@ -186,21 +188,28 @@ class _LeaderRing:
     Slot ``i`` is the team's ``i``-th node leader (``hierarchy.leaders``
     order).  Leaders own pairwise distinct nodes, so every message
     between two of them takes the remote path and slot ``i``'s sends
-    hold only node ``i``'s NIC and conduit progress engine.
+    hold only node ``i``'s NIC and conduit progress engine — the
+    resources of its route to the next leader.
     """
 
     def __init__(self, world, shared):
         h = shared.hierarchy
         members = shared.members
+        conduit = world.conduit
         self.leaders: List[int] = list(h.leaders)
         self.slaves: List[List[int]] = [h.slaves_of(L) for L in self.leaders]
-        placements = world.conduit._placements
-        nodes = [placements[members[L - 1]].node for L in self.leaders]
-        nics = world.machine.interconnect._nics
-        engines = world.conduit._engines
-        self.nics = [nics[node] for node in nodes]
-        self.engines = [engines[node] for node in nodes]
         self.size = k = len(self.leaders)
+        procs = [members[L - 1] for L in self.leaders]
+        #: slot i's remote route (to slot i + 1); empty for one leader
+        self.routes = [
+            conduit.route(p, procs[(i + 1) % k]) for i, p in enumerate(procs)
+        ] if k > 1 else []
+        self.nics = [r.costs.resource for r in self.routes]
+        #: progress engines, when the profile serializes the overhead
+        self.engines = [
+            r.overhead.resource for r in self.routes
+            if type(r.overhead) is Hold
+        ]
         self.slots = slots = np.arange(k)
         #: dissemination round r: slot j hears from slot (j - 2^r) mod k
         self.diss_sources = [
@@ -226,33 +235,24 @@ class _RoundLedger:
     :meth:`send` issues one remote message from each selected slot.  A
     round touches each slot at most once, so the per-resource FIFO order
     within it is irrelevant; ``np.maximum(free, t) + duration`` is the
-    scalar ``hold`` arithmetic elementwise.
+    scalar ``hold`` arithmetic elementwise.  Every leader's route has
+    the same overhead and cost shape, so slot 0's route prices them all.
     """
 
     def __init__(self, world, ring: _LeaderRing):
-        profile = world.conduit.profile
         self.world = world
         self.ring = ring
-        self.net = world.machine.spec.network
-        self.overhead = profile.remote_overhead
+        self.route = route = ring.routes[0]
+        self.overhead = route.overhead
         k = ring.size
         self.nic = np.full(k, -np.inf)
-        self.engine = (
-            np.full(k, -np.inf)
-            if self.overhead > 0.0 and profile.serialize_overhead else None
-        )
+        self.engine = np.full(k, -np.inf) if ring.engines else None
         self.sent = np.zeros(k, dtype=np.int64)
         self.bytes = 0
-        self._times: Dict[int, Tuple[float, float]] = {}
 
     def _cost(self, nbytes: int) -> Tuple[float, float]:
-        cost = self._times.get(nbytes)
-        if cost is None:
-            net = self.net
-            cost = self._times[nbytes] = (
-                net.inject_time(nbytes), net.wire_time(nbytes)
-            )
-        return cost
+        hold, wire = self.route.costs[nbytes]
+        return hold.duration, wire
 
     def send(self, slots, t: np.ndarray, nbytes) -> Tuple[np.ndarray, np.ndarray]:
         """One message per slot in ``slots`` (an index array), issued at
@@ -266,12 +266,13 @@ class _RoundLedger:
             inject = np.array([c[0] for c in costs])
             wire = np.array([c[1] for c in costs])
             self.bytes += sum(nbytes)
-        if self.overhead > 0.0:
+        overhead = self.overhead
+        if overhead is not None:
             if self.engine is not None:
-                t = np.maximum(self.engine[slots], t) + self.overhead
+                t = np.maximum(self.engine[slots], t) + overhead.duration
                 self.engine[slots] = t
             else:
-                t = t + self.overhead
+                t = t + overhead.delay
         t = np.maximum(self.nic[slots], t) + inject
         self.nic[slots] = t
         self.sent[slots] += 1
@@ -281,11 +282,11 @@ class _RoundLedger:
         """Apply the swept messages to the conduit, interconnect and
         resource grant counters (and to ``st.grants``)."""
         messages = int(self.sent.sum())
-        world = self.world
-        world.conduit.counts["remote"] += messages
-        ic = world.machine.interconnect
-        ic.messages += messages
-        ic.bytes += self.bytes
+        route = self.route
+        self.world.conduit.counts[route.kind] += messages
+        fabric = route.fabric
+        fabric.messages += messages
+        fabric.bytes += self.bytes
         held = [self.ring.nics]
         if self.engine is not None:
             held.append(self.ring.engines)
@@ -417,10 +418,13 @@ class MacroCollectives:
         res = self._resources
         if res is None:
             world = self.world
-            res = list(world.conduit._engines)
-            res.extend(world.machine.interconnect._nics)
-            for node_buses in world.machine.shared_memory._buses:
-                res.extend(node_buses)
+            machine = world.machine
+            nodes = range(machine.spec.num_nodes)
+            res = [world.conduit.progress_engine(n) for n in nodes]
+            res.extend(machine.interconnect.nic(n) for n in nodes)
+            sm = machine.shared_memory
+            for n in nodes:
+                res.extend(sm.bus(n, s) for s in range(machine.spec.node.sockets))
             self._resources = res
         return res
 
@@ -651,63 +655,36 @@ class MacroCollectives:
             engine.schedule_at(t, fire, label="macro-wake")
         self.wake_events += len(groups)
 
-    # -- one costed transfer, mirroring Conduit.transfer exactly --------
+    # -- one costed transfer, mirroring Conduit.send exactly ------------
     def _replay_transfer(self, st: _ReplayState, src_proc: int,
                          dst_proc: int, nbytes: int, t: float,
                          path: str) -> Tuple[float, float]:
         """Return ``(source_done, delivered)`` for one message whose
         sender is free to issue it at time ``t``."""
-        world = self.world
-        conduit = world.conduit
-        machine = world.machine
-        resolved = conduit.resolve_path(src_proc, dst_proc, path)
-        conduit.counts[resolved] += 1
-        placements = conduit._placements
-        ps = placements[src_proc]
-        profile = conduit.profile
+        route = self.world.conduit.route(src_proc, dst_proc, path)
+        return self._replay_send(st, route, nbytes, t)
 
-        if resolved == "remote":
-            cost = profile.remote_overhead
-            if cost > 0.0:
-                if profile.serialize_overhead:
-                    t = st.hold(conduit._engines[ps.node], t, cost)
-                else:
-                    t = t + cost
-            ic = machine.interconnect
-            ic.messages += 1
-            ic.bytes += nbytes
-            net = machine.spec.network
-            t = st.hold(ic._nics[ps.node], t, net.inject_time(nbytes))
-            return t, t + net.wire_time(nbytes)
-
-        pd = placements[dst_proc]
-        sm = machine.shared_memory
-        if resolved == "loopback":
-            cost = profile.local_overhead
-            if cost > 0.0:
-                if profile.serialize_overhead:
-                    t = st.hold(conduit._engines[ps.node], t, cost)
-                else:
-                    t = t + cost
-            sm.messages += 1
-            sm.bytes += nbytes
-            occ, lat, home = sm._plan(
-                ps.core, pd.core, nbytes, profile.loopback_bw_factor
-            )
-            t = st.hold(sm._buses[ps.node][home], t, occ)
-            delivered = t + lat
-            if profile.loopback_penalty > 0.0:
-                delivered = delivered + profile.loopback_penalty
-            return t, delivered
-
-        # direct shared-memory store
-        if DIRECT_SMP.local_overhead > 0.0:
-            t = t + DIRECT_SMP.local_overhead
-        sm.messages += 1
-        sm.bytes += nbytes
-        occ, lat, home = sm._plan(ps.core, pd.core, nbytes, 1.0)
-        t = st.hold(sm._buses[ps.node][home], t, occ)
-        return t, t + lat
+    def _replay_send(self, st: _ReplayState, route, nbytes: int,
+                     t: float) -> Tuple[float, float]:
+        """:meth:`_replay_transfer` over a resolved route, priced from
+        the same overhead command and cost-table entry the event path
+        sends with."""
+        hold, latency = route.costs[nbytes]
+        self.world.conduit.counts[route.kind] += 1
+        overhead = route.overhead
+        if overhead is not None:
+            if type(overhead) is Hold:
+                t = st.hold(overhead.resource, t, overhead.duration)
+            else:
+                t = t + overhead.delay
+        fabric = route.fabric
+        fabric.messages += 1
+        fabric.bytes += nbytes
+        t = st.hold(hold.resource, t, hold.duration)
+        delivered = t + latency
+        if route.penalty > 0.0:
+            delivered = delivered + route.penalty
+        return t, delivered
 
     # -- a compute_cost Timeout's span, jitter-free ---------------------
     def _compute_delay(self, flops: float) -> float:
@@ -986,7 +963,10 @@ class MacroCollectives:
         # walking leaders in vrank order replays sends before receives.
         # Tree levels are not rounds (a parent's sends serialize and its
         # children start at different instants), so this phase stays on
-        # the scalar ledger.
+        # the scalar ledger.  Every remote route out of a leader's node
+        # carries the same overhead command, fabric and NIC cost table,
+        # so the leader's ring route prices each of its tree sends.
+        ring = self._ring(shared)
         num_leaders = len(leaders)
         root_rank = h.leader_rank[source_leader]
         vrank = {
@@ -1002,11 +982,10 @@ class MacroCollectives:
                 t = arrive[L]
                 if inbox[L] > t:
                     t = inbox[L]
-            src = members[L - 1]
             for child in children:  # largest stride first, serial sends
                 target = leaders[(child + root_rank) % num_leaders]
-                t, delivered = self._replay_transfer(
-                    st, src, members[target - 1], nbytes, t, "auto",
+                t, delivered = self._replay_send(
+                    st, ring.routes[h.leader_rank[L]], nbytes, t
                 )
                 inbox[target] = delivered
             hold_t[L] = t

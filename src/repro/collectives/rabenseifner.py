@@ -63,9 +63,8 @@ def allreduce_rabenseifner(
         if op == "maxloc":
             arr = None  # keep the original pair payload below
         tag = view.next_op_tag("red-rab-small")
-        participants = list(range(1, n + 1))
         result = yield from _recursive_doubling(
-            ctx, view, participants, value, op, tag, path=path)
+            ctx, view, view.shared.indices, value, op, tag, path=path)
         if result_image is not None and view.index != result_image:
             return None
         return result

@@ -26,7 +26,7 @@ differs between algorithms just as it does between real MPI algorithms).
 
 from __future__ import annotations
 
-import math
+from functools import partial
 from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
@@ -34,7 +34,13 @@ import numpy as np
 from ..faults.manager import wait_or_fail
 from ..sim import Timeout
 from ..teams.team import TeamView
-from .base import binomial_peers, combine_flops, payload_nbytes
+from .base import (
+    binomial_peers,
+    combine_flops,
+    member_plan,
+    node_plan,
+    payload_nbytes,
+)
 
 __all__ = [
     "REDUCE_OPS",
@@ -105,20 +111,23 @@ def _freeze(value: Any) -> Any:
     return value
 
 
+def _post(conduit, route, shared, target_index: int, tag, value: Any) -> Iterator:
+    """Costed transfer of a payload over ``route`` into member
+    ``target_index``'s mailbox ``tag``."""
+    return conduit.send(
+        route, payload_nbytes(value),
+        partial(shared.deposit, target_index, tag, _freeze(value)),
+    )
+
+
 def _send_value(
     ctx, view: TeamView, target_index: int, tag, value: Any, path: str = "auto"
 ) -> Iterator:
     """Costed transfer of a payload into a member's mailbox."""
     shared = view.shared
-    dst = shared.proc_of(target_index)
-    payload = _freeze(value)
-    yield from ctx.conduit.transfer(
-        view.proc,
-        dst,
-        payload_nbytes(value),
-        on_delivered=lambda: shared.deposit(target_index, tag, payload),
-        path=path,
-    )
+    conduit = ctx.conduit
+    route = conduit.route(view.proc, shared.proc_of(target_index), path)
+    return _post(conduit, route, shared, target_index, tag, value)
 
 
 def _wait_values(ctx, view: TeamView, tag, count: int) -> list:
@@ -217,6 +226,62 @@ def allreduce_binomial_flat(
 # ----------------------------------------------------------------------
 # Recursive doubling core (shared by the MPI flavor and the leader phase)
 # ----------------------------------------------------------------------
+class _RdPlan:
+    """A member's MPICH recursive-doubling steps among one participant
+    list.  Each send is ``(route, target index, tag suffix)``; each wait
+    a tag suffix.  An odd extra has only ``fold_to`` and
+    ``unfold_from``; an even extra has ``fold_from``, the exchange
+    rounds and ``unfold_to``; the power-of-two core has the rounds."""
+
+    __slots__ = ("participants", "fold_to", "fold_from", "rounds",
+                 "unfold_to", "unfold_from")
+
+    def __init__(self, ctx, view: TeamView, participants: Sequence[int],
+                 path: str):
+        conduit = ctx.conduit
+        shared = view.shared
+
+        def edge(target: int, suffix: tuple) -> tuple:
+            route = conduit.route(view.proc, shared.proc_of(target), path)
+            return route, target, suffix
+
+        self.participants = participants
+        n = len(participants)
+        rank = participants.index(view.index)
+        pow2 = 1 << (n.bit_length() - 1)
+        if pow2 > n:
+            pow2 >>= 1
+        rem = n - pow2
+        self.fold_to = self.fold_from = None
+        self.unfold_to = self.unfold_from = None
+        self.rounds = []
+        newrank = -1
+        if rank < 2 * rem:
+            if rank % 2 == 1:
+                # Odd extras fold into their even neighbour and sit out.
+                self.fold_to = edge(participants[rank - 1], ("fold", rank))
+                self.unfold_from = ("unfold", rank)
+            else:
+                self.fold_from = ("fold", rank + 1)
+                self.unfold_to = edge(participants[rank + 1],
+                                      ("unfold", rank + 1))
+                newrank = rank // 2
+        else:
+            newrank = rank - rem
+        if newrank >= 0:
+            mask = 1
+            while mask < pow2:
+                partner_new = newrank ^ mask
+                partner_rank = (
+                    partner_new * 2 if partner_new < rem else partner_new + rem
+                )
+                route, target, send_suffix = edge(
+                    participants[partner_rank], ("rd", mask, partner_new))
+                self.rounds.append(
+                    (route, target, send_suffix, ("rd", mask, newrank)))
+                mask <<= 1
+
+
 def _recursive_doubling(
     ctx, view: TeamView, participants: Sequence[int], value: Any,
     op: str, tag, path: str = "auto",
@@ -224,57 +289,37 @@ def _recursive_doubling(
     """MPICH-style allreduce among ``participants`` (team indices; caller
     must be one of them).  Handles non-power-of-two sizes with the
     standard fold-in/fold-out steps."""
-    n = len(participants)
     acc = _freeze(value)
-    if n == 1:
+    if len(participants) == 1:
         return acc
-    rank = participants.index(view.index)
-    pow2 = 1 << (n.bit_length() - 1)
-    if pow2 > n:
-        pow2 >>= 1
-    rem = n - pow2
+    plans = member_plan(view).rd
+    key = (id(participants), path)
+    plan = plans.get(key)
+    if plan is None:
+        plan = plans[key] = _RdPlan(ctx, view, participants, path)
+    conduit = ctx.conduit
+    shared = view.shared
 
-    newrank = -1
-    if rank < 2 * rem:
-        if rank % 2 == 1:
-            # Odd extras fold into their even neighbour and sit out.
-            yield from _send_value(
-                ctx, view, participants[rank - 1], tag + ("fold", rank), acc, path=path
-            )
-        else:
-            got = yield from _wait_values(ctx, view, tag + ("fold", rank + 1), 1)
-            acc = _combine(op, acc, got[0])
-            yield ctx.compute_cost(combine_flops(value))
-            newrank = rank // 2
-    else:
-        newrank = rank - rem
+    if plan.fold_to is not None:
+        route, target, suffix = plan.fold_to
+        yield from _post(conduit, route, shared, target, tag + suffix, acc)
+    elif plan.fold_from is not None:
+        got = yield from _wait_values(ctx, view, tag + plan.fold_from, 1)
+        acc = _combine(op, acc, got[0])
+        yield ctx.compute_cost(combine_flops(value))
 
-    if newrank >= 0:
-        mask = 1
-        while mask < pow2:
-            partner_new = newrank ^ mask
-            partner_rank = (
-                partner_new * 2 if partner_new < rem else partner_new + rem
-            )
-            step_tag = tag + ("rd", mask, newrank)
-            partner_tag = tag + ("rd", mask, partner_new)
-            yield from _send_value(
-                ctx, view, participants[partner_rank], partner_tag, acc, path=path
-            )
-            got = yield from _wait_values(ctx, view, step_tag, 1)
-            acc = _combine(op, acc, got[0])
-            yield ctx.compute_cost(combine_flops(value))
-            mask <<= 1
+    for route, target, send_suffix, wait_suffix in plan.rounds:
+        yield from _post(conduit, route, shared, target, tag + send_suffix, acc)
+        got = yield from _wait_values(ctx, view, tag + wait_suffix, 1)
+        acc = _combine(op, acc, got[0])
+        yield ctx.compute_cost(combine_flops(value))
 
-    if rank < 2 * rem:
-        if rank % 2 == 0:
-            yield from _send_value(
-                ctx, view, participants[rank + 1], tag + ("unfold", rank + 1),
-                acc, path=path,
-            )
-        else:
-            got = yield from _wait_values(ctx, view, tag + ("unfold", rank), 1)
-            acc = got[0]
+    if plan.unfold_to is not None:
+        route, target, suffix = plan.unfold_to
+        yield from _post(conduit, route, shared, target, tag + suffix, acc)
+    elif plan.unfold_from is not None:
+        got = yield from _wait_values(ctx, view, tag + plan.unfold_from, 1)
+        acc = got[0]
     return acc
 
 
@@ -298,9 +343,8 @@ def allreduce_recursive_doubling(
         )
         if replayed:
             return replayed.value
-    participants = list(range(1, view.size + 1))
     acc = yield from _recursive_doubling(
-        ctx, view, participants, value, op, tag, path=path
+        ctx, view, view.shared.indices, value, op, tag, path=path
     )
     if result_image is not None and view.index != result_image:
         return None
@@ -341,19 +385,20 @@ def allreduce_two_level(
         )
         if replayed:
             return replayed.value
-    h = view.shared.hierarchy
+    shared = view.shared
+    conduit = ctx.conduit
+    node = node_plan(ctx, view)
     me = view.index
-    leader = h.leader_of[me]
     out_tag = tag + ("out",)
 
-    if me != leader:
-        yield from _send_value(ctx, view, leader, tag, value, path="direct")
+    if node.to_leader is not None:
+        yield from _post(conduit, node.to_leader, shared, node.leader, tag, value)
         if result_image is not None and me != result_image:
             return None
         got = yield from _wait_values(ctx, view, out_tag, 1)
         return got[0]
 
-    slaves = h.slaves_of(me)
+    slaves = node.slaves
     acc = _freeze(value)
     if slaves:
         contributions = yield from _wait_values(ctx, view, tag, len(slaves))
@@ -362,15 +407,16 @@ def allreduce_two_level(
         yield ctx.compute_cost(combine_flops(value) * len(slaves))
 
     acc = yield from _recursive_doubling(
-        ctx, view, h.leaders, acc, op, tag + ("lead",), path="auto"
+        ctx, view, shared.hierarchy.leaders, acc, op, tag + ("lead",),
+        path="auto",
     )
 
     if result_image is None:
-        targets = slaves
-    else:
-        targets = [result_image] if result_image in slaves else []
-    for slave in targets:
-        yield from _send_value(ctx, view, slave, out_tag, acc, path="direct")
+        for slave, route in zip(slaves, node.to_slaves):
+            yield from _post(conduit, route, shared, slave, out_tag, acc)
+    elif result_image in slaves:
+        route = node.to_slaves[slaves.index(result_image)]
+        yield from _post(conduit, route, shared, result_image, out_tag, acc)
     if result_image is not None and me != result_image:
         return None
     return acc

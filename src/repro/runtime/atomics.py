@@ -131,10 +131,9 @@ class AtomicVar:
             src_proc, dst_proc, ATOMIC_NBYTES, on_delivered=apply, path=path
         )
         # The fetched value travels back target → source.
-        resolved = self._conduit.resolve_path(dst_proc, src_proc, "auto")
         yield from self._conduit.transfer(
             dst_proc, src_proc, ATOMIC_NBYTES,
-            on_delivered=lambda: reply.trigger(fetched[0]), path=resolved,
+            on_delivered=lambda: reply.trigger(fetched[0]), path="auto",
         )
         result = yield Wait(reply)
         return result

@@ -21,17 +21,99 @@ through a per-node FIFO *progress engine* resource, so concurrent
 operations issued by co-located images serialize.  This single mechanism
 produces the paper's observed collapse of flat dissemination at 8 images
 per node.
+
+Placement is fixed at launch, so everything about a transfer except its
+size is resolved once per ``(src, dst, path)`` into a :class:`Route`:
+the path, the sender-overhead command, the fabric and its delivery
+label, and a cost table ``nbytes → (Hold(resource, occupancy),
+latency)`` filled from the fabric's own formulas on first use of each
+size.  Cost tables are shared by every route that holds the same
+resource with the same cost shape.  The collectives' member plans hold
+routes, and the macro-event replay prices its virtual transfers from
+the same routes, so both paths charge the very same floats.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
+from functools import partial
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from ..calibration import DIRECT_SMP, ConduitProfile
 from ..machine import Machine
-from ..sim import Hold, Resource, Timeout
+from ..sim import Hold, Resource, SimEvent, Timeout
 
-__all__ = ["Conduit"]
+__all__ = ["Conduit", "Route", "CostTable"]
+
+
+def _nic_price(net, nbytes: int) -> Tuple[float, float]:
+    """NIC occupancy and wire latency of a remote message."""
+    return net.inject_time(nbytes), net.wire_time(nbytes)
+
+
+def _bus_price(sm, src_core: int, dst_core: int, factor: float,
+               nbytes: int) -> Tuple[float, float]:
+    """Memory-controller occupancy and visibility latency of a store;
+    any route with the same home socket, crossing and ``factor``
+    prices identically, so one route's cores serve its whole table."""
+    sm._validate(nbytes, factor)
+    occupancy, latency, _home = sm._plan(src_core, dst_core, nbytes, factor)
+    return occupancy, latency
+
+
+class CostTable(dict):
+    """``nbytes → (Hold(resource, occupancy), latency)`` for one fabric
+    resource and one cost shape, priced on first use of each size.
+
+    ``price(nbytes)`` returns ``(occupancy, latency)`` from the fabric's
+    own formulas; the table only memoizes it.  A negative size raises
+    here, before the transfer charges anything.
+    """
+
+    __slots__ = ("resource", "_price")
+
+    def __init__(self, resource: Resource,
+                 price: Callable[[int], Tuple[float, float]]):
+        super().__init__()
+        self.resource = resource
+        self._price = price
+
+    def __missing__(self, nbytes: int) -> Tuple[Hold, float]:
+        if nbytes < 0:
+            raise ValueError(f"nbytes must be >= 0, got {nbytes}")
+        occupancy, latency = self._price(nbytes)
+        entry = self[nbytes] = (Hold(self.resource, occupancy), latency)
+        return entry
+
+
+class Route:
+    """One resolved ``(src, dst, path)``: everything a transfer needs
+    except its size.
+
+    ``overhead`` is the sender's software-overhead command — a
+    ``Hold`` on the node's progress engine, a ``Timeout``, or None when
+    the path charges none.  ``fabric`` is the
+    :class:`~repro.machine.network.Interconnect` or
+    :class:`~repro.machine.memnode.SharedMemory` whose ``messages`` and
+    ``bytes`` counters the transfer bumps; ``label`` names its delivery
+    event; ``penalty`` is the loopback target-poll delay (0 elsewhere).
+    """
+
+    __slots__ = ("src", "dst", "kind", "overhead", "fabric", "label",
+                 "penalty", "costs")
+
+    def __init__(self, src: int, dst: int, kind: str, overhead, fabric,
+                 label: str, penalty: float, costs: CostTable):
+        self.src = src
+        self.dst = dst
+        self.kind = kind
+        self.overhead = overhead
+        self.fabric = fabric
+        self.label = label
+        self.penalty = penalty
+        self.costs = costs
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Route({self.src}->{self.dst}, {self.kind})"
 
 
 class Conduit:
@@ -52,17 +134,27 @@ class Conduit:
         #: fates (delivery to dead images, drop/delay jitter) when a fault
         #: schedule is installed; None on the default path
         self.faults = faults
+        self._engine = machine.engine
+        self._schedule = machine.engine.schedule
         self._engines = [
             Resource(machine.engine, capacity=1, name=f"conduit{n}")
             for n in range(machine.spec.num_nodes)
         ]
-        # Placement is fixed at launch, but resolving it went through two
-        # attribute hops plus a method call per endpoint per message — and
-        # same-node transfers resolved both endpoints twice.  Snapshot the
-        # image→Placement map once at construction.
         self._placements = [
             machine.topology.placement(i) for i in range(machine.num_images)
         ]
+        # Routes and overhead commands are keyed without tuples: a run
+        # keeps thousands of them, and tuple keys are garbage-collector
+        # work that a flat int or float key is not.
+        #: path → {src * num_images + dst: Route}
+        self._routes: Dict[str, Dict[int, Route]] = {
+            path: {} for path in ("auto", "remote", "loopback", "direct")
+        }
+        #: NIC, or (bus, crossing, bandwidth factor) → its shared CostTable
+        self._tables: Dict[object, CostTable] = {}
+        #: cost → per-node sender-overhead commands
+        self._overheads: Dict[float, list] = {}
+        self._nic_price = partial(_nic_price, machine.spec.network)
         #: lifetime message counters by path, for the accounting experiments
         self.counts = {"remote": 0, "loopback": 0, "direct": 0}
         #: back-reference to :class:`repro.collectives.macro.MacroCollectives`
@@ -89,7 +181,7 @@ class Conduit:
         for key in self.counts:
             self.counts[key] = 0
 
-    def _monitored_delivery(
+    def monitored_delivery(
         self,
         src_image: int,
         dst_image: int,
@@ -98,21 +190,14 @@ class Conduit:
         """Tell the concurrency monitor (when installed) about this message
         and wrap the delivery callback so target-side effects are
         attributed to the sender's causal past."""
-        monitor = self.machine.engine.monitor
+        monitor = self._engine.monitor
         if monitor is None:
             return on_delivered
         return monitor.on_transfer(src_image, dst_image, on_delivered)
 
     # ------------------------------------------------------------------
-    def _overhead(self, node: int, cost: float) -> Iterator:
-        """Charge sender software time, serialized per node if the profile says so."""
-        if cost <= 0.0:
-            return
-        if self.profile.serialize_overhead:
-            yield Hold(self._engines[node], cost)
-        else:
-            yield Timeout(cost)
-
+    # Resolution (once per (src, dst, path))
+    # ------------------------------------------------------------------
     def resolve_path(self, src_image: int, dst_image: int, path: str = "auto") -> str:
         """Decide which of remote/loopback/direct a transfer takes.
 
@@ -147,6 +232,78 @@ class Conduit:
             raise ValueError(f"unknown path {path!r}")
         return path
 
+    def route(self, src_image: int, dst_image: int, path: str = "auto") -> Route:
+        """The cached :class:`Route` for ``(src_image, dst_image, path)``;
+        resolving it raises exactly as :meth:`resolve_path` does."""
+        routes = self._routes.get(path)
+        if routes is None:  # not a path name: resolving raises
+            return self._resolve(src_image, dst_image, path)
+        key = src_image * len(self._placements) + dst_image
+        route = routes.get(key)
+        if route is None:
+            route = routes[key] = self._resolve(src_image, dst_image, path)
+        return route
+
+    def _overhead(self, node: int, cost: float):
+        """Sender software time: serialized per node if the profile says
+        so.  One command per node and cost, shared by its routes."""
+        if cost <= 0.0:
+            return None
+        commands = self._overheads.get(cost)
+        if commands is None:
+            commands = self._overheads[cost] = [None] * len(self._engines)
+        command = commands[node]
+        if command is None:
+            command = commands[node] = (
+                Hold(self._engines[node], cost)
+                if self.profile.serialize_overhead else Timeout(cost)
+            )
+        return command
+
+    def _resolve(self, src_image: int, dst_image: int, path: str) -> Route:
+        kind = self.resolve_path(src_image, dst_image, path)
+        ps = self._placements[src_image]
+        pd = self._placements[dst_image]
+        profile = self.profile
+        machine = self.machine
+        tables = self._tables
+        if kind == "remote":
+            nic = machine.interconnect.nic(ps.node)
+            costs = tables.get(nic)
+            if costs is None:
+                costs = tables[nic] = CostTable(nic, self._nic_price)
+            return Route(
+                src_image, dst_image, kind,
+                self._overhead(ps.node, profile.remote_overhead),
+                machine.interconnect, f"wire{ps.node}->{pd.node}", 0.0, costs,
+            )
+        if kind == "loopback":
+            overhead = self._overhead(ps.node, profile.local_overhead)
+            penalty = profile.loopback_penalty
+            factor = profile.loopback_bw_factor
+        else:  # direct
+            local = DIRECT_SMP.local_overhead
+            overhead = Timeout(local) if local > 0.0 else None
+            penalty = 0.0
+            factor = 1.0
+        sm = machine.shared_memory
+        node = machine.spec.node
+        home = node.socket_of(pd.core)
+        bus = sm.bus(ps.node, home)
+        key = (bus, node.socket_of(ps.core) != home, factor)
+        costs = tables.get(key)
+        if costs is None:
+            costs = tables[key] = CostTable(
+                bus, partial(_bus_price, sm, ps.core, pd.core, factor)
+            )
+        return Route(
+            src_image, dst_image, kind, overhead, sm,
+            f"smp{ps.node}:{ps.core}->{pd.core}", penalty, costs,
+        )
+
+    # ------------------------------------------------------------------
+    # Transfers
+    # ------------------------------------------------------------------
     def transfer(
         self,
         src_image: int,
@@ -160,52 +317,44 @@ class Conduit:
         The sending process blocks through source-side completion;
         ``on_delivered`` fires when the payload is visible at the target.
         """
-        resolved = self.resolve_path(src_image, dst_image, path)
-        self.counts[resolved] += 1
+        return self.send(self.route(src_image, dst_image, path), nbytes,
+                         on_delivered)
+
+    def send(
+        self,
+        route: Route,
+        nbytes: int,
+        on_delivered: Optional[Callable[[], None]] = None,
+    ) -> Iterator:
+        """:meth:`transfer` over an already resolved ``route``: the
+        sender-overhead command, then the fabric hold, then delivery one
+        fabric latency (plus the loopback poll) later."""
+        hold, latency = route.costs[nbytes]
+        self.counts[route.kind] += 1
         faults = self.faults
         if faults is not None:
             # A message to a dead image still pays wire costs (the sender
             # cannot tell), but its target-side effects are suppressed.
-            on_delivered = faults.filter_delivery(dst_image, on_delivered)
-            jitter = faults.link_delay(resolved)
+            on_delivered = faults.filter_delivery(route.dst, on_delivered)
+            jitter = faults.link_delay(route.kind)
             if jitter > 0.0:
                 yield Timeout(jitter)
-        on_delivered = self._monitored_delivery(src_image, dst_image, on_delivered)
-        placements = self._placements
-        ps = placements[src_image]
-        src_node = ps.node
-
-        if resolved == "remote":
-            yield from self._overhead(src_node, self.profile.remote_overhead)
-            yield from self.machine.interconnect.send(
-                src_node,
-                placements[dst_image].node,
-                nbytes,
-                on_delivered=on_delivered,
-            )
-            return
-
-        pd = placements[dst_image]
-        if resolved == "loopback":
-            yield from self._overhead(src_node, self.profile.local_overhead)
-            penalty = self.profile.loopback_penalty
-            wrapped = on_delivered
-            if penalty > 0.0 and on_delivered is not None:
-                engine = self.machine.engine
-
-                def wrapped() -> None:  # delivery waits for the target's poll
-                    engine.schedule(penalty, on_delivered, label="loopback-poll")
-
-            yield from self.machine.shared_memory.transfer(
-                ps.node, ps.core, pd.core, nbytes, on_visible=wrapped,
-                bandwidth_factor=self.profile.loopback_bw_factor,
-            )
-        else:  # direct
-            if DIRECT_SMP.local_overhead > 0.0:
-                yield Timeout(DIRECT_SMP.local_overhead)
-            yield from self.machine.shared_memory.transfer(
-                ps.node, ps.core, pd.core, nbytes, on_visible=on_delivered
-            )
+        monitor = self._engine.monitor
+        if monitor is not None:
+            on_delivered = monitor.on_transfer(route.src, route.dst, on_delivered)
+        overhead = route.overhead
+        if overhead is not None:
+            yield overhead
+        fabric = route.fabric
+        fabric.messages += 1
+        fabric.bytes += nbytes
+        yield hold
+        if on_delivered is not None:
+            if route.penalty > 0.0:
+                # delivery waits for the target's poll
+                on_delivered = partial(self._schedule, route.penalty,
+                                       on_delivered, "loopback-poll")
+            self._schedule(latency, on_delivered, route.label)
 
     def transfer_nb(
         self,
@@ -222,52 +371,46 @@ class Conduit:
         Generator whose return value (via ``yield from``) is a
         :class:`~repro.sim.SimEvent` that fires at *source-side*
         completion (the source buffer is reusable); ``on_delivered``
-        fires when the payload lands at the target.
+        fires when the payload lands at the target.  A rejected path or
+        size raises before the run is marked asynchronous.
         """
+        route = self.route(src_image, dst_image, path)
+        hold, latency = route.costs[nbytes]
         self.note_async()
-        resolved = self.resolve_path(src_image, dst_image, path)
-        self.counts[resolved] += 1
+        self.counts[route.kind] += 1
         faults = self.faults
         if faults is not None:
-            on_delivered = faults.filter_delivery(dst_image, on_delivered)
-            jitter = faults.link_delay(resolved)
+            on_delivered = faults.filter_delivery(route.dst, on_delivered)
+            jitter = faults.link_delay(route.kind)
             if jitter > 0.0:
                 yield Timeout(jitter)
-        on_delivered = self._monitored_delivery(src_image, dst_image, on_delivered)
-        placements = self._placements
-        ps = placements[src_image]
-        src_node = ps.node
+        on_delivered = self.monitored_delivery(route.src, route.dst, on_delivered)
+        if route.overhead is not None:
+            yield route.overhead
+        return self._launch(route, nbytes, hold, latency, on_delivered)
 
-        if resolved == "remote":
-            yield from self._overhead(src_node, self.profile.remote_overhead)
-            return self.machine.interconnect.send_async(
-                src_node,
-                placements[dst_image].node,
-                nbytes,
-                on_delivered=on_delivered,
-            )
+    def forward(self, route: Route, nbytes: int,
+                on_delivered: Optional[Callable[[], None]]) -> SimEvent:
+        """The fabric leg of a transfer issued from a delivery callback,
+        where no sender process can block on an overhead (an event
+        post's leader relay); the returned event fires when the fabric
+        hold retires."""
+        hold, latency = route.costs[nbytes]
+        self.counts[route.kind] += 1
+        return self._launch(route, nbytes, hold, latency, on_delivered)
 
-        pd = placements[dst_image]
-        if resolved == "loopback":
-            yield from self._overhead(src_node, self.profile.local_overhead)
-            penalty = self.profile.loopback_penalty
-            wrapped = on_delivered
-            if penalty > 0.0 and on_delivered is not None:
-                engine = self.machine.engine
-
-                def wrapped() -> None:
-                    engine.schedule(penalty, on_delivered, label="loopback-poll")
-
-            return self.machine.shared_memory.transfer_async(
-                ps.node, ps.core, pd.core, nbytes, on_visible=wrapped,
-                bandwidth_factor=self.profile.loopback_bw_factor,
-            )
-        # direct
-        if DIRECT_SMP.local_overhead > 0.0:
-            yield Timeout(DIRECT_SMP.local_overhead)
-        return self.machine.shared_memory.transfer_async(
-            ps.node, ps.core, pd.core, nbytes, on_visible=on_delivered
-        )
+    def _launch(self, route: Route, nbytes: int, hold: Hold, latency: float,
+                on_delivered: Optional[Callable[[], None]]) -> SimEvent:
+        fabric = route.fabric
+        fabric.messages += 1
+        fabric.bytes += nbytes
+        then = None
+        if on_delivered is not None:
+            if route.penalty > 0.0:
+                on_delivered = partial(self._schedule, route.penalty,
+                                       on_delivered, "loopback-poll")
+            then = partial(self._schedule, latency, on_delivered, route.label)
+        return hold.resource.occupy(hold.duration, then=then)
 
     def recv_cost(self) -> float:
         """Receiver-side CPU time per message (two-sided conduits)."""

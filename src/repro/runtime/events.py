@@ -27,6 +27,7 @@ rather than leaving it starved forever.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Iterator, Optional
 
 from ..faults.manager import FailedImageError
@@ -88,8 +89,7 @@ class EventVar:
         shared = self.shared
         if shared is None or not conduit.hierarchy_aware:
             return None
-        placements = conduit._placements
-        if placements[src_proc].node == placements[dst_proc].node:
+        if conduit.route(src_proc, dst_proc).kind != "remote":
             return None
         hierarchy = shared.hierarchy
         dst_index = shared.proc_to_index[dst_proc]
@@ -136,21 +136,12 @@ class EventVar:
         final = bump
         if faults is not None:
             final = faults.filter_delivery(dst_proc, final)
-        final = conduit._monitored_delivery(src_proc, dst_proc, final)
-        machine = conduit.machine
-        placements = conduit._placements
-        leader_placement = placements[leader_proc]
-        dst_placement = placements[dst_proc]
-
-        def relay() -> None:
-            # The leader's runtime forwards the bump with a direct
-            # shared-memory store — the hierarchy-aware intra-node hop.
-            conduit.counts["direct"] += 1
-            machine.shared_memory.transfer_async(
-                dst_placement.node, leader_placement.core,
-                dst_placement.core, EVENT_NBYTES, on_visible=final,
-            )
-
+        final = conduit.monitored_delivery(src_proc, dst_proc, final)
+        # The leader's runtime forwards the bump with a direct
+        # shared-memory store — the hierarchy-aware intra-node hop.
+        relay = partial(conduit.forward,
+                        conduit.route(leader_proc, dst_proc, "direct"),
+                        EVENT_NBYTES, final)
         yield from conduit.transfer(
             src_proc, leader_proc, EVENT_NBYTES,
             on_delivered=relay, path="remote",

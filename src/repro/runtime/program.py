@@ -134,6 +134,9 @@ class World:
         )
         self._jitter_seed = jitter_seed
         self._jitter_rngs: Dict[int, Any] = {}
+        #: flop count → its jitter-free compute command, shared by every
+        #: image (see :meth:`CafContext.compute_cost`)
+        self.compute_costs: Dict[float, Timeout] = {}
 
     @property
     def num_images(self) -> int:
@@ -202,9 +205,20 @@ class CafContext:
     def compute_cost(self, flops: float) -> Timeout:
         """A yieldable command charging ``flops`` of local work at this
         image's backend-dependent compute rate (plus configured OS-noise
-        jitter, if any)."""
+        jitter, if any).  Without jitter the command depends on
+        ``flops`` alone, so the world keeps one per Python-number flop
+        count (a NumPy scalar would change the delay's type)."""
+        world = self.world
+        if world.config.compute_jitter <= 0.0:
+            cls = flops.__class__
+            if cls is float or cls is int:
+                cmd = world.compute_costs.get(flops)
+                if cmd is None:
+                    cmd = world.compute_costs[flops] = self.machine.compute(
+                        flops, efficiency=world.config.compute_efficiency)
+                return cmd
         cmd = self.machine.compute(flops, efficiency=self.config.compute_efficiency)
-        factor = self.world.jitter_factor(self.proc)
+        factor = world.jitter_factor(self.proc)
         if factor != 1.0:
             return Timeout(cmd.delay * factor)
         return cmd
@@ -359,8 +373,6 @@ class CafContext:
             done.trigger()
             return RmaHandle(source_done=done, delivered=delivered)
         machine = self.machine
-        ps = machine.topology.placement(src)
-        pd = machine.topology.placement(self.proc)
 
         def respond() -> None:
             # RDMA-style response: target NIC streams the data back with

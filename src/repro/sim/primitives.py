@@ -186,6 +186,10 @@ class Cell:
         self._watchers.pop(key, None)
 
 
+#: the queue of a resource nothing has waited for yet (empty, like it)
+_NO_QUEUE: tuple = ()
+
+
 class Resource:
     """FIFO counting semaphore: the serialization points of the machine model.
 
@@ -216,7 +220,9 @@ class Resource:
         self._in_use = 0
         # deque: grants pop from the left in O(1); a list's pop(0) is O(n)
         # and showed up under contention (every NIC gap on a busy node).
-        self._queue: deque[tuple[Optional[float], Any]] = deque()
+        # Created on the first wait: a machine has four resources per
+        # node, most never contended, and a deque is ~600 bytes.
+        self._queue: Any = _NO_QUEUE
         self.name = name
         self._granted = 0
         self._peak = 0
@@ -253,6 +259,8 @@ class Resource:
 
     def _enqueue(self, duration: Optional[float], waiter: Any) -> None:
         queue = self._queue
+        if queue is _NO_QUEUE:
+            queue = self._queue = deque()
         queue.append((duration, waiter))
         if len(queue) > self._peak:
             self._peak = len(queue)

@@ -11,8 +11,9 @@ communication layer", plus the synchronization state collectives need
   cells (dissemination ``sync_flags``, linear-barrier cocounters and
   release flags, tagged mailboxes for data-carrying collectives).
 * :class:`TeamView` — one per member image: its 1-based index, its
-  barrier/collective sequence counters, and a link to the view of the
-  parent team it was formed from.
+  barrier/collective sequence counters, a link to the view of the
+  parent team it was formed from, and its member plan (the resolved
+  collective steps, see :mod:`repro.collectives.base`).
 
 All cross-image *data* lives in shared Python structures at zero model
 cost; every *notification or payload movement* that touches them is
@@ -72,7 +73,11 @@ class TeamShared:
             topology, self.members, strategy=leader_strategy,
             formation_seq=formation_seq,
         )
-        n = len(self.members)
+        #: member count (membership is fixed at formation)
+        self.size = n = len(self.members)
+        #: every team index in order — the participant list of flat
+        #: (whole-team) algorithms, one persistent object per team
+        self.indices = range(1, n + 1)
         self.num_rounds = max(1, math.ceil(math.log2(n))) if n > 1 else 0
         # --- synchronization cells, indexed by 1-based team index -------
         #: variant → {(index, round): cell}
@@ -100,10 +105,6 @@ class TeamShared:
         self._formations: Dict[int, dict] = {}
 
     # ------------------------------------------------------------------
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
     def proc_of(self, index: int) -> int:
         """Global proc id of team index ``index`` (1-based) — the paper's
         image-index mapping array lookup."""
@@ -191,11 +192,10 @@ class TeamShared:
         key = (index, tag)
         cell = self._mail_cells.get(key)
         if cell is None:
-            cell = Cell(
-                self.engine, 0, name=f"t{self.uid}.mail[{index}]{tag}",
+            cell = self._mail_cells[key] = _MailCell(
+                self.engine, 0,
                 meta={"kind": "mail", "team": self, "index": index, "tag": tag},
             )
-            self._mail_cells[key] = cell
         return cell
 
     def deposit(self, index: int, tag: Hashable, value: Any) -> None:
@@ -244,6 +244,24 @@ class TeamShared:
         )
 
 
+class _MailCell(Cell):
+    """A mailbox arrival counter.  Tags are per-call tuples and a
+    mailbox lives for one collective step, so its name
+    ``t{uid}.mail[{index}]{tag}`` is formatted only when something
+    reads it (a deadlock or race report)."""
+
+    __slots__ = ()
+
+    @property
+    def name(self) -> str:
+        meta = self.meta
+        return f"t{meta['team'].uid}.mail[{meta['index']}]{meta['tag']}"
+
+    @name.setter
+    def name(self, _value: str) -> None:
+        pass  # derived from meta
+
+
 class TeamView:
     """One image's handle on a team — what a ``team_type`` variable holds."""
 
@@ -251,6 +269,7 @@ class TeamView:
         self.shared = shared
         self.proc = proc
         self.index = shared.index_of(proc)  # 1-based, this_image() in the team
+        self.size = shared.size
         self.parent_view = parent_view
         #: per-variant invocation counters driving the sync_flags carry;
         #: identical across members because SPMD images call team
@@ -258,10 +277,10 @@ class TeamView:
         self._seqs: Dict[str, int] = {}
         #: per-collective-call counter for mailbox tags (same SPMD argument)
         self.op_seq = 0
-
-    @property
-    def size(self) -> int:
-        return self.shared.size
+        #: this member's :class:`~repro.collectives.base.MemberPlan`,
+        #: created by the first collective that runs fine-grained on the
+        #: team (a replayed macro window builds none)
+        self.plan = None
 
     @property
     def team_number(self) -> int:

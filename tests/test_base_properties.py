@@ -29,8 +29,11 @@ class _StubConduit:
     def __init__(self):
         self.sends = []
 
-    def transfer(self, src, dst, nbytes, on_delivered=None, path="auto"):
-        self.sends.append((src, dst))
+    def route(self, src, dst, path="auto"):
+        return (src, dst)
+
+    def send(self, route, nbytes, on_delivered=None):
+        self.sends.append(route)
         if on_delivered is not None:
             on_delivered()
         return
@@ -57,7 +60,8 @@ def _drive(n, index=1, seq=1):
     engine = Engine()
     conduit = _StubConduit()
     shared = _StubShared(engine)
-    view = SimpleNamespace(shared=shared, index=index, proc=index - 1)
+    view = SimpleNamespace(shared=shared, index=index, proc=index - 1,
+                           plan=None)
     ctx = SimpleNamespace(conduit=conduit)
     gen = dissemination_rounds(
         ctx, view, list(range(1, n + 1)), "prop", seq=seq
