@@ -7,7 +7,10 @@ This module sweeps a geometric ladder of flat team sizes (one image per
 node, the shape where chained windows sustain collapse) over the three
 macro-capable collectives — barrier, reduction, broadcast — and reports
 per-shape engine-event counts, the fine/macro event ratio, and the
-exactness verdict.
+exactness verdict.  A rung is ``exact`` when the macro run and the
+fine-grained run agree on the end time, every image's result, the
+traffic, the conduit's per-path message counts and the engine's total
+resource grant count, and the coordinator reports no lost bet.
 
 The A/B leg (running the same sweep fine-grained to measure the ratio
 and prove bit-exactness) is *bounded*: rungs above ``ab_max`` images run
@@ -136,6 +139,14 @@ def _run_once(main, num_images: int, iters: int, config: RuntimeConfig,
     return engine.events_processed, wall, result
 
 
+def _fingerprint(result) -> tuple:
+    """What a macro run must reproduce bit for bit: end time, per-image
+    results, traffic, per-path message counts and total grants."""
+    world = result.world
+    return (result.time, result.results, result.traffic,
+            dict(world.conduit.counts), world.engine.grants)
+
+
 def xscale_sweep(
     images: Sequence[int],
     config: RuntimeConfig = UHCAF_2LEVEL,
@@ -196,9 +207,8 @@ def xscale_sweep(
                     progress(f"[{n} images] {shape} fine ...")
                 ev_fine, wall_fine, r_fine = _run_once(
                     main, n, iters, config, macro=False)
-                exact = (r_fine.time == r_macro.time
-                         and r_fine.results == r_macro.results
-                         and not stats.inexact)
+                exact = (not stats.inexact
+                         and _fingerprint(r_fine) == _fingerprint(r_macro))
                 row.update(
                     events_fine=ev_fine,
                     wall_fine_s=round(wall_fine, 3),

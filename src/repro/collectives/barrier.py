@@ -98,13 +98,14 @@ def barrier_linear(ctx, view: TeamView, path: str = "auto") -> Iterator:
     if n == 1:
         return
     macro = getattr(ctx, "macro", None)
-    if macro is not None and macro.engages(view):
-        # Offer the window to the macro-event coordinator; on replay the
-        # barrier is already complete (exit times, flag state, traffic
-        # all mirrored) and this image just returns.  Otherwise fall
-        # through to the fine-grained protocol with the seq drawn above.
-        replayed = yield from macro.join(ctx, view, "linear", seq, path=path)
-        if replayed:
+    if macro is not None:
+        # Offer the window to the macro-event coordinator.  If it parks
+        # this image and resumes it with True, the barrier was replayed
+        # (exit times, flag state, traffic all mirrored) and this image
+        # just returns.  Otherwise fall through to the fine-grained
+        # protocol with the seq drawn above.
+        park = macro.offer(view, "linear", seq, path=path)
+        if park is not None and (yield park):
             return
     leader = 1
     me = view.index
@@ -168,10 +169,10 @@ def barrier_tdlb(ctx, view: TeamView) -> Iterator:
     """
     seq = view.next_seq("tdlb")
     macro = getattr(ctx, "macro", None)
-    if macro is not None and macro.engages(view):
-        # See barrier_linear: replayed windows are complete on return.
-        replayed = yield from macro.join(ctx, view, "tdlb", seq)
-        if replayed:
+    if macro is not None:
+        # See barrier_linear: replayed windows are complete on resume.
+        park = macro.offer(view, "tdlb", seq)
+        if park is not None and (yield park):
             return
     plan = _tdlb_plan(ctx, view)
     send = ctx.conduit.send

@@ -101,12 +101,13 @@ def bcast_two_level(
     if n == 1:
         return _freeze(value)
     macro = getattr(ctx, "macro", None)
-    if macro is not None and macro.engages_data(view):
-        replayed = yield from macro.join(
-            ctx, view, "bcast-2l", tag, payload=value, source=source_image
-        )
-        if replayed:
-            return replayed.value
+    if macro is not None:
+        park = macro.offer(view, "bcast-2l", tag, payload=value,
+                           source=source_image)
+        if park is not None:
+            replayed = yield park
+            if replayed:
+                return replayed.value
     shared = view.shared
     conduit = ctx.conduit
     node = node_plan(ctx, view)

@@ -18,12 +18,12 @@ must produce bit-identical simulated times, coarray states, collective
 results, traffic counters, and resource grant counts as a macro-off run.
 That drives the engagement rules:
 
-Static eligibility (checked per arrival via :meth:`MacroCollectives.engages`)
+Static eligibility (checked at each invocation's first arrival by
+:meth:`MacroCollectives.offer`)
   No monitor, no engine trace, no tiebreak RNG, no fault manager, no
   world-level trace log, ``config.macro_events`` on, and the collective
   spans the *full* image set (a sub-team window can interleave with
-  images outside the team).  Data-carrying windows
-  (:meth:`MacroCollectives.engages_data`) additionally require
+  images outside the team).  Data-carrying windows additionally require
   deterministic compute (``compute_jitter == 0`` — jitter draws
   per-image RNG streams in fine-grained resume order, which a replay
   cannot mirror).
@@ -34,9 +34,21 @@ Dynamic window check (pinned at the FIRST arrival of each invocation)
   resource (conduit progress engines, NICs, memory buses) is idle.  Any
   foreign in-flight work — an unfinished put, a straggler's timeout —
   pins this invocation to the fine-grained path.  The check is re-run at
-  commit (last arrival), together with a resource *grant-counter*
-  snapshot: if anything acquired a resource while the gather was open,
-  the window is demoted.
+  commit (last arrival) against a snapshot of the engine's lifetime
+  grant counter (:attr:`repro.sim.Engine.grants`): if anything acquired
+  a resource while the gather was open, the window is demoted.  The
+  idle sweep itself stays per resource: ``Engine.pending_events`` does
+  not count the rest of the batch being drained, so a hold whose
+  completion sits later in that batch is invisible to it — "no foreign
+  pending event" does not imply "every resource is idle".
+
+Parked arrivals
+  An engaged arrival records its time, arrival position and frozen
+  payload in per-index arrays, and its process yields the gather's one
+  :class:`~repro.sim.Park` command, which appends it to the gather's
+  waiter list in arrival order.  Wakes and demotions resume those
+  processes directly (:meth:`repro.sim.Process.resume`); no per-arrival
+  event, wait command or generator exists.
 
 Chained windows (sustained collapse)
   A committed window's pending wakes are pure deliveries: the replay
@@ -85,26 +97,34 @@ produced are the very floats the event path would have produced
 (floating-point addition is deterministic; the replay never
 re-associates it).
 
-Round-synchronous leader phases (TDLB's dissemination, recursive
-doubling's fold/exchange/unfold) replay one *round* at a time as NumPy
-sweeps over the leaders.  Leaders sit on pairwise distinct nodes, so a
-round holds each leader's NIC (and conduit progress engine) exactly
-once and the per-resource FIFO order within a round is moot; elementwise
-``np.maximum``/``+`` on float64 are the same IEEE operations the scalar
-ledger performs.  Built-in reductions over same-shape ndarray payloads
-combine a whole round as ``ufunc(own, partner)`` over a stacked array.
+Leader phases (TDLB's dissemination, recursive doubling's
+fold/exchange/unfold, the two-level broadcast's binomial tree) replay
+one *round* at a time as NumPy sweeps over the leaders.  Leaders sit on
+pairwise distinct nodes, so a round holds each leader's NIC (and
+conduit progress engine) exactly once and the per-resource FIFO order
+within a round is moot; elementwise ``np.maximum``/``+`` on float64 are
+the same IEEE operations the scalar ledger performs.  The broadcast
+tree sweeps one stride per round, largest first (see
+:meth:`MacroCollectives._replay_bcast_two_level`).  Built-in reductions
+over same-shape ndarray payloads combine a whole round as
+``ufunc(own, partner)`` over a stacked array.  Only the intranode steps
+of hierarchical teams stay on the scalar ledger; on flat teams every
+replay reads arrivals as arrays and emits exit times as one array.
 See ``docs/simulation.md`` for the full argument.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from functools import partial
+from operator import attrgetter
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..sim import Hold, SimEvent, Wait
-from .base import NOTIFY_NBYTES, binomial_peers, combine_flops, payload_nbytes
+from ..sim import Hold, Park
+from ..sim.primitives import all_idle
+from .base import NOTIFY_NBYTES, combine_flops, payload_nbytes
 from .reduce import REDUCE_OPS, _combine, _freeze
 
 __all__ = ["MacroCollectives", "Replayed"]
@@ -112,17 +132,18 @@ __all__ = ["MacroCollectives", "Replayed"]
 #: data-carrying window kinds (the replay also produces result values)
 DATA_KINDS = ("reduce-2l", "reduce-rd", "bcast-2l")
 
-#: window kinds :meth:`MacroCollectives.join` knows how to replay
+#: window kinds :meth:`MacroCollectives.offer` knows how to replay
 REPLAYABLE = ("tdlb", "linear") + DATA_KINDS
 
 
 class Replayed:
-    """Truthy wrapper a data-carrying wake delivers its result in.
+    """Wrapper a data-carrying wake delivers its result in.
 
-    ``join`` returning a :class:`Replayed` means "the window was replayed
-    — here is your collective's return value"; returning ``False`` means
-    "run the fine-grained algorithm".  Barrier call sites only test
-    truthiness; reduce/broadcast call sites unwrap ``.value``.
+    A parked arrival resuming with a :class:`Replayed` means "the window
+    was replayed — here is your collective's return value"; resuming
+    with ``False`` means "run the fine-grained algorithm".  Like any
+    plain object it is truthy, so barrier and data call sites alike
+    test the resume value's truth and data sites unwrap ``.value``.
     """
 
     __slots__ = ("value",)
@@ -130,28 +151,38 @@ class Replayed:
     def __init__(self, value: Any = None):
         self.value = value
 
-    def __bool__(self) -> bool:
-        return True
-
 
 class _Gather:
-    """One open collective invocation: who has arrived, in which mode."""
+    """One open collective invocation: who has arrived, in which mode.
 
-    __slots__ = ("mode", "arrivals", "events", "payloads", "meta", "passed")
+    A macro-mode gather keeps per-index arrays (slot ``index - 1``) of
+    arrival time, arrival position and frozen payload, and the processes
+    parked on it in arrival order.  A fine-mode gather only counts the
+    members passing through, to know when to forget it.
+    """
 
-    def __init__(self, mode: str):
+    __slots__ = ("mode", "passed", "count", "opened", "when", "pos",
+                 "payloads", "waiters", "park", "op", "source")
+
+    def __init__(self, mode: str, size: int = 0, now: float = 0.0):
         self.mode = mode  # "macro" | "fine"
-        #: (arrival time, team index) in registration order (macro mode)
-        self.arrivals: List[Tuple[float, int]] = []
-        #: each registrant's private wake event, same order as arrivals
-        self.events: List[SimEvent] = []
-        #: each registrant's frozen contribution, same order as arrivals
-        #: (None for barriers)
-        self.payloads: List[Any] = []
-        #: window-wide parameters (op, source image) from the first arrival
-        self.meta: Dict[str, Any] = {}
-        #: members seen so far (fine mode — pure pass-through bookkeeping)
+        #: members seen so far (fine mode)
         self.passed = 0
+        #: members arrived so far (macro mode)
+        self.count = 0
+        #: time of the first arrival
+        self.opened = now
+        #: per index: arrival time, arrival position, frozen payload
+        self.when = [0.0] * size
+        self.pos = [0] * size
+        self.payloads: List[Any] = [None] * size
+        #: parked processes, in arrival order (the ``Park`` handler
+        #: appends each one)
+        self.waiters: list = []
+        self.park: Optional[Park] = None
+        #: the reduction operator and broadcast source of the window
+        self.op: Any = None
+        self.source: Optional[int] = None
 
 
 class _ReplayState:
@@ -187,9 +218,12 @@ class _LeaderRing:
 
     Slot ``i`` is the team's ``i``-th node leader (``hierarchy.leaders``
     order).  Leaders own pairwise distinct nodes, so every message
-    between two of them takes the remote path and slot ``i``'s sends
-    hold only node ``i``'s NIC and conduit progress engine — the
-    resources of its route to the next leader.
+    between two of them takes the remote path, and slot ``i``'s sends
+    hold only its node's NIC and conduit progress engine.  Every remote
+    route out of any node has the same overhead command shape, fabric
+    and NIC cost table, so one resolved route (slot 0 to slot 1) prices
+    every leader message; the per-slot resources are the ones the
+    conduit would put on each leader's own routes.
     """
 
     def __init__(self, world, shared):
@@ -197,19 +231,31 @@ class _LeaderRing:
         members = shared.members
         conduit = world.conduit
         self.leaders: List[int] = list(h.leaders)
-        self.slaves: List[List[int]] = [h.slaves_of(L) for L in self.leaders]
         self.size = k = len(self.leaders)
-        procs = [members[L - 1] for L in self.leaders]
-        #: slot i's remote route (to slot i + 1); empty for one leader
-        self.routes = [
-            conduit.route(p, procs[(i + 1) % k]) for i, p in enumerate(procs)
-        ] if k > 1 else []
-        self.nics = [r.costs.resource for r in self.routes]
+        #: slot → the leader's slot in per-index arrays (``index - 1``)
+        self.ranks = np.array(self.leaders, dtype=np.int64) - 1
+        self.rank_list: List[int] = self.ranks.tolist()
+        #: ``(slot, leader, intranode set)`` of every leader with slaves;
+        #: empty on a flat team, where slot ``i`` is team index ``i + 1``
+        self.slaved: List[Tuple[int, int, List[int]]] = []
+        if not h.is_flat:
+            for slot, L in enumerate(self.leaders):
+                slaves = h.slaves_of(L)
+                if slaves:
+                    self.slaved.append((slot, L, slaves))
+        #: slot 0's remote route to slot 1 (None for one leader)
+        self.route = None
+        self.nics: list = []
         #: progress engines, when the profile serializes the overhead
-        self.engines = [
-            r.overhead.resource for r in self.routes
-            if type(r.overhead) is Hold
-        ]
+        self.engines: list = []
+        if k > 1:
+            self.route = route = conduit.route(members[self.leaders[0] - 1],
+                                               members[self.leaders[1] - 1])
+            topology = world.machine.topology
+            nodes = [topology.node_of(members[L - 1]) for L in self.leaders]
+            self.nics = list(map(world.machine.interconnect.nic, nodes))
+            if type(route.overhead) is Hold:
+                self.engines = list(map(conduit.progress_engine, nodes))
         self.slots = slots = np.arange(k)
         #: dissemination round r: slot j hears from slot (j - 2^r) mod k
         self.diss_sources = [
@@ -226,6 +272,20 @@ class _LeaderRing:
         #: per exchange round, position → partner position
         core = np.arange(pow2)
         self.partners = [core ^ (1 << b) for b in range(pow2.bit_length() - 1)]
+        #: binomial tree rounds, largest stride first: at stride ``s``
+        #: every virtual rank ``v`` that is a multiple of ``2s`` with
+        #: ``v + s < k`` sends to ``v + s``
+        self.tree: List[Tuple[int, np.ndarray]] = []
+        stride = 1 << ((k - 1).bit_length() - 1) if k > 1 else 0
+        while stride:
+            self.tree.append((stride, np.arange(0, k - stride, 2 * stride)))
+            stride >>= 1
+
+    def pick(self, per_index: list) -> list:
+        """Slot-ordered values of ``per_index`` (indexed ``index - 1``)."""
+        if not self.slaved:
+            return list(per_index)
+        return list(map(per_index.__getitem__, self.rank_list))
 
 
 class _RoundLedger:
@@ -235,14 +295,14 @@ class _RoundLedger:
     :meth:`send` issues one remote message from each selected slot.  A
     round touches each slot at most once, so the per-resource FIFO order
     within it is irrelevant; ``np.maximum(free, t) + duration`` is the
-    scalar ``hold`` arithmetic elementwise.  Every leader's route has
-    the same overhead and cost shape, so slot 0's route prices them all.
+    scalar ``hold`` arithmetic elementwise.  The ring's one route prices
+    every slot's messages.
     """
 
     def __init__(self, world, ring: _LeaderRing):
         self.world = world
         self.ring = ring
-        self.route = route = ring.routes[0]
+        self.route = route = ring.route
         self.overhead = route.overhead
         k = ring.size
         self.nic = np.full(k, -np.inf)
@@ -297,11 +357,17 @@ class _RoundLedger:
         st.grants += messages * len(held)
 
 
+_shape_of = attrgetter("shape")
+_dtype_of = attrgetter("dtype")
+
+
 def _stack(op, vals: list) -> Optional[np.ndarray]:
     """``vals`` stacked into one array when a round's combine can run as
     a single ufunc call: a built-in op over plain ndarrays of one shape
     and one native numeric dtype (so the ufunc result keeps that dtype,
-    exactly as the per-pair combine does).  None otherwise."""
+    exactly as the per-pair combine does).  None otherwise.  A flat
+    team has thousands of values, so the screens run as C-level maps and
+    ``np.array`` stacks them (``np.stack`` loops in Python)."""
     if not isinstance(op, str) or op not in REDUCE_OPS:
         return None
     first = vals[0]
@@ -310,11 +376,13 @@ def _stack(op, vals: list) -> Optional[np.ndarray]:
     dtype = first.dtype
     if dtype.kind not in "biufc" or not dtype.isnative:
         return None
-    shape = first.shape
-    for v in vals:
-        if type(v) is not np.ndarray or v.shape != shape or v.dtype != dtype:
-            return None
-    return np.stack(vals)
+    if (
+        set(map(type, vals)) != {np.ndarray}
+        or set(map(_shape_of, vals)) != {first.shape}
+        or set(map(_dtype_of, vals)) != {dtype}
+    ):
+        return None
+    return np.array(vals)
 
 
 def _fold(op, work, own: np.ndarray, other: np.ndarray) -> None:
@@ -341,11 +409,13 @@ class MacroCollectives:
 
     def __init__(self, world):
         self.world = world
+        self._num_images = world.machine.num_images
         self._gathers: Dict[tuple, _Gather] = {}
         #: wake events scheduled but not yet fired — the only pending
         #: engine events a quiet window is allowed to contain
         self._pending_wakes = 0
-        #: grant-counter snapshot taken when the open gather was pinned
+        #: engine grant counter snapshot taken when the open gather was
+        #: pinned
         self._grant_mark = 0
         #: None while live; "async" / "contention" / "stagger" once
         #: permanently off ("overlap" is set by the post-commit audit)
@@ -384,36 +454,6 @@ class MacroCollectives:
     # ------------------------------------------------------------------
     # Eligibility
     # ------------------------------------------------------------------
-    def engages(self, view) -> bool:
-        """Static screen, checked by each barrier wrapper before joining."""
-        if self.disabled_reason is not None:
-            return False
-        world = self.world
-        if not world.config.macro_events:
-            return False
-        engine = world.engine
-        if (
-            engine.monitor is not None
-            or engine.trace is not None
-            or engine.tiebreak_seed is not None
-        ):
-            return False
-        if world.faults is not None or world.trace is not None:
-            return False
-        if view.size <= 1 or view.size != world.num_images:
-            return False
-        return True
-
-    def engages_data(self, view) -> bool:
-        """Static screen for data-carrying windows (reduce/broadcast):
-        everything :meth:`engages` demands, plus deterministic compute —
-        ``compute_jitter`` draws a per-image RNG stream on every
-        ``compute_cost``, in fine-grained resume order, which an
-        analytic replay cannot mirror."""
-        if not self.engages(view):
-            return False
-        return self.world.config.compute_jitter <= 0.0
-
     def _all_resources(self) -> list:
         res = self._resources
         if res is None:
@@ -427,9 +467,6 @@ class MacroCollectives:
                 res.extend(sm.bus(n, s) for s in range(machine.spec.node.sockets))
             self._resources = res
         return res
-
-    def _total_grants(self) -> int:
-        return sum(r._granted for r in self._all_resources())
 
     def _ring(self, shared) -> _LeaderRing:
         ring = self._rings.get(shared.uid)
@@ -453,6 +490,10 @@ class MacroCollectives:
         release ladder or fan-out holds a shared bus virtually past the
         early exits, which a fresh replay ledger cannot see — so any
         pending wake pins the invocation fine, exactly as before.
+
+        The resource sweep cannot be replaced by the pending-event
+        count: that count misses the rest of the batch being drained,
+        which may hold the completion of a hold still in progress.
         """
         if self._pending_wakes != 0:
             if not allow_overlap:
@@ -461,16 +502,17 @@ class MacroCollectives:
                 return False
         if self.world.engine.pending_events != self._pending_wakes:
             return False
-        return all(r.idle for r in self._all_resources())
+        return all_idle(self._all_resources())
 
     def _commit_clear(self) -> bool:
         """Re-check at last arrival: still quiet, and nothing acquired a
         resource while the gather was open.  Wakes pending here can only
         belong to a previous window this gather was allowed to open
         under (their firing is what delivered the later arrivals)."""
-        if self.world.engine.pending_events != self._pending_wakes:
+        engine = self.world.engine
+        if engine.pending_events != self._pending_wakes:
             return False
-        return self._total_grants() == self._grant_mark
+        return engine.grants == self._grant_mark
 
     # ------------------------------------------------------------------
     # Sticky disables and demotion
@@ -497,13 +539,13 @@ class MacroCollectives:
                 continue
             del self._gathers[key]
             self.demotions += 1
-            if g.events:
+            if g.waiters:
                 # Parked registrants resume *now*, later than their
                 # fine-grained arrival instants — times have drifted.
                 progressed = True
                 self.inexact = True
-            for ev in g.events:  # arrival order
-                ev.trigger(False)
+            for proc in g.waiters:  # arrival order
+                proc.resume(False)
         return progressed
 
     def _ensure_hook(self) -> None:
@@ -514,161 +556,207 @@ class MacroCollectives:
     # ------------------------------------------------------------------
     # The gather protocol
     # ------------------------------------------------------------------
-    def join(self, ctx, view, kind: str, seq, path: str = "auto",
-             payload: Any = None, op: Any = None,
-             source: Optional[int] = None) -> Iterator:
+    def offer(self, view, kind: str, seq, path: str = "auto",
+              payload: Any = None, op: Any = None,
+              source: Optional[int] = None) -> Optional[Park]:
         """Offer this collective invocation to the macro coordinator.
 
-        Generator driven by the arriving image's process.  ``seq`` is the
+        A plain call made by the arriving image.  ``seq`` is the
         invocation's identity within the team — the barrier sequence
-        number or the data collective's already-drawn op tag.  Returns a
-        truthy value (via ``yield from``) when the window was replayed —
-        the collective is complete, and for data kinds the result rides
-        in ``Replayed.value``.  Returns False when the invocation runs
-        fine-grained (pinned, demoted, or ineligible); the caller falls
-        through to the ordinary algorithm with the same ``seq``/tag it
-        already drew.
+        number or the data collective's already-drawn op tag.  Returns
+        None when the invocation runs fine-grained (ineligible, pinned,
+        or demoted by this very arrival): the caller falls through to
+        the ordinary algorithm with the same ``seq``/tag it already
+        drew.  Otherwise returns a :class:`~repro.sim.Park` command the
+        caller yields once; it resumes with ``True`` (barrier) or a
+        :class:`Replayed` (data kinds) when the window was replayed, or
+        with ``False`` when the gather was demoted.
+
+        The static screen and the quiet-window test run at the first
+        arrival only: every later arrival of the same invocation shares
+        its team, kind and run-wide observers.  Only the sticky disable
+        and the team size, which rules out every sub-team collective,
+        are tested per arrival.
         """
-        if kind not in REPLAYABLE:
-            return False
-        if kind == "reduce-rd" and len(view.shared.hierarchy.leaders) != view.size:
-            # Flat recursive doubling pairs arbitrary images; only when
-            # every image owns its node are the exchange's fabric
-            # resources pairwise disjoint, which frees the replay from
-            # same-node bus-grant ordering it cannot predict.
-            return False
+        if self.disabled_reason is not None or view.size != self._num_images:
+            return None
         key = (view.shared.uid, kind, seq)
         g = self._gathers.get(key)
         if g is None:
-            # Broadcast windows must never open under a previous
-            # window's wakes: overlapped windows have staggered
-            # arrivals, which a broadcast cannot commit (below), and
-            # demoting parked registrants would break exactness.
-            if self._window_clear(view, allow_overlap=kind != "bcast-2l"):
-                g = _Gather("macro")
-                g.meta = {"op": op, "source": source}
-                self._ensure_hook()
-                self._grant_mark = self._total_grants()
-            else:
-                g = _Gather("fine")
-                self.fine_pins += 1
+            g = self._open(view, kind, seq, op, source)
+            if g is None:
+                return None
             self._gathers[key] = g
         if g.mode != "macro":
             g.passed += 1
             if g.passed >= view.size:
-                self._gathers.pop(key, None)
-            return False
+                del self._gathers[key]
+            return None
 
         engine = self.world.engine
-        ev = SimEvent(engine, name=f"macro:{kind}[{seq}]@{view.index}")
-        g.arrivals.append((engine.now, view.index))
-        g.events.append(ev)
-        g.payloads.append(_freeze(payload))
-        if len(g.events) == view.size:
-            self._gathers.pop(key, None)
-            # Broadcast windows require every arrival on the commit
-            # instant: fine-grained, an early subtree finishes before a
-            # late member arrives, so exits can precede the commit —
-            # impossible to schedule, and the parked member resumed
-            # late.  Reduce/barrier exits all depend on the last
-            # arrival, so staggered windows commit exactly.
-            stagger = kind == "bcast-2l" and any(
-                t != engine.now for t, _ in g.arrivals
-            )
-            if not stagger and self._commit_clear():
-                self._commit(view, kind, path, g)
-                # fall through: the last arriver waits on its own wake
-            else:
-                # The window was perturbed after registration — too late
-                # for exact fine-grained timing, so never engage again.
-                self.disabled_reason = "stagger" if stagger else "contention"
-                self.inexact = True
-                self.demotions += 1
-                for other in g.events[:-1]:  # arrival order
-                    other.trigger(False)
-                return False
-        replayed = yield Wait(ev)
-        return replayed
+        slot = view.index - 1
+        now = engine.now
+        g.when[slot] = now
+        g.pos[slot] = count = g.count
+        g.count = count = count + 1
+        if payload is not None:
+            g.payloads[slot] = _freeze(payload)
+        if count < view.size:
+            return g.park
+        del self._gathers[key]
+        # Broadcast windows require every arrival on the commit
+        # instant: fine-grained, an early subtree finishes before a
+        # late member arrives, so exits can precede the commit —
+        # impossible to schedule, and the parked member resumed
+        # late.  Reduce/barrier exits all depend on the last
+        # arrival, so staggered windows commit exactly.
+        stagger = kind == "bcast-2l" and g.opened != now
+        if not stagger and self._commit_clear():
+            self._commit(view, kind, path, g)
+            # the last arriver parks too; its wake resolves it by
+            # arrival position when it fires
+            return g.park
+        # The window was perturbed after registration — too late for
+        # exact fine-grained timing, so never engage again.
+        self.disabled_reason = "stagger" if stagger else "contention"
+        self.inexact = True
+        self.demotions += 1
+        for proc in g.waiters:  # arrival order
+            proc.resume(False)
+        return None
+
+    def _open(self, view, kind: str, seq, op: Any,
+              source: Optional[int]) -> Optional[_Gather]:
+        """First arrival of an invocation: the static screen (None when
+        the window can never be replayed), then a macro-mode gather if
+        the engine is quiet, else a fine-mode one."""
+        world = self.world
+        engine = world.engine
+        if (
+            not world.config.macro_events
+            or engine.monitor is not None
+            or engine.trace is not None
+            or engine.tiebreak_seed is not None
+            or world.faults is not None
+            or world.trace is not None
+        ):
+            return None
+        size = view.size
+        if size <= 1 or kind not in REPLAYABLE:
+            return None
+        if kind in DATA_KINDS and world.config.compute_jitter > 0.0:
+            # Jitter draws a per-image RNG stream on every compute_cost,
+            # in fine-grained resume order, which a replay cannot mirror.
+            return None
+        if kind == "reduce-rd" and len(view.shared.hierarchy.leaders) != size:
+            # Flat recursive doubling pairs arbitrary images; only when
+            # every image owns its node are the exchange's fabric
+            # resources pairwise disjoint, which frees the replay from
+            # same-node bus-grant ordering it cannot predict.
+            return None
+        # Broadcast windows must never open under a previous window's
+        # wakes: overlapped windows have staggered arrivals, which a
+        # broadcast cannot commit (see offer), and demoting parked
+        # registrants would break exactness.
+        if not self._window_clear(view, allow_overlap=kind != "bcast-2l"):
+            self.fine_pins += 1
+            return _Gather("fine")
+        g = _Gather("macro", size, engine.now)
+        g.park = Park(g.waiters, f"macro:{kind}[{seq}]")
+        g.op = op
+        g.source = source
+        self._ensure_hook()
+        self._grant_mark = engine.grants
+        return g
 
     # ------------------------------------------------------------------
     # Commit: replay + wake scheduling + state mirroring
     # ------------------------------------------------------------------
     def _commit(self, view, kind: str, path: str, g: _Gather) -> None:
         st = _ReplayState()
-        results: Optional[Dict[int, Any]] = None
+        results: Optional[list] = None
         if kind == "tdlb":
-            exits = self._replay_tdlb(st, view, g.arrivals)
+            exit_at = self._replay_tdlb(st, view, g)
         elif kind == "linear":
-            exits = self._replay_linear(st, view, g.arrivals, path)
+            exit_at = self._replay_linear(st, view, g, path)
         elif kind == "reduce-2l":
-            exits, results = self._replay_reduce_two_level(st, view, g)
+            exit_at, results = self._replay_reduce_two_level(st, view, g)
         elif kind == "reduce-rd":
-            exits, results = self._replay_reduce_rd(st, view, g)
+            exit_at, results = self._replay_reduce_rd(st, view, g)
         else:  # "bcast-2l"
-            exits, results = self._replay_bcast_two_level(st, view, g)
+            exit_at, results = self._replay_bcast_two_level(st, view, g)
         self.replays += 1
         self.replays_by_kind[kind] = self.replays_by_kind.get(kind, 0) + 1
 
-        waiter = {index: ev for (_, index), ev in zip(g.arrivals, g.events)}
-        if results is None:
-            wake: Dict[int, Any] = dict.fromkeys(waiter, True)
-        else:
-            wake = {index: Replayed(results[index]) for index in waiter}
-        groups: Dict[float, List[int]] = {}
-        for t, index in exits:
-            groups.setdefault(t, []).append(index)
-        engine = self.world.engine
         # The commit is a bet that no foreign resource request lands
         # inside the window's (now virtual) delivery span.  Track the
-        # window until its last wake and audit the grant counters there:
-        # a lost bet is marked inexact and disables macro-events for the
-        # rest of the run (see the module doc's exactness contract).
-        # A chained window committing under this one's wakes is *not*
-        # foreign — its replay grants are exact by construction — so
-        # fold this replay's grants into every still-delivering
-        # window's expectation before recording our own.  The commit
-        # check just confirmed the live total equals the first-arrival
-        # mark, so the post-replay total is the mark plus what the
-        # replay mirrored — no resource sweep needed.
+        # window until its last wake and audit the engine's grant
+        # counter there: a lost bet is marked inexact and disables
+        # macro-events for the rest of the run (see the module doc's
+        # exactness contract).  The replay's mirrored grants go into the
+        # counter first.  A chained window committing under this one's
+        # wakes is *not* foreign — its replay grants are exact by
+        # construction — so they are also folded into every
+        # still-delivering window's expectation.
+        engine = self.world.engine
+        engine.grants += st.grants
         for earlier in self._active_windows:
             earlier[1] += st.grants
-        window = [len(groups), self._grant_mark + st.grants]
+
+        # One wake per distinct exit instant, in time order; within an
+        # instant, images resume in team index order (a stable sort of
+        # the per-index exit times).
+        order = np.argsort(exit_at, kind="stable")
+        times = exit_at[order]
+        starts = [0, *(np.flatnonzero(times[1:] != times[:-1]) + 1).tolist()]
+        ends = starts[1:] + [len(order)]
+        positions = np.array(g.pos)[order].tolist()
+        if results is None:
+            values: list = [True] * len(order)
+        else:
+            values = [Replayed(results[i]) for i in order.tolist()]
+        window = [len(starts), engine.grants]
         self._active_windows.append(window)
-        for t in sorted(groups):
-            pairs = [(waiter[i], wake[i]) for i in sorted(groups[t])]
+        fire = self._fire
+        waiters = g.waiters
+        for t, lo, hi in zip(times[starts].tolist(), starts, ends):
             self._pending_wakes += 1
+            engine.schedule_at(
+                t,
+                partial(fire, window, waiters, positions[lo:hi],
+                        values[lo:hi]),
+                label="macro-wake",
+            )
+        self.wake_events += len(starts)
 
-            def fire(pairs=pairs, window=window):
-                self._pending_wakes -= 1
-                window[0] -= 1
-                if window[0] == 0:
-                    self._active_windows.remove(window)
-                    if (
-                        self.disabled_reason is None
-                        and self._total_grants() != window[1]
-                    ):
-                        self.inexact = True
-                        self.disabled_reason = "overlap"
-                for ev, val in pairs:
-                    ev.trigger(val)
-
-            engine.schedule_at(t, fire, label="macro-wake")
-        self.wake_events += len(groups)
+    def _fire(self, window: list, waiters: list, positions: List[int],
+              values: list) -> None:
+        """One wake: audit if it is the window's last, then resume the
+        images exiting at this instant.  ``positions`` are arrival
+        positions, resolved in ``waiters`` only now — the last arriver
+        parks after its commit."""
+        self._pending_wakes -= 1
+        window[0] -= 1
+        if window[0] == 0:
+            self._active_windows.remove(window)
+            if (
+                self.disabled_reason is None
+                and self.world.engine.grants != window[1]
+            ):
+                self.inexact = True
+                self.disabled_reason = "overlap"
+        for p, value in zip(positions, values):
+            waiters[p].resume(value)
 
     # -- one costed transfer, mirroring Conduit.send exactly ------------
     def _replay_transfer(self, st: _ReplayState, src_proc: int,
                          dst_proc: int, nbytes: int, t: float,
                          path: str) -> Tuple[float, float]:
         """Return ``(source_done, delivered)`` for one message whose
-        sender is free to issue it at time ``t``."""
+        sender is free to issue it at time ``t``, priced from the same
+        route (overhead command, cost-table entry, loopback penalty) the
+        event path sends over."""
         route = self.world.conduit.route(src_proc, dst_proc, path)
-        return self._replay_send(st, route, nbytes, t)
-
-    def _replay_send(self, st: _ReplayState, route, nbytes: int,
-                     t: float) -> Tuple[float, float]:
-        """:meth:`_replay_transfer` over a resolved route, priced from
-        the same overhead command and cost-table entry the event path
-        sends with."""
         hold, latency = route.costs[nbytes]
         self.world.conduit.counts[route.kind] += 1
         overhead = route.overhead
@@ -696,98 +784,98 @@ class MacroCollectives:
             flops, efficiency=world.config.compute_efficiency
         ).delay
 
+    # Every replay below returns its exit instants as one float64 array
+    # indexed ``index - 1`` (and, for data kinds, the per-index result
+    # values as a list).  Intranode steps walk ``ring.slaved`` on the
+    # scalar ledger; that list is empty on flat teams.
+
     # -- Algorithm 1 (barrier_tdlb) -------------------------------------
-    def _replay_tdlb(self, st: _ReplayState, view,
-                     arrivals: List[Tuple[float, int]]) -> List[Tuple[float, int]]:
+    def _replay_tdlb(self, st: _ReplayState, view, g: _Gather) -> np.ndarray:
         shared = view.shared
         members = shared.members
         ring = self._ring(shared)
-        arrive = {index: t for t, index in arrivals}
-        order = {index: i for i, (_, index) in enumerate(arrivals)}
+        when, pos = g.when, g.pos
 
         # Step 1: slaves arrive at their node leader (direct stores).
         # Same-node requests contend on the leader-socket bus in the
         # order the engine would grant them: FIFO by (issue time,
         # registration order) — ties broken by who got to the bus first,
         # which on the default path is registration (scheduling) order.
-        ready: List[float] = []
-        for leader, slaves in zip(ring.leaders, ring.slaves):
-            latest = arrive[leader]
-            if slaves:
-                dst = members[leader - 1]
-                for s in sorted(slaves, key=lambda i: (arrive[i], order[i])):
-                    _, delivered = self._replay_transfer(
-                        st, members[s - 1], dst, NOTIFY_NBYTES,
-                        arrive[s], "direct",
-                    )
-                    if delivered > latest:
-                        latest = delivered
-                shared.cocounter(leader).add(len(slaves))
-            ready.append(latest)
+        ready = np.array(when)[ring.ranks]
+        for slot, leader, slaves in ring.slaved:
+            latest = when[leader - 1]
+            dst = members[leader - 1]
+            for s in sorted(slaves, key=lambda i: (when[i - 1], pos[i - 1])):
+                _, delivered = self._replay_transfer(
+                    st, members[s - 1], dst, NOTIFY_NBYTES, when[s - 1],
+                    "direct",
+                )
+                if delivered > latest:
+                    latest = delivered
+            shared.cocounter(leader).add(len(slaves))
+            ready[slot] = latest
 
         # Step 2: one-wait dissemination among the node leaders, one
         # vector sweep per round.  Every window notifies every
         # (leader, round) flag once, so the flags are credited in O(1).
         if ring.diss_sources:
             rounds = _RoundLedger(self.world, ring)
-            t = np.array(ready)
             for sources in ring.diss_sources:
-                done, delivered = rounds.send(ring.slots, t, NOTIFY_NBYTES)
-                t = np.maximum(done, delivered[sources])
+                done, delivered = rounds.send(ring.slots, ready, NOTIFY_NBYTES)
+                ready = np.maximum(done, delivered[sources])
             rounds.flush(st)
             shared.credit_diss("tdlb-leaders")
-            ready = t.tolist()
 
         # Step 3: each leader releases its intranode set serially.
-        exits: List[Tuple[float, int]] = []
-        for leader, slaves, t in zip(ring.leaders, ring.slaves, ready):
+        exit_at = np.empty(view.size)
+        for slot, leader, slaves in ring.slaved:
+            t = ready[slot].item()
             src = members[leader - 1]
             for s in slaves:  # algorithm order: sorted
                 t, delivered = self._replay_transfer(
                     st, src, members[s - 1], NOTIFY_NBYTES, t, "direct",
                 )
                 shared.release_flag(s).add(1)
-                exits.append((delivered, s))
-            exits.append((t, leader))
-        return exits
+                exit_at[s - 1] = delivered
+            ready[slot] = t
+        exit_at[ring.ranks] = ready
+        return exit_at
 
     # -- barrier_linear -------------------------------------------------
-    def _replay_linear(self, st: _ReplayState, view,
-                       arrivals: List[Tuple[float, int]],
-                       path: str) -> List[Tuple[float, int]]:
+    def _replay_linear(self, st: _ReplayState, view, g: _Gather,
+                       path: str) -> np.ndarray:
         shared = view.shared
         members = shared.members
         n = view.size
         leader = 1
         root = members[leader - 1]
-        arrive = {index: t for t, index in arrivals}
-        order = {index: i for i, (_, index) in enumerate(arrivals)}
+        when, pos = g.when, g.pos
 
-        latest = arrive[leader]
-        slaves = [i for i in range(1, n + 1) if i != leader]
-        for s in sorted(slaves, key=lambda i: (arrive[i], order[i])):
+        latest = when[leader - 1]
+        for s in sorted(range(2, n + 1),
+                        key=lambda i: (when[i - 1], pos[i - 1])):
             _, delivered = self._replay_transfer(
-                st, members[s - 1], root, NOTIFY_NBYTES, arrive[s], path,
+                st, members[s - 1], root, NOTIFY_NBYTES, when[s - 1], path,
             )
             if delivered > latest:
                 latest = delivered
         shared.cocounter(leader).add(n - 1)
 
-        exits: List[Tuple[float, int]] = []
+        exit_at = np.empty(n)
         t = latest
         for s in range(2, n + 1):  # algorithm order: ascending index
             t, delivered = self._replay_transfer(
                 st, root, members[s - 1], NOTIFY_NBYTES, t, path,
             )
             shared.release_flag(s).add(1)
-            exits.append((delivered, s))
-        exits.append((t, leader))
-        return exits
+            exit_at[s - 1] = delivered
+        exit_at[leader - 1] = t
+        return exit_at
 
     # -- reduce._recursive_doubling among the node leaders ---------------
     def _replay_rd(self, st: _ReplayState, ring: _LeaderRing,
-                   ready: List[float], vals: list,
-                   op) -> Tuple[List[float], list]:
+                   ready: np.ndarray, vals: list,
+                   op) -> Tuple[np.ndarray, list]:
         """Replay the MPICH fold/exchange/unfold allreduce among the
         ring's leaders, one vector sweep per round.
 
@@ -843,168 +931,150 @@ class MacroCollectives:
                 for e, o in zip(evens.tolist(), odds.tolist()):
                     work[o] = _freeze(work[e])
         rounds.flush(st)
-        return t.tolist(), list(work)
+        return t, list(work)
 
     # -- allreduce_two_level --------------------------------------------
     def _replay_reduce_two_level(
         self, st: _ReplayState, view, g: _Gather
-    ) -> Tuple[List[Tuple[float, int]], Dict[int, Any]]:
+    ) -> Tuple[np.ndarray, list]:
         shared = view.shared
         members = shared.members
         ring = self._ring(shared)
-        arrive = {index: t for t, index in g.arrivals}
-        order = {index: i for i, (_, index) in enumerate(g.arrivals)}
-        base = {index: v for (_, index), v in zip(g.arrivals, g.payloads)}
-        op = g.meta["op"]
+        when, pos, base = g.when, g.pos, g.payloads
+        op = g.op
 
         # Intranode gather: slave contributions reach the leader's socket
         # bus in fine-grained grant order — FIFO by (issue time,
         # registration order), same rule as the TDLB replay — and the
         # leader folds them in deposit (= delivery) order after the last
         # one lands, then pays one combine timeout for the batch.
-        ready: List[float] = []
-        vals: list = []
-        for leader, slaves in zip(ring.leaders, ring.slaves):
-            t = arrive[leader]
-            acc = base[leader]
-            if slaves:
-                dst = members[leader - 1]
-                deposits: List[Tuple[float, int]] = []
-                for s in sorted(slaves, key=lambda i: (arrive[i], order[i])):
-                    _, delivered = self._replay_transfer(
-                        st, members[s - 1], dst, payload_nbytes(base[s]),
-                        arrive[s], "direct",
-                    )
-                    deposits.append((delivered, s))
-                    if delivered > t:
-                        t = delivered
-                # The leader folds in deposit (= delivery) order; with
-                # staggered arrivals on a multi-bus node that can differ
-                # from bus-request order.  Stable sort: same-instant
-                # deliveries fire in scheduling (= request) order.
-                deposits.sort(key=lambda d: d[0])
-                for _, s in deposits:
-                    acc = _combine(op, acc, base[s])
-                t = t + self._compute_delay(
-                    combine_flops(base[leader]) * len(slaves)
+        ready = np.array(when)[ring.ranks]
+        vals = ring.pick(base)
+        for slot, leader, slaves in ring.slaved:
+            t = when[leader - 1]
+            acc = base[leader - 1]
+            dst = members[leader - 1]
+            deposits: List[Tuple[float, int]] = []
+            for s in sorted(slaves, key=lambda i: (when[i - 1], pos[i - 1])):
+                _, delivered = self._replay_transfer(
+                    st, members[s - 1], dst, payload_nbytes(base[s - 1]),
+                    when[s - 1], "direct",
                 )
-            ready.append(t)
-            vals.append(acc)
+                deposits.append((delivered, s))
+                if delivered > t:
+                    t = delivered
+            # The leader folds in deposit (= delivery) order; with
+            # staggered arrivals on a multi-bus node that can differ
+            # from bus-request order.  Stable sort: same-instant
+            # deliveries fire in scheduling (= request) order.
+            deposits.sort(key=lambda d: d[0])
+            for _, s in deposits:
+                acc = _combine(op, acc, base[s - 1])
+            ready[slot] = t + self._compute_delay(
+                combine_flops(base[leader - 1]) * len(slaves)
+            )
+            vals[slot] = acc
 
         # Internode: recursive doubling among the node leaders.
         ready, vals = self._replay_rd(st, ring, ready, vals, op)
 
         # Intranode fan-out: each leader pushes the result serially.
-        exits: List[Tuple[float, int]] = []
-        results: Dict[int, Any] = {}
-        for leader, slaves, t, acc in zip(ring.leaders, ring.slaves,
-                                          ready, vals):
+        if not ring.slaved:
+            return ready, vals
+        exit_at = np.empty(view.size)
+        results: list = [None] * view.size
+        for rank, acc in zip(ring.rank_list, vals):
+            results[rank] = acc
+        for slot, leader, slaves in ring.slaved:
+            t = ready[slot].item()
+            acc = vals[slot]
             src = members[leader - 1]
             for s in slaves:
                 t, delivered = self._replay_transfer(
                     st, src, members[s - 1], payload_nbytes(acc), t,
                     "direct",
                 )
-                exits.append((delivered, s))
-                results[s] = _freeze(acc)
-            exits.append((t, leader))
-            results[leader] = acc
-        return exits, results
+                exit_at[s - 1] = delivered
+                results[s - 1] = _freeze(acc)
+            ready[slot] = t
+        exit_at[ring.ranks] = ready
+        return exit_at, results
 
     # -- allreduce_recursive_doubling -----------------------------------
     def _replay_reduce_rd(
         self, st: _ReplayState, view, g: _Gather
-    ) -> Tuple[List[Tuple[float, int]], Dict[int, Any]]:
-        # join() admits this kind on flat teams only, where the leaders
+    ) -> Tuple[np.ndarray, list]:
+        # offer() admits this kind on flat teams only, where the leaders
         # are exactly the images 1..n in rank order.
         ring = self._ring(view.shared)
-        arrive = {index: t for t, index in g.arrivals}
-        base = {index: v for (_, index), v in zip(g.arrivals, g.payloads)}
-        ready, vals = self._replay_rd(
-            st, ring, [arrive[p] for p in ring.leaders],
-            [base[p] for p in ring.leaders], g.meta["op"],
-        )
-        return list(zip(ready, ring.leaders)), dict(zip(ring.leaders, vals))
+        return self._replay_rd(st, ring, np.array(g.when), list(g.payloads),
+                               g.op)
 
     # -- bcast_two_level ------------------------------------------------
     def _replay_bcast_two_level(
         self, st: _ReplayState, view, g: _Gather
-    ) -> Tuple[List[Tuple[float, int]], Dict[int, Any]]:
+    ) -> Tuple[np.ndarray, list]:
         shared = view.shared
         h = shared.hierarchy
         members = shared.members
-        arrive = {index: t for t, index in g.arrivals}
-        base = {index: v for (_, index), v in zip(g.arrivals, g.payloads)}
-        source = g.meta["source"]
-        leaders = h.leaders
+        ring = self._ring(shared)
+        when = g.when
+        source = g.source
         source_leader = h.leader_of[source]
-        seed = base[source]
+        seed = g.payloads[source - 1]
         nbytes = payload_nbytes(seed)
-        exits: List[Tuple[float, int]] = []
-        results: Dict[int, Any] = {}
+        exit_at = np.empty(view.size)
 
         # Phase 0: a non-leader source hands the payload to its leader
         # over shared memory, then is done (it already holds the value).
         if source != source_leader:
             done, delivered = self._replay_transfer(
                 st, members[source - 1], members[source_leader - 1], nbytes,
-                arrive[source], "direct",
+                when[source - 1], "direct",
             )
-            exits.append((done, source))
-            results[source] = _freeze(seed)
-            root_t = arrive[source_leader]
+            exit_at[source - 1] = done
+            root_t = when[source_leader - 1]
             if delivered > root_t:
                 root_t = delivered
         else:
-            root_t = arrive[source]
+            root_t = when[source - 1]
 
         # Phase 1: binomial tree among leaders rooted at the source's
-        # leader.  Parents always carry a smaller virtual rank, so
-        # walking leaders in vrank order replays sends before receives.
-        # Tree levels are not rounds (a parent's sends serialize and its
-        # children start at different instants), so this phase stays on
-        # the scalar ledger.  Every remote route out of a leader's node
-        # carries the same overhead command, fabric and NIC cost table,
-        # so the leader's ring route prices each of its tree sends.
-        ring = self._ring(shared)
-        num_leaders = len(leaders)
-        root_rank = h.leader_rank[source_leader]
-        vrank = {
-            L: (h.leader_rank[L] - root_rank) % num_leaders for L in leaders
-        }
-        inbox: Dict[int, float] = {}
-        hold_t: Dict[int, float] = {}
-        for L in sorted(leaders, key=lambda L: vrank[L]):
-            parent, children = binomial_peers(vrank[L], num_leaders)
-            if parent is None:
-                t = root_t
-            else:
-                t = arrive[L]
-                if inbox[L] > t:
-                    t = inbox[L]
-            for child in children:  # largest stride first, serial sends
-                target = leaders[(child + root_rank) % num_leaders]
-                t, delivered = self._replay_send(
-                    st, ring.routes[h.leader_rank[L]], nbytes, t
-                )
-                inbox[target] = delivered
-            hold_t[L] = t
+        # leader, one sweep per stride, largest first.  Exact because
+        # each leader sends to its children in decreasing stride order,
+        # holds only its own node's NIC and progress engine (one ledger
+        # slot, so its sends serialize there as they do on the event
+        # path), and a leader sending at stride s received its payload
+        # at stride lowbit(v) >= 2s, which was swept earlier.  A
+        # receiver starts sending at max(arrival, delivery).
+        t = np.array(when)[ring.ranks]
+        root = h.leader_rank[source_leader]
+        t[root] = root_t
+        if ring.tree:
+            k = ring.size
+            rounds = _RoundLedger(self.world, ring)
+            for stride, vsend in ring.tree:
+                senders = (vsend + root) % k
+                receivers = (vsend + (stride + root)) % k
+                done, delivered = rounds.send(senders, t[senders], nbytes)
+                t[senders] = done
+                t[receivers] = np.maximum(t[receivers], delivered)
+            rounds.flush(st)
 
         # Phase 2: intranode fan-out with direct stores.
-        for L in leaders:
-            t = hold_t[L]
-            src = members[L - 1]
-            for s in h.slaves_of(L):
+        for slot, leader, slaves in ring.slaved:
+            hold_t = t[slot].item()
+            src = members[leader - 1]
+            for s in slaves:
                 if s == source:
                     continue  # the source already holds the payload
-                t, delivered = self._replay_transfer(
-                    st, src, members[s - 1], nbytes, t, "direct",
+                hold_t, delivered = self._replay_transfer(
+                    st, src, members[s - 1], nbytes, hold_t, "direct",
                 )
-                e = arrive[s]
+                e = when[s - 1]
                 if delivered > e:
                     e = delivered
-                exits.append((e, s))
-                results[s] = _freeze(seed)
-            exits.append((t, L))
-            results[L] = _freeze(seed)
-        return exits, results
+                exit_at[s - 1] = e
+            t[slot] = hold_t
+        exit_at[ring.ranks] = t
+        return exit_at, [_freeze(seed) for _ in range(view.size)]

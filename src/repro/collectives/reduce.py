@@ -336,13 +336,12 @@ def allreduce_recursive_doubling(
         and result_image is None
         and not callable(op)
         and op in REDUCE_OPS
-        and macro.engages_data(view)
     ):
-        replayed = yield from macro.join(
-            ctx, view, "reduce-rd", tag, payload=value, op=op
-        )
-        if replayed:
-            return replayed.value
+        park = macro.offer(view, "reduce-rd", tag, payload=value, op=op)
+        if park is not None:
+            replayed = yield park
+            if replayed:
+                return replayed.value
     acc = yield from _recursive_doubling(
         ctx, view, view.shared.indices, value, op, tag, path=path
     )
@@ -378,13 +377,12 @@ def allreduce_two_level(
         and result_image is None
         and not callable(op)
         and op in REDUCE_OPS
-        and macro.engages_data(view)
     ):
-        replayed = yield from macro.join(
-            ctx, view, "reduce-2l", tag, payload=value, op=op
-        )
-        if replayed:
-            return replayed.value
+        park = macro.offer(view, "reduce-2l", tag, payload=value, op=op)
+        if park is not None:
+            replayed = yield park
+            if replayed:
+                return replayed.value
     shared = view.shared
     conduit = ctx.conduit
     node = node_plan(ctx, view)

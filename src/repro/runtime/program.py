@@ -224,11 +224,11 @@ class CafContext:
         return cmd
 
     def _log(self, op: str, detail: str = "") -> None:
-        """Append a trace record if the world is tracing (zero cost)."""
-        if self.world.trace is not None:
-            self.world.trace.append(
-                (self.world.engine.now, self.proc + 1, op, detail)
-            )
+        """Append a trace record.  Callers test ``world.trace`` first, so
+        an untraced run neither calls this nor formats ``detail``."""
+        self.world.trace.append(
+            (self.world.engine.now, self.proc + 1, op, detail)
+        )
 
     # ------------------------------------------------------------------
     # Team queries (pure)
@@ -329,7 +329,8 @@ class CafContext:
         """
         dst = self._proc_of(image, team)
         nbytes = coarray.nbytes_of(index)
-        self._log("put", f"{coarray.name}->img{image} {nbytes}B")
+        if self.world.trace is not None:
+            self._log("put", f"{coarray.name}->img{image} {nbytes}B")
         frozen = np.array(value, copy=True) if isinstance(value, np.ndarray) else value
         yield from self.conduit.transfer(
             self.proc, dst, nbytes,
@@ -345,7 +346,8 @@ class CafContext:
         :meth:`wait_rma` or rely on a subsequent synchronization."""
         dst = self._proc_of(image, team)
         nbytes = coarray.nbytes_of(index)
-        self._log("put_nb", f"{coarray.name}->img{image} {nbytes}B")
+        if self.world.trace is not None:
+            self._log("put_nb", f"{coarray.name}->img{image} {nbytes}B")
         frozen = np.array(value, copy=True) if isinstance(value, np.ndarray) else value
         delivered = SimEvent(self.engine, name="put_nb.delivered")
 
@@ -365,7 +367,8 @@ class CafContext:
         (snapshotted at the moment the response leaves the target)."""
         src = self._proc_of(image, team)
         nbytes = coarray.nbytes_of(index)
-        self._log("get_nb", f"{coarray.name}<-img{image} {nbytes}B")
+        if self.world.trace is not None:
+            self._log("get_nb", f"{coarray.name}<-img{image} {nbytes}B")
         delivered = SimEvent(self.engine, name="get_nb.delivered")
         if src == self.proc:
             delivered.trigger(coarray.read(src, index))
@@ -499,8 +502,10 @@ class CafContext:
         """``sync all``: barrier over the current team, using the
         configured strategy.  ``stat`` receives ``STAT_FAILED_IMAGE``
         instead of raising when a team member has failed."""
-        self._log("sync_all", f"team{self.current_team.shared.uid}")
-        return self.sync_team(self.current_team, stat=stat)
+        team = self.current_team
+        if self.world.trace is not None:
+            self._log("sync_all", f"team{team.shared.uid}")
+        return self.sync_team(team, stat=stat)
 
     def sync_team(self, team: TeamView, stat: Optional[Stat] = None):
         """``sync team(T)``: barrier over team ``T`` (must be the current
@@ -710,9 +715,10 @@ class CafContext:
             )
             registry[key] = new_shared
         new_view = TeamView(new_shared, self.proc, parent_view=view)
-        self._log("survivor_team",
-                  f"team{shared.uid}->team{new_shared.uid} "
-                  f"({len(members)}/{shared.size} survive)")
+        if self.world.trace is not None:
+            self._log("survivor_team",
+                      f"team{shared.uid}->team{new_shared.uid} "
+                      f"({len(members)}/{shared.size} survive)")
         yield from self.sync_team(new_view)
         return new_view
 
@@ -773,7 +779,8 @@ class CafContext:
         silently tolerated otherwise — the count lands, nobody reads it)."""
         dst = (var.shared.proc_of(image) if var.shared is not None
                else self._proc_of(image))
-        self._log("event_post", f"{var.name}[{image}]")
+        if self.world.trace is not None:
+            self._log("event_post", f"{var.name}[{image}]")
 
         def guarded():
             faults = self.world.faults
@@ -790,7 +797,8 @@ class CafContext:
         """``event wait(ev, until_count=c)`` on my own count; consumes
         the posts.  Failure-aware on team-scoped variables: a teammate's
         fail-stop lands in ``stat``/raises instead of starving the wait."""
-        self._log("event_wait", f"{var.name} until={until_count}")
+        if self.world.trace is not None:
+            self._log("event_wait", f"{var.name} until={until_count}")
         yield from self._catch_stat(
             stat, var.wait(self.proc, until_count, faults=self.world.faults)
         )
@@ -825,7 +833,8 @@ class CafContext:
         one, else in ``team``/the current team."""
         home = (var.shared.proc_of(image) if var.shared is not None
                 else self._proc_of(image, team))
-        self._log("lock", f"{var.name}[{image}]")
+        if self.world.trace is not None:
+            self._log("lock", f"{var.name}[{image}]")
         if stat is not None:
             stat._clear()
         try:
@@ -868,7 +877,8 @@ class CafContext:
         a stopped home surfaces on the acquire side instead."""
         home = (var.shared.proc_of(image) if var.shared is not None
                 else self._proc_of(image, team))
-        self._log("unlock", f"{var.name}[{image}]")
+        if self.world.trace is not None:
+            self._log("unlock", f"{var.name}[{image}]")
 
         def guarded():
             faults = self.world.faults
@@ -901,7 +911,8 @@ class CafContext:
             var = registry[key] = LockVar(
                 self.conduit, f"__critical__{name}", shared=shared
             )
-        self._log("critical", name)
+        if self.world.trace is not None:
+            self._log("critical", name)
         entered = yield from self.lock(var, 1, stat=stat)
         return entered
 

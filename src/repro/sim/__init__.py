@@ -18,6 +18,7 @@ from .process import (
     Acquire,
     BlockedInfo,
     Hold,
+    Park,
     ProcGen,
     Process,
     Timeout,
@@ -38,6 +39,7 @@ __all__ = [
     "WaitFor",
     "Acquire",
     "Hold",
+    "Park",
     "SimulationError",
     "DeadlockError",
     "ProcessFailure",

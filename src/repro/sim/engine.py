@@ -107,7 +107,7 @@ class Engine:
         "_times", "_buckets", "_mint", "_now", "_max_events",
         "_events_processed", "_tiebreak_seed", "trace", "monitor",
         "_blocked", "_blocked_seq", "_running", "_drain_hooks",
-        "schedule", "call_now", "schedule_at",
+        "schedule", "call_now", "schedule_at", "grants",
     )
 
     def __init__(
@@ -137,6 +137,11 @@ class Engine:
         # Last-chance hooks consulted when the queue drains with blocked
         # processes, before a DeadlockError is raised; see add_drain_hook.
         self._drain_hooks: list[Callable[[], bool]] = []
+        #: lifetime number of resource grants on this engine: every
+        #: :class:`~repro.sim.primitives.Resource` bumps it wherever it
+        #: bumps its own ``total_grants``, and a macro replay adds the
+        #: grants it mirrors, so it always equals the sum over resources
+        self.grants = 0
 
         # The key source, shared by the closures below and the drain
         # loop's inlined resume: the bare sequence counter by default,

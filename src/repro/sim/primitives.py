@@ -19,11 +19,12 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from functools import partial
-from typing import Any, Callable, Optional
+from operator import attrgetter
+from typing import Any, Callable, Iterable, Optional
 
 from .engine import Engine
 
-__all__ = ["SimEvent", "Cell", "Resource"]
+__all__ = ["SimEvent", "Cell", "Resource", "all_idle"]
 
 
 class SimEvent:
@@ -240,16 +241,18 @@ class Resource:
     def idle(self) -> bool:
         """True when nothing holds the resource and nothing is queued.
 
-        Macro-events (:mod:`repro.collectives.macro`) sweep every machine
-        resource through this before collapsing a barrier window: a busy
-        bus or NIC means in-flight foreign traffic could contend with the
-        barrier's own transfers, so the window must run fine-grained.
+        Macro-events (:mod:`repro.collectives.macro`) check this on every
+        machine resource (through :func:`all_idle`) before collapsing a
+        window: a busy bus or NIC means in-flight foreign traffic could
+        contend with the window's own transfers, so the window must run
+        fine-grained.
         """
         return self._in_use == 0 and not self._queue
 
     @property
     def total_grants(self) -> int:
-        """Lifetime number of acquisitions granted (contention statistics)."""
+        """Lifetime number of acquisitions granted (contention statistics).
+        Every grant also bumps the engine-wide :attr:`Engine.grants`."""
         return self._granted
 
     @property
@@ -271,6 +274,7 @@ class Resource:
         if self._in_use < self.capacity:
             self._in_use += 1
             self._granted += 1
+            self._engine.grants += 1
             grant.trigger()
         else:
             self._enqueue(None, grant)
@@ -282,11 +286,13 @@ class Resource:
         if self._queue:
             duration, waiter = self._queue.popleft()
             self._granted += 1
+            engine = self._engine
+            engine.grants += 1
             if duration is None:
                 waiter.trigger()
             else:
-                self._engine.schedule(duration, partial(_complete, self, waiter),
-                                      label=self._hold_label)
+                engine.schedule(duration, partial(_complete, self, waiter),
+                                label=self._hold_label)
         else:
             self._in_use -= 1
 
@@ -299,8 +305,10 @@ class Resource:
         if self._in_use < self.capacity:
             self._in_use += 1
             self._granted += 1
-            self._engine.schedule(duration, partial(_complete, self, waiter),
-                                  label=self._hold_label)
+            engine = self._engine
+            engine.grants += 1
+            engine.schedule(duration, partial(_complete, self, waiter),
+                            label=self._hold_label)
         else:
             self._enqueue(duration, waiter)
 
@@ -320,6 +328,20 @@ class Resource:
 
         self.hold(duration, _finish)
         return done
+
+
+_in_use_of = attrgetter("_in_use")
+
+
+def all_idle(resources: Iterable[Resource]) -> bool:
+    """True when every resource is :attr:`~Resource.idle`.
+
+    A resource queues requests only while fully in use, so an in-use
+    count of zero implies an empty queue; the sweep reads that one slot
+    per resource in C, without a Python frame each (macro-events sweep
+    every fabric resource of a 3,000-node machine per window).
+    """
+    return not any(map(_in_use_of, resources))
 
 
 def _complete(resource: Resource, waiter: Callable[[], None]) -> None:

@@ -26,6 +26,11 @@ Commands
 ``Hold(resource, duration)``
     Acquire, hold for ``duration``, release; resumes at release time.
     A hold always has a scheduled end, so it never counts as blocked.
+``Park(queue, name)``
+    Append this process to ``queue`` and block until some other party
+    calls :meth:`Process.resume` on it; resumes with the value passed
+    there.  No event object is involved: whoever owns the queue finds
+    the process in it.
 
 Sub-generators compose with plain ``yield from``, so runtime layers nest
 without any driver support.
@@ -42,8 +47,8 @@ from .errors import ProcessFailure
 from .primitives import Cell, Resource, SimEvent
 
 __all__ = [
-    "Timeout", "Wait", "WaitFor", "Acquire", "Hold", "Process", "ProcGen",
-    "BlockedInfo",
+    "Timeout", "Wait", "WaitFor", "Acquire", "Hold", "Park", "Process",
+    "ProcGen", "BlockedInfo",
 ]
 
 #: Type alias for the generator signature simulated processes must have.
@@ -104,6 +109,20 @@ class Hold:
     duration: float
 
 
+@dataclass(frozen=True, slots=True)
+class Park:
+    """Block in ``queue`` until resumed through :meth:`Process.resume`.
+
+    The process appends itself to ``queue`` (a list, so its owner sees
+    the parked processes in park order) and enters the blocked registry
+    under ``name``, which deadlock reports print.  One instance may serve
+    every process that parks in the same queue.
+    """
+
+    queue: list
+    name: str = "park"
+
+
 @dataclass(frozen=True)
 class BlockedInfo:
     """Structured record of one blocked process, attached to
@@ -111,9 +130,9 @@ class BlockedInfo:
 
     ``actor`` is the identity the spawner gave the process (0-based global
     proc id for SPMD images, ``None`` for anonymous processes); ``kind``
-    is one of ``cell``/``event``/``resource``; ``target`` is the primitive
-    being waited on (a :class:`Cell`, :class:`SimEvent`, or
-    :class:`Resource`).
+    is one of ``cell``/``event``/``resource``/``park``; ``target`` is the
+    primitive being waited on (a :class:`Cell`, :class:`SimEvent`,
+    :class:`Resource`, or the :class:`Park` command).
     """
 
     process: str
@@ -246,21 +265,22 @@ class Process:
         return BlockedInfo(self.name, self.actor, self._wait_kind,
                            self._wait_target)
 
-    def _resume(self, value: Any) -> None:
+    def resume(self, value: Any) -> None:
+        """Resume the process with ``value`` at the current instant: leave
+        the blocked registry, then step the generator.  Every wait that
+        delivers a value ends here; a :class:`Park` ends only when the
+        queue's owner calls this."""
         if self._wait_kind is not None:
             self._wait_kind = None
             del self._blocked[self]
-        self._step(value)
-
-    def _step(self, send_value: Any) -> None:
         if self._finished:
             return  # fail-stopped (or completed): stale wake-up
         monitor = self._engine.monitor
         if monitor is not None:
-            self._step_monitored(send_value, monitor)
+            self._step_monitored(value, monitor)
             return
         try:
-            command = self._send(send_value)
+            command = self._send(value)
         except StopIteration as stop:
             self._finished = True
             self.done.trigger(stop.value)
@@ -324,7 +344,7 @@ class Process:
         if not ev.triggered:
             self._block("event", ev)
         if self._engine.monitor is None:
-            ev.on_trigger(self._resume)
+            ev.on_trigger(self.resume)
         else:
             ev.on_trigger(self._observing_resume("event", ev))
 
@@ -334,7 +354,7 @@ class Process:
         # when the process has to block.
         cell = command.cell
         if self._engine.monitor is None:
-            key = cell.wait_until(command.pred, self._resume)
+            key = cell.wait_until(command.pred, self.resume)
         else:
             key = cell.wait_until(command.pred,
                                   self._observing_resume("cell", cell))
@@ -346,12 +366,16 @@ class Process:
         grant = res.acquire()
         if not grant.triggered:
             self._block("resource", res)
-        grant.on_trigger(self._resume)
+        grant.on_trigger(self.resume)
 
     def _do_hold(self, command: Hold) -> None:
         # The process is its own waiter: the hold's completion releases
         # the resource, then calls the process (a no-value resume).
         command.resource.hold(command.duration, self)
+
+    def _do_park(self, command: Park) -> None:
+        command.queue.append(self)
+        self._block("park", command)
 
     def _dispatch_other(self, command: Any) -> None:
         """Fallback for command *subclasses* (exact-type dispatch missed)
@@ -372,14 +396,14 @@ class Process:
         synchronizes-with edge a spin-wait provides."""
         monitor = self._engine.monitor
         if monitor is None:
-            return self._resume
+            return self.resume
 
         def _resume_observed(value: Any) -> None:
             if kind == "cell":
                 monitor.on_cell_observed(target, self.actor)
             else:
                 monitor.on_event_observed(target, self.actor)
-            self._resume(value)
+            self.resume(value)
 
         return _resume_observed
 
@@ -393,6 +417,7 @@ _DISPATCH: dict = {
     WaitFor: Process._do_wait_for,
     Acquire: Process._do_acquire,
     Hold: Process._do_hold,
+    Park: Process._do_park,
 }
 
 # Let the engine's drain loop recognize scheduled Process records and

@@ -4,6 +4,7 @@ the tournament barrier, custom reduction operations."""
 import pytest
 
 from repro.runtime.config import GASNET_IB_DISSEMINATION, UHCAF_2LEVEL
+from repro.runtime.program import CafContext
 from tests.conftest import run_small
 
 
@@ -81,6 +82,54 @@ class TestTrace:
         trace = run_small(main, images=3, ipn=3, trace=True).trace
         images = {img for _, img, _, _ in trace}
         assert images == {1, 2, 3}
+
+    @staticmethod
+    def _every_logged_statement(ctx):
+        """sync_all, put, put_nb, get_nb, event_post, event_wait, lock
+        and unlock once each; returns the team uid the records name."""
+        other = ctx.this_image() % ctx.num_images() + 1
+        x = yield from ctx.allocate("x", (1,))
+        ev = yield from ctx.event_var("ev")
+        lk = yield from ctx.lock_var("lk")
+        yield from ctx.sync_all()
+        yield from ctx.put(x, other, 1.0)
+        handle = yield from ctx.put_nb(x, other, 2.0)
+        yield from ctx.wait_rma(handle)
+        handle = yield from ctx.get_nb(x, other)
+        yield from ctx.wait_rma(handle)
+        yield from ctx.event_post(ev, other)
+        yield from ctx.event_wait(ev)
+        yield from ctx.lock(lk, 1)
+        yield from ctx.unlock(lk, 1)
+        return ctx.current_team.shared.uid
+
+    def test_untraced_run_never_reaches_log(self, monkeypatch):
+        def refuse(self, op, detail=""):
+            raise AssertionError(f"_log({op!r}) reached without a trace")
+
+        monkeypatch.setattr(CafContext, "_log", refuse)
+        result = run_small(self._every_logged_statement, images=4)
+        assert result.trace is None
+        assert len(set(result.results)) == 1
+
+    def test_traced_records_keep_their_details(self):
+        result = run_small(self._every_logged_statement, images=4,
+                           trace=True)
+        uid = result.results[0]
+        for image in range(1, 5):
+            other = image % 4 + 1
+            rows = [(op, detail) for _, img, op, detail in result.trace
+                    if img == image]
+            # allocate, event_var and lock_var each end in a sync all
+            assert rows == [("sync_all", f"team{uid}")] * 4 + [
+                ("put", f"x->img{other} 8B"),
+                ("put_nb", f"x->img{other} 8B"),
+                ("get_nb", f"x<-img{other} 8B"),
+                ("event_post", f"ev[{other}]"),
+                ("event_wait", "ev until=1"),
+                ("lock", "lk[1]"),
+                ("unlock", "lk[1]"),
+            ]
 
 
 class TestTournamentBarrier:

@@ -11,7 +11,9 @@ exercised too.
 Traffic and the conduit's per-path message counts must always match the
 fine-grained run.  When the coordinator reports the run exact
 (``inexact`` False), the end time, every image's result (pickled digest)
-and every fabric resource's grant count must match bit for bit.
+and every fabric resource's grant count must match bit for bit.  On both
+runs the engine's lifetime grant counter must equal the sum over the
+fabric resources, walked here independently of the coordinator.
 """
 
 from __future__ import annotations
@@ -129,6 +131,8 @@ def _check(seed):
     }
     on, off = runs[True], runs[False]
     where = f"seed {seed}: {images} images, {ipn}/node, {config.name}"
+    for run in (on, off):
+        assert run.world.engine.grants == sum(_grants(run.world)), where
     assert on.traffic == off.traffic, where
     assert on.world.conduit.counts == off.world.conduit.counts, where
     macro = on.world.macro

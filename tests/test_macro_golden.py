@@ -11,10 +11,15 @@ fine-grained traffic — must be *detected* (``inexact``/``"overlap"``)
 rather than silently absorbed.  Flat tight collective loops are the
 chained-window case: every window must collapse from a single analysis
 (the extreme-scale sweep's whole premise), which the sustained-collapse
-tests pin with exact replay counts.
+tests pin with exact replay counts.  The stride-swept broadcast tree is
+checked against the fine path on every flat team of 2 to 40 images and
+on hierarchical shapes, and a parked gather demoted when the engine
+drains must leave the same deadlock report as a macro-off run.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import pytest
@@ -23,9 +28,11 @@ from repro.faults import FaultSchedule, ImageFailure, Stat
 from repro.machine import build_machine, paper_cluster
 from repro.runtime.config import UHCAF_2LEVEL
 from repro.runtime.program import run_spmd
+from repro.sim import DeadlockError
 from repro.sim.engine import Engine
 from repro.verify import HBMonitor
 from repro.verify.conformance import SHAPES
+from tests.test_macro_fuzz import _digest, _grants
 
 ALL_SHAPES = sorted(SHAPES)
 
@@ -476,3 +483,105 @@ class TestExtremeScaleSweepPath:
         assert by_n[16]["exactness"] == "exact"
         assert by_n[32]["exactness"] == "skipped"
         assert "events_fine" not in by_n[32]
+
+    def test_one_extra_fine_grant_reads_divergent(self, monkeypatch):
+        # The verdict compares more than time and results: a replay that
+        # mirrored one grant too few (here: a fine leg with one more)
+        # must fail the rung even though every image exits on time.
+        import repro.bench.xscale as xscale
+
+        real_run_once = xscale._run_once
+
+        def run_once(main, num_images, iters, config, macro):
+            events, wall, result = real_run_once(main, num_images, iters,
+                                                 config, macro)
+            if not macro:
+                result.world.engine.grants += 1
+            return events, wall, result
+
+        _table, rows = xscale.xscale_sweep([16], shapes=["barrier"])
+        assert rows[0]["exactness"] == "exact"
+        monkeypatch.setattr(xscale, "_run_once", run_once)
+        _table, rows = xscale.xscale_sweep([16], shapes=["barrier"])
+        assert rows[0]["exactness"] == "DIVERGENT"
+
+
+# ----------------------------------------------------------------------
+# The binomial broadcast tree, swept one stride per round
+# ----------------------------------------------------------------------
+def _bcast_from(ctx, source):
+    value = np.array([7 * ctx.this_image() - 3], dtype=np.int64)
+    return (yield from ctx.co_broadcast(value, source_image=source))
+
+
+def _fingerprint(result):
+    world = result.world
+    return (result.time, _digest(result.results), result.traffic,
+            dict(world.conduit.counts), _grants(world))
+
+
+def _tree_cases():
+    flat = [(n, 1, source) for n in range(2, 41)
+            for source in sorted({1, (n + 1) // 2, n})]
+    # hierarchical: sources that are not their node's leader, and a
+    # single-node team (one leader, no tree at all)
+    hier = [(24, 8, 2), (24, 8, 12), (24, 8, 24), (13, 3, 2), (13, 3, 13),
+            (8, 8, 1), (8, 8, 5)]
+    return flat + hier
+
+
+class TestSweptBroadcastTree:
+    @pytest.mark.parametrize("images,ipn,source", _tree_cases())
+    def test_replay_matches_fine_grained(self, images, ipn, source):
+        runs = {
+            macro: run_spmd(_bcast_from, num_images=images,
+                            images_per_node=ipn, macro_events=macro,
+                            args=(source,))
+            for macro in (True, False)
+        }
+        on, off = runs[True], runs[False]
+        assert on.world.macro.replays == 1  # the tree really replayed
+        assert not on.world.macro.inexact
+        assert _fingerprint(on) == _fingerprint(off)
+
+
+# ----------------------------------------------------------------------
+# A parked gather demoted when the engine drains
+# ----------------------------------------------------------------------
+def _skip_one_sync(ctx, worlds):
+    if ctx.this_image() == 1:
+        worlds.append(ctx.world)
+    for k in range(3):
+        if ctx.this_image() == ctx.num_images() and k == 1:
+            continue  # the last image skips the second sync all
+        yield from ctx.sync_all()
+
+
+def _blocked_pairs(err):
+    """(image, wait kind, cell name) per blocked image, team uid erased
+    (the uid counter is process-global)."""
+    return {(info.actor, info.kind,
+             re.sub(r"^t\d+\.", "tN.", info.target.name))
+            for info in err.details}
+
+
+class TestParkedGatherDemotedAtDrain:
+    def test_deadlock_report_names_real_cells(self):
+        reports = {}
+        for macro in (True, False):
+            worlds = []
+            with pytest.raises(DeadlockError) as exc:
+                run_spmd(_skip_one_sync, num_images=16, images_per_node=1,
+                         macro_events=macro, args=(worlds,))
+            reports[macro] = (exc.value, worlds[0].macro)
+        err_on, coordinator = reports[True]
+        err_off, _ = reports[False]
+        # the third window parked 15 images; the drain hook demoted it
+        assert coordinator.replays >= 1
+        assert coordinator.demotions == 1
+        pairs = _blocked_pairs(err_on)
+        assert len(pairs) == 15
+        assert pairs == _blocked_pairs(err_off)
+        assert all(kind == "cell" for _, kind, _ in pairs)
+        assert not any("macro" in name for _, _, name in pairs)
+        assert "macro" not in str(err_on)

@@ -12,6 +12,7 @@ from repro.sim import (
     SimEvent,
     Timeout,
 )
+from repro.sim.primitives import all_idle
 
 
 @pytest.fixture
@@ -203,6 +204,68 @@ class TestResource:
             r.occupy(1.0).on_trigger(lambda _: finish.append(eng.now))
         eng.run()
         assert finish == [1.0, 1.0, 2.0, 2.0]
+
+
+def _noop():
+    pass
+
+
+class TestEngineGrantCounter:
+    """Every grant a resource counts, its engine counts once too."""
+
+    def test_immediate_hold(self, eng):
+        r = Resource(eng)
+        r.hold(1.0, _noop)
+        assert eng.grants == r.total_grants == 1
+        eng.run()
+        assert eng.grants == 1
+
+    def test_queued_hold_counts_at_hand_off(self, eng):
+        r = Resource(eng)
+        r.hold(1.0, _noop)
+        r.hold(1.0, _noop)
+        assert eng.grants == 1  # the second hold waits in the queue
+        eng.run(until=1.0)  # the first completes and hands off
+        assert eng.grants == r.total_grants == 2
+        eng.run()
+        assert eng.grants == 2
+
+    def test_acquire_and_release(self, eng):
+        r = Resource(eng)
+        r.acquire()
+        waiting = r.acquire()
+        assert eng.grants == 1 and not waiting.triggered
+        r.release()  # hands off to the queued acquire
+        assert waiting.triggered and eng.grants == 2
+        r.release()
+        assert r.idle and eng.grants == r.total_grants == 2
+
+    def test_capacity_two(self, eng):
+        r = Resource(eng, capacity=2)
+        for _ in range(3):
+            r.hold(1.0, _noop)
+        assert eng.grants == 2
+        eng.run()
+        assert eng.grants == r.total_grants == 3
+
+    def test_sums_over_resources(self, eng):
+        a, b = Resource(eng), Resource(eng, capacity=2)
+        for r in (a, a, b, b, b):
+            r.occupy(1.0)
+        b.acquire()
+        eng.run()
+        assert eng.grants == a.total_grants + b.total_grants == 6
+
+    def test_all_idle_sees_holders_and_queues(self, eng):
+        a, b = Resource(eng), Resource(eng)
+        assert all_idle([a, b])
+        a.hold(1.0, _noop)
+        a.hold(1.0, _noop)
+        assert not all_idle([a, b]) and not all_idle([b, a])
+        eng.run(until=1.0)  # the queued hold now holds
+        assert not all_idle([a, b]) and not a.idle
+        eng.run()
+        assert all_idle([a, b]) and a.idle and b.idle
 
 
 class TestHoldQueue:

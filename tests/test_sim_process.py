@@ -9,6 +9,7 @@ from repro.sim import (
     DeadlockError,
     Engine,
     Hold,
+    Park,
     Process,
     ProcessFailure,
     Resource,
@@ -123,6 +124,31 @@ class TestCommands:
         Process(eng, p("b"))
         eng.run()
         assert marks == [("a", 1.0), ("b", 2.0)]
+
+    def test_park_resumes_with_the_value_passed(self, eng):
+        queue = []
+        park = Park(queue, "gate")
+        got = []
+
+        def parked(name):
+            got.append((name, (yield park), eng.now))
+
+        def waker():
+            yield Timeout(2.0)
+            for proc, value in zip(list(queue), ("x", "y")):
+                proc.resume(value)
+
+        a = Process(eng, parked("a"), name="a")
+        b = Process(eng, parked("b"), name="b")
+        Process(eng, waker())
+        eng.run(until=1.0)
+        assert queue == [a, b]  # park order
+        assert eng.blocked_descriptions == [
+            "a: waiting on park 'gate'", "b: waiting on park 'gate'",
+        ]
+        eng.run()
+        assert got == [("a", "x", 2.0), ("b", "y", 2.0)]
+        assert eng.blocked_descriptions == []
 
     def test_unknown_command_fails_process(self, eng):
         def proc():
