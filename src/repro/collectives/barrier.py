@@ -98,13 +98,13 @@ def barrier_linear(ctx, view: TeamView, path: str = "auto") -> Iterator:
     if n == 1:
         return
     macro = getattr(ctx, "macro", None)
-    if macro is not None:
+    if macro is not None and path == "auto":
         # Offer the window to the macro-event coordinator.  If it parks
         # this image and resumes it with True, the barrier was replayed
         # (exit times, flag state, traffic all mirrored) and this image
         # just returns.  Otherwise fall through to the fine-grained
         # protocol with the seq drawn above.
-        park = macro.offer(view, "linear", seq, path=path)
+        park = macro.offer(view, "linear", seq)
         if park is not None and (yield park):
             return
     leader = 1

@@ -1,17 +1,14 @@
 """Macro-events: collapsing deterministic collective windows analytically.
 
 A barrier over *n* images costs the engine O(n) fine-grained events —
-per-slave bus holds, per-leader NIC injections, wire deliveries, release
-ladders — and a reduction or broadcast adds payload transfers and
-combine timeouts on top.  But when nothing can *observe or perturb* the
-window, those events are pure bookkeeping: the protocol is closed-form,
-so every image's exit time (and, for data-carrying collectives, its
-result value) can be computed arithmetically and the whole window
-replaced by a handful of wake events — one per distinct exit instant.
-On node-symmetric teams the exit instants of different nodes coincide
-exactly (identical float arithmetic), so a 1024-image TDLB barrier
-collapses from thousands of engine events to roughly a dozen, and a
-flat 10k-image allreduce from hundreds of thousands to one.
+NIC injections, wire deliveries, flag updates — and a reduction or
+broadcast adds payload transfers and combine timeouts on top.  But when
+nothing can *observe or perturb* the window, those events are pure
+bookkeeping: the protocol is closed-form, so every image's exit time
+(and, for data-carrying collectives, its result value) can be computed
+arithmetically and the whole window replaced by a handful of wake
+events — one per distinct exit instant.  A flat 10k-image allreduce
+collapses from hundreds of thousands of engine events to one.
 
 The hard requirement is **exactness**, not approximation: a macro-on run
 must produce bit-identical simulated times, coarray states, collective
@@ -27,6 +24,20 @@ Static eligibility (checked at each invocation's first arrival by
   deterministic compute (``compute_jitter == 0`` — jitter draws
   per-image RNG streams in fine-grained resume order, which a replay
   cannot mirror).
+
+One image per node
+  Macro-events engage only when every image owns its node, so that the
+  team's node leaders are all of its images.  Then every message takes
+  the remote path and holds only its sender's NIC and progress engine,
+  and a window replays as sweeps over per-image ledger slots.  Where a
+  node holds several images, a committed window's intranode release
+  ladders and fan-outs would hold shared buses *virtually* past early
+  exits, and the next window's fine-grained traffic lands among those
+  holds: on the paper's 8-per-node shapes nearly every run would lose
+  its commit bet after one collapsed window and keep that window's
+  drift in its end time.  The first replayable arrival on such a
+  machine sets ``disabled_reason = "hierarchical"``, so the run is the
+  fine-grained run by construction.
 
 Dynamic window check (pinned at the FIRST arrival of each invocation)
   The engine must be *globally quiet*: every pending event is one of the
@@ -52,17 +63,14 @@ Parked arrivals
 
 Chained windows (sustained collapse)
   A committed window's pending wakes are pure deliveries: the replay
-  released every resource, so nothing is held.  On **flat teams** (one
-  image per node) every transfer also touches only its own image's
-  sender-side NIC and conduit engine, so consecutive windows can never
-  need the same resource out of order — a new barrier or reduction
-  window may therefore open and commit *under* the previous window's
-  still-pending wakes, with staggered arrivals.  This is what lets a
-  back-to-back 10k-image allreduce loop stay collapsed even though
-  recursive doubling's fold/unfold staggers the exit instants of each
-  iteration.  Hierarchical windows keep the strict fully-quiet rule: a
-  still-delivering release ladder or fan-out occupies a shared bus
-  *virtually*, which a fresh replay ledger cannot see.
+  released every resource, so nothing is held.  Every transfer touches
+  only its own image's sender-side NIC and conduit engine, so
+  consecutive windows can never need the same resource out of order — a
+  new barrier or reduction window may therefore open and commit *under*
+  the previous window's still-pending wakes, with staggered arrivals.
+  This is what lets a back-to-back 10k-image allreduce loop stay
+  collapsed even though recursive doubling's fold/unfold staggers the
+  exit instants of each iteration.
 
   Broadcast windows additionally require every arrival on the commit
   instant: a fine-grained broadcast lets early subtrees finish *before*
@@ -88,29 +96,27 @@ programs that race asynchronous traffic against a collective.
 
 The replay itself mirrors the fine-grained cost model operation by
 operation — it prices every virtual transfer from the same conduit
-:class:`~repro.runtime.conduit.Route` (overhead command, cost-table
-entry, loopback penalty) the event path sends over, with the same
-``compute`` calls, the same max/add structure, the same combine order
-(deposit order at each leader, MPICH fold/exchange order among
-leaders) and per-resource FIFO orderings — so the floats and values
+:class:`~repro.runtime.conduit.Route` (overhead command and cost-table
+entry) the event path sends over, with the same ``compute`` calls, the
+same max/add structure, the same combine order (MPICH fold/exchange
+order) and per-resource FIFO orderings — so the floats and values
 produced are the very floats the event path would have produced
 (floating-point addition is deterministic; the replay never
 re-associates it).
 
-Leader phases (TDLB's dissemination, recursive doubling's
-fold/exchange/unfold, the two-level broadcast's binomial tree) replay
-one *round* at a time as NumPy sweeps over the leaders.  Leaders sit on
-pairwise distinct nodes, so a round holds each leader's NIC (and
-conduit progress engine) exactly once and the per-resource FIFO order
-within a round is moot; elementwise ``np.maximum``/``+`` on float64 are
-the same IEEE operations the scalar ledger performs.  The broadcast
-tree sweeps one stride per round, largest first (see
-:meth:`MacroCollectives._replay_bcast_two_level`).  Built-in reductions
-over same-shape ndarray payloads combine a whole round as
-``ufunc(own, partner)`` over a stacked array.  Only the intranode steps
-of hierarchical teams stay on the scalar ledger; on flat teams every
-replay reads arrivals as arrays and emits exit times as one array.
-See ``docs/simulation.md`` for the full argument.
+Every window replays one *round* at a time as NumPy sweeps over the
+images on one :class:`_RoundLedger`: TDLB's leader dissemination,
+recursive doubling's fold/exchange/unfold, the two-level broadcast's
+binomial tree (one stride per round, largest first; see
+:meth:`MacroCollectives._replay_bcast`) and the linear barrier's arrival
+round.  Images sit on pairwise distinct nodes, so a round holds each
+image's NIC (and conduit progress engine) at most once and the
+per-resource FIFO order within a round is moot; elementwise
+``np.maximum``/``+`` on float64 are the same IEEE operations the event
+path performs.  The linear barrier's root releases its images one send
+at a time on its own slot.  Built-in reductions over same-shape ndarray
+payloads combine a whole round as ``ufunc(own, partner)`` over a
+stacked array.  See ``docs/simulation.md`` for the full argument.
 """
 
 from __future__ import annotations
@@ -185,82 +191,35 @@ class _Gather:
         self.source: Optional[int] = None
 
 
-class _ReplayState:
-    """Per-commit FIFO ledger of virtual resource holds.
-
-    ``hold`` mirrors :meth:`repro.sim.Resource.hold` arithmetic for a
-    request arriving at ``t``: granted at ``max(t, previous release)``,
-    released ``duration`` later.  Requests must be fed in fine-grained
-    arrival order per resource; the engagement guard guarantees every
-    resource starts the window idle, so the ledger starts empty.
-    ``grants`` counts every grant the replay mirrors, scalar or swept.
-    """
-
-    __slots__ = ("free", "grants")
-
-    def __init__(self):
-        self.free: Dict[object, float] = {}
-        self.grants = 0
-
-    def hold(self, resource, t: float, duration: float) -> float:
-        granted = self.free.get(resource, t)
-        if t > granted:
-            granted = t
-        end = granted + duration
-        self.free[resource] = end
-        resource._granted += 1  # mirror the grant statistics
-        self.grants += 1
-        return end
-
-
 class _LeaderRing:
-    """Per-team constants of the leader rounds, built once per team.
+    """Per-team constants of the replay rounds, built once per team.
 
-    Slot ``i`` is the team's ``i``-th node leader (``hierarchy.leaders``
-    order).  Leaders own pairwise distinct nodes, so every message
-    between two of them takes the remote path, and slot ``i``'s sends
-    hold only its node's NIC and conduit progress engine.  Every remote
-    route out of any node has the same overhead command shape, fabric
-    and NIC cost table, so one resolved route (slot 0 to slot 1) prices
-    every leader message; the per-slot resources are the ones the
-    conduit would put on each leader's own routes.
+    Macro-events engage only when every image owns its node, so every
+    image is its node's leader and slot ``i`` is team index ``i + 1``.
+    Every message between two images takes the remote path, and slot
+    ``i``'s sends hold only its node's NIC and conduit progress engine.
+    Every remote route out of any node has the same overhead command
+    shape, fabric and NIC cost table, so one resolved route (slot 0 to
+    slot 1) prices every message; the per-slot resources are the ones
+    the conduit would put on each image's own routes.
     """
 
     def __init__(self, world, shared):
-        h = shared.hierarchy
         members = shared.members
         conduit = world.conduit
-        self.leaders: List[int] = list(h.leaders)
-        self.size = k = len(self.leaders)
-        #: slot → the leader's slot in per-index arrays (``index - 1``)
-        self.ranks = np.array(self.leaders, dtype=np.int64) - 1
-        self.rank_list: List[int] = self.ranks.tolist()
-        #: ``(slot, leader, intranode set)`` of every leader with slaves;
-        #: empty on a flat team, where slot ``i`` is team index ``i + 1``
-        self.slaved: List[Tuple[int, int, List[int]]] = []
-        if not h.is_flat:
-            for slot, L in enumerate(self.leaders):
-                slaves = h.slaves_of(L)
-                if slaves:
-                    self.slaved.append((slot, L, slaves))
-        #: slot 0's remote route to slot 1 (None for one leader)
-        self.route = None
-        self.nics: list = []
+        self.size = k = len(members)
+        #: slot 0's remote route to slot 1
+        self.route = route = conduit.route(members[0], members[1])
+        nodes = list(map(world.machine.topology.node_of, members))
+        self.nics = list(map(world.machine.interconnect.nic, nodes))
         #: progress engines, when the profile serializes the overhead
-        self.engines: list = []
-        if k > 1:
-            self.route = route = conduit.route(members[self.leaders[0] - 1],
-                                               members[self.leaders[1] - 1])
-            topology = world.machine.topology
-            nodes = [topology.node_of(members[L - 1]) for L in self.leaders]
-            self.nics = list(map(world.machine.interconnect.nic, nodes))
-            if type(route.overhead) is Hold:
-                self.engines = list(map(conduit.progress_engine, nodes))
+        self.engines = (list(map(conduit.progress_engine, nodes))
+                        if type(route.overhead) is Hold else [])
         self.slots = slots = np.arange(k)
         #: dissemination round r: slot j hears from slot (j - 2^r) mod k
         self.diss_sources = [
             (slots - (1 << r)) % k for r in range(math.ceil(math.log2(k)))
-        ] if k > 1 else []
+        ]
         # MPICH recursive doubling over the power-of-two core
         pow2 = 1 << (k.bit_length() - 1)
         rem = k - pow2
@@ -276,27 +235,25 @@ class _LeaderRing:
         #: every virtual rank ``v`` that is a multiple of ``2s`` with
         #: ``v + s < k`` sends to ``v + s``
         self.tree: List[Tuple[int, np.ndarray]] = []
-        stride = 1 << ((k - 1).bit_length() - 1) if k > 1 else 0
+        stride = 1 << ((k - 1).bit_length() - 1)
         while stride:
             self.tree.append((stride, np.arange(0, k - stride, 2 * stride)))
             stride >>= 1
 
-    def pick(self, per_index: list) -> list:
-        """Slot-ordered values of ``per_index`` (indexed ``index - 1``)."""
-        if not self.slaved:
-            return list(per_index)
-        return list(map(per_index.__getitem__, self.rank_list))
-
 
 class _RoundLedger:
-    """Vector twin of :class:`_ReplayState` for one window's leader
-    rounds: one NIC and one progress-engine ledger slot per leader.
+    """One window's FIFO ledger of virtual resource holds: one NIC and
+    one progress-engine slot per image.
 
-    :meth:`send` issues one remote message from each selected slot.  A
-    round touches each slot at most once, so the per-resource FIFO order
-    within it is irrelevant; ``np.maximum(free, t) + duration`` is the
-    scalar ``hold`` arithmetic elementwise.  The ring's one route prices
-    every slot's messages.
+    :meth:`send` issues one remote message from each selected slot and
+    mirrors :meth:`repro.sim.Resource.hold` arithmetic elementwise: a
+    request at ``t`` is granted at ``max(t, previous release)`` and
+    released ``duration`` later, ``np.maximum(free, t) + duration``.  A
+    round touches each slot at most once, so the FIFO order within it is
+    irrelevant; a slot's successive sends must be fed in fine-grained
+    order.  The engagement guard guarantees every resource starts the
+    window idle, so the ledger starts empty.  The ring's one route
+    prices every slot's messages.
     """
 
     def __init__(self, world, ring: _LeaderRing):
@@ -338,9 +295,9 @@ class _RoundLedger:
         self.sent[slots] += 1
         return t, t + wire
 
-    def flush(self, st: _ReplayState) -> None:
+    def flush(self) -> int:
         """Apply the swept messages to the conduit, interconnect and
-        resource grant counters (and to ``st.grants``)."""
+        resource grant counters; return the number of grants."""
         messages = int(self.sent.sum())
         route = self.route
         self.world.conduit.counts[route.kind] += messages
@@ -354,7 +311,7 @@ class _RoundLedger:
         for resources in held:
             for resource, count in zip(resources, sent):
                 resource._granted += count
-        st.grants += messages * len(held)
+        return messages * len(held)
 
 
 _shape_of = attrgetter("shape")
@@ -402,9 +359,10 @@ class MacroCollectives:
     the window is provably unobservable, replays it analytically.
 
     Beyond TDLB/linear barriers it collapses the paper's two-level
-    reduction, flat recursive-doubling reduction (on flat teams), and
-    two-level broadcast — the full window including payload movement,
-    combine compute, and the result values themselves.
+    reduction, flat recursive-doubling reduction, and two-level
+    broadcast — the full window including payload movement, combine
+    compute, and the result values themselves — on machines where every
+    image owns its node.
     """
 
     def __init__(self, world):
@@ -417,8 +375,9 @@ class MacroCollectives:
         #: engine grant counter snapshot taken when the open gather was
         #: pinned
         self._grant_mark = 0
-        #: None while live; "async" / "contention" / "stagger" once
-        #: permanently off ("overlap" is set by the post-commit audit)
+        #: None while live; "hierarchical" / "async" / "contention" /
+        #: "stagger" once permanently off ("overlap" is set by the
+        #: post-commit audit)
         self.disabled_reason: Optional[str] = None
         #: windows replayed analytically
         self.replays = 0
@@ -440,11 +399,11 @@ class MacroCollectives:
         self.inexact = False
         #: committed windows still delivering wakes, each as
         #: ``[remaining_wake_events, expected_grant_total]`` — empty when
-        #: everything committed has fully delivered.  On flat teams a new
-        #: window may commit *under* a previous window's wakes, so more
-        #: than one can be in flight; a later commit's own replay grants
-        #: are folded into every earlier window's expectation so the
-        #: audit only trips on genuinely foreign traffic.
+        #: everything committed has fully delivered.  A new window may
+        #: commit *under* a previous window's wakes, so more than one
+        #: can be in flight; a later commit's own replay grants are
+        #: folded into every earlier window's expectation so the audit
+        #: only trips on genuinely foreign traffic.
         self._active_windows: List[list] = []
         self._resources: Optional[list] = None
         #: team uid → its :class:`_LeaderRing`
@@ -474,32 +433,23 @@ class MacroCollectives:
             ring = self._rings[shared.uid] = _LeaderRing(self.world, shared)
         return ring
 
-    def _window_clear(self, view, allow_overlap: bool) -> bool:
+    def _window_clear(self, allow_overlap: bool) -> bool:
         """The dynamic quiet-window test, taken at first arrival.
 
         The engine must be quiet up to this coordinator's own pending
         wakes: every pending event is a not-yet-fired macro wake, and
         every fabric resource is idle.  Pending wakes are pure virtual
         deliveries — the replay that scheduled them released every
-        resource — so a *new* window may open under them, but only when
-        ``allow_overlap`` and the team is flat (one image per node).  On
-        a flat team every transfer touches only its own image's
-        sender-side NIC/conduit engine, so the previous window's virtual
-        timeline and this window's replay can never need the same
-        resource out of order.  On hierarchical teams a still-delivering
-        release ladder or fan-out holds a shared bus virtually past the
-        early exits, which a fresh replay ledger cannot see — so any
-        pending wake pins the invocation fine, exactly as before.
+        resource, and every transfer touches only its own image's
+        sender-side NIC/conduit engine — so a *new* window may open
+        under them when ``allow_overlap``.
 
         The resource sweep cannot be replaced by the pending-event
         count: that count misses the rest of the batch being drained,
         which may hold the completion of a hold still in progress.
         """
-        if self._pending_wakes != 0:
-            if not allow_overlap:
-                return False
-            if len(view.shared.hierarchy.leaders) != view.size:
-                return False
+        if self._pending_wakes != 0 and not allow_overlap:
+            return False
         if self.world.engine.pending_events != self._pending_wakes:
             return False
         return all_idle(self._all_resources())
@@ -556,9 +506,8 @@ class MacroCollectives:
     # ------------------------------------------------------------------
     # The gather protocol
     # ------------------------------------------------------------------
-    def offer(self, view, kind: str, seq, path: str = "auto",
-              payload: Any = None, op: Any = None,
-              source: Optional[int] = None) -> Optional[Park]:
+    def offer(self, view, kind: str, seq, payload: Any = None,
+              op: Any = None, source: Optional[int] = None) -> Optional[Park]:
         """Offer this collective invocation to the macro coordinator.
 
         A plain call made by the arriving image.  ``seq`` is the
@@ -612,7 +561,7 @@ class MacroCollectives:
         # arrival, so staggered windows commit exactly.
         stagger = kind == "bcast-2l" and g.opened != now
         if not stagger and self._commit_clear():
-            self._commit(view, kind, path, g)
+            self._commit(view, kind, g)
             # the last arriver parks too; its wake resolves it by
             # arrival position when it fires
             return g.park
@@ -648,17 +597,19 @@ class MacroCollectives:
             # Jitter draws a per-image RNG stream on every compute_cost,
             # in fine-grained resume order, which a replay cannot mirror.
             return None
-        if kind == "reduce-rd" and len(view.shared.hierarchy.leaders) != size:
-            # Flat recursive doubling pairs arbitrary images; only when
-            # every image owns its node are the exchange's fabric
-            # resources pairwise disjoint, which frees the replay from
-            # same-node bus-grant ordering it cannot predict.
+        if len(view.shared.hierarchy.leaders) != size:
+            # Some node holds several images: its intranode steps would
+            # hold a shared bus virtually past the window's early exits,
+            # where the next window's traffic lands (see the module
+            # doc).  Off for the whole run: the team spans every image,
+            # so this holds for every later window too.
+            self.disabled_reason = "hierarchical"
             return None
         # Broadcast windows must never open under a previous window's
         # wakes: overlapped windows have staggered arrivals, which a
         # broadcast cannot commit (see offer), and demoting parked
         # registrants would break exactness.
-        if not self._window_clear(view, allow_overlap=kind != "bcast-2l"):
+        if not self._window_clear(allow_overlap=kind != "bcast-2l"):
             self.fine_pins += 1
             return _Gather("fine")
         g = _Gather("macro", size, engine.now)
@@ -672,19 +623,18 @@ class MacroCollectives:
     # ------------------------------------------------------------------
     # Commit: replay + wake scheduling + state mirroring
     # ------------------------------------------------------------------
-    def _commit(self, view, kind: str, path: str, g: _Gather) -> None:
-        st = _ReplayState()
+    def _commit(self, view, kind: str, g: _Gather) -> None:
+        rounds = _RoundLedger(self.world, self._ring(view.shared))
         results: Optional[list] = None
         if kind == "tdlb":
-            exit_at = self._replay_tdlb(st, view, g)
+            exit_at = self._replay_tdlb(rounds, view.shared, g)
         elif kind == "linear":
-            exit_at = self._replay_linear(st, view, g, path)
-        elif kind == "reduce-2l":
-            exit_at, results = self._replay_reduce_two_level(st, view, g)
-        elif kind == "reduce-rd":
-            exit_at, results = self._replay_reduce_rd(st, view, g)
-        else:  # "bcast-2l"
-            exit_at, results = self._replay_bcast_two_level(st, view, g)
+            exit_at = self._replay_linear(rounds, view.shared, g)
+        elif kind == "bcast-2l":
+            exit_at, results = self._replay_bcast(rounds, g)
+        else:  # "reduce-2l" and "reduce-rd": recursive doubling alone
+            exit_at, results = self._replay_rd(rounds, g)
+        grants = rounds.flush()
         self.replays += 1
         self.replays_by_kind[kind] = self.replays_by_kind.get(kind, 0) + 1
 
@@ -699,9 +649,9 @@ class MacroCollectives:
         # construction — so they are also folded into every
         # still-delivering window's expectation.
         engine = self.world.engine
-        engine.grants += st.grants
+        engine.grants += grants
         for earlier in self._active_windows:
-            earlier[1] += st.grants
+            earlier[1] += grants
 
         # One wake per distinct exit instant, in time order; within an
         # instant, images resume in team index order (a stable sort of
@@ -748,32 +698,6 @@ class MacroCollectives:
         for p, value in zip(positions, values):
             waiters[p].resume(value)
 
-    # -- one costed transfer, mirroring Conduit.send exactly ------------
-    def _replay_transfer(self, st: _ReplayState, src_proc: int,
-                         dst_proc: int, nbytes: int, t: float,
-                         path: str) -> Tuple[float, float]:
-        """Return ``(source_done, delivered)`` for one message whose
-        sender is free to issue it at time ``t``, priced from the same
-        route (overhead command, cost-table entry, loopback penalty) the
-        event path sends over."""
-        route = self.world.conduit.route(src_proc, dst_proc, path)
-        hold, latency = route.costs[nbytes]
-        self.world.conduit.counts[route.kind] += 1
-        overhead = route.overhead
-        if overhead is not None:
-            if type(overhead) is Hold:
-                t = st.hold(overhead.resource, t, overhead.duration)
-            else:
-                t = t + overhead.delay
-        fabric = route.fabric
-        fabric.messages += 1
-        fabric.bytes += nbytes
-        t = st.hold(hold.resource, t, hold.duration)
-        delivered = t + latency
-        if route.penalty > 0.0:
-            delivered = delivered + route.penalty
-        return t, delivered
-
     # -- a compute_cost Timeout's span, jitter-free ---------------------
     def _compute_delay(self, flops: float) -> float:
         """The exact delay ``ctx.compute_cost(flops)`` would charge —
@@ -784,109 +708,58 @@ class MacroCollectives:
             flops, efficiency=world.config.compute_efficiency
         ).delay
 
-    # Every replay below returns its exit instants as one float64 array
-    # indexed ``index - 1`` (and, for data kinds, the per-index result
-    # values as a list).  Intranode steps walk ``ring.slaved`` on the
-    # scalar ledger; that list is empty on flat teams.
+    # Every replay below sends on the window's one ledger and returns
+    # its exit instants as one float64 array indexed ``index - 1`` (and,
+    # for data kinds, the per-index result values as a list).
 
     # -- Algorithm 1 (barrier_tdlb) -------------------------------------
-    def _replay_tdlb(self, st: _ReplayState, view, g: _Gather) -> np.ndarray:
-        shared = view.shared
-        members = shared.members
-        ring = self._ring(shared)
-        when, pos = g.when, g.pos
-
-        # Step 1: slaves arrive at their node leader (direct stores).
-        # Same-node requests contend on the leader-socket bus in the
-        # order the engine would grant them: FIFO by (issue time,
-        # registration order) — ties broken by who got to the bus first,
-        # which on the default path is registration (scheduling) order.
-        ready = np.array(when)[ring.ranks]
-        for slot, leader, slaves in ring.slaved:
-            latest = when[leader - 1]
-            dst = members[leader - 1]
-            for s in sorted(slaves, key=lambda i: (when[i - 1], pos[i - 1])):
-                _, delivered = self._replay_transfer(
-                    st, members[s - 1], dst, NOTIFY_NBYTES, when[s - 1],
-                    "direct",
-                )
-                if delivered > latest:
-                    latest = delivered
-            shared.cocounter(leader).add(len(slaves))
-            ready[slot] = latest
-
-        # Step 2: one-wait dissemination among the node leaders, one
-        # vector sweep per round.  Every window notifies every
-        # (leader, round) flag once, so the flags are credited in O(1).
-        if ring.diss_sources:
-            rounds = _RoundLedger(self.world, ring)
-            for sources in ring.diss_sources:
-                done, delivered = rounds.send(ring.slots, ready, NOTIFY_NBYTES)
-                ready = np.maximum(done, delivered[sources])
-            rounds.flush(st)
-            shared.credit_diss("tdlb-leaders")
-
-        # Step 3: each leader releases its intranode set serially.
-        exit_at = np.empty(view.size)
-        for slot, leader, slaves in ring.slaved:
-            t = ready[slot].item()
-            src = members[leader - 1]
-            for s in slaves:  # algorithm order: sorted
-                t, delivered = self._replay_transfer(
-                    st, src, members[s - 1], NOTIFY_NBYTES, t, "direct",
-                )
-                shared.release_flag(s).add(1)
-                exit_at[s - 1] = delivered
-            ready[slot] = t
-        exit_at[ring.ranks] = ready
-        return exit_at
+    def _replay_tdlb(self, rounds: _RoundLedger, shared,
+                     g: _Gather) -> np.ndarray:
+        """With no intranode sets TDLB is the one-wait dissemination
+        among the leaders, one vector sweep per round.  Every window
+        notifies every (leader, round) flag once, so the flags are
+        credited in O(1)."""
+        ring = rounds.ring
+        ready = np.array(g.when)
+        for sources in ring.diss_sources:
+            done, delivered = rounds.send(ring.slots, ready, NOTIFY_NBYTES)
+            ready = np.maximum(done, delivered[sources])
+        shared.credit_diss("tdlb-leaders")
+        return ready
 
     # -- barrier_linear -------------------------------------------------
-    def _replay_linear(self, st: _ReplayState, view, g: _Gather,
-                       path: str) -> np.ndarray:
-        shared = view.shared
-        members = shared.members
-        n = view.size
-        leader = 1
-        root = members[leader - 1]
-        when, pos = g.when, g.pos
-
-        latest = when[leader - 1]
-        for s in sorted(range(2, n + 1),
-                        key=lambda i: (when[i - 1], pos[i - 1])):
-            _, delivered = self._replay_transfer(
-                st, members[s - 1], root, NOTIFY_NBYTES, when[s - 1], path,
-            )
-            if delivered > latest:
-                latest = delivered
-        shared.cocounter(leader).add(n - 1)
+    def _replay_linear(self, rounds: _RoundLedger, shared,
+                       g: _Gather) -> np.ndarray:
+        """Images 2..n notify the root (index 1) in one round; the root
+        releases them one send at a time, in index order."""
+        ring = rounds.ring
+        n = ring.size
+        when = np.array(g.when)
+        _, delivered = rounds.send(ring.slots[1:], when[1:], NOTIFY_NBYTES)
+        shared.cocounter(1).add(n - 1)
 
         exit_at = np.empty(n)
-        t = latest
-        for s in range(2, n + 1):  # algorithm order: ascending index
-            t, delivered = self._replay_transfer(
-                st, root, members[s - 1], NOTIFY_NBYTES, t, path,
-            )
-            shared.release_flag(s).add(1)
-            exit_at[s - 1] = delivered
-        exit_at[leader - 1] = t
+        root = ring.slots[:1]
+        t = np.maximum(when[:1], delivered.max())
+        for s in range(1, n):
+            t, delivered = rounds.send(root, t, NOTIFY_NBYTES)
+            shared.release_flag(s + 1).add(1)
+            exit_at[s] = delivered[0]
+        exit_at[0] = t[0]
         return exit_at
 
-    # -- reduce._recursive_doubling among the node leaders ---------------
-    def _replay_rd(self, st: _ReplayState, ring: _LeaderRing,
-                   ready: np.ndarray, vals: list,
-                   op) -> Tuple[np.ndarray, list]:
-        """Replay the MPICH fold/exchange/unfold allreduce among the
-        ring's leaders, one vector sweep per round.
-
-        ``ready``/``vals`` give, per leader slot, the time it enters the
-        exchange and its accumulator; returns the post-exchange pair.
-        Each round's senders sit on pairwise-distinct nodes, so only
-        per-sender serialization (the per-slot ledger) matters.
+    # -- reduce._recursive_doubling over every image ---------------------
+    def _replay_rd(self, rounds: _RoundLedger,
+                   g: _Gather) -> Tuple[np.ndarray, list]:
+        """Replay the MPICH fold/exchange/unfold allreduce, one vector
+        sweep per round: ``reduce-rd`` as is, and ``reduce-2l``, whose
+        intranode gather and fan-out are empty when every image leads
+        its node.  Each round's senders sit on pairwise-distinct nodes,
+        so only per-sender serialization (the per-slot ledger) matters.
         """
+        ring = rounds.ring
         k = ring.size
-        if k <= 1:
-            return ready, vals
+        vals, op = g.payloads, g.op
         # combine_flops of each participant's *entry* accumulator, as the
         # fine-grained generator captures it in its ``value`` argument
         work = _stack(op, vals)
@@ -903,8 +776,7 @@ class MacroCollectives:
             def sizes(slots):
                 return [payload_nbytes(work[i]) for i in slots.tolist()]
 
-        rounds = _RoundLedger(self.world, ring)
-        t = np.array(ready)
+        t = np.array(g.when)
         evens, odds, active = ring.evens, ring.odds, ring.active
 
         # Fold: odd extras push into their even neighbour and sit out.
@@ -930,151 +802,29 @@ class MacroCollectives:
             else:
                 for e, o in zip(evens.tolist(), odds.tolist()):
                     work[o] = _freeze(work[e])
-        rounds.flush(st)
         return t, list(work)
 
-    # -- allreduce_two_level --------------------------------------------
-    def _replay_reduce_two_level(
-        self, st: _ReplayState, view, g: _Gather
-    ) -> Tuple[np.ndarray, list]:
-        shared = view.shared
-        members = shared.members
-        ring = self._ring(shared)
-        when, pos, base = g.when, g.pos, g.payloads
-        op = g.op
-
-        # Intranode gather: slave contributions reach the leader's socket
-        # bus in fine-grained grant order — FIFO by (issue time,
-        # registration order), same rule as the TDLB replay — and the
-        # leader folds them in deposit (= delivery) order after the last
-        # one lands, then pays one combine timeout for the batch.
-        ready = np.array(when)[ring.ranks]
-        vals = ring.pick(base)
-        for slot, leader, slaves in ring.slaved:
-            t = when[leader - 1]
-            acc = base[leader - 1]
-            dst = members[leader - 1]
-            deposits: List[Tuple[float, int]] = []
-            for s in sorted(slaves, key=lambda i: (when[i - 1], pos[i - 1])):
-                _, delivered = self._replay_transfer(
-                    st, members[s - 1], dst, payload_nbytes(base[s - 1]),
-                    when[s - 1], "direct",
-                )
-                deposits.append((delivered, s))
-                if delivered > t:
-                    t = delivered
-            # The leader folds in deposit (= delivery) order; with
-            # staggered arrivals on a multi-bus node that can differ
-            # from bus-request order.  Stable sort: same-instant
-            # deliveries fire in scheduling (= request) order.
-            deposits.sort(key=lambda d: d[0])
-            for _, s in deposits:
-                acc = _combine(op, acc, base[s - 1])
-            ready[slot] = t + self._compute_delay(
-                combine_flops(base[leader - 1]) * len(slaves)
-            )
-            vals[slot] = acc
-
-        # Internode: recursive doubling among the node leaders.
-        ready, vals = self._replay_rd(st, ring, ready, vals, op)
-
-        # Intranode fan-out: each leader pushes the result serially.
-        if not ring.slaved:
-            return ready, vals
-        exit_at = np.empty(view.size)
-        results: list = [None] * view.size
-        for rank, acc in zip(ring.rank_list, vals):
-            results[rank] = acc
-        for slot, leader, slaves in ring.slaved:
-            t = ready[slot].item()
-            acc = vals[slot]
-            src = members[leader - 1]
-            for s in slaves:
-                t, delivered = self._replay_transfer(
-                    st, src, members[s - 1], payload_nbytes(acc), t,
-                    "direct",
-                )
-                exit_at[s - 1] = delivered
-                results[s - 1] = _freeze(acc)
-            ready[slot] = t
-        exit_at[ring.ranks] = ready
-        return exit_at, results
-
-    # -- allreduce_recursive_doubling -----------------------------------
-    def _replay_reduce_rd(
-        self, st: _ReplayState, view, g: _Gather
-    ) -> Tuple[np.ndarray, list]:
-        # offer() admits this kind on flat teams only, where the leaders
-        # are exactly the images 1..n in rank order.
-        ring = self._ring(view.shared)
-        return self._replay_rd(st, ring, np.array(g.when), list(g.payloads),
-                               g.op)
-
     # -- bcast_two_level ------------------------------------------------
-    def _replay_bcast_two_level(
-        self, st: _ReplayState, view, g: _Gather
-    ) -> Tuple[np.ndarray, list]:
-        shared = view.shared
-        h = shared.hierarchy
-        members = shared.members
-        ring = self._ring(shared)
-        when = g.when
-        source = g.source
-        source_leader = h.leader_of[source]
-        seed = g.payloads[source - 1]
+    def _replay_bcast(self, rounds: _RoundLedger,
+                      g: _Gather) -> Tuple[np.ndarray, list]:
+        """With every image a leader the two-level broadcast is the
+        binomial tree rooted at the source, one sweep per stride,
+        largest first.  Exact because each image sends to its children
+        in decreasing stride order, holds only its own node's NIC and
+        progress engine (one ledger slot, so its sends serialize there
+        as they do on the event path), and an image sending at stride s
+        received its payload at stride lowbit(v) >= 2s, which was swept
+        earlier.  A receiver starts sending at max(arrival, delivery)."""
+        ring = rounds.ring
+        k = ring.size
+        root = g.source - 1
+        seed = g.payloads[root]
         nbytes = payload_nbytes(seed)
-        exit_at = np.empty(view.size)
-
-        # Phase 0: a non-leader source hands the payload to its leader
-        # over shared memory, then is done (it already holds the value).
-        if source != source_leader:
-            done, delivered = self._replay_transfer(
-                st, members[source - 1], members[source_leader - 1], nbytes,
-                when[source - 1], "direct",
-            )
-            exit_at[source - 1] = done
-            root_t = when[source_leader - 1]
-            if delivered > root_t:
-                root_t = delivered
-        else:
-            root_t = when[source - 1]
-
-        # Phase 1: binomial tree among leaders rooted at the source's
-        # leader, one sweep per stride, largest first.  Exact because
-        # each leader sends to its children in decreasing stride order,
-        # holds only its own node's NIC and progress engine (one ledger
-        # slot, so its sends serialize there as they do on the event
-        # path), and a leader sending at stride s received its payload
-        # at stride lowbit(v) >= 2s, which was swept earlier.  A
-        # receiver starts sending at max(arrival, delivery).
-        t = np.array(when)[ring.ranks]
-        root = h.leader_rank[source_leader]
-        t[root] = root_t
-        if ring.tree:
-            k = ring.size
-            rounds = _RoundLedger(self.world, ring)
-            for stride, vsend in ring.tree:
-                senders = (vsend + root) % k
-                receivers = (vsend + (stride + root)) % k
-                done, delivered = rounds.send(senders, t[senders], nbytes)
-                t[senders] = done
-                t[receivers] = np.maximum(t[receivers], delivered)
-            rounds.flush(st)
-
-        # Phase 2: intranode fan-out with direct stores.
-        for slot, leader, slaves in ring.slaved:
-            hold_t = t[slot].item()
-            src = members[leader - 1]
-            for s in slaves:
-                if s == source:
-                    continue  # the source already holds the payload
-                hold_t, delivered = self._replay_transfer(
-                    st, src, members[s - 1], nbytes, hold_t, "direct",
-                )
-                e = when[s - 1]
-                if delivered > e:
-                    e = delivered
-                exit_at[s - 1] = e
-            t[slot] = hold_t
-        exit_at[ring.ranks] = t
-        return exit_at, [_freeze(seed) for _ in range(view.size)]
+        t = np.array(g.when)
+        for stride, vsend in ring.tree:
+            senders = (vsend + root) % k
+            receivers = (vsend + (stride + root)) % k
+            done, delivered = rounds.send(senders, t[senders], nbytes)
+            t[senders] = done
+            t[receivers] = np.maximum(t[receivers], delivered)
+        return t, [_freeze(seed) for _ in range(k)]

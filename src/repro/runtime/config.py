@@ -67,13 +67,18 @@ class RuntimeConfig:
     #: deterministic per-call factors in [1, 1+jitter] from a seeded RNG,
     #: so jittered runs are still exactly reproducible
     compute_jitter: float = 0.0
-    #: allow :mod:`repro.collectives.macro` to collapse eligible barrier
-    #: windows into analytically-replayed macro-events.  The replay is
-    #: exact (same final coarray state, same simulated times), and the
-    #: runtime automatically falls back to fine-grained execution whenever any
-    #: observer (monitor, trace, tiebreak RNG, fault schedule) is
-    #: attached, so this is safe to leave on; set False to force the
-    #: fine-grained path unconditionally.
+    #: allow :mod:`repro.collectives.macro` to collapse eligible
+    #: collective windows into analytically-replayed macro-events.  They
+    #: engage only when every image owns its node; elsewhere the first
+    #: collective switches them off.  The replay is exact (same final
+    #: coarray state, same simulated times) with one known exception: a
+    #: blocking ``get`` into an image whose collapsed window is still
+    #: delivering lands among the window's virtual NIC holds, so the
+    #: run is flagged ``world.macro.inexact`` and get completion times
+    #: can differ.  The runtime automatically falls back to fine-grained
+    #: execution whenever any observer (monitor, trace, tiebreak RNG,
+    #: fault schedule) is attached; set False to force the fine-grained
+    #: path unconditionally.
     macro_events: bool = True
 
     @property

@@ -1009,10 +1009,14 @@ def run_spmd(
     (or None) leaves the run byte-identical to the fault-free runtime.
 
     ``macro_events`` overrides ``config.macro_events`` for this run:
-    False forces every barrier through the fine-grained path, True
-    re-enables the (default-on) macro-event collapse.  The result is
-    identical either way — macro-events are a scheduling optimization —
-    so this knob exists for A/B verification and benchmarks.
+    False forces every collective through the fine-grained path, True
+    re-enables the (default-on) macro-event collapse, which engages only
+    when every image owns its node.  The result is identical either way
+    except in one known case: a blocking ``get`` into an image whose
+    collapsed window is still delivering lands among the window's
+    virtual NIC holds, so get completion times can differ; the run is
+    then flagged ``world.macro.inexact`` (``disabled_reason ==
+    "overlap"``).  This knob exists for A/B verification and benchmarks.
     """
     if macro_events is not None:
         config = config.with_(macro_events=macro_events)

@@ -8,12 +8,16 @@ on and off.  Some programs post a ``put_nb`` mid-chain, which disables
 macro-events for the rest of the run, so the macro→fine hand-over is
 exercised too.
 
-Traffic and the conduit's per-path message counts must always match the
-fine-grained run.  When the coordinator reports the run exact
-(``inexact`` False), the end time, every image's result (pickled digest)
-and every fabric resource's grant count must match bit for bit.  On both
-runs the engine's lifetime grant counter must equal the sum over the
-fabric resources, walked here independently of the coordinator.
+On every program the end time, every image's result (pickled digest),
+the traffic, the conduit's per-path message counts and every fabric
+resource's grant count must match the fine-grained run bit for bit —
+whether or not the coordinator's audit flagged the run ``inexact``.  On
+both runs the engine's lifetime grant counter must equal the sum over
+the fabric resources, walked here independently of the coordinator.
+Programs on machines with several images per node never replay a window
+(``disabled_reason == "hierarchical"``), so the mixed blocks bound
+nothing but exactness; a flat-only block of the same generator checks
+that most programs really replay.
 """
 
 from __future__ import annotations
@@ -27,8 +31,11 @@ import pytest
 from repro import run_spmd
 from repro.runtime.config import UHCAF_2LEVEL
 
-#: seeds per test block; four blocks cover 64 programs
+#: seeds per test block; four mixed blocks cover 64 programs
 SEEDS_PER_BLOCK = 16
+
+#: the flat-only block draws the seeds after the mixed blocks'
+FLAT_SEEDS = range(4 * SEEDS_PER_BLOCK, 5 * SEEDS_PER_BLOCK)
 
 RD_CONFIG = UHCAF_2LEVEL.with_(name="rd", reduce="recursive-doubling")
 
@@ -71,9 +78,14 @@ def _payloads(rng, images):
     return [float(x) for x in rng.standard_normal(images)]
 
 
-def _random_case(seed):
+def _random_case(seed, flat=False):
+    """One random program; ``flat`` forces one image per node (the
+    images-per-node draw still happens, so the rest of the draws keep
+    their order)."""
     rng = np.random.default_rng(seed)
     ipn = int(rng.choice([1, 1, 2, 3, 4, 8]))
+    if flat:
+        ipn = 1
     images = int(rng.integers(2, 41 if ipn > 1 else 70))
     config = RD_CONFIG if ipn == 1 and rng.random() < 0.3 else UHCAF_2LEVEL
     plan = []
@@ -121,9 +133,9 @@ def _digest(results):
     return hashlib.sha256(pickle.dumps(results, protocol=4)).hexdigest()
 
 
-def _check(seed):
+def _check(seed, flat=False):
     """Run one random program both ways; return (replays, exact)."""
-    images, ipn, config, plan = _random_case(seed)
+    images, ipn, config, plan = _random_case(seed, flat)
     runs = {
         macro: run_spmd(_program, num_images=images, images_per_node=ipn,
                         config=config, macro_events=macro, args=(plan,))
@@ -135,18 +147,25 @@ def _check(seed):
         assert run.world.engine.grants == sum(_grants(run.world)), where
     assert on.traffic == off.traffic, where
     assert on.world.conduit.counts == off.world.conduit.counts, where
+    assert on.time == off.time, where
+    assert _digest(on.results) == _digest(off.results), where
+    assert _grants(on.world) == _grants(off.world), where
     macro = on.world.macro
-    if not macro.inexact:
-        assert on.time == off.time, where
-        assert _digest(on.results) == _digest(off.results), where
-        assert _grants(on.world) == _grants(off.world), where
+    if ipn > 1:
+        assert macro.replays == 0, where
+        assert macro.disabled_reason == "hierarchical", where
     return macro.replays, not macro.inexact
 
 
 @pytest.mark.parametrize("block", range(4))
 def test_macro_matches_fine_grained(block):
     seeds = range(block * SEEDS_PER_BLOCK, (block + 1) * SEEDS_PER_BLOCK)
-    outcomes = [_check(seed) for seed in seeds]
+    for seed in seeds:
+        _check(seed)
+
+
+def test_flat_programs_replay():
+    outcomes = [_check(seed, flat=True) for seed in FLAT_SEEDS]
     # not vacuous: most programs must replay windows, and exactly
     replayed = sum(1 for replays, exact in outcomes if replays and exact)
     assert replayed >= SEEDS_PER_BLOCK // 2, outcomes

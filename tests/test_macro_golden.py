@@ -3,18 +3,23 @@
 Macro-on and macro-off runs must agree on final coarray states, final
 simulated time, and fabric traffic across every conformance machine
 shape — for barriers *and* for the data-carrying reduce/broadcast
-windows; macro mode must auto-disable whenever an observer (HB monitor,
-trace, tiebreak seed, fault schedule) is attached; and the one documented
-exactness boundary — a zero-compute hierarchical barrier loop, where a
-committed window's virtual release ladder cannot feel the next window's
-fine-grained traffic — must be *detected* (``inexact``/``"overlap"``)
-rather than silently absorbed.  Flat tight collective loops are the
-chained-window case: every window must collapse from a single analysis
-(the extreme-scale sweep's whole premise), which the sustained-collapse
-tests pin with exact replay counts.  The stride-swept broadcast tree is
-checked against the fine path on every flat team of 2 to 40 images and
-on hierarchical shapes, and a parked gather demoted when the engine
-drains must leave the same deadlock report as a macro-off run.
+windows.  Windows replay only where every image owns its node; every
+other shape must switch macro-events off at its first replayable
+arrival (``disabled_reason == "hierarchical"``), which makes it the
+fine-grained run, including the paper's E2–E4 cells at 8 images per
+node.  Macro mode must auto-disable whenever an observer (HB monitor,
+trace, tiebreak seed, fault schedule) is attached, beside a control run
+that does replay; and a flat program that really loses its commit bet —
+a blocking ``get`` landing among a committed window's virtual NIC holds
+— must be *detected* (``inexact``/``"overlap"``) and replay nothing
+after.  Flat tight collective loops are the chained-window case: every
+window must collapse from a single analysis (the extreme-scale sweep's
+whole premise), which the sustained-collapse tests pin with exact
+replay counts.  The stride-swept broadcast tree is checked against the
+fine path on every flat team of 2 to 40 images, the linear barrier's
+replay on flat teams of 2 to 40, 64 and 100 images, and a parked gather
+demoted when the engine drains must leave the same deadlock report as a
+macro-off run.
 """
 
 from __future__ import annotations
@@ -25,8 +30,13 @@ import numpy as np
 import pytest
 
 from repro.faults import FaultSchedule, ImageFailure, Stat
+from repro.bench.microbench import (
+    barrier_benchmark,
+    broadcast_benchmark,
+    reduce_benchmark,
+)
 from repro.machine import build_machine, paper_cluster
-from repro.runtime.config import UHCAF_2LEVEL
+from repro.runtime.config import GASNET_IB_DISSEMINATION, UHCAF_2LEVEL
 from repro.runtime.program import run_spmd
 from repro.sim import DeadlockError
 from repro.sim.engine import Engine
@@ -35,6 +45,10 @@ from repro.verify.conformance import SHAPES
 from tests.test_macro_fuzz import _digest, _grants
 
 ALL_SHAPES = sorted(SHAPES)
+
+#: the conformance shape whose windows replay: macro-events engage only
+#: when every image owns its node
+FLAT = "flat4"
 
 #: per-iteration compute larger than any shape's release-ladder span, so
 #: re-arrivals land after the previous window's last virtual delivery —
@@ -180,6 +194,16 @@ def _assert_golden(on, off):
     assert on.traffic == off.traffic
 
 
+def _assert_replays(shape, macro, flat_replays):
+    """Flat shapes replay (``flat_replays`` checks the count); a shape
+    with several images on a node switches macro-events off instead."""
+    if SHAPES[shape].images_per_node == 1:
+        assert flat_replays(macro.replays)
+    else:
+        assert macro.replays == 0
+        assert macro.disabled_reason == "hierarchical"
+
+
 # ----------------------------------------------------------------------
 # The matrix
 # ----------------------------------------------------------------------
@@ -189,7 +213,7 @@ class TestGoldenMatrix:
         on = _run(shape, _barrier_once, macro=True)
         off = _run(shape, _barrier_once, macro=False)
         _assert_golden(on, off)
-        assert on.world.macro.replays == 1
+        _assert_replays(shape, on.world.macro, lambda r: r == 1)
         assert not on.world.macro.inexact
         assert off.world.macro.replays == 0
 
@@ -198,7 +222,7 @@ class TestGoldenMatrix:
         on = _run(shape, _separated_loop, args=(4,), macro=True)
         off = _run(shape, _separated_loop, args=(4,), macro=False)
         _assert_golden(on, off)
-        assert on.world.macro.replays >= 1
+        _assert_replays(shape, on.world.macro, lambda r: r >= 1)
         assert not on.world.macro.inexact
 
     @pytest.mark.parametrize("shape", ALL_SHAPES)
@@ -221,51 +245,70 @@ class TestGoldenMatrix:
         assert on.world.macro.disabled_reason is None
 
 
+def _get_after_reduce(ctx):
+    """A blocking ``get`` into an image whose reduce window has not
+    delivered yet: the reply leg holds the target's NIC, among the
+    window's virtual holds."""
+    me = ctx.this_image()
+    n = ctx.num_images()
+    co = yield from ctx.allocate("bet", (1,))
+    ctx.local(co)[0] = float(me)
+    yield ctx.compute_cost(SEPARATING_FLOPS)
+    acc = yield from ctx.co_sum(float(me))
+    got = None
+    if me <= 3:
+        got = yield from ctx.get(co, n)
+    for _ in range(3):
+        yield ctx.compute_cost(SEPARATING_FLOPS)
+        yield from ctx.sync_all()
+    return acc, got
+
+
 class TestExactnessBoundary:
     def test_tight_hierarchical_loop_is_detected(self):
-        # Zero-compute loop on a hierarchical shape: the first window
-        # commits, the re-arrival traffic overlaps its virtual release
-        # ladder, and the coordinator must notice (post-commit grant
-        # audit), flag the run inexact, and disable itself.
+        # Zero-compute loop on a hierarchical shape: a committed window's
+        # virtual release ladder would meet the re-arrival traffic, so no
+        # window replays and the run is the fine-grained run.
         on = _run("2x4", _barrier_loop, args=(6,), macro=True)
         off = _run("2x4", _barrier_loop, args=(6,), macro=False)
         m = on.world.macro
-        # semantic state never drifts — only timestamps can
-        assert on.results is not None
-        assert m.replays <= 1  # at most the first window was bet on
-        if on.time != off.time:
-            assert m.inexact
-            assert m.disabled_reason == "overlap"
+        assert on.time == off.time
+        assert on.results == off.results
+        assert m.replays == 0 and m.disabled_reason == "hierarchical"
 
     def test_lost_bet_disables_for_rest_of_run(self):
-        def loop_then_separated(ctx, iters):
-            for _ in range(iters):
-                yield from ctx.sync_all()
-            for _ in range(2):
-                yield ctx.compute_cost(SEPARATING_FLOPS)
-                yield from ctx.sync_all()
-            return ctx.now
-
-        on = _run("2x4", loop_then_separated, args=(4,), macro=True)
+        # 13 flat images: allocate's barrier and the co_sum replay, then
+        # images 1-3 get from image 13 inside the co_sum window's virtual
+        # delivery span.  The last wake's audit sees the foreign grants.
+        on = _run_flat(13, _get_after_reduce, macro=True)
         m = on.world.macro
-        if m.inexact:
-            # once the bet is lost nothing replays again
-            assert m.disabled_reason is not None
-            assert m.replays <= 1
+        assert m.inexact
+        assert m.disabled_reason == "overlap"
+        # once the bet is lost nothing replays again
+        assert m.replays == 2
 
 
 class TestAutoDisable:
+    """Each observer pins ``flat4`` fine, beside a control run without
+    it that replays."""
+
     def test_monitor_disables(self):
-        on = _run("2x4", _barrier_once, macro=True, monitor=HBMonitor())
+        control = _run(FLAT, _barrier_once, macro=True)
+        on = _run(FLAT, _barrier_once, macro=True, monitor=HBMonitor())
+        assert control.world.macro.replays == 1
         assert on.world.macro.replays == 0
 
     def test_trace_disables(self):
-        on = _run("2x4", _barrier_once, macro=True, trace=True)
+        control = _run(FLAT, _barrier_once, macro=True)
+        on = _run(FLAT, _barrier_once, macro=True, trace=True)
+        assert control.world.macro.replays == 1
         assert on.world.macro.replays == 0
         assert on.trace  # the trace actually recorded fine-grained ops
 
     def test_tiebreak_seed_disables(self):
-        on = _run("2x4", _barrier_once, macro=True, tiebreak_seed=3)
+        control = _run(FLAT, _barrier_once, macro=True)
+        on = _run(FLAT, _barrier_once, macro=True, tiebreak_seed=3)
+        assert control.world.macro.replays == 1
         assert on.world.macro.replays == 0
 
     def test_faults_disable_and_match_fine_grained(self):
@@ -277,24 +320,30 @@ class TestAutoDisable:
             return (ctx.now, st.code, tuple(st.failed_indices))
 
         sched = FaultSchedule(failures=(ImageFailure(3, 20e-6),))
-        on = _run("2x4", survivor_loop, args=(30,), macro=True,
+        control = _run(FLAT, survivor_loop, args=(30,), macro=True)
+        on = _run(FLAT, survivor_loop, args=(30,), macro=True,
                   faults=sched)
-        off = _run("2x4", survivor_loop, args=(30,), macro=False,
+        off = _run(FLAT, survivor_loop, args=(30,), macro=False,
                    faults=sched)
+        assert control.world.macro.replays == 30
         assert on.world.macro.replays == 0
         assert on.time == off.time
         assert on.results == off.results
 
     def test_config_flag_disables(self):
-        on = _run("2x4", _barrier_once, macro=False)
+        control = _run(FLAT, _barrier_once, macro=True)
+        on = _run(FLAT, _barrier_once, macro=False)
+        assert control.world.macro.replays == 1
         assert on.world.macro.replays == 0
         assert on.world.macro.fine_pins == 0  # never even consulted
 
     def test_monitor_disables_data_windows(self):
         # The data-carrying kinds go through the same engage gate: an
         # attached observer must pin reduce/broadcast windows fine too.
-        on = _run("2x4", _sep_reduce, args=(3,), macro=True,
+        control = _run(FLAT, _sep_reduce, args=(3,), macro=True)
+        on = _run(FLAT, _sep_reduce, args=(3,), macro=True,
                   monitor=HBMonitor())
+        assert control.world.macro.replays == 3
         assert on.world.macro.replays == 0
 
 
@@ -436,14 +485,13 @@ class TestCollectiveBoundaries:
         assert on.world.macro.replays >= 1
 
     def test_tight_hierarchical_reduce_boundary(self):
-        # Zero-compute reduce loop on a hierarchical shape: same
-        # exactness boundary as the barrier case — semantic state never
-        # drifts, and any timestamp drift must be flagged.
+        # Zero-compute reduce loop on a hierarchical shape: as in the
+        # barrier case nothing replays, so times match exactly.
         on = _run("2x4", _tight_reduce, args=(5,), macro=True)
         off = _run("2x4", _tight_reduce, args=(5,), macro=False)
         assert on.results == off.results
-        if on.time != off.time:
-            assert on.world.macro.inexact
+        assert on.time == off.time
+        assert on.world.macro.replays == 0
 
 
 class TestExtremeScaleSweepPath:
@@ -524,7 +572,7 @@ def _tree_cases():
     flat = [(n, 1, source) for n in range(2, 41)
             for source in sorted({1, (n + 1) // 2, n})]
     # hierarchical: sources that are not their node's leader, and a
-    # single-node team (one leader, no tree at all)
+    # single-node team (one leader, no tree at all); none replays
     hier = [(24, 8, 2), (24, 8, 12), (24, 8, 24), (13, 3, 2), (13, 3, 13),
             (8, 8, 1), (8, 8, 5)]
     return flat + hier
@@ -540,9 +588,66 @@ class TestSweptBroadcastTree:
             for macro in (True, False)
         }
         on, off = runs[True], runs[False]
-        assert on.world.macro.replays == 1  # the tree really replayed
+        # the tree really replayed, on flat teams only
+        assert on.world.macro.replays == (1 if ipn == 1 else 0)
         assert not on.world.macro.inexact
         assert _fingerprint(on) == _fingerprint(off)
+
+
+# ----------------------------------------------------------------------
+# The linear barrier: arrivals as one round, releases one send at a time
+# ----------------------------------------------------------------------
+LINEAR_CONFIGS = {
+    cfg.name: cfg.with_(name=f"{cfg.name}-linear", barrier="linear")
+    for cfg in (UHCAF_2LEVEL, GASNET_IB_DISSEMINATION)
+}
+
+
+def _uniform_loop(ctx):
+    for _ in range(3):
+        yield ctx.compute_cost(SEPARATING_FLOPS)
+        yield from ctx.sync_all()
+    return ctx.now
+
+
+def _per_image_loop(ctx):
+    for _ in range(3):
+        yield ctx.compute_cost(SEPARATING_FLOPS * (1 + ctx.this_image() % 3))
+        yield from ctx.sync_all()
+    return ctx.now
+
+
+def _tight_four(ctx):
+    return (yield from _barrier_loop(ctx, 4))
+
+
+class TestLinearBarrierReplay:
+    @pytest.mark.parametrize("config", sorted(LINEAR_CONFIGS))
+    @pytest.mark.parametrize("images", [*range(2, 41), 64, 100])
+    def test_replay_matches_fine_grained(self, images, config):
+        cfg = LINEAR_CONFIGS[config]
+        for main in (_barrier_once, _tight_four, _uniform_loop,
+                     _per_image_loop):
+            on = _run_flat(images, main, macro=True, config=cfg)
+            off = _run_flat(images, main, macro=False, config=cfg)
+            assert _fingerprint(on) == _fingerprint(off), main.__name__
+            if main is _barrier_once:
+                assert on.world.macro.replays_by_kind == {"linear": 1}
+
+
+# ----------------------------------------------------------------------
+# The paper's E2-E4 cells at 8 images per node
+# ----------------------------------------------------------------------
+class TestPaperCells:
+    @pytest.mark.parametrize("bench", [barrier_benchmark, reduce_benchmark,
+                                       broadcast_benchmark],
+                             ids=["barrier", "reduce", "broadcast"])
+    @pytest.mark.parametrize("images", [16, 64])
+    def test_macro_on_and_off_identical(self, bench, images):
+        on, off = (bench(images, 8, UHCAF_2LEVEL.with_(macro_events=macro))
+                   for macro in (True, False))
+        assert on.seconds_per_op == off.seconds_per_op
+        assert on.traffic_per_op == off.traffic_per_op
 
 
 # ----------------------------------------------------------------------
