@@ -1,36 +1,19 @@
-"""Simulation-kernel performance instrumentation.
+"""Run-orchestration benchmark and engine run statistics.
 
-The discrete-event engine's throughput is the "hardware speed" of this
-reproduction — every experiment regenerates by pushing events through
-it — so this package makes that speed observable:
+* ``python -m repro.perf`` — the pooled-harness A/B: the quick
+  conformance matrix run sequentially and through the :mod:`repro.exec`
+  pool, plus a cold/warm result-cache cycle (:mod:`repro.perf.harness`),
+  written to ``BENCH_HARNESS.json``.  CI's harness-perf-smoke job gates
+  the pooled speedup.
+* :func:`~repro.perf.stats.run_with_stats` — drive any engine one
+  instant at a time and get events/sec, wall time, peak queue depth and
+  an event-label histogram back.
 
-* :func:`~repro.perf.stats.run_with_stats` — drive any engine one instant
-  at a time and get events/sec, wall time, peak queue depth and an
-  event-label histogram back.
-* :mod:`repro.perf.bench` — microbenchmarks (engine dispatch, same-time
-  burst, trampoline, sync-cell kernel, end-to-end TDLB barrier, and the
-  macro-event barrier/reduce/broadcast A/Bs).
-* ``python -m repro.perf`` — the CLI; writes ``BENCH_SIM_KERNEL.json``
-  (the perf trajectory consumed by CI's perf-smoke job, which gates the
-  engine microbenchmark against the committed file).
+Simulator speed is measured end to end, as host time per simulated
+operation on the paper's workloads, by ``perfbench/`` at the repository
+root (see ``perfbench/README.md``).
 """
 
-from .bench import (
-    BenchResult,
-    bench_burst,
-    bench_engine_dispatch,
-    bench_macro_barrier,
-    bench_macro_bcast,
-    bench_macro_reduce,
-    bench_sync_kernel,
-    bench_tdlb_barrier,
-    bench_trampoline,
-)
 from .stats import EngineStats, run_with_stats
 
-__all__ = [
-    "BenchResult", "EngineStats", "run_with_stats",
-    "bench_burst", "bench_engine_dispatch", "bench_macro_barrier",
-    "bench_macro_bcast", "bench_macro_reduce",
-    "bench_sync_kernel", "bench_tdlb_barrier", "bench_trampoline",
-]
+__all__ = ["EngineStats", "run_with_stats"]

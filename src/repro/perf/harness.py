@@ -10,8 +10,8 @@ machine by running the same quick conformance matrix three ways:
 3. a cold→warm cache cycle in a throwaway cache directory — how much of
    a re-run the content-keyed cache skips.
 
-The numbers feed ``BENCH_HARNESS.json`` (see ``python -m repro.perf
---harness``) and the CI speedup gate.  On a single-core box the pooled
+The numbers feed ``BENCH_HARNESS.json`` (see ``python -m
+repro.perf``) and the CI speedup gate.  On a single-core box the pooled
 run is expected to *lose* to sequential (workers time-slice one core);
 the gate is therefore only meaningful when ``cpu_count >= 2``.  That
 count is the cores this process may run on (its affinity mask), not

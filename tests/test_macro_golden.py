@@ -425,6 +425,30 @@ class TestSustainedCollapseFlat:
         assert not on.world.macro.inexact
 
 
+class TestEngineEventsCollapse:
+    # Fine -> macro engine events at 32/32/64 images: 1,952 -> 36,
+    # 2,592 -> 36 and 253 -> 75; at 256/256/512: 30,976 -> 261,
+    # 33,024 -> 260 and 2,045 -> 530.  A broadcast window still costs
+    # one registration event per member, so it only has to use fewer.
+    @pytest.mark.parametrize("main, num_images, iters, min_ratio", [
+        pytest.param(_barrier_loop, 32, 4, 5, id="barrier-32"),
+        pytest.param(_tight_reduce, 32, 4, 5, id="reduce-32"),
+        pytest.param(_tight_bcast, 64, 1, 1, id="bcast-64"),
+        pytest.param(_barrier_loop, 256, 5, 5, id="barrier-256"),
+        pytest.param(_tight_reduce, 256, 4, 5, id="reduce-256"),
+        pytest.param(_tight_bcast, 512, 1, 1, id="bcast-512"),
+    ])
+    def test_same_run_in_fewer_engine_events(self, main, num_images, iters,
+                                             min_ratio):
+        on = _run_flat(num_images, main, args=(iters,), macro=True)
+        off = _run_flat(num_images, main, args=(iters,), macro=False)
+        _assert_golden(on, off)
+        assert on.world.macro.replays == iters
+        assert not on.world.macro.inexact
+        fine = off.world.engine.events_processed
+        assert fine > min_ratio * on.world.engine.events_processed
+
+
 def _credit_then_fine(ctx, macro_iters, fine_iters, seen):
     """Macro TDLB windows, then a ``put_nb`` (sticky async disable), then
     fine-grained barriers that read the dissemination flags the macro

@@ -1,14 +1,19 @@
 """Unit tests for the discrete-event engine: ordering, determinism,
-clock behaviour, limits, and deadlock reporting."""
+clock behaviour, limits, deadlock reporting, and the pinned event
+counts and end times of its basic shapes."""
 
 import math
 
 import pytest
 
 from repro.sim import (
+    Cell,
     DeadlockError,
     Engine,
+    Process,
     SimulationLimitExceeded,
+    Timeout,
+    WaitFor,
 )
 
 
@@ -272,3 +277,90 @@ class TestDeadlockDetection:
         eng.schedule(2.0, lambda: None)  # unlabeled: not traced
         eng.run()
         assert seen == [(1.0, "tick")]
+
+
+def _staggered(idx):
+    """Distinct delays per chain keep several instants pending."""
+    return (idx % 7 + 1) * 1e-9
+
+
+def _trampoline(eng, chains=4, ticks=500):
+    """Callbacks re-scheduling themselves, no processes."""
+
+    def chain(delay):
+        remaining = ticks
+
+        def tick():
+            nonlocal remaining
+            remaining -= 1
+            if remaining:
+                eng.schedule(delay, tick)
+
+        return tick
+
+    for idx in range(chains):
+        eng.schedule(0.0, chain(_staggered(idx)))
+
+
+def _timeout_chains(eng, procs, ticks, delay):
+    """``procs`` processes, each yielding ``ticks`` Timeouts of
+    ``delay(idx)``: the process-driver resume path."""
+
+    def image(timeout):
+        for _ in range(ticks):
+            yield timeout
+
+    for idx in range(procs):
+        Process(eng, image(Timeout(delay(idx))), name=f"chain{idx}")
+
+
+def _ping_pong(eng, pairs=2, rounds=50):
+    """Producer/consumer pairs spinning on Cells: watcher checks,
+    blocked bookkeeping and wake-on-write."""
+
+    def left(ping, pong):
+        for r in range(1, rounds + 1):
+            ping.add(1)
+            yield WaitFor(pong, lambda v, r=r: v >= r)
+            yield Timeout(1e-9)
+
+    def right(ping, pong):
+        for r in range(1, rounds + 1):
+            yield WaitFor(ping, lambda v, r=r: v >= r)
+            yield Timeout(1e-9)
+            pong.add(1)
+
+    for p in range(pairs):
+        ping, pong = Cell(eng, name=f"ping{p}"), Cell(eng, name=f"pong{p}")
+        Process(eng, left(ping, pong), name=f"left{p}")
+        Process(eng, right(ping, pong), name=f"right{p}")
+
+
+class TestKernelShapes:
+    # Event counts and end times the bucketed kernel and the flat
+    # tuple-heap kernel it replaced both produced on these shapes.
+    @pytest.mark.parametrize("build, events, end_time", [
+        pytest.param(_trampoline, 2000, 1.9960000000000157e-06,
+                     id="trampoline"),
+        pytest.param(lambda eng: _timeout_chains(eng, 4, 100, _staggered),
+                     404, 3.9999999999999956e-07, id="engine_dispatch"),
+        # identical delays: every instant is one same-time cohort
+        pytest.param(lambda eng: _timeout_chains(eng, 4, 100,
+                                                 lambda idx: 1e-9),
+                     404, 9.999999999999989e-08, id="burst"),
+        pytest.param(_ping_pong, 204, 9.999999999999989e-08,
+                     id="sync_kernel"),
+    ])
+    def test_event_count_and_end_time_pinned(self, build, events, end_time):
+        eng = Engine()
+        build(eng)
+        eng.run()
+        assert eng.events_processed == events
+        assert eng.now == end_time
+
+    def test_timeout_chain_event_count_is_exact(self):
+        # procs * (1 start + ticks timeouts) engine events.
+        eng = Engine()
+        _timeout_chains(eng, 3, 10, _staggered)
+        eng.run()
+        assert eng.events_processed == 3 * 11
