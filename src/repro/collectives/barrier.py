@@ -28,9 +28,11 @@ program would.
 from __future__ import annotations
 
 from functools import partial
+from operator import le
 from typing import Iterator
 
 from ..faults.manager import wait_or_fail
+from ..sim import WaitFor
 from ..teams.team import TeamView
 from .base import (
     NOTIFY_NBYTES,
@@ -176,20 +178,25 @@ def barrier_tdlb(ctx, view: TeamView) -> Iterator:
             return
     plan = _tdlb_plan(ctx, view)
     send = ctx.conduit.send
+    # Fault-free, each wait is the WaitFor wait_or_fail would yield.
+    faults = getattr(ctx, "faults", None)
     if plan.released is not None:
         # Step 1 (slave side): arrive at the leader, then wait for release.
         yield from send(plan.to_leader, NOTIFY_NBYTES, plan.arrive)
-        yield from wait_or_fail(
-            ctx, view, plan.released, lambda v, s=seq: v >= s
-        )
+        released = partial(le, seq)  # release flag >= seq
+        if faults is None:
+            yield WaitFor(plan.released, released)
+        else:
+            yield from wait_or_fail(ctx, view, plan.released, released)
         return
 
     if plan.arrived is not None:
         # Step 1 (leader side): wait for the whole intranode set.
-        yield from wait_or_fail(
-            ctx, view, plan.arrived,
-            lambda v, s=seq * len(plan.releases): v >= s,
-        )
+        arrived = partial(le, seq * len(plan.releases))  # cocounter >= that
+        if faults is None:
+            yield WaitFor(plan.arrived, arrived)
+        else:
+            yield from wait_or_fail(ctx, view, plan.arrived, arrived)
     # Step 2: inter-node dissemination among leaders only.
     yield from dissemination_rounds(
         ctx, view, view.shared.hierarchy.leaders, variant="tdlb-leaders",

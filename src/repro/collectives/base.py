@@ -31,10 +31,11 @@ from __future__ import annotations
 
 import math
 from functools import partial
+from operator import le
 from typing import Iterator, List, Sequence
 
 from ..faults.manager import wait_or_fail
-from ..sim import Timeout
+from ..sim import Timeout, WaitFor
 from ..teams.team import TeamView
 
 __all__ = [
@@ -215,9 +216,14 @@ def dissemination_rounds(
             participants, _diss_rounds(ctx, view, participants, variant, path)
         )
     send = ctx.conduit.send
+    arrived = partial(le, seq)  # flag >= seq
+    faults = getattr(ctx, "faults", None)
     for route, bump, my_flag in entry[1]:
         yield from send(route, NOTIFY_NBYTES, bump)
-        yield from wait_or_fail(ctx, view, my_flag, lambda v, s=seq: v >= s)
+        if faults is None:
+            yield WaitFor(my_flag, arrived)
+        else:
+            yield from wait_or_fail(ctx, view, my_flag, arrived)
         if extra_round_cost > 0.0:
             yield Timeout(extra_round_cost)
 

@@ -27,12 +27,13 @@ differs between algorithms just as it does between real MPI algorithms).
 from __future__ import annotations
 
 from functools import partial
+from operator import le
 from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
 
 from ..faults.manager import wait_or_fail
-from ..sim import Timeout
+from ..sim import Timeout, WaitFor
 from ..teams.team import TeamView
 from .base import (
     binomial_peers,
@@ -138,11 +139,17 @@ def _wait_values(ctx, view: TeamView, tag, count: int) -> list:
     here), so routing it through the failure-aware
     :func:`~repro.faults.manager.wait_or_fail` makes the whole family
     detect failed images instead of hanging on a mailbox a dead image was
-    supposed to fill.
+    supposed to fill.  With no fault manager it yields the very
+    ``WaitFor`` that ``wait_or_fail`` would, one generator frame sooner;
+    ``partial(le, count)`` is the predicate ``v >= count``.
     """
-    cell = view.shared.mail_cell(view.index, tag)
-    yield from wait_or_fail(ctx, view, cell, lambda v, c=count: v >= c)
-    return view.shared.collect(view.index, tag)
+    shared = view.shared
+    cell = shared.mail_cell(view.index, tag)
+    if getattr(ctx, "faults", None) is None:
+        yield WaitFor(cell, partial(le, count))
+    else:
+        yield from wait_or_fail(ctx, view, cell, partial(le, count))
+    return shared.collect(view.index, tag)
 
 
 # ----------------------------------------------------------------------

@@ -64,13 +64,16 @@ DEFAULT_MAX_EVENTS = 500_000_000
 #: bare engine works without the process layer.
 _PROCESS_CLASS: Any = None
 _TIMEOUT_CLASS: Any = None
+_HOLD_CLASS: Any = None
 
 
-def _register_process_types(process_cls: type, timeout_cls: type) -> None:
+def _register_process_types(process_cls: type, timeout_cls: type,
+                            hold_cls: type) -> None:
     """Hook for :mod:`repro.sim.process`: enable the inlined resume lane."""
-    global _PROCESS_CLASS, _TIMEOUT_CLASS
+    global _PROCESS_CLASS, _TIMEOUT_CLASS, _HOLD_CLASS
     _PROCESS_CLASS = process_cls
     _TIMEOUT_CLASS = timeout_cls
+    _HOLD_CLASS = hold_cls
 
 
 class Engine:
@@ -340,16 +343,27 @@ class Engine:
         before ``until``; True if it stopped with a later instant pending.
 
         A :class:`~repro.sim.process.Process` record gets its no-value
-        resume inlined — finished guard, generator send, and the dominant
-        ``Timeout`` reschedule straight into the target bucket (a Timeout
-        validated its delay at construction) — saving two Python frames
-        on the hottest edge in the simulator.  Consecutive reschedules
+        resume inlined.  A holding process is its own completion record,
+        so the resume first releases the resource in ``_holding`` (which
+        may grant and schedule the next holder), then runs the finished
+        guard (a killed holder still releases on schedule) and the
+        generator send.  The two commands that reschedule the process
+        itself go straight into the target bucket, both validated at
+        construction: a ``Timeout`` under the process's timeout label,
+        and a ``Hold`` on a resource with a free unit, granted here
+        exactly as :meth:`Resource.hold
+        <repro.sim.primitives.Resource.hold>` grants it, under the
+        resource's hold label (on a full resource the process queues as
+        ``(duration, process)``).  That saves two Python frames per step
+        on the hottest edges in the simulator.  Consecutive reschedules
         into one future instant reuse the last target bucket without a
         dict probe.  A trace or monitor wraps every dispatch, so either
         one turns the inline resume off: Process records then take the
-        generic ``fn()`` branch, which carries the trace call.  The
-        dispatched count lives in a local until the loop exits, so
-        :attr:`events_processed` is stale inside callbacks.
+        generic ``fn()`` branch, which carries the trace call, and
+        :meth:`Process.__call__ <repro.sim.process.Process.__call__>`
+        takes the same steps.  The dispatched count lives in a local
+        until the loop exits, so :attr:`events_processed` is stale inside
+        callbacks.
         """
         times = self._times
         buckets = self._buckets
@@ -362,6 +376,7 @@ class Engine:
         proc_cls = (_PROCESS_CLASS
                     if trace is None and self.monitor is None else None)
         timeout_cls = _TIMEOUT_CLASS
+        hold_cls = _HOLD_CLASS
         max_events = self._max_events
         processed = self._events_processed
         t = 0.0
@@ -401,6 +416,10 @@ class Engine:
                         fn()
                         continue
                     # -- inlined Process.__call__ (no-value resume) --
+                    res = fn._holding
+                    if res is not None:
+                        fn._holding = None
+                        res.release()
                     if fn._finished:
                         continue  # fail-stopped/completed: stale wake
                     try:
@@ -412,12 +431,26 @@ class Engine:
                     except Exception as exc:  # noqa: BLE001 - wrap model bugs
                         fn._finished = True
                         raise ProcessFailure(fn.name, exc) from exc
-                    if command.__class__ is not timeout_cls:
+                    cls = command.__class__
+                    if cls is timeout_cls:
+                        t2 = t + command.delay
+                        label = fn._timeout_label
+                    elif cls is hold_cls:
+                        res = command.resource
+                        if res._in_use >= res.capacity:
+                            res._enqueue(command.duration, fn)
+                            continue
+                        res._in_use += 1
+                        res._granted += 1
+                        self.grants += 1
+                        fn._holding = res
+                        t2 = t + command.duration
+                        label = res._hold_label
+                    else:
                         fn._dispatch(command)
                         continue
-                    t2 = t + command.delay
                     key = mint()
-                    rec = (key, fn, fn._timeout_label)
+                    rec = (key, fn, label)
                     if t2 != last_t2:
                         last_t2 = t2
                         last_b = bucket_get(t2)

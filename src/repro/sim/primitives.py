@@ -16,7 +16,7 @@ Three primitives cover everything the PGAS runtime needs:
 
 from __future__ import annotations
 
-import itertools
+import math
 from collections import deque
 from functools import partial
 from operator import attrgetter
@@ -103,7 +103,8 @@ class Cell:
         self._engine = engine
         self._value = value
         self._watchers: dict[int, tuple[Callable[[Any], bool], Callable[[Any], None]]] = {}
-        self._seq = itertools.count()
+        #: the next watcher key (a plain int: no iterator per cell)
+        self._seq = 0
         self.name = name
         self.meta = meta
 
@@ -179,7 +180,8 @@ class Cell:
         if pred(self._value):
             callback(self._value)
             return None
-        key = next(self._seq)
+        key = self._seq
+        self._seq = key + 1
         self._watchers[key] = (pred, callback)
         return key
 
@@ -189,6 +191,15 @@ class Cell:
 
 #: the queue of a resource nothing has waited for yet (empty, like it)
 _NO_QUEUE: tuple = ()
+
+#: upper bound of the chained hold-duration check (rejects nan too)
+_INF = math.inf
+
+#: Filled in by :mod:`repro.sim.process` at import time (it imports this
+#: module, so it cannot be imported here): a hold whose waiter is a
+#: :class:`~repro.sim.process.Process` schedules the process itself as
+#: its completion record.
+_PROCESS_CLASS: Any = None
 
 
 class Resource:
@@ -204,10 +215,16 @@ class Resource:
     through it :meth:`occupy` and the ``Hold`` process command) is queued
     as one ``(duration, waiter)`` entry: at grant the resource schedules
     the holder's completion ``duration`` later, and the completion
-    releases the resource (granting the next entry) before it calls
-    ``waiter()``.  An explicit :meth:`acquire` is queued as
-    ``(None, grant_event)`` and granted by triggering its event; the
-    caller releases it.
+    releases the resource (granting the next entry) before the holder
+    goes on.  A :class:`~repro.sim.process.Process` waiter is its own
+    completion record: the grant notes the resource in the process's
+    ``_holding`` slot and schedules the process itself, which releases
+    it when it fires (the engine's drain loop grants a process's
+    ``Hold`` inline the same way).  Any other waiter is a callable, and
+    its record is ``partial(_complete, resource, waiter)``.  Both records
+    carry the label ``<name>.hold``.  An explicit :meth:`acquire` is
+    queued as ``(None, grant_event)`` and granted by triggering its
+    event; the caller releases it.
     """
 
     __slots__ = ("_engine", "capacity", "_in_use", "_queue", "name", "_granted",
@@ -290,6 +307,9 @@ class Resource:
             engine.grants += 1
             if duration is None:
                 waiter.trigger()
+            elif waiter.__class__ is _PROCESS_CLASS:
+                waiter._holding = self
+                engine.schedule(duration, waiter, label=self._hold_label)
             else:
                 engine.schedule(duration, partial(_complete, self, waiter),
                                 label=self._hold_label)
@@ -299,16 +319,28 @@ class Resource:
     def hold(self, duration: float, waiter: Callable[[], None]) -> None:
         """Acquire, hold for ``duration`` simulated seconds, release, then
         call ``waiter()`` — all from one queue entry, with no event
-        objects.  A :class:`~repro.sim.process.Process` is its own waiter
-        (calling it resumes the generator), which is how the ``Hold``
-        command blocks."""
+        objects.  A :class:`~repro.sim.process.Process` waiter (the
+        ``Hold`` command) is its own completion record; calling it
+        releases the resource, then resumes the generator.
+
+        ``duration`` must be finite and non-negative; it is checked
+        before anything is granted or queued, so a bad one leaves the
+        resource as it was."""
+        if not 0.0 <= duration < _INF:
+            raise ValueError(
+                f"hold duration must be finite and >= 0, got {duration!r}"
+            )
         if self._in_use < self.capacity:
             self._in_use += 1
             self._granted += 1
             engine = self._engine
             engine.grants += 1
-            engine.schedule(duration, partial(_complete, self, waiter),
-                            label=self._hold_label)
+            if waiter.__class__ is _PROCESS_CLASS:
+                waiter._holding = self
+                engine.schedule(duration, waiter, label=self._hold_label)
+            else:
+                engine.schedule(duration, partial(_complete, self, waiter),
+                                label=self._hold_label)
         else:
             self._enqueue(duration, waiter)
 
@@ -345,7 +377,8 @@ def all_idle(resources: Iterable[Resource]) -> bool:
 
 
 def _complete(resource: Resource, waiter: Callable[[], None]) -> None:
-    """End of a hold: release first (which may grant and schedule the next
-    queued holder), then hand control to the holder."""
+    """End of a callable waiter's hold: release first (which may grant
+    and schedule the next queued holder), then hand control to the
+    holder."""
     resource.release()
     waiter()

@@ -26,6 +26,8 @@ Commands
 ``Hold(resource, duration)``
     Acquire, hold for ``duration``, release; resumes at release time.
     A hold always has a scheduled end, so it never counts as blocked.
+    The process is its own completion record: its ``_holding`` slot
+    names the resource until the record fires and releases it.
 ``Park(queue, name)``
     Append this process to ``queue`` and block until some other party
     calls :meth:`Process.resume` on it; resumes with the value passed
@@ -53,6 +55,10 @@ __all__ = [
 
 #: Type alias for the generator signature simulated processes must have.
 ProcGen = Generator[Any, Any, Any]
+
+#: ``Process._pending`` when no satisfied wait has handed over a value
+#: (any value, None included, may be handed over)
+_NOTHING: Any = object()
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,10 +109,21 @@ class Acquire:
 
 @dataclass(frozen=True, slots=True)
 class Hold:
-    """Acquire ``resource``, hold it ``duration`` seconds, then release."""
+    """Acquire ``resource``, hold it ``duration`` seconds, then release.
+
+    ``duration`` is validated at construction like :class:`Timeout`'s
+    delay, so the engine's inlined hold lane can grant and schedule a
+    Hold instance without re-checking it.
+    """
 
     resource: Resource
     duration: float
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.duration < math.inf:
+            raise ValueError(
+                f"Hold duration must be finite and >= 0, got {self.duration}"
+            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,7 +174,7 @@ class Process:
 
     __slots__ = ("_engine", "_gen", "_send", "name", "actor", "done",
                  "_blocked", "_wait_kind", "_wait_target", "_finished",
-                 "_timeout_label")
+                 "_timeout_label", "_holding", "_stepping", "_pending")
 
     def __init__(self, engine: Engine, gen: ProcGen, name: str = "proc",
                  actor: Optional[Any] = None):
@@ -176,24 +193,38 @@ class Process:
         self._finished = False
         # A process has at most one outstanding no-value resume (it drives
         # a single generator), so the process object itself is the
-        # callback for its spawn step and every Timeout it ever yields
-        # (``__call__`` below), and one preformatted label serves them
-        # all.  Scheduling ``self`` instead of a closure is what lets the
-        # engine's drain loop recognize the record by class and inline the
-        # resume without any per-event indirection.
+        # callback for its spawn step and the end of every Timeout and
+        # Hold it ever yields (``__call__`` below), and one preformatted
+        # label serves its timeouts.  Scheduling ``self`` instead of a
+        # closure is what lets the engine's drain loop recognize the
+        # record by class and inline the resume without any per-event
+        # indirection.
         self._timeout_label = f"{name}.timeout"
+        # While a Hold is granted, its resource, which the process
+        # releases when its record fires.
+        self._holding: Optional[Resource] = None
+        # True while a command handler runs; a wait it satisfies at once
+        # leaves its value in ``_pending`` (see :meth:`resume`).
+        self._stepping = False
+        self._pending: Any = _NOTHING
         # Start at the current instant so spawn order = first-step order.
         engine.call_now(self, label=f"{name}.start")
 
     def __call__(self) -> None:
-        """Resume the generator with no value (spawn step, Timeout
-        expiry, or the end of a Hold, which calls its waiter).
+        """Resume the generator with no value: the spawn step, a Timeout's
+        expiry, or the end of a Hold.  At the end of a Hold the process
+        first releases the resource it held (which may grant and
+        schedule the next holder), and only then runs the finished
+        guard, so a killed holder still releases on schedule.
         The engine's drain loop inlines this exact body when it
         recognizes a scheduled :class:`Process` and no trace or monitor
-        is attached; this method serves every other dispatch (traced or
-        monitored runs, hold completions) — the two must stay
-        behaviourally identical.
+        is attached; this method serves traced and monitored runs — the
+        two must stay behaviourally identical.
         """
+        res = self._holding
+        if res is not None:
+            self._holding = None
+            res.release()
         if self._finished:
             return  # fail-stopped (or completed): stale wake-up
         monitor = self._engine.monitor
@@ -269,60 +300,93 @@ class Process:
         """Resume the process with ``value`` at the current instant: leave
         the blocked registry, then step the generator.  Every wait that
         delivers a value ends here; a :class:`Park` ends only when the
-        queue's owner calls this."""
+        queue's owner calls this.
+
+        A wait that already holds when the process yields it (a set
+        event, a true predicate, a free resource) calls this from inside
+        the handler that dispatches it.  The value is then left in
+        ``_pending`` for the stepping loop, which sends it once the
+        handler returns, so any number of satisfied waits in a row runs
+        in one frame instead of one frame each.  No handler does anything
+        after its synchronous callback returns, so the order of effects
+        is the one nested calls would give.
+        """
         if self._wait_kind is not None:
             self._wait_kind = None
             del self._blocked[self]
         if self._finished:
             return  # fail-stopped (or completed): stale wake-up
+        if self._stepping:
+            self._pending = value
+            return
         monitor = self._engine.monitor
         if monitor is not None:
             self._step_monitored(value, monitor)
             return
-        try:
-            command = self._send(value)
-        except StopIteration as stop:
-            self._finished = True
-            self.done.trigger(stop.value)
-            return
-        except Exception as exc:  # noqa: BLE001 - wrap and surface any model bug
-            self._finished = True
-            raise ProcessFailure(self.name, exc) from exc
-        # Timeout is the dominant command (every charged cost is one), so
-        # it is tested inline before the dispatch-table lookup.
-        if type(command) is Timeout:
-            self._engine.schedule(
-                command.delay, self, label=self._timeout_label
-            )
-            return
-        handler = _DISPATCH.get(type(command))
-        if handler is None:
-            self._dispatch_other(command)
-        else:
-            handler(self, command)
+        send = self._send
+        while True:
+            try:
+                command = send(value)
+            except StopIteration as stop:
+                self._finished = True
+                self.done.trigger(stop.value)
+                return
+            except Exception as exc:  # noqa: BLE001 - wrap and surface any model bug
+                self._finished = True
+                raise ProcessFailure(self.name, exc) from exc
+            # Timeout is the dominant command (every charged cost is one),
+            # so it is tested inline before the dispatch-table lookup.
+            if type(command) is Timeout:
+                self._engine.schedule(
+                    command.delay, self, label=self._timeout_label
+                )
+                return
+            handler = _DISPATCH.get(type(command))
+            self._stepping = True
+            try:
+                if handler is None:
+                    self._dispatch_other(command)
+                else:
+                    handler(self, command)
+            finally:
+                self._stepping = False
+            value = self._pending
+            if value is _NOTHING:
+                return
+            self._pending = _NOTHING
 
     def _step_monitored(self, send_value: Any, monitor: Any) -> None:
         """Slow-path step: bracket the generator resume with the
-        concurrency monitor's begin/end hooks (see ``repro.verify``)."""
+        concurrency monitor's begin/end hooks (see ``repro.verify``).
+        Loops on satisfied waits like :meth:`resume`."""
         if self._finished:
             return  # fail-stopped (or completed): stale wake-up
-        monitor.begin_step(self.actor)
-        try:
-            command = self._send(send_value)
-        except StopIteration as stop:
-            self._finished = True
-            self.done.trigger(stop.value)
-            return
-        except Exception as exc:  # noqa: BLE001 - wrap and surface any model bug
-            self._finished = True
-            raise ProcessFailure(self.name, exc) from exc
-        finally:
-            monitor.end_step()
-        handler = _DISPATCH.get(type(command))
-        if handler is None:
-            self._dispatch_other(command)
-        else:
-            handler(self, command)
+        while True:
+            monitor.begin_step(self.actor)
+            try:
+                command = self._send(send_value)
+            except StopIteration as stop:
+                self._finished = True
+                self.done.trigger(stop.value)
+                return
+            except Exception as exc:  # noqa: BLE001 - wrap and surface any model bug
+                self._finished = True
+                raise ProcessFailure(self.name, exc) from exc
+            finally:
+                monitor.end_step()
+            handler = _DISPATCH.get(type(command))
+            self._stepping = True
+            try:
+                if handler is None:
+                    self._dispatch_other(command)
+                else:
+                    handler(self, command)
+            finally:
+                self._stepping = False
+            send_value = self._pending
+            if send_value is _NOTHING:
+                return
+            self._pending = _NOTHING
 
     def _dispatch(self, command: Any) -> None:
         """Execute one yielded command (type-keyed; kept as the single
@@ -369,8 +433,9 @@ class Process:
         grant.on_trigger(self.resume)
 
     def _do_hold(self, command: Hold) -> None:
-        # The process is its own waiter: the hold's completion releases
-        # the resource, then calls the process (a no-value resume).
+        # The process is its own completion record: the resource notes
+        # itself in ``_holding`` at grant and schedules the process,
+        # whose no-value resume releases it first.
         command.resource.hold(command.duration, self)
 
     def _do_park(self, command: Park) -> None:
@@ -421,7 +486,11 @@ _DISPATCH: dict = {
 }
 
 # Let the engine's drain loop recognize scheduled Process records and
-# inline the no-value resume (see Engine._drain).
+# inline the no-value resume and the Timeout and Hold commands (see
+# Engine._drain), and let a Resource schedule a holding Process as its
+# own completion record (see Resource.hold).
 from . import engine as _engine_module  # noqa: E402 - registration hook
+from . import primitives as _primitives_module  # noqa: E402
 
-_engine_module._register_process_types(Process, Timeout)
+_engine_module._register_process_types(Process, Timeout, Hold)
+_primitives_module._PROCESS_CLASS = Process

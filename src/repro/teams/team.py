@@ -88,8 +88,8 @@ class TeamShared:
         self._cocounter: Dict[int, Cell] = {}
         self._release: Dict[int, Cell] = {}
         # --- tagged mailboxes for data-carrying collectives --------------
-        self._mail_cells: Dict[tuple, Cell] = {}
-        self._mail_values: Dict[tuple, List[Any]] = {}
+        #: (index, tag) → its mailbox, which carries the deposited values
+        self._mail_cells: Dict[tuple, _MailCell] = {}
         # --- node-shared window slots (shmwin collectives) ---------------
         #: key → [value, remaining_readers]; entries free themselves when
         #: the last expected reader takes the value, so a long run of
@@ -192,24 +192,23 @@ class TeamShared:
         key = (index, tag)
         cell = self._mail_cells.get(key)
         if cell is None:
-            cell = self._mail_cells[key] = _MailCell(
-                self.engine, 0,
-                meta={"kind": "mail", "team": self, "index": index, "tag": tag},
-            )
+            cell = self._mail_cells[key] = _MailCell(self, index, tag)
         return cell
 
     def deposit(self, index: int, tag: Hashable, value: Any) -> None:
         """Land ``value`` in member ``index``'s mailbox ``tag`` and bump its
-        counter — called from transfer delivery callbacks only."""
-        self._mail_values.setdefault((index, tag), []).append(value)
-        self.mail_cell(index, tag).add(1)
+        counter — called from transfer delivery callbacks only.  The
+        values ride on the mailbox cell, so this is one dict lookup."""
+        cell = self.mail_cell(index, tag)
+        cell.values.append(value)
+        cell.add(1)
 
     def collect(self, index: int, tag: Hashable) -> List[Any]:
-        """Drain mailbox ``tag`` at member ``index`` and free its storage."""
-        key = (index, tag)
-        values = self._mail_values.pop(key, [])
-        self._mail_cells.pop(key, None)
-        return values
+        """Drain mailbox ``tag`` at member ``index``: forget its cell and
+        return the values deposited there, in arrival order (``[]`` if
+        there is no such mailbox)."""
+        cell = self._mail_cells.pop((index, tag), None)
+        return [] if cell is None else cell.values
 
     # ------------------------------------------------------------------
     # Node-shared window slots (data plane of the shmwin collectives)
@@ -245,21 +244,38 @@ class TeamShared:
 
 
 class _MailCell(Cell):
-    """A mailbox arrival counter.  Tags are per-call tuples and a
-    mailbox lives for one collective step, so its name
-    ``t{uid}.mail[{index}]{tag}`` is formatted only when something
-    reads it (a deadlock or race report)."""
+    """A mailbox: an arrival counter that carries the deposited values.
 
-    __slots__ = ()
+    Tags are per-call tuples and a mailbox lives for one collective
+    step, so creating one costs as little as possible: ``values`` is the
+    one list the payloads land in, and the name
+    ``t{uid}.mail[{index}]{tag}`` and the ``meta`` dict are built only
+    when something reads them (a deadlock or race report).
+    """
+
+    __slots__ = ("values", "_team", "_index", "_tag")
+
+    def __init__(self, team: TeamShared, index: int, tag: Hashable):
+        # Not Cell.__init__: it would store a name and a meta dict, and
+        # both are derived here
+        self._engine = team.engine
+        self._value = 0
+        self._watchers = {}
+        self._seq = 0
+        #: the deposited payloads, in arrival order
+        self.values: List[Any] = []
+        self._team = team
+        self._index = index
+        self._tag = tag
 
     @property
     def name(self) -> str:
-        meta = self.meta
-        return f"t{meta['team'].uid}.mail[{meta['index']}]{meta['tag']}"
+        return f"t{self._team.uid}.mail[{self._index}]{self._tag}"
 
-    @name.setter
-    def name(self, _value: str) -> None:
-        pass  # derived from meta
+    @property
+    def meta(self) -> dict:
+        return {"kind": "mail", "team": self._team, "index": self._index,
+                "tag": self._tag}
 
 
 class TeamView:

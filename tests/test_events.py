@@ -5,7 +5,7 @@ order under the fuzz driver."""
 import pytest
 
 from repro.faults import Stat
-from repro.verify import fuzz_schedules
+from repro.verify import HBMonitor, fuzz_schedules
 from repro.verify.fuzz import canonicalize
 
 from tests.conftest import run_small
@@ -96,6 +96,33 @@ class TestEventSemantics:
 
         result = run_small(main, images=8, ipn=2)
         assert result.results == [0] * 8
+
+    def test_thousands_of_satisfied_waits_in_a_row(self):
+        """2,000 posts land before the owner waits, so each of its 2,000
+        waits already holds when issued; the owner must step through
+        them without nesting a frame per wait (past the default
+        recursion limit of 1,000), with or without a monitor."""
+        posts = 2_000
+
+        def main(ctx):
+            me = ctx.this_image()
+            ev = yield from ctx.event_var("backlog")
+            if me == 2:
+                for _ in range(posts):
+                    yield from ctx.event_post(ev, 1)
+            yield from ctx.sync_all()
+            if me == 1:
+                for _ in range(posts):
+                    yield from ctx.event_wait(ev)
+            return (ctx.event_query(ev), ctx.now)
+
+        plain = run_small(main, images=2, ipn=2)
+        monitor = HBMonitor()
+        monitored = run_small(main, images=2, ipn=2, monitor=monitor)
+        assert [q for q, _ in plain.results] == [0, 0]
+        assert monitored.results == plain.results
+        assert monitored.time == plain.time > 0
+        assert monitor.races == []
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,13 @@ byte-identical event traces.
 The bits are pinned on the test side: the seeded engine is built while
 ``random.Random`` is patched to a subclass whose ``getrandbits`` is
 constantly 0.
+
+The drain loop also has two dispatch lanes for a process record: an
+untraced run resumes the process inline (and grants its ``Timeout`` and
+``Hold`` commands there), while a trace or a monitor sends every record
+through the generic ``fn()`` branch and ``Process.__call__``.
+:class:`TestDispatchLanes` runs one collective chain all three ways and
+checks that the runs are the same run.
 """
 
 from __future__ import annotations
@@ -20,10 +27,13 @@ from unittest import mock
 
 import pytest
 
+from repro.faults import FaultManager, FaultSchedule, ImageFailure, Stat
 from repro.machine import build_machine, paper_cluster
+from repro.runtime.config import UHCAF_1LEVEL, UHCAF_2LEVEL
 from repro.runtime.program import run_spmd
 from repro.sim import Cell, Process, Timeout, WaitFor
 from repro.sim.engine import Engine
+from repro.verify import HBMonitor
 
 
 class ZeroBits(random.Random):
@@ -156,3 +166,87 @@ class TestScheduleEquivalence:
         assert sorted(order) == sorted(f"e{i}" for i in range(20))
         if order == [f"e{i}" for i in range(20)]:  # pragma: no cover
             pytest.skip("seed 7 happened to preserve insertion order")
+
+
+def _chain(ctx, iters):
+    """``sync_all``, ``co_sum``, ``co_broadcast`` with a rotating source;
+    with a failed teammate it returns the first non-ok stat instead."""
+    st = Stat()
+    acc = 0
+    for i in range(iters):
+        yield from ctx.sync_all(stat=st)
+        if st.ok:
+            acc += yield from ctx.co_sum(ctx.this_image() * (i + 1), stat=st)
+        if st.ok:
+            acc = yield from ctx.co_broadcast(
+                acc, source_image=1 + i % ctx.num_images(), stat=st)
+        if not st.ok:
+            return ("stat", i, st.code, tuple(st.failed_indices))
+    return int(acc)
+
+
+def _lane_fingerprint(config, lane, faults=None):
+    """Everything a run is observed by, for one dispatch lane."""
+    engine = Engine(trace=(lambda t, label: None)
+                    if lane == "traced" else None)
+    machine = build_machine(engine, paper_cluster(2), 16, images_per_node=8)
+    monitor = HBMonitor() if lane == "monitored" else None
+    res = run_spmd(_chain, machine=machine, config=config, args=(3,),
+                   monitor=monitor, faults=faults)
+    world = res.world
+    resources = []
+    for node in range(machine.spec.num_nodes):
+        resources.append(world.conduit.progress_engine(node))
+        resources.append(machine.interconnect.nic(node))
+        resources.extend(machine.shared_memory.bus(node, s)
+                         for s in range(machine.spec.node.sockets))
+    return {
+        "time": res.time,
+        "results": res.results,
+        "traffic": res.traffic,
+        "conduit": dict(world.conduit.counts),
+        "resources": [(r.name, r.total_grants, r.peak_queue, r.in_use)
+                      for r in resources],
+        "grants": engine.grants,
+        "events": engine.events_processed,
+    }
+
+
+class TestDispatchLanes:
+    """Inline lane, traced ``Process.__call__`` and monitored steps give
+    one run: same end time, results, traffic, conduit counts, per-resource
+    grants and queue peaks, engine grants and event count."""
+
+    @pytest.mark.parametrize("config", [UHCAF_1LEVEL, UHCAF_2LEVEL],
+                             ids=["1level", "2level"])
+    def test_three_lanes_one_run(self, config):
+        inline = _lane_fingerprint(config, "inline")
+        assert repr(_lane_fingerprint(config, "traced")) == repr(inline)
+        assert repr(_lane_fingerprint(config, "monitored")) == repr(inline)
+        assert inline["time"] > 0 and len(set(inline["results"])) == 1
+        assert inline["grants"] == sum(g for _, g, _, _ in inline["resources"])
+        peak = max(q for _, _, q, _ in inline["resources"])
+        if config is UHCAF_1LEVEL:
+            # loopback serializes the progress engines: grants hand off
+            # from a finished hold to a queued one
+            assert peak > 1
+
+    def test_image_killed_mid_hold(self, monkeypatch):
+        # image5 queues behind images 1-4 on node 0's progress engine
+        # and holds it for one loopback overhead (7.7 us) from 30.8 us
+        held_at_kill = []
+        fail_now = FaultManager._fail_now
+
+        def spy(self, proc, process):
+            held_at_kill.append(process._holding is not None)
+            fail_now(self, proc, process)
+
+        monkeypatch.setattr(FaultManager, "_fail_now", spy)
+        faults = FaultSchedule(failures=(ImageFailure(5, 35e-6),))
+        inline = _lane_fingerprint(UHCAF_1LEVEL, "inline", faults)
+        traced = _lane_fingerprint(UHCAF_1LEVEL, "traced", faults)
+        assert held_at_kill == [True, True]
+        assert repr(traced) == repr(inline)
+        assert inline["results"][4] != inline["results"][0]
+        # the killed holder released on schedule: nothing is left held
+        assert all(in_use == 0 for *_, in_use in inline["resources"])

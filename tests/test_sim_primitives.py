@@ -1,5 +1,7 @@
 """Unit tests for SimEvent, Cell, and Resource."""
 
+import math
+
 import pytest
 
 from repro.sim import (
@@ -266,6 +268,33 @@ class TestEngineGrantCounter:
         assert not all_idle([a, b]) and not a.idle
         eng.run()
         assert all_idle([a, b]) and a.idle and b.idle
+
+
+class TestHoldDuration:
+    """A hold's duration is checked before anything is granted or
+    queued, so a bad one raises and leaves the resource as it was."""
+
+    @pytest.mark.parametrize("duration", [-1.0, math.nan, math.inf])
+    def test_bad_duration_leaves_resource_free(self, eng, duration):
+        r = Resource(eng, name="nic")
+        with pytest.raises(ValueError, match="hold duration"):
+            r.hold(duration, _noop)
+        with pytest.raises(ValueError, match="hold duration"):
+            r.occupy(duration)
+        assert (r.in_use, r.total_grants, eng.grants) == (0, 0, 0)
+        assert r.idle and eng.pending_events == 0
+        done = r.occupy(1.0)
+        eng.run()
+        assert done.triggered and r.idle and r.total_grants == 1
+
+    def test_bad_duration_never_queues(self, eng):
+        r = Resource(eng, name="nic")
+        r.hold(1.0, _noop)
+        with pytest.raises(ValueError, match="hold duration"):
+            r.hold(-1.0, _noop)
+        assert r.queue_length == 0 and r.peak_queue == 0
+        eng.run()
+        assert r.idle and r.total_grants == eng.grants == 1
 
 
 class TestHoldQueue:

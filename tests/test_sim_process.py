@@ -1,5 +1,7 @@
 """Unit tests for generator-based simulated processes."""
 
+import math
+
 import pytest
 
 from repro.sim import (
@@ -157,6 +159,111 @@ class TestCommands:
         Process(eng, proc())
         with pytest.raises(ProcessFailure, match="non-command"):
             eng.run()
+
+    @pytest.mark.parametrize("duration", [-1.0, math.nan, math.inf])
+    def test_hold_invalid_duration_rejected(self, eng, duration):
+        with pytest.raises(ValueError, match="Hold duration"):
+            Hold(Resource(eng), duration)
+
+    @pytest.mark.parametrize("duration", [-1.0, math.nan])
+    def test_invalid_hold_fails_its_process_and_leaks_nothing(
+            self, eng, duration):
+        # Like a bad Timeout: a ProcessFailure naming the image, and the
+        # resource neither held nor counted, so later requests get it.
+        nic = Resource(eng, name="nic")
+
+        def bad():
+            yield Hold(nic, duration)
+
+        Process(eng, bad(), name="image3")
+        with pytest.raises(ProcessFailure, match="image3") as exc:
+            eng.run()
+        assert isinstance(exc.value.original, ValueError)
+        assert (nic.in_use, nic.total_grants, eng.grants) == (0, 0, 0)
+        marks = []
+
+        def good():
+            yield Hold(nic, 1.0)
+            marks.append(eng.now)
+
+        Process(eng, good())
+        eng.run()
+        assert marks == [1.0] and nic.idle
+
+
+class TestSatisfiedWaitsRunFlat:
+    """A wait that already holds when yielded resumes the process from
+    inside the dispatch of its own command.  Thousands of them in a row
+    must not nest a frame each: 5,000 is past the interpreter's default
+    recursion limit of 1,000.  (The SPMD shape, 2,000 satisfied
+    ``event_wait`` calls, is in ``tests/test_events.py``.)"""
+
+    N = 5_000
+
+    def test_satisfied_waitfors(self, eng):
+        cell = Cell(eng, 1)
+
+        def proc():
+            total = 0
+            for _ in range(self.N):
+                total += yield WaitFor(cell, lambda v: v >= 1)
+            return total
+
+        p = Process(eng, proc())
+        eng.run()
+        assert p.result == self.N and eng.now == 0.0
+
+    def test_waits_on_a_triggered_event(self, eng):
+        ev = SimEvent(eng)
+        ev.trigger(2)
+
+        def proc():
+            total = 0
+            for _ in range(self.N):
+                total += yield Wait(ev)
+            return total
+
+        p = Process(eng, proc())
+        eng.run()
+        assert p.result == 2 * self.N
+
+    def test_acquire_release_pairs_on_a_free_resource(self, eng):
+        res = Resource(eng, name="lock")
+
+        def proc():
+            for _ in range(self.N):
+                yield Acquire(res)
+                res.release()
+            yield Timeout(1.0)
+            return "done"
+
+        p = Process(eng, proc())
+        eng.run()
+        assert p.result == "done" and eng.now == 1.0
+        assert res.total_grants == self.N and res.idle
+
+    def test_order_of_effects_is_the_nested_one(self, eng):
+        # A satisfied wait, then one that blocks, then a satisfied one:
+        # the waker's write and the waiter's steps interleave as before.
+        cell = Cell(eng, 1)
+        log = []
+
+        def waiter():
+            log.append(("w", (yield WaitFor(cell, lambda v: v >= 1))))
+            log.append(("w", (yield WaitFor(cell, lambda v: v >= 2))))
+            log.append(("w", (yield WaitFor(cell, lambda v: v >= 2))))
+
+        def writer():
+            yield Timeout(1.0)
+            log.append(("x", eng.now))
+            cell.add(1)
+            log.append(("x", "after"))
+
+        Process(eng, waiter())
+        Process(eng, writer())
+        eng.run()
+        assert log == [("w", 1), ("x", 1.0), ("w", 2), ("w", 2),
+                       ("x", "after")]
 
 
 class TestLifecycle:

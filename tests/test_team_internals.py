@@ -131,6 +131,29 @@ class TestMailboxes:
         assert shared.collect(2, "t") == ["for-2"]
         assert shared.collect(1, "u") == ["other-tag"]
 
+    def test_mailbox_cell_carries_its_values(self):
+        _, shared = make_shared()
+        shared.deposit(3, ("red", 1), 10)
+        cell = shared.mail_cell(3, ("red", 1))
+        shared.deposit(3, ("red", 1), 20)
+        assert (cell.values, cell.value) == ([10, 20], 2)
+        assert shared.collect(3, ("red", 1)) == [10, 20]
+        assert shared.mail_cell(3, ("red", 1)) is not cell  # a fresh box
+
+    def test_collect_of_an_empty_tag_leaves_no_cell(self):
+        _, shared = make_shared()
+        assert shared.collect(2, "never") == []
+        shared.mail_cell(2, "waited")  # a waiter's cell, nothing deposited
+        assert shared.collect(2, "waited") == []
+        assert shared._mail_cells == {}
+
+    def test_name_and_meta_render_on_demand(self):
+        _, shared = make_shared()
+        cell = shared.mail_cell(4, ("red-2l", 7))
+        assert cell.name == f"t{shared.uid}.mail[4]('red-2l', 7)"
+        assert cell.meta == {"kind": "mail", "team": shared, "index": 4,
+                             "tag": ("red-2l", 7)}
+
 
 class TestTeamView:
     def test_view_binds_index(self):
