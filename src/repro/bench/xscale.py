@@ -8,9 +8,11 @@ node, the shape where chained windows sustain collapse) over the three
 macro-capable collectives — barrier, reduction, broadcast — and reports
 per-shape engine-event counts, the fine/macro event ratio, and the
 exactness verdict.  A rung is ``exact`` when the macro run and the
-fine-grained run agree on the end time, every image's result, the
-traffic, the conduit's per-path message counts and the engine's total
-resource grant count, and the coordinator reports no lost bet.
+fine-grained run give one :func:`~repro.verify.fingerprint.fingerprint`
+apart from the engine event count (end time, every image's result,
+traffic, the conduit's per-path message counts, per-resource grants and
+queue peaks, the engine's total grant count), and the coordinator
+reports no lost bet.
 
 The A/B leg (running the same sweep fine-grained to measure the ratio
 and prove bit-exactness) is *bounded*: rungs above ``ab_max`` images run
@@ -37,6 +39,7 @@ from ..machine import build_machine, paper_cluster
 from ..runtime.config import UHCAF_2LEVEL, RuntimeConfig
 from ..runtime.program import run_spmd
 from ..sim.engine import Engine
+from ..verify.fingerprint import fingerprint
 from .tables import ResultTable, Series
 
 __all__ = ["geometric_ladder", "xscale_sweep", "SHAPE_PROGRAMS"]
@@ -139,14 +142,6 @@ def _run_once(main, num_images: int, iters: int, config: RuntimeConfig,
     return engine.events_processed, wall, result
 
 
-def _fingerprint(result) -> tuple:
-    """What a macro run must reproduce bit for bit: end time, per-image
-    results, traffic, per-path message counts and total grants."""
-    world = result.world
-    return (result.time, result.results, result.traffic,
-            dict(world.conduit.counts), world.engine.grants)
-
-
 def xscale_sweep(
     images: Sequence[int],
     config: RuntimeConfig = UHCAF_2LEVEL,
@@ -207,8 +202,9 @@ def xscale_sweep(
                     progress(f"[{n} images] {shape} fine ...")
                 ev_fine, wall_fine, r_fine = _run_once(
                     main, n, iters, config, macro=False)
-                exact = (not stats.inexact
-                         and _fingerprint(r_fine) == _fingerprint(r_macro))
+                exact = not stats.inexact and (
+                    fingerprint(r_fine).without_events()
+                    == fingerprint(r_macro).without_events())
                 row.update(
                     events_fine=ev_fine,
                     wall_fine_s=round(wall_fine, 3),

@@ -405,7 +405,6 @@ class MacroCollectives:
         #: folded into every earlier window's expectation so the audit
         #: only trips on genuinely foreign traffic.
         self._active_windows: List[list] = []
-        self._resources: Optional[list] = None
         #: team uid → its :class:`_LeaderRing`
         self._rings: Dict[int, _LeaderRing] = {}
         self._hook_installed = False
@@ -413,20 +412,6 @@ class MacroCollectives:
     # ------------------------------------------------------------------
     # Eligibility
     # ------------------------------------------------------------------
-    def _all_resources(self) -> list:
-        res = self._resources
-        if res is None:
-            world = self.world
-            machine = world.machine
-            nodes = range(machine.spec.num_nodes)
-            res = [world.conduit.progress_engine(n) for n in nodes]
-            res.extend(machine.interconnect.nic(n) for n in nodes)
-            sm = machine.shared_memory
-            for n in nodes:
-                res.extend(sm.bus(n, s) for s in range(machine.spec.node.sockets))
-            self._resources = res
-        return res
-
     def _ring(self, shared) -> _LeaderRing:
         ring = self._rings.get(shared.uid)
         if ring is None:
@@ -452,7 +437,7 @@ class MacroCollectives:
             return False
         if self.world.engine.pending_events != self._pending_wakes:
             return False
-        return all_idle(self._all_resources())
+        return all_idle(self.world.resources())
 
     def _commit_clear(self) -> bool:
         """Re-check at last arrival: still quiet, and nothing acquired a
@@ -467,11 +452,20 @@ class MacroCollectives:
     # ------------------------------------------------------------------
     # Sticky disables and demotion
     # ------------------------------------------------------------------
+    def _disable(self, reason: str) -> None:
+        """Switch macro-events off for the rest of the run.  ``offer``
+        returns before it counts a fine gather's members once disabled,
+        so every open fine gather is forgotten here."""
+        self.disabled_reason = reason
+        gathers = self._gathers
+        for key in [k for k, g in gathers.items() if g.mode == "fine"]:
+            del gathers[key]
+
     def note_async(self) -> None:
         """Asynchronous traffic exists: disable for the run, demote any
         open gather (called by the conduit on every ``transfer_nb``)."""
         if self.disabled_reason is None:
-            self.disabled_reason = "async"
+            self._disable("async")
         self._demote_open()
 
     def on_drain(self) -> bool:
@@ -567,7 +561,7 @@ class MacroCollectives:
             return g.park
         # The window was perturbed after registration — too late for
         # exact fine-grained timing, so never engage again.
-        self.disabled_reason = "stagger" if stagger else "contention"
+        self._disable("stagger" if stagger else "contention")
         self.inexact = True
         self.demotions += 1
         for proc in g.waiters:  # arrival order
@@ -603,7 +597,7 @@ class MacroCollectives:
             # where the next window's traffic lands (see the module
             # doc).  Off for the whole run: the team spans every image,
             # so this holds for every later window too.
-            self.disabled_reason = "hierarchical"
+            self._disable("hierarchical")
             return None
         # Broadcast windows must never open under a previous window's
         # wakes: overlapped windows have staggered arrivals, which a
@@ -694,7 +688,7 @@ class MacroCollectives:
                 and self.world.engine.grants != window[1]
             ):
                 self.inexact = True
-                self.disabled_reason = "overlap"
+                self._disable("overlap")
         for p, value in zip(positions, values):
             waiters[p].resume(value)
 

@@ -158,13 +158,17 @@ def allreduce_shmwin(
     """Window allreduce (rooted reduce via ``result_image``).
 
     Intranode fan-in: every slave stores its contribution into its own
-    window slot (parallel across sockets) and bumps the node arrival
-    flag; the leader sweeps the whole window once — a single aggregate
-    self-transfer — and combines in slot-index order (deterministic, so
-    double runs are bit-identical).  Leaders then run recursive doubling
-    across nodes, store the result into the window **once**, and release
-    the node; every reader loads the result itself, serialized only by
-    its own socket's controller.
+    window slot (parallel across sockets) and bumps its own arrival
+    flag; the leader waits for each slave's flag, sweeps the whole
+    window once — a single aggregate self-transfer — and combines in
+    slot-index order (deterministic, so double runs are bit-identical).
+    Leaders then run recursive doubling across nodes, store the result
+    into the window **once**, and release the node; every reader loads
+    the result itself, serialized only by its own socket's controller.
+
+    The arrival flags are per slave because a slave that reads no
+    result (a rooted reduce) runs on to the next call and stores again,
+    which a shared arrival count would take for a slower slave's store.
     """
     _combine(op, value, value)  # validate op early, uniformly on all images
     tag = view.next_op_tag("red-shmwin")
@@ -176,7 +180,6 @@ def allreduce_shmwin(
     h = shared.hierarchy
     me = view.index
     leader = h.leader_of[me]
-    arrive = _node_flag(view, leader, "shmwin-red-arr")
     release = _node_flag(view, leader, "shmwin-red-rel")
     nbytes = payload_nbytes(value)
 
@@ -191,6 +194,7 @@ def allreduce_shmwin(
 
     if me != leader:
         contribution = _freeze(value)
+        arrive = _node_flag(view, me, "shmwin-red-arr")
         yield from _win_store(
             ctx, view, nbytes,
             on_visible=lambda: (shared.win_put((tag, me), contribution, 1),
@@ -200,23 +204,24 @@ def allreduce_shmwin(
             return None
         yield from wait_or_fail(ctx, view, release,
                                 lambda v, s=rel_seq: v >= s)
-        yield from _win_load(ctx, view, leader,
-                             shared.win_peek_nbytes((tag, "result", leader)))
         result = shared.win_take((tag, "result", leader))
+        yield from _win_load(ctx, view, leader, payload_nbytes(result))
         if result_image is not None and me != result_image:
             return None
         return result
 
     acc = _freeze(value)
     if slaves:
-        yield from wait_or_fail(
-            ctx, view, arrive, lambda v, s=seq * len(slaves): v >= s
-        )
+        for slave in slaves:
+            yield from wait_or_fail(
+                ctx, view, _node_flag(view, slave, "shmwin-red-arr"),
+                lambda v, s=seq: v >= s)
+        contributions = [shared.win_take((tag, slave)) for slave in slaves]
         # One contiguous sweep over the node window: a single bus grant
         # plus the streamed bandwidth term for all slots together.
         yield from _win_store(ctx, view, nbytes * len(slaves))
-        for slave in slaves:
-            acc = _combine(op, acc, shared.win_take((tag, slave)))
+        for contribution in contributions:
+            acc = _combine(op, acc, contribution)
         yield ctx.compute_cost(combine_flops(value) * len(slaves))
 
     acc = yield from _recursive_doubling(
@@ -291,9 +296,9 @@ def bcast_shmwin(
                 seed = _node_flag(view, me, "shmwin-bc-seed")
                 yield from wait_or_fail(ctx, view, seed,
                                         lambda v, s=seed_seq: v >= s)
-                yield from _win_load(ctx, view, source_image,
-                                     shared.win_peek_nbytes((tag, "seed")))
                 payload = shared.win_take((tag, "seed"))
+                yield from _win_load(ctx, view, source_image,
+                                     payload_nbytes(payload))
         else:
             payload = None
         num_leaders = len(leaders)
@@ -322,6 +327,6 @@ def bcast_shmwin(
     if me == source_image:
         return _freeze(value)
     yield from wait_or_fail(ctx, view, release, lambda v, s=rel_seq: v >= s)
-    yield from _win_load(ctx, view, my_leader,
-                         shared.win_peek_nbytes((tag, "out", my_leader)))
-    return shared.win_take((tag, "out", my_leader))
+    payload = shared.win_take((tag, "out", my_leader))
+    yield from _win_load(ctx, view, my_leader, payload_nbytes(payload))
+    return payload

@@ -17,8 +17,9 @@ function call.  :func:`run_tasks` runs them through the content-keyed
   sandboxes), tasks run in the parent with identical results.
 * **Cold-path economics** — an *auto* request (``-j auto``,
   ``REPRO_JOBS=auto``, ``jobs<=0``) runs inline on one available core
-  (BENCH_HARNESS.json measured pooled 0.93x sequential on a 1-CPU
-  runner) or with fewer than :data:`SPAWN_AMORTIZATION_MIN` cache
+  (workers would time-slice it: pooled runs of the quick conformance
+  matrix measured slower than sequential on a 1-CPU runner) or with
+  fewer than :data:`SPAWN_AMORTIZATION_MIN` cache
   misses.  An explicit ``-j N`` is honored as stated.  Either way the
   executor gets ``min(jobs, misses)`` workers: under ``fork`` it starts
   all of them at once.
@@ -89,9 +90,10 @@ def auto_jobs() -> int:
     """Worker count for ``-j auto``: one per *available* core, at least 1.
 
     On a single-CPU host this returns 1, which makes ``-j auto`` run
-    inline: BENCH_HARNESS.json measured pooled speedup 0.873 on the
-    1-CPU CI runner — worker spawn + IPC overhead with no parallelism to
-    pay for it — so the pool must only engage when a second core exists.
+    inline: there the pool only adds worker start-up and IPC overhead
+    with no parallelism to pay for it (a pooled quick conformance matrix
+    ran at 0.87x sequential on a 1-CPU CI runner), so the pool must only
+    engage when a second core exists.
     """
     return max(1, min(effective_cpu_count(), MAX_JOBS))
 

@@ -9,7 +9,9 @@ fault schedule is installed).  It plays four roles:
    per planned fail-stop; at that instant the image's
    :class:`~repro.sim.process.Process` is killed mid-generator, its
    deadlock bookkeeping retired, and its result pinned to the
-   :data:`FAILED` sentinel.  The failed image never runs again.
+   :data:`FAILED` sentinel.  The failed image never runs again, and the
+   mailboxes and window slots of every team it belongs to are dropped
+   (:meth:`~repro.teams.team.TeamShared.close_data_plane`).
 2. **Oracle** — ``image_status()`` / ``failed_images()`` and the per-team
    :meth:`check_team` entry check read the failed set.
 3. **Gatekeeper at the conduit** — :meth:`filter_delivery` suppresses
@@ -256,13 +258,20 @@ class FaultManager:
         self.epoch = Cell(engine, 0, name="faults.epoch",
                           meta={"what": "failure epoch"})
         self._rng = random.Random(schedule.seed)
+        #: root of the team tree whose data planes a failure closes
+        #: (set by :meth:`arm`; None closes nothing)
+        self._initial_team: Any = None
 
     # ------------------------------------------------------------------
     # Executioner
     # ------------------------------------------------------------------
-    def arm(self, processes: Sequence[Process]) -> None:
+    def arm(self, processes: Sequence[Process],
+            initial_team: Any = None) -> None:
         """Schedule the planned fail-stops against the per-proc process
-        list (index = 0-based proc id).  Called once by ``run_spmd``."""
+        list (index = 0-based proc id).  Called once by ``run_spmd``;
+        ``initial_team`` roots the team tree whose data planes a
+        failure closes."""
+        self._initial_team = initial_team
         for failure in self.schedule.failures:
             proc = failure.image - 1
             self.engine.schedule(
@@ -280,6 +289,13 @@ class FaultManager:
         # Kill first, then bump the epoch: the victim must be incapable of
         # resuming before any survivor is woken to observe the failure.
         process.kill(result=FAILED)
+        # No wait on a team the victim belongs to succeeds from now on,
+        # so their mailboxes and window slots would never be read.
+        teams = [self._initial_team] if self._initial_team is not None else []
+        for team in teams:
+            if proc in team.proc_to_index:
+                team.close_data_plane()
+                teams.extend(team.children)
         self.epoch.add(1)
 
     # ------------------------------------------------------------------

@@ -1,13 +1,8 @@
-"""Run-orchestration benchmark and engine run statistics.
+"""Engine run statistics.
 
-* ``python -m repro.perf`` — the pooled-harness A/B: the quick
-  conformance matrix run sequentially and through the :mod:`repro.exec`
-  pool, plus a cold/warm result-cache cycle (:mod:`repro.perf.harness`),
-  written to ``BENCH_HARNESS.json``.  CI's harness-perf-smoke job gates
-  the pooled speedup.
-* :func:`~repro.perf.stats.run_with_stats` — drive any engine one
-  instant at a time and get events/sec, wall time, peak queue depth and
-  an event-label histogram back.
+:func:`~repro.perf.stats.run_with_stats` drives any engine one instant
+at a time and returns events/sec, wall time, peak queue depth and an
+event-label histogram.
 
 Simulator speed is measured end to end, as host time per simulated
 operation on the paper's workloads, by ``perfbench/`` at the repository

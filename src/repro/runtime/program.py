@@ -137,10 +137,28 @@ class World:
         #: flop count → its jitter-free compute command, shared by every
         #: image (see :meth:`CafContext.compute_cost`)
         self.compute_costs: Dict[float, Timeout] = {}
+        self._resources: Optional[list] = None
 
     @property
     def num_images(self) -> int:
         return self.machine.num_images
+
+    def resources(self) -> list:
+        """Every fabric resource of the run: each node's conduit progress
+        engine, then each node's NIC, then each socket's memory bus.
+        Built on first use, so setting up a run pays nothing for it."""
+        res = self._resources
+        if res is None:
+            machine = self.machine
+            nodes = range(machine.spec.num_nodes)
+            res = [self.conduit.progress_engine(n) for n in nodes]
+            res.extend(machine.interconnect.nic(n) for n in nodes)
+            sm = machine.shared_memory
+            sockets = range(machine.spec.node.sockets)
+            for n in nodes:
+                res.extend(sm.bus(n, s) for s in sockets)
+            self._resources = res
+        return res
 
     def jitter_factor(self, proc: int) -> float:
         """Next OS-noise multiplier for image ``proc`` — uniform in
@@ -1058,7 +1076,7 @@ def run_spmd(
         process.done.on_trigger(partial(_image_done, world, proc))
         processes.append(process)
     if world.faults is not None:
-        world.faults.arm(processes)
+        world.faults.arm(processes, world.initial_shared)
     final_time = engine.run()
     return SpmdResult(
         time=final_time,

@@ -210,6 +210,15 @@ class TeamShared:
         cell = self._mail_cells.pop((index, tag), None)
         return [] if cell is None else cell.values
 
+    def close_data_plane(self) -> None:
+        """Drop every mailbox and window slot of a team that lost a
+        member, and every deposit or store still to land in one.  After
+        a failure no wait on the team succeeds — each survivor's next
+        wait or entry check raises — and every value is taken right
+        after its wait, so nothing would ever read them."""
+        self._mail_cells = _Discard()
+        self._win_values = _Discard()
+
     # ------------------------------------------------------------------
     # Node-shared window slots (data plane of the shmwin collectives)
     # ------------------------------------------------------------------
@@ -222,25 +231,30 @@ class TeamShared:
 
     def win_take(self, key: tuple) -> Any:
         """Read window slot ``key``; the slot frees itself when its last
-        expected reader has taken the value."""
+        expected reader has taken the value.  Readers take right after
+        their wait and charge the load afterwards."""
         entry = self._win_values[key]
         entry[1] -= 1
         if entry[1] <= 0:
             del self._win_values[key]
         return entry[0]
 
-    def win_peek_nbytes(self, key: tuple) -> int:
-        """Payload size of slot ``key`` without consuming it — readers
-        charge the load transfer before taking the value."""
-        from ..collectives.base import payload_nbytes
-
-        return payload_nbytes(self._win_values[key][0])
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"TeamShared(uid={self.uid}, number={self.team_number}, "
             f"size={self.size})"
         )
+
+
+class _Discard(dict):
+    """A closed data-plane table (see
+    :meth:`TeamShared.close_data_plane`): it stores nothing, so a late
+    deposit lands in a cell nobody keeps."""
+
+    __slots__ = ()
+
+    def __setitem__(self, key, value) -> None:
+        pass
 
 
 class _MailCell(Cell):

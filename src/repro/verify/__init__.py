@@ -1,6 +1,6 @@
 """Schedule-fuzzing and concurrency-verification harness.
 
-Three layers, usable independently:
+The layers, usable independently:
 
 * :mod:`repro.verify.fuzz` — run one SPMD program under many legal
   same-instant event orders (the engine's seeded tie-break policy) and
@@ -12,40 +12,34 @@ Three layers, usable independently:
   :class:`~repro.sim.errors.DeadlockError` into a wait-for diagnosis
   (missing notifiers, cycles) with team/leader context.
 * :mod:`repro.verify.conformance` — a matrix runner sweeping every
-  algorithm in :mod:`repro.collectives.registry` across machine shapes,
-  payloads, and fuzz seeds against sequential references.
-* :mod:`repro.verify.faultconf` — the fault conformance matrix: the
-  same collectives × shapes under injected fail-stop and message-fault
-  schedules (:mod:`repro.faults`), asserting graceful degradation
-  (every image fail-stops, completes correctly, or observes
-  ``STAT_FAILED_IMAGE``) plus run-to-run determinism.
+  algorithm in :mod:`repro.collectives.registry` and every image-control
+  statement across machine shapes, payloads and fault schedules
+  (:mod:`repro.faults`): sequential references, graceful degradation,
+  run-to-run determinism, and fuzz seeds on the fault-free cells.
+* :mod:`repro.verify.fingerprint` — one fingerprint of a run, which
+  every execution path must reproduce, and one check of the state a
+  clean run leaves behind.
 
 Command line::
 
     python -m repro.verify --seeds 20            # full matrix
     python -m repro.verify --quick --seeds 3     # CI smoke
     python -m repro.verify --kind barrier --shape numa -v
-    python -m repro.verify --faults --quick      # fault-injection smoke
+    python -m repro.verify --quick --schedule leader-fails
 """
 
 from .conformance import (
+    SCHEDULES,
     SHAPES,
     Case,
     CaseResult,
     build_matrix,
+    make_schedule,
     run_case,
     run_matrix,
 )
 from .deadlock import DeadlockAnalysis, analyze_deadlock, explain_deadlock
-from .faultconf import (
-    SCHEDULE_NAMES,
-    FaultCase,
-    FaultCaseResult,
-    build_fault_matrix,
-    make_schedule,
-    run_fault_case,
-    run_fault_matrix,
-)
+from .fingerprint import RunFingerprint, fingerprint, leftovers
 from .fuzz import (
     FuzzError,
     FuzzReport,
@@ -57,22 +51,20 @@ from .fuzz import (
 from .vclock import HBMonitor, RaceError, RaceRecord, VectorClock
 
 __all__ = [
+    "SCHEDULES",
     "SHAPES",
     "Case",
     "CaseResult",
     "build_matrix",
+    "make_schedule",
     "run_case",
     "run_matrix",
     "DeadlockAnalysis",
     "analyze_deadlock",
     "explain_deadlock",
-    "SCHEDULE_NAMES",
-    "FaultCase",
-    "FaultCaseResult",
-    "build_fault_matrix",
-    "make_schedule",
-    "run_fault_case",
-    "run_fault_matrix",
+    "RunFingerprint",
+    "fingerprint",
+    "leftovers",
     "FuzzError",
     "FuzzReport",
     "SeedOutcome",

@@ -2,14 +2,10 @@
 
 Runs the conformance matrix (see :mod:`repro.verify.conformance`) and
 exits non-zero if any case fails.  ``--quick`` selects the CI smoke
-subset; ``--kind/--alg/--shape`` filter; ``--list`` prints the matrix
+subset; ``--kind/--alg/--shape/--schedule`` filter (all four fault
+schedules run when ``--schedule`` is not given; ``--seeds`` applies to
+the ``none`` cells, the only fuzzed ones); ``--list`` prints the matrix
 without running it.
-
-``--faults`` switches to the fault conformance matrix
-(:mod:`repro.verify.faultconf`): the same collectives and shapes under
-injected fail-stop / message-drop schedules, asserting graceful
-degradation and determinism instead of fuzz-seed independence
-(``--fault-schedule`` filters the schedules; ``--seeds`` is ignored).
 
 ``-j/--jobs`` fans the cases across worker processes (``-j auto`` =
 one per core); pass/fail output is identical to a sequential run.
@@ -26,34 +22,30 @@ import sys
 import time
 
 from ..exec import DEFAULT_CACHE_DIR, ResultCache
-from .conformance import KINDS, SHAPES, build_matrix, run_matrix
-from .faultconf import SCHEDULE_NAMES, build_fault_matrix, run_fault_matrix
+from .conformance import KINDS, SCHEDULES, SHAPES, build_matrix, run_matrix
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.verify",
-        description="collectives conformance matrix + schedule fuzzing",
+        description="conformance matrix: collectives and image control "
+                    "under fault schedules, fuzzed when fault-free",
     )
     parser.add_argument("--seeds", type=int, default=20,
-                        help="fuzz seeds per case (default: 20; large "
-                             "shapes cap this)")
+                        help="fuzz seeds per fault-free case (default: "
+                             "20; large shapes cap this)")
     parser.add_argument("--quick", action="store_true",
-                        help="fast shapes and one payload per kind only")
+                        help="fast shapes, one payload per kind, and two "
+                             "algorithms per kind under faults")
     parser.add_argument("--kind", action="append", choices=sorted(KINDS),
                         help="restrict to one collective kind (repeatable)")
     parser.add_argument("--alg", action="append",
                         help="restrict to one algorithm name (repeatable)")
     parser.add_argument("--shape", action="append", choices=sorted(SHAPES),
                         help="restrict to one machine shape (repeatable)")
-    parser.add_argument("--faults", action="store_true",
-                        help="run the fault-injection conformance matrix "
-                             "(repro.verify.faultconf) instead of the "
-                             "fuzzing matrix")
-    parser.add_argument("--fault-schedule", action="append",
-                        choices=SCHEDULE_NAMES, dest="fault_schedule",
-                        help="with --faults: restrict to one fault "
-                             "schedule (repeatable)")
+    parser.add_argument("--schedule", action="append", choices=SCHEDULES,
+                        help="restrict to one fault schedule (repeatable; "
+                             "default: all)")
     parser.add_argument("--list", action="store_true",
                         help="print the selected cases and exit")
     parser.add_argument("-v", "--verbose", action="store_true",
@@ -72,13 +64,8 @@ def main(argv=None) -> int:
                              f"(default: {DEFAULT_CACHE_DIR})")
     args = parser.parse_args(argv)
 
-    if args.faults:
-        cases = build_fault_matrix(quick=args.quick, kinds=args.kind,
-                                   algs=args.alg, shapes=args.shape,
-                                   schedules=args.fault_schedule)
-    else:
-        cases = build_matrix(quick=args.quick, kinds=args.kind,
-                             algs=args.alg, shapes=args.shape)
+    cases = build_matrix(quick=args.quick, kinds=args.kind, algs=args.alg,
+                         shapes=args.shape, schedules=args.schedule)
     if not cases:
         print("no cases match the given filters", file=sys.stderr)
         return 2
@@ -93,32 +80,20 @@ def main(argv=None) -> int:
     def progress(result) -> None:
         if args.verbose or not result.ok:
             status = "ok" if result.ok else "FAIL"
-            seeds = getattr(result, "seeds", None)
-            suffix = f" ({seeds} seed(s))" if seeds is not None else ""
-            print(f"  {result.case.label:<58} {status}{suffix}")
+            suffix = f" ({result.seeds} seed(s))" if result.seeds else ""
+            print(f"  {result.case.label:<72} {status}{suffix}")
             if not result.ok:
                 for line in result.detail.splitlines():
                     print(f"    {line}")
 
     stats: dict = {}
-    if args.faults:
-        cache = (None if args.no_cache
-                 else ResultCache(root=args.cache_dir,
-                                  namespace="verify-faults"))
-        print(f"running {len(cases)} fault conformance case(s) "
-              f"(each twice, for determinism)...")
-        results = run_fault_matrix(cases, progress=progress, jobs=args.jobs,
-                                   cache=cache,
-                                   task_timeout=args.task_timeout,
-                                   stats_out=stats)
-    else:
-        cache = (None if args.no_cache
-                 else ResultCache(root=args.cache_dir, namespace="verify"))
-        print(f"running {len(cases)} conformance case(s), "
-              f"{args.seeds} seed(s) each...")
-        results = run_matrix(cases, seeds=args.seeds, progress=progress,
-                             jobs=args.jobs, cache=cache,
-                             task_timeout=args.task_timeout, stats_out=stats)
+    cache = (None if args.no_cache
+             else ResultCache(root=args.cache_dir, namespace="verify"))
+    print(f"running {len(cases)} conformance case(s), fault-free ones "
+          f"also under {args.seeds} fuzz seed(s)...")
+    results = run_matrix(cases, seeds=args.seeds, progress=progress,
+                         jobs=args.jobs, cache=cache,
+                         task_timeout=args.task_timeout, stats_out=stats)
     elapsed = time.perf_counter() - start
     failed = [r for r in results if not r.ok]
     print(f"{len(results) - len(failed)}/{len(results)} case(s) passed "

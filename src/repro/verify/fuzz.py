@@ -31,6 +31,7 @@ import numpy as np
 from ..runtime.program import run_spmd
 from ..sim.errors import DeadlockError
 from .deadlock import explain_deadlock
+from .fingerprint import leftovers
 from .vclock import HBMonitor
 
 __all__ = ["SeedOutcome", "FuzzReport", "FuzzError", "fuzz_schedules",
@@ -66,8 +67,10 @@ def semantic_equal(a: Any, b: Any, rtol: float = 1e-9, atol: float = 0.0) -> boo
             return True
         return math.isclose(a, b, rel_tol=rtol, abs_tol=atol)
     if isinstance(a, tuple) and isinstance(b, tuple):
-        return (len(a) == len(b)
-                and all(semantic_equal(x, y, rtol, atol) for x, y in zip(a, b)))
+        # exact equality, compared in C, is the common case
+        return a == b or (
+            len(a) == len(b)
+            and all(semantic_equal(x, y, rtol, atol) for x, y in zip(a, b)))
     return a == b
 
 
@@ -162,8 +165,10 @@ def _fuzz_one_run(
                            error=f"assertion failed: {err}")
     get = extract if extract is not None else _default_extract
     races = [r.describe() for r in monitor.races] if monitor else []
+    left = leftovers(res.world)
+    error = f"left behind: {'; '.join(left)}" if left else None
     return SeedOutcome(seed=seed, results=canonicalize(get(res)),
-                       time=res.time, races=races)
+                       time=res.time, races=races, error=error)
 
 
 def fuzz_schedules(
@@ -192,7 +197,8 @@ def fuzz_schedules(
     With ``monitor_races`` a fresh :class:`HBMonitor` rides along on
     every run and any write-after-write race fails the sweep.  A
     deadlock under *any* seed is a failure and its wait-for analysis is
-    embedded in the report.
+    embedded in the report; so is a run that leaves state behind
+    (:func:`~repro.verify.fingerprint.leftovers`).
 
     ``jobs`` fans the seeded runs across a worker pool (int, ``"auto"``,
     or None = sequential); outcome order and the report are identical to

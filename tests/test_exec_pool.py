@@ -80,8 +80,9 @@ class TestResolveJobs:
         assert resolve_jobs("auto") == min(effective_cpu_count(), MAX_JOBS)
 
     def test_auto_falls_back_to_inline_on_single_cpu(self, monkeypatch):
-        # BENCH_HARNESS.json: pooled speedup 0.873 on the 1-CPU runner —
-        # with one core available, -j auto must mean "run inline".
+        # A pooled quick matrix ran at 0.87x sequential on a 1-CPU
+        # runner — with one core available, -j auto must mean "run
+        # inline".
         import repro.exec.pool as pool_mod
         monkeypatch.setattr(pool_mod.os, "sched_getaffinity",
                             lambda pid: {0}, raising=False)

@@ -1,19 +1,26 @@
-"""Differential fuzzer for macro-events (:mod:`repro.collectives.macro`).
+"""Differential fuzzer: every execution path on generated programs.
 
 Seeded random SPMD programs — chains of ``sync_all``/``co_sum``/
 ``co_max``/``co_min``/``co_broadcast`` with random payloads, random
 broadcast sources and random compute between operations — run on random
-machine shapes (hierarchical, flat, non-power-of-two) with macro-events
-on and off.  Some programs post a ``put_nb`` mid-chain, which disables
-macro-events for the rest of the run, so the macro→fine hand-over is
-exercised too.
+machine shapes (hierarchical, flat, non-power-of-two).  Some programs
+post a ``put_nb`` mid-chain, which disables macro-events for the rest of
+the run, so the macro→fine hand-over is exercised too.
 
-On every program the end time, every image's result (pickled digest),
-the traffic, the conduit's per-path message counts and every fabric
-resource's grant count must match the fine-grained run bit for bit —
-whether or not the coordinator's audit flagged the run ``inexact``.  On
-both runs the engine's lifetime grant counter must equal the sum over
-the fabric resources, walked here independently of the coordinator.
+Each program runs through every execution path (a *leg*): macro-events
+on and off, a traced engine (``Engine(trace=...)``) and an
+:class:`~repro.verify.HBMonitor` riding along; a subset also runs
+pooled through :func:`repro.exec.run_tasks` with two workers, then cold
+and warm through a :class:`~repro.exec.ResultCache`.  Every leg must
+give the macro-off run's :func:`~repro.verify.fingerprint` — the
+macro-on leg apart from its engine event count, the pooled and cached
+legs the inline macro-on run's in full — whether or not the
+coordinator's audit flagged the run ``inexact``.  Every run must leave
+nothing behind (:func:`~repro.verify.leftovers`), and its engine's
+lifetime grant counter must equal the sum over the fabric resources.
+Each leg is mutation-checked: a one-grant or one-ulp divergence planted
+into that leg alone must fail the comparison.
+
 Programs on machines with several images per node never replay a window
 (``disabled_reason == "hierarchical"``), so the mixed blocks bound
 nothing but exactness; a flat-only block of the same generator checks
@@ -22,20 +29,31 @@ that most programs really replay.
 
 from __future__ import annotations
 
-import hashlib
-import pickle
-
 import numpy as np
 import pytest
 
 from repro import run_spmd
+from repro.exec import ResultCache, TaskSpec, run_tasks
+from repro.machine import build_machine, paper_cluster
 from repro.runtime.config import UHCAF_2LEVEL
+from repro.sim.engine import Engine
+from repro.verify import HBMonitor, fingerprint, leftovers
 
-#: seeds per test block; four mixed blocks cover 64 programs
-SEEDS_PER_BLOCK = 16
+#: the generator's seeds, run through every in-process leg in blocks
+SEEDS = range(200)
+BLOCK = 20
 
-#: the flat-only block draws the seeds after the mixed blocks'
-FLAT_SEEDS = range(4 * SEEDS_PER_BLOCK, 5 * SEEDS_PER_BLOCK)
+#: the flat-only block forces seeds 64-79 onto one image per node
+FLAT_SEEDS = range(64, 80)
+
+#: the programs that also run pooled, cold-cached and warm-cached
+POOLED_SEEDS = range(16)
+
+#: a small flat program for the mutation checks: 6 images, two windows
+#: replayed before a ``put_nb`` hands over to the fine-grained path
+MUTATION_SEED = 113
+
+LEGS = ("macro-off", "macro-on", "traced", "monitored")
 
 RD_CONFIG = UHCAF_2LEVEL.with_(name="rd", reduce="recursive-doubling")
 
@@ -117,50 +135,96 @@ def _random_case(seed, flat=False):
     return images, ipn, config, plan
 
 
-def _grants(world):
-    machine = world.machine
-    spec = machine.spec
-    out = []
-    for node in range(spec.num_nodes):
-        out.append(world.conduit.progress_engine(node).total_grants)
-        out.append(machine.interconnect.nic(node).total_grants)
-        out.extend(machine.shared_memory.bus(node, s).total_grants
-                   for s in range(spec.node.sockets))
-    return out
+def _ignore(_time, _label):
+    pass
 
 
-def _digest(results):
-    return hashlib.sha256(pickle.dumps(results, protocol=4)).hexdigest()
-
-
-def _check(seed, flat=False):
-    """Run one random program both ways; return (replays, exact)."""
+def _run_leg(seed, flat, leg):
+    """Run program ``seed`` through ``leg`` and check what every run
+    must hold; returns the :class:`~repro.runtime.program.SpmdResult`."""
     images, ipn, config, plan = _random_case(seed, flat)
-    runs = {
-        macro: run_spmd(_program, num_images=images, images_per_node=ipn,
-                        config=config, macro_events=macro, args=(plan,))
-        for macro in (True, False)
-    }
-    on, off = runs[True], runs[False]
-    where = f"seed {seed}: {images} images, {ipn}/node, {config.name}"
-    for run in (on, off):
-        assert run.world.engine.grants == sum(_grants(run.world)), where
-    assert on.traffic == off.traffic, where
-    assert on.world.conduit.counts == off.world.conduit.counts, where
-    assert on.time == off.time, where
-    assert _digest(on.results) == _digest(off.results), where
-    assert _grants(on.world) == _grants(off.world), where
-    macro = on.world.macro
-    if ipn > 1:
-        assert macro.replays == 0, where
-        assert macro.disabled_reason == "hierarchical", where
+    engine = Engine(trace=_ignore if leg == "traced" else None)
+    machine = build_machine(engine, paper_cluster(-(-images // ipn)),
+                            images, images_per_node=ipn)
+    res = run_spmd(_program, machine=machine, config=config, args=(plan,),
+                   macro_events=False if leg == "macro-off" else None,
+                   monitor=HBMonitor() if leg == "monitored" else None)
+    where = f"seed {seed}, {leg}: {images} images, {ipn}/node, {config.name}"
+    world = res.world
+    assert world.engine.grants == sum(
+        r.total_grants for r in world.resources()), where
+    assert leftovers(world) == [], where
+    if leg == "macro-on" and ipn > 1:
+        assert world.macro.replays == 0, where
+        assert world.macro.disabled_reason == "hierarchical", where
+    return res
+
+
+def _plant(res, divergence):
+    """A one-grant or a one-ulp divergence in one run."""
+    if divergence == "grant":
+        res.world.engine.grants += 1
+    else:
+        res.time = float(np.nextafter(res.time, np.inf))
+
+
+def _leg_fingerprint(seed, flat, leg, divergence=None):
+    """The fingerprint of one leg's run (a pool task)."""
+    res = _run_leg(seed, flat, leg)
+    if divergence is not None:
+        _plant(res, divergence)
+    return fingerprint(res)
+
+
+def _assert_same(want, got, leg, where):
+    differ = want.diff(got)
+    assert not differ, f"{where}: the {leg} leg differs in {differ}"
+
+
+def _check(seed, flat=False, planted=None):
+    """Run one program through every in-process leg; ``planted`` is a
+    ``(leg, divergence)`` to inject.  Returns the macro-on run's
+    ``(replays, exact)``."""
+    runs = {leg: _run_leg(seed, flat, leg) for leg in LEGS}
+    if planted is not None:
+        leg, divergence = planted
+        _plant(runs[leg], divergence)
+    off = fingerprint(runs["macro-off"])
+    for leg, res in runs.items():
+        want, got = off, fingerprint(res)
+        if leg == "macro-on":
+            want, got = want.without_events(), got.without_events()
+        _assert_same(want, got, leg, f"seed {seed}")
+    macro = runs["macro-on"].world.macro
     return macro.replays, not macro.inexact
 
 
-@pytest.mark.parametrize("block", range(4))
+def _pooled(seeds, cache=None, planted=None):
+    """Macro-on fingerprints of ``seeds`` through a two-worker pool;
+    ``planted`` injects a divergence into the first program's task."""
+    tasks = [TaskSpec(_leg_fingerprint,
+                      (seed, False, "macro-on",
+                       planted if i == 0 else None))
+             for i, seed in enumerate(seeds)]
+    results = run_tasks(tasks, jobs=2, cache=cache)
+    assert all(r.ok for r in results), [r.error for r in results]
+    return [r.value for r in results]
+
+
+def _assert_legs(seeds, want, got, leg):
+    assert len(got) == len(want)
+    for seed, w, g in zip(seeds, want, got):
+        _assert_same(w, g, leg, f"seed {seed}")
+
+
+def _inline(seeds):
+    return [_leg_fingerprint(seed, False, "macro-on") for seed in seeds]
+
+
+@pytest.mark.parametrize("block", range(len(SEEDS) // BLOCK))
 def test_macro_matches_fine_grained(block):
-    seeds = range(block * SEEDS_PER_BLOCK, (block + 1) * SEEDS_PER_BLOCK)
-    for seed in seeds:
+    """Macro on and off, traced and monitored: one fingerprint."""
+    for seed in SEEDS[block * BLOCK:(block + 1) * BLOCK]:
         _check(seed)
 
 
@@ -168,5 +232,60 @@ def test_flat_programs_replay():
     outcomes = [_check(seed, flat=True) for seed in FLAT_SEEDS]
     # not vacuous: most programs must replay windows, and exactly
     replayed = sum(1 for replays, exact in outcomes if replays and exact)
-    assert replayed >= SEEDS_PER_BLOCK // 2, outcomes
-    assert sum(replays for replays, _ in outcomes) >= SEEDS_PER_BLOCK * 3 // 4
+    assert replayed >= len(FLAT_SEEDS) // 2, outcomes
+    assert sum(replays for replays, _ in outcomes) >= len(FLAT_SEEDS) * 3 // 4
+
+
+def test_pooled_and_cached_legs(tmp_path):
+    seeds = POOLED_SEEDS
+    want = _inline(seeds)
+    _assert_legs(seeds, want, _pooled(seeds), "pooled")
+    cold = ResultCache(root=tmp_path, namespace="fuzz")
+    _assert_legs(seeds, want, _pooled(seeds, cold), "cold")
+    assert cold.hits == 0 and cold.puts == len(seeds)
+    warm = ResultCache(root=tmp_path, namespace="fuzz")
+    _assert_legs(seeds, want, _pooled(seeds, warm), "warm")
+    assert warm.hits == len(seeds)
+
+
+def test_disable_forgets_open_fine_gathers():
+    # 58 flat images: the audit switches macro-events off ("overlap")
+    # while a broadcast's fine gather is open; the disable must forget
+    # it rather than leave it open for the rest of the run
+    res = _run_leg(14, False, "macro-on")
+    assert res.world.macro.disabled_reason == "overlap"
+    assert res.world.macro._gathers == {}
+
+
+@pytest.mark.parametrize("divergence", ["grant", "ulp"])
+class TestPlantedDivergence:
+    """Each leg's comparison fails when that leg alone diverges."""
+
+    @pytest.mark.parametrize("leg", LEGS)
+    def test_in_process_leg(self, leg, divergence):
+        with pytest.raises(AssertionError, match="leg differs"):
+            _check(MUTATION_SEED, planted=(leg, divergence))
+
+    @pytest.mark.parametrize("leg", ["pooled", "cold"])
+    def test_pooled_leg(self, leg, divergence, tmp_path):
+        seeds = [MUTATION_SEED]
+        cache = (ResultCache(root=tmp_path, namespace="fuzz")
+                 if leg == "cold" else None)
+        got = _pooled(seeds, cache, planted=divergence)
+        with pytest.raises(AssertionError, match="leg differs"):
+            _assert_legs(seeds, _inline(seeds), got, leg)
+
+    def test_warm_leg(self, divergence, tmp_path):
+        seeds = [MUTATION_SEED]
+        _pooled(seeds, ResultCache(root=tmp_path, namespace="fuzz"))
+        # the planted run's fingerprint replaces the cached entry
+        warm = ResultCache(root=tmp_path, namespace="fuzz")
+        task = TaskSpec(_leg_fingerprint, (MUTATION_SEED, False, "macro-on",
+                                           None))
+        warm.put(warm.task_key(task),
+                 _leg_fingerprint(MUTATION_SEED, False, "macro-on",
+                                  divergence))
+        got = _pooled(seeds, warm)
+        assert warm.hits == 1
+        with pytest.raises(AssertionError, match="leg differs"):
+            _assert_legs(seeds, _inline(seeds), got, "warm")

@@ -40,9 +40,8 @@ from repro.runtime.config import GASNET_IB_DISSEMINATION, UHCAF_2LEVEL
 from repro.runtime.program import run_spmd
 from repro.sim import DeadlockError
 from repro.sim.engine import Engine
-from repro.verify import HBMonitor
+from repro.verify import HBMonitor, fingerprint
 from repro.verify.conformance import SHAPES
-from tests.test_macro_fuzz import _digest, _grants
 
 ALL_SHAPES = sorted(SHAPES)
 
@@ -188,10 +187,10 @@ def _run_flat(num_images, main, args=(), macro=None, config=None, **kw):
                     macro_events=macro, **kw)
 
 
-def _assert_golden(on, off):
-    assert on.time == off.time  # bit-identical, not approx
-    assert on.results == off.results
-    assert on.traffic == off.traffic
+def _observed(result):
+    """The run's fingerprint as macro on and off must both give it (a
+    replayed window spends fewer engine events)."""
+    return fingerprint(result).without_events()
 
 
 def _assert_replays(shape, macro, flat_replays):
@@ -212,7 +211,7 @@ class TestGoldenMatrix:
     def test_single_barrier_identical(self, shape):
         on = _run(shape, _barrier_once, macro=True)
         off = _run(shape, _barrier_once, macro=False)
-        _assert_golden(on, off)
+        assert _observed(on) == _observed(off)
         _assert_replays(shape, on.world.macro, lambda r: r == 1)
         assert not on.world.macro.inexact
         assert off.world.macro.replays == 0
@@ -221,7 +220,7 @@ class TestGoldenMatrix:
     def test_compute_separated_loop_identical(self, shape):
         on = _run(shape, _separated_loop, args=(4,), macro=True)
         off = _run(shape, _separated_loop, args=(4,), macro=False)
-        _assert_golden(on, off)
+        assert _observed(on) == _observed(off)
         _assert_replays(shape, on.world.macro, lambda r: r >= 1)
         assert not on.world.macro.inexact
 
@@ -229,7 +228,7 @@ class TestGoldenMatrix:
     def test_coarray_states_identical(self, shape):
         on = _run(shape, _ring_stencil, args=(5,), macro=True)
         off = _run(shape, _ring_stencil, args=(5,), macro=False)
-        _assert_golden(on, off)
+        assert _observed(on) == _observed(off)
         assert not on.world.macro.inexact
 
     def test_flat_tight_loop_sustains_collapse(self):
@@ -239,7 +238,7 @@ class TestGoldenMatrix:
         iters = 6
         on = _run("flat4", _barrier_loop, args=(iters,), macro=True)
         off = _run("flat4", _barrier_loop, args=(iters,), macro=False)
-        _assert_golden(on, off)
+        assert _observed(on) == _observed(off)
         assert on.world.macro.replays == iters
         assert not on.world.macro.inexact
         assert on.world.macro.disabled_reason is None
@@ -272,8 +271,7 @@ class TestExactnessBoundary:
         on = _run("2x4", _barrier_loop, args=(6,), macro=True)
         off = _run("2x4", _barrier_loop, args=(6,), macro=False)
         m = on.world.macro
-        assert on.time == off.time
-        assert on.results == off.results
+        assert _observed(on) == _observed(off)
         assert m.replays == 0 and m.disabled_reason == "hierarchical"
 
     def test_lost_bet_disables_for_rest_of_run(self):
@@ -327,8 +325,7 @@ class TestAutoDisable:
                    faults=sched)
         assert control.world.macro.replays == 30
         assert on.world.macro.replays == 0
-        assert on.time == off.time
-        assert on.results == off.results
+        assert _observed(on) == _observed(off)
 
     def test_config_flag_disables(self):
         control = _run(FLAT, _barrier_once, macro=True)
@@ -355,21 +352,21 @@ class TestGoldenMatrixCollectives:
     def test_separated_reduce_identical(self, shape):
         on = _run(shape, _sep_reduce, args=(4,), macro=True)
         off = _run(shape, _sep_reduce, args=(4,), macro=False)
-        _assert_golden(on, off)
+        assert _observed(on) == _observed(off)
         assert not on.world.macro.inexact
 
     @pytest.mark.parametrize("shape", ALL_SHAPES)
     def test_separated_broadcast_identical(self, shape):
         on = _run(shape, _sep_bcast, args=(4,), macro=True)
         off = _run(shape, _sep_bcast, args=(4,), macro=False)
-        _assert_golden(on, off)
+        assert _observed(on) == _observed(off)
         assert not on.world.macro.inexact
 
     @pytest.mark.parametrize("shape", ALL_SHAPES)
     def test_mixed_collectives_identical(self, shape):
         on = _run(shape, _mixed_collectives, args=(3,), macro=True)
         off = _run(shape, _mixed_collectives, args=(3,), macro=False)
-        _assert_golden(on, off)
+        assert _observed(on) == _observed(off)
         assert not on.world.macro.inexact
 
 
@@ -378,7 +375,7 @@ class TestSustainedCollapseFlat:
         iters = 6
         on = _run_flat(4, _tight_reduce, args=(iters,), macro=True)
         off = _run_flat(4, _tight_reduce, args=(iters,), macro=False)
-        _assert_golden(on, off)
+        assert _observed(on) == _observed(off)
         assert on.world.macro.replays == iters
         assert not on.world.macro.inexact
         assert on.world.macro.disabled_reason is None
@@ -391,7 +388,7 @@ class TestSustainedCollapseFlat:
         iters = 5
         on = _run_flat(num_images, _tight_reduce, args=(iters,), macro=True)
         off = _run_flat(num_images, _tight_reduce, args=(iters,), macro=False)
-        _assert_golden(on, off)
+        assert _observed(on) == _observed(off)
         assert on.world.macro.replays == iters
         assert not on.world.macro.inexact
 
@@ -399,7 +396,7 @@ class TestSustainedCollapseFlat:
         iters = 4
         on = _run_flat(12, _tight_reduce_arr, args=(iters,), macro=True)
         off = _run_flat(12, _tight_reduce_arr, args=(iters,), macro=False)
-        _assert_golden(on, off)
+        assert _observed(on) == _observed(off)
         assert on.world.macro.replays == iters
 
     def test_tight_mixed_reduce_kinds(self):
@@ -408,7 +405,7 @@ class TestSustainedCollapseFlat:
         iters = 4
         on = _run_flat(12, _tight_mixed_flat, args=(iters,), macro=True)
         off = _run_flat(12, _tight_mixed_flat, args=(iters,), macro=False)
-        _assert_golden(on, off)
+        assert _observed(on) == _observed(off)
         assert on.world.macro.replays == 2 * iters
         assert not on.world.macro.inexact
 
@@ -420,7 +417,7 @@ class TestSustainedCollapseFlat:
                        macro=True, config=rd)
         off = _run_flat(num_images, _tight_reduce, args=(iters,),
                         macro=False, config=rd)
-        _assert_golden(on, off)
+        assert _observed(on) == _observed(off)
         assert on.world.macro.replays == iters
         assert not on.world.macro.inexact
 
@@ -442,7 +439,7 @@ class TestEngineEventsCollapse:
                                              min_ratio):
         on = _run_flat(num_images, main, args=(iters,), macro=True)
         off = _run_flat(num_images, main, args=(iters,), macro=False)
-        _assert_golden(on, off)
+        assert _observed(on) == _observed(off)
         assert on.world.macro.replays == iters
         assert not on.world.macro.inexact
         fine = off.world.engine.events_processed
@@ -478,7 +475,7 @@ class TestDisseminationCredit:
                        args=(macro_iters, fine_iters, seen_on))
         off = _run_flat(n, _credit_then_fine, macro=False,
                         args=(macro_iters, fine_iters, seen_off))
-        _assert_golden(on, off)
+        assert _observed(on) == _observed(off)
         m = on.world.macro
         assert m.replays == macro_iters + 1
         assert m.disabled_reason == "async" and not m.inexact
@@ -504,8 +501,7 @@ class TestCollectiveBoundaries:
         # Results and final time must match either way.
         on = _run_flat(8, _tight_bcast, args=(4,), macro=True)
         off = _run_flat(8, _tight_bcast, args=(4,), macro=False)
-        assert on.results == off.results
-        assert on.time == off.time
+        assert _observed(on) == _observed(off)
         assert on.world.macro.replays >= 1
 
     def test_tight_hierarchical_reduce_boundary(self):
@@ -513,8 +509,7 @@ class TestCollectiveBoundaries:
         # barrier case nothing replays, so times match exactly.
         on = _run("2x4", _tight_reduce, args=(5,), macro=True)
         off = _run("2x4", _tight_reduce, args=(5,), macro=False)
-        assert on.results == off.results
-        assert on.time == off.time
+        assert _observed(on) == _observed(off)
         assert on.world.macro.replays == 0
 
 
@@ -586,12 +581,6 @@ def _bcast_from(ctx, source):
     return (yield from ctx.co_broadcast(value, source_image=source))
 
 
-def _fingerprint(result):
-    world = result.world
-    return (result.time, _digest(result.results), result.traffic,
-            dict(world.conduit.counts), _grants(world))
-
-
 def _tree_cases():
     flat = [(n, 1, source) for n in range(2, 41)
             for source in sorted({1, (n + 1) // 2, n})]
@@ -615,7 +604,7 @@ class TestSweptBroadcastTree:
         # the tree really replayed, on flat teams only
         assert on.world.macro.replays == (1 if ipn == 1 else 0)
         assert not on.world.macro.inexact
-        assert _fingerprint(on) == _fingerprint(off)
+        assert _observed(on) == _observed(off)
 
 
 # ----------------------------------------------------------------------
@@ -654,7 +643,7 @@ class TestLinearBarrierReplay:
                      _per_image_loop):
             on = _run_flat(images, main, macro=True, config=cfg)
             off = _run_flat(images, main, macro=False, config=cfg)
-            assert _fingerprint(on) == _fingerprint(off), main.__name__
+            assert _observed(on) == _observed(off), main.__name__
             if main is _barrier_once:
                 assert on.world.macro.replays_by_kind == {"linear": 1}
 

@@ -18,8 +18,10 @@ from repro.verify.conformance import build_matrix, run_matrix
 
 
 def _small_matrix():
-    """A fast slice of the quick matrix (one kind, every shape)."""
-    return build_matrix(quick=True, kinds=["barrier"])
+    """A fast slice of the quick matrix: one kind's two smoke
+    algorithms on every shape under every fault schedule."""
+    return build_matrix(quick=True, kinds=["barrier"],
+                        algs=["dissemination", "tdlb"])
 
 
 # ----------------------------------------------------------------------

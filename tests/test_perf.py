@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.perf import run_with_stats
@@ -64,28 +62,3 @@ class TestRunWithStats:
         engine.schedule(1.0, lambda: None, label="late")
         stats = run_with_stats(engine, until=1e-3)
         assert stats.label_histogram == {"early": 1}
-
-
-class TestHarnessMode:
-    def test_pinned_to_one_core_skips_the_speedup_gate(self, monkeypatch,
-                                                       tmp_path, capsys):
-        """A process pinned to one core of a 64-core host records one
-        core, so ``--min-speedup`` skips instead of gating workers that
-        time-slice that core."""
-        import os
-
-        from repro.perf import __main__ as cli
-        from repro.perf import harness
-
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
-                            raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        monkeypatch.setattr(harness, "run_matrix",
-                            lambda cases, **kwargs: [c.label for c in cases])
-        out = tmp_path / "BENCH_HARNESS.json"
-        assert cli.main(["-j", "2", "-o", str(out),
-                         "--min-speedup", "1e9"]) == 0
-        entry = json.loads(out.read_text())["harness"]
-        assert entry["cpu_count"] == 1
-        assert entry["identical_results"] is True
-        assert "speedup gate skipped" in capsys.readouterr().out

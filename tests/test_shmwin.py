@@ -93,6 +93,24 @@ class TestShmwinSemantics:
         assert a.time == b.time
         assert a.results == b.results
 
+    def test_rooted_reduce_slave_running_ahead(self):
+        """A slave that reads no result of a rooted reduce stores its
+        next contribution at once; the leader must still wait for every
+        slave's own store, not for a count that store inflated."""
+        def main(ctx):
+            value = ctx.this_image() * 3 + 1
+            out = []
+            for _ in range(2):
+                out.append((yield from ctx.co_max(value)))
+                out.append((yield from ctx.co_max(value, result_image=1)))
+            return out
+
+        result = run_small(main, images=8, ipn=8, config=SHMWIN)
+        assert result.results[0] == [25, 25, 25, 25]
+        assert all(out == [25, None, 25, None]
+                   for out in result.results[1:])
+        assert result.world.initial_shared._win_values == {}
+
     def test_window_slots_do_not_leak(self):
         result = run_small(_collective_mix, images=8, ipn=4, config=SHMWIN)
         assert result.world.initial_shared._win_values == {}

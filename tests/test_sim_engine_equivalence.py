@@ -33,7 +33,7 @@ from repro.runtime.config import UHCAF_1LEVEL, UHCAF_2LEVEL
 from repro.runtime.program import run_spmd
 from repro.sim import Cell, Process, Timeout, WaitFor
 from repro.sim.engine import Engine
-from repro.verify import HBMonitor
+from repro.verify import HBMonitor, fingerprint, leftovers
 
 
 class ZeroBits(random.Random):
@@ -185,31 +185,14 @@ def _chain(ctx, iters):
     return int(acc)
 
 
-def _lane_fingerprint(config, lane, faults=None):
-    """Everything a run is observed by, for one dispatch lane."""
+def _lane_run(config, lane, faults=None):
+    """One run through one dispatch lane."""
     engine = Engine(trace=(lambda t, label: None)
                     if lane == "traced" else None)
     machine = build_machine(engine, paper_cluster(2), 16, images_per_node=8)
     monitor = HBMonitor() if lane == "monitored" else None
-    res = run_spmd(_chain, machine=machine, config=config, args=(3,),
-                   monitor=monitor, faults=faults)
-    world = res.world
-    resources = []
-    for node in range(machine.spec.num_nodes):
-        resources.append(world.conduit.progress_engine(node))
-        resources.append(machine.interconnect.nic(node))
-        resources.extend(machine.shared_memory.bus(node, s)
-                         for s in range(machine.spec.node.sockets))
-    return {
-        "time": res.time,
-        "results": res.results,
-        "traffic": res.traffic,
-        "conduit": dict(world.conduit.counts),
-        "resources": [(r.name, r.total_grants, r.peak_queue, r.in_use)
-                      for r in resources],
-        "grants": engine.grants,
-        "events": engine.events_processed,
-    }
+    return run_spmd(_chain, machine=machine, config=config, args=(3,),
+                    monitor=monitor, faults=faults)
 
 
 class TestDispatchLanes:
@@ -220,12 +203,13 @@ class TestDispatchLanes:
     @pytest.mark.parametrize("config", [UHCAF_1LEVEL, UHCAF_2LEVEL],
                              ids=["1level", "2level"])
     def test_three_lanes_one_run(self, config):
-        inline = _lane_fingerprint(config, "inline")
-        assert repr(_lane_fingerprint(config, "traced")) == repr(inline)
-        assert repr(_lane_fingerprint(config, "monitored")) == repr(inline)
-        assert inline["time"] > 0 and len(set(inline["results"])) == 1
-        assert inline["grants"] == sum(g for _, g, _, _ in inline["resources"])
-        peak = max(q for _, _, q, _ in inline["resources"])
+        run = _lane_run(config, "inline")
+        inline = fingerprint(run)
+        assert fingerprint(_lane_run(config, "traced")) == inline
+        assert fingerprint(_lane_run(config, "monitored")) == inline
+        assert inline.time > 0 and len(set(run.results)) == 1
+        assert inline.grants == sum(g for _, g, _, _ in inline.resources)
+        peak = max(q for _, _, q, _ in inline.resources)
         if config is UHCAF_1LEVEL:
             # loopback serializes the progress engines: grants hand off
             # from a finished hold to a queued one
@@ -243,10 +227,10 @@ class TestDispatchLanes:
 
         monkeypatch.setattr(FaultManager, "_fail_now", spy)
         faults = FaultSchedule(failures=(ImageFailure(5, 35e-6),))
-        inline = _lane_fingerprint(UHCAF_1LEVEL, "inline", faults)
-        traced = _lane_fingerprint(UHCAF_1LEVEL, "traced", faults)
+        run = _lane_run(UHCAF_1LEVEL, "inline", faults)
+        traced = _lane_run(UHCAF_1LEVEL, "traced", faults)
         assert held_at_kill == [True, True]
-        assert repr(traced) == repr(inline)
-        assert inline["results"][4] != inline["results"][0]
-        # the killed holder released on schedule: nothing is left held
-        assert all(in_use == 0 for *_, in_use in inline["resources"])
+        assert fingerprint(traced) == fingerprint(run)
+        assert run.results[4] != run.results[0]
+        # the killed holder released on schedule: nothing is left behind
+        assert leftovers(run.world) == []
