@@ -4,61 +4,30 @@ The paper's methodology section argues from message counts:
 dissemination needs n·log n notifications where a centralized linear
 barrier needs 2(n−1), and what matters is *where* they land — serialized
 through one shared-memory system, or spread across NICs.  This bench
-regenerates those counts from the simulator's traffic meters, checks
-them against the closed forms, and shows the placement split that
-motivates TDLB (inter-node messages per barrier: Θ(n·log n) for flat
-dissemination vs nodes·⌈log₂ nodes⌉ for TDLB).
+regenerates those counts from the simulator's traffic meters, shows the
+placement split that motivates TDLB (inter-node messages per barrier:
+Θ(n·log n) for flat dissemination vs nodes·⌈log₂ nodes⌉ for TDLB), and
+checks the registry's E6 claim: every count matches its closed form.
 """
 
-import math
+from conftest import check
 
-from repro.machine import paper_cluster
+from repro.bench.cells import notifications_cell
 from repro.runtime.config import UHCAF_1LEVEL, UHCAF_2LEVEL
-from repro.runtime.program import run_spmd
 
 
-def one_barrier_traffic(images, ipn, config):
-    def main(ctx):
-        yield from ctx.sync_all()
-
-    nodes = max(-(-images // ipn), 1)
-    result = run_spmd(main, num_images=images, images_per_node=ipn,
-                      spec=paper_cluster(nodes), config=config)
-    return result.traffic
-
-
-def test_notification_counts(once):
+def test_notification_counts():
     ipn = 8
-
-    def run():
-        rows = []
-        for images in (16, 32, 64, 176, 352):
-            nodes = images // ipn
-            diss = one_barrier_traffic(images, ipn, UHCAF_1LEVEL)
-            linear = one_barrier_traffic(
-                images, ipn, UHCAF_1LEVEL.with_(barrier="linear"))
-            tdlb = one_barrier_traffic(images, ipn, UHCAF_2LEVEL)
-            rows.append((images, nodes, diss, linear, tdlb))
-        return rows
-
-    rows = once(run)
+    linear = UHCAF_1LEVEL.with_(barrier="linear")
+    rows = [(images, [notifications_cell(cfg, ipn, images, images // ipn)
+                      for cfg in (UHCAF_1LEVEL, linear, UHCAF_2LEVEL)])
+            for images in (16, 32, 64, 176, 352)]
     print()
     print("E6: notifications per barrier (8 images/node)")
     print(f"{'config':>10} {'diss total':>11} {'diss inter':>11} "
           f"{'linear total':>13} {'tdlb total':>11} {'tdlb inter':>11}")
-    for images, nodes, diss, linear, tdlb in rows:
-        n = images
-        # closed forms from §IV-A
-        assert diss.total_messages == n * math.ceil(math.log2(n))
-        assert linear.total_messages == 2 * (n - 1)
-        expected_tdlb = (
-            nodes * 2 * (ipn - 1) + nodes * math.ceil(math.log2(nodes))
-        )
-        assert tdlb.total_messages == expected_tdlb
-        # TDLB moves asymptotically fewer messages over the wire
-        assert tdlb.inter_messages == nodes * math.ceil(math.log2(nodes))
-        assert tdlb.inter_messages < diss.inter_messages
-        print(f"{images:>6}({nodes:<2}) {diss.total_messages:>11} "
-              f"{diss.inter_messages:>11} {linear.total_messages:>13} "
-              f"{tdlb.total_messages:>11} {tdlb.inter_messages:>11}")
+    for images, (diss, lin, tdlb) in rows:
+        print(f"{images:>6}({images // ipn:<2}) {diss[0]:>11} {diss[1]:>11} "
+              f"{lin[0]:>13} {tdlb[0]:>11} {tdlb[1]:>11}")
     print()
+    check("E6")

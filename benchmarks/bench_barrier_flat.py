@@ -4,50 +4,37 @@ With every image alone on its node there is no intranode set to
 exploit, and TDLB must degenerate to the plain dissemination barrier:
 the paper reports it "performs as well as a pure dissemination
 algorithm in the case of a flat hierarchy".  This bench sweeps node
-counts at 1 image/node and checks exact parity.
+counts at 1 image/node and checks the registry's E1 claim: exact parity.
 """
 
-from conftest import emit
+from functools import partial
 
-from repro.bench import barrier_benchmark, sweep
+from conftest import check, emit
+
+from repro.bench import sweep
+from repro.bench.cells import barrier_cell
+from repro.exec import ResultCache
 from repro.runtime.config import (
     GASNET_IB_DISSEMINATION,
     UHCAF_1LEVEL,
     UHCAF_2LEVEL,
 )
 
-SWEEP = [(n, n) for n in (2, 4, 8, 16, 32, 44)]
 
-
-def _latency(config):
-    def fn(images, nodes):
-        return barrier_benchmark(
-            images, images_per_node=1, config=config
-        ).seconds_per_op
-
-    return fn
-
-
-def test_flat_hierarchy_parity(once):
-    def run():
-        return sweep(
-            "E1: barrier latency, 1 image per node (flat hierarchy)",
-            configs=SWEEP,
-            systems=[
-                ("TDLB (UHCAF 2level)", _latency(UHCAF_2LEVEL)),
-                ("pure dissemination (UHCAF 1level)", _latency(UHCAF_1LEVEL)),
-                ("dissemination over raw IB verbs", _latency(GASNET_IB_DISSEMINATION)),
-            ],
-        )
-
-    table = once(run)
-    tdlb = table.get("TDLB (UHCAF 2level)")
-    diss = table.get("pure dissemination (UHCAF 1level)")
+def test_flat_hierarchy_parity():
+    table = sweep(
+        "E1: barrier latency, 1 image per node (flat hierarchy)",
+        configs=[(n, n) for n in (2, 4, 8, 16, 32, 44)],
+        systems=[
+            ("TDLB (UHCAF 2level)", partial(barrier_cell, UHCAF_2LEVEL, 1)),
+            ("pure dissemination (UHCAF 1level)",
+             partial(barrier_cell, UHCAF_1LEVEL, 1)),
+            ("dissemination over raw IB verbs",
+             partial(barrier_cell, GASNET_IB_DISSEMINATION, 1)),
+        ],
+        cache=ResultCache(),
+    )
     emit(table, table.speedup_row("TDLB (UHCAF 2level)",
                                   "pure dissemination (UHCAF 1level)"))
-    # Shape criterion: exact degeneration — TDLB == dissemination at
-    # every flat configuration (same algorithm after leader election).
-    for label in table.labels:
-        assert tdlb.values[label] == diss.values[label], (
-            f"TDLB failed to degenerate to dissemination at {label}"
-        )
+    # exact degeneration: the same algorithm after leader election
+    check("E1")

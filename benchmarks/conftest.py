@@ -1,26 +1,25 @@
 """Shared helpers for the benchmark suite.
 
 Each ``bench_*.py`` module regenerates one of the paper's reported
-results (see DESIGN.md §4 for the experiment index).  The pattern:
+results (see DESIGN.md §4 for the experiment index) as a paper-style
+table.  The E1–E6 modules then :func:`check` their entries of
+:data:`repro.report.REGISTRY`, the one place the paper's bands live, so
+a calibration regression fails the suite loudly; the ablations E7–E12
+assert their own shape criteria.  Run with ``pytest benchmarks/ -s`` to
+see the tables.
 
-* the *simulated* latencies/GFLOP/s are the reproduction's result —
-  printed as a paper-style table and shape-checked with assertions, so a
-  calibration regression fails the suite loudly;
-* ``benchmark.pedantic`` wraps the simulation run so pytest-benchmark
-  also reports the harness's wall-clock cost (useful for tracking the
-  simulator's own performance).
-
-Run with ``pytest benchmarks/ --benchmark-only -s`` to see the tables.
-
-The sweep cells inside each module are independent simulations routed
-through :func:`repro.exec.run_tasks`, so ``REPRO_JOBS=auto pytest
-benchmarks/ ...`` fans them across worker processes (tables unchanged;
-see docs/parallel.md).
+The E1–E6 cells run through the default result cache
+(``.repro-cache/``), the one ``python -m repro`` fills, and
+``REPRO_JOBS=auto`` fans sweep cells across worker processes (tables
+unchanged; see docs/parallel.md).
 """
 
 from __future__ import annotations
 
 import pytest
+
+from repro.exec import ResultCache
+from repro.report import REGISTRY, evaluate, render_report
 
 #: The OS-noise seed every benchmark table is generated with.  Pinned
 #: here — rather than relying on ``run_spmd``'s default — so regenerated
@@ -59,12 +58,16 @@ def emit(table, *extra_lines):
     print()
 
 
+def check(*experiments: str) -> None:
+    """Every full-scale registry entry of ``experiments`` holds."""
+    claims = evaluate([e for e in REGISTRY if e.experiment in experiments],
+                      cache=ResultCache())
+    text = render_report(claims, title=f"claims of {', '.join(experiments)}\n")
+    print(text)
+    assert claims and all(c.ok for c in claims), text
+
+
 @pytest.fixture
-def once(benchmark):
-    """Run the measured callable exactly once under pytest-benchmark
-    (simulations are deterministic — repeated rounds add nothing)."""
-
-    def _run(fn):
-        return benchmark.pedantic(fn, rounds=1, iterations=1)
-
-    return _run
+def once():
+    """Run the measured callable once (simulations are deterministic)."""
+    return lambda fn: fn()

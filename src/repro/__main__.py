@@ -1,10 +1,15 @@
 """``python -m repro`` — the reproduction report.
 
-Runs the headline experiments (E1–E5) and prints the paper-vs-measured
-markdown table.  Use ``--quick`` for a reduced sweep, ``-o FILE`` to
-write the report to disk.  For individual experiment tables use
-``python -m repro.bench``; for the full assertion-guarded suite run
-``pytest benchmarks/ --benchmark-only``.
+Evaluates every claim of :data:`repro.report.REGISTRY` — the E1–E6
+headlines, payload-sweep rules and closed forms, Figure 1, and the
+model's constant checks — and prints the paper-vs-measured markdown
+table.  All cells run in one sweep through the result cache under
+``.repro-cache/``, fanned across ``REPRO_JOBS`` worker processes, so an
+unchanged re-run is served from the cache.  Use ``--quick`` for the
+reduced grid, ``-o FILE`` to write the report to disk.  Exits 1 if any
+claim is out of band.  For individual experiment tables use
+``python -m repro.bench``; ``pytest benchmarks`` prints every table and
+checks the same claims.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .exec import ResultCache
 from .report import render_report, run_report
 
 
@@ -21,12 +27,12 @@ def main(argv=None) -> int:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--quick", action="store_true",
-                        help="reduced sweeps (seconds instead of minutes)")
+                        help="reduced grid (seconds instead of a minute)")
     parser.add_argument("-o", "--output", default=None,
                         help="write the markdown report to this file")
     args = parser.parse_args(argv)
 
-    claims = run_report(quick=args.quick)
+    claims = run_report(quick=args.quick, cache=ResultCache())
     text = render_report(claims)
     if args.output:
         with open(args.output, "w") as fh:

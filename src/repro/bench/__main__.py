@@ -3,7 +3,7 @@
     python -m repro.bench barrier            # E1 + E2 tables
     python -m repro.bench reduce             # E3
     python -m repro.bench broadcast          # E4
-    python -m repro.bench hpl                # E5 (Figure 1; ~1.5 min)
+    python -m repro.bench hpl                # E5 (Figure 1; ~1 min)
     python -m repro.bench hpl --quick        # reduced Figure 1
     python -m repro.bench all                # everything above
     python -m repro.bench all -j auto        # sweep cells in parallel
@@ -16,14 +16,15 @@
                                              # TOURNAMENT.json + tuned gate
     python -m repro.bench tournament --quick # PR-sized grid (2 shapes)
 
-(The ablation experiments E6–E10 live in ``benchmarks/`` and run under
-``pytest benchmarks/ --benchmark-only -s``, where their assertions guard
-the reproduction's shape criteria.)
+(The ablation experiments E6–E12 live in ``benchmarks/`` and run under
+``pytest benchmarks/ -s``; ``python -m repro`` checks the paper's
+claims.)
 
 Every sweep cell is an independent simulation, so ``-j``/``--jobs``
-(or ``REPRO_JOBS=auto``) fans them across worker processes; tables are
-identical to a sequential run.  The cell callables are module-level
-partials — picklable on purpose, so they actually reach the workers.
+(or ``REPRO_JOBS=auto``) fans them across worker processes, Figure 1's
+HPL runs included; tables are identical to a sequential run.  The cell
+callables are module-level partials — picklable on purpose, so they
+actually reach the workers.
 """
 
 from __future__ import annotations
@@ -188,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
                             jobs=args.jobs)
             print()
     if args.experiment in ("hpl", "all"):
-        table = figure1(quick=args.quick)
+        table = figure1(quick=args.quick, jobs=args.jobs)
         print(table.render())
     return 0
 

@@ -11,6 +11,8 @@ grid:
   where running the CLI renames the module to ``__main__`` and every
   cache key silently changes identity — the CLI and any other entry
   point could never share a cache that way.)
+* :func:`hpl_cell` is one Figure 1 point and :func:`notifications_cell`
+  one barrier's message counts (E6), for :mod:`repro.report`'s claims;
 * a :class:`SweepPlan` names one table of the experiment — title,
   configs, systems, and which speedup rows follow it; and
 * :func:`plan_experiment` / :func:`plan_tasks` / :func:`render_results`
@@ -25,13 +27,17 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
+from ..hpl import run_hpl
+from ..machine import paper_cluster
 from ..runtime.config import (
     CAF20_OPENUH,
     GASNET_IB_DISSEMINATION,
+    NAMED_CONFIGS,
     UHCAF_1LEVEL,
     UHCAF_2LEVEL,
     RuntimeConfig,
 )
+from ..runtime.program import run_spmd
 from .microbench import (
     barrier_benchmark,
     broadcast_benchmark,
@@ -46,6 +52,8 @@ __all__ = [
     "mpi_barrier_cell",
     "reduce_cell",
     "broadcast_cell",
+    "hpl_cell",
+    "notifications_cell",
     "SweepPlan",
     "EXPERIMENTS",
     "plan_experiment",
@@ -77,6 +85,25 @@ def broadcast_cell(config: RuntimeConfig, ipn: int, nelems: int,
                    images: int, nodes: int) -> float:
     return broadcast_benchmark(images, ipn, config,
                                nelems=nelems).seconds_per_op
+
+
+def hpl_cell(config_name: str, n: int, nb: int,
+             images: int, nodes: int) -> float:
+    """GFLOP/s of HPL at ``n``/``nb`` under a named runtime config."""
+    return run_hpl(n=n, nb=nb, num_images=images,
+                   images_per_node=images // nodes,
+                   config=NAMED_CONFIGS[config_name]).gflops
+
+
+def notifications_cell(config: RuntimeConfig, ipn: int,
+                       images: int, nodes: int) -> Tuple[int, int]:
+    """``(total, inter-node)`` messages of one ``sync all``."""
+    def main(ctx):
+        yield from ctx.sync_all()
+
+    traffic = run_spmd(main, num_images=images, images_per_node=ipn,
+                       spec=paper_cluster(nodes), config=config).traffic
+    return traffic.total_messages, traffic.inter_messages
 
 
 # ----------------------------------------------------------------------

@@ -7,20 +7,28 @@ backend``, ``Open MPI (No tuning)`` — at the paper's x-axis points
 
 Problem size: the paper does not state N; we use N=6144, NB=128, the
 size at which the calibrated model reproduces the paper's absolute
-256-core numbers (94.6 vs 95 GFLOP/s for UHCAF 2level) — see
+256-core numbers (93.3 vs 95 GFLOP/s for UHCAF 2level) — see
 EXPERIMENTS.md.  ``quick=True`` shrinks the sweep for CI-speed runs
 while preserving the orderings.
+
+Each point is one :func:`~repro.bench.cells.hpl_cell` task, so the
+figure fans out over ``jobs`` workers, and its cells are the ones
+:mod:`repro.report`'s E5 claims read: with one result cache, the figure
+and the report simulate each point once.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+import functools
+from typing import Dict, List, Tuple
 
-from ..hpl import run_hpl
-from ..runtime.config import NAMED_CONFIGS
-from .tables import ResultTable, Series, config_label
+from ..exec import TaskSpec
+from .cells import hpl_cell
+from .microbench import sweep, sweep_tasks
+from .tables import ResultTable
 
-__all__ = ["FIGURE1_CONFIGS", "FIGURE1_SYSTEMS", "figure1", "FIGURE1_N", "FIGURE1_NB"]
+__all__ = ["FIGURE1_CONFIGS", "FIGURE1_SYSTEMS", "figure1", "figure1_cells",
+           "FIGURE1_N", "FIGURE1_NB"]
 
 #: the paper's x axis: (images, nodes)
 FIGURE1_CONFIGS: List[Tuple[int, int]] = [
@@ -40,30 +48,26 @@ FIGURE1_N = 6144
 FIGURE1_NB = 128
 
 
-def figure1(
-    n: int = FIGURE1_N,
-    nb: int = FIGURE1_NB,
-    configs: Sequence[Tuple[int, int]] = tuple(FIGURE1_CONFIGS),
-    systems: Sequence[Tuple[str, str]] = tuple(FIGURE1_SYSTEMS),
-    quick: bool = False,
-) -> ResultTable:
+def _grid(quick: bool):
+    """``(N, configs, systems)``: ``quick`` is N=1024 at three points."""
+    n, configs = ((1024, [(4, 4), (16, 2), (64, 8)]) if quick
+                  else (FIGURE1_N, FIGURE1_CONFIGS))
+    return n, configs, [
+        (legend, functools.partial(hpl_cell, cfg, n, FIGURE1_NB))
+        for legend, cfg in FIGURE1_SYSTEMS]
+
+
+def figure1_cells(quick: bool = False) -> Dict[Tuple[str, str], TaskSpec]:
+    """The sweep's tasks keyed ``(legend, config label)``, in its order."""
+    _n, configs, systems = _grid(quick)
+    labels, tasks = sweep_tasks(configs, systems)
+    return dict(zip([(legend, label) for legend, _ in systems
+                     for label in labels], tasks))
+
+
+def figure1(quick: bool = False, jobs=None, cache=None) -> ResultTable:
     """Run the Figure-1 sweep; returns GFLOP/s per system per config."""
-    if quick:
-        n, nb = 1024, 128
-        configs = [(4, 4), (16, 2), (64, 8)]
-    labels = [config_label(i, m) for i, m in configs]
-    table = ResultTable(
-        title=f"Figure 1: HPL performance, N={n}, NB={nb} (GFLOP/s)",
-        labels=labels, unit="GFLOP/s",
-    )
-    for legend, cfg_name in systems:
-        series = Series(name=legend, unit="GFLOP/s")
-        for (images, nodes), label in zip(configs, labels):
-            report = run_hpl(
-                n=n, nb=nb, num_images=images,
-                images_per_node=images // nodes,
-                config=NAMED_CONFIGS[cfg_name],
-            )
-            series.add(label, report.gflops)
-        table.add_series(series)
-    return table
+    n, configs, systems = _grid(quick)
+    return sweep(f"Figure 1: HPL performance, N={n}, NB={FIGURE1_NB} "
+                 "(GFLOP/s)", configs, systems, unit="GFLOP/s", scale=1.0,
+                 jobs=jobs, cache=cache)

@@ -241,19 +241,20 @@ def sweep(
     unit: str = "us",
     scale: float = 1e6,
     jobs=None,
+    cache=None,
 ) -> ResultTable:
     """Run ``fn(images, nodes) → seconds`` for every system over every
     ``(images, nodes)`` configuration; returns the rendered-ready table.
 
     Cells run through :func:`repro.exec.run_tasks`: independent, fanned
-    across workers when ``jobs`` (or ``REPRO_JOBS``) asks for it, and
-    fault-isolated — a raising cell becomes a ``FAIL`` annotation in
-    its series (with the reason listed under the table) while the rest
-    of the sweep completes.
+    across workers when ``jobs`` (or ``REPRO_JOBS``) asks for it, served
+    from ``cache`` when given, and fault-isolated — a raising cell
+    becomes a ``FAIL`` annotation in its series (with the reason listed
+    under the table) while the rest of the sweep completes.
     """
     from ..exec import run_tasks
 
     _labels, tasks = sweep_tasks(configs, systems)
-    outcomes = run_tasks(tasks, jobs=jobs)
+    outcomes = run_tasks(tasks, jobs=jobs, cache=cache)
     return sweep_assemble(title, configs, systems, outcomes,
                           unit=unit, scale=scale)

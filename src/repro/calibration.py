@@ -25,17 +25,15 @@ Numbers were then fine-tuned so the microbenchmark harness lands in the
 paper's reported bands (≈26× barrier, ≈74× reduction, ≈3× broadcast,
 ≈32% HPL); see EXPERIMENTS.md for the measured outcomes.
 
-:func:`check_calibration` re-derives the headline ratios from the
-simulator and checks each against its band, so a constant drifting out
-of the paper's regime is caught directly (``python -m repro.calibration``
-runs it; the probes are independent simulations, so ``--jobs`` fans
-them across worker processes).
+:mod:`repro.report` re-derives the headline ratios from the simulator
+and checks each against its band, the two constant ratios the paper's
+argument rests on included, so a constant drifting out of the paper's
+regime fails ``python -m repro``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "ConduitProfile",
@@ -47,9 +45,6 @@ __all__ = [
     "BACKEND_EFFICIENCY",
     "PAPER_NODES",
     "PAPER_CORES_PER_NODE",
-    "CalibrationResult",
-    "CALIBRATION_CHECKS",
-    "check_calibration",
 ]
 
 #: the paper's cluster size (44 nodes) and node width (dual quad-core)
@@ -165,149 +160,3 @@ BACKEND_EFFICIENCY = {
     "gfortran": 0.031,
     "gcc-mpi": 0.085,
 }
-
-
-# ----------------------------------------------------------------------
-# Calibration band checks
-# ----------------------------------------------------------------------
-#
-# Each probe re-measures one headline ratio from the simulator (or, for
-# the pure-constant checks, straight from the profiles above) and must
-# land inside its band.  Probes are module-level functions so they
-# pickle into :mod:`repro.exec` worker processes, and they import the
-# benchmark stack lazily — this module sits below ``runtime.config`` in
-# the import graph.
-
-def _probe_barrier_peak_speedup() -> float:
-    """TDLB vs pure dissemination at the paper's peak config, 16(2)."""
-    from .bench.microbench import barrier_benchmark
-    from .runtime.config import UHCAF_1LEVEL, UHCAF_2LEVEL
-
-    two = barrier_benchmark(16, 8, UHCAF_2LEVEL).seconds_per_op
-    one = barrier_benchmark(16, 8, UHCAF_1LEVEL).seconds_per_op
-    return one / two
-
-
-def _probe_reduce_speedup_at_scale() -> float:
-    """Two-level vs flat co_sum at the full 352(44) cluster."""
-    from .bench.microbench import reduce_benchmark
-    from .runtime.config import UHCAF_1LEVEL, UHCAF_2LEVEL
-
-    two = reduce_benchmark(352, 8, UHCAF_2LEVEL).seconds_per_op
-    one = reduce_benchmark(352, 8, UHCAF_1LEVEL).seconds_per_op
-    return one / two
-
-
-def _probe_broadcast_speedup_at_scale() -> float:
-    """Two-level vs flat co_broadcast at the full 352(44) cluster."""
-    from .bench.microbench import broadcast_benchmark
-    from .runtime.config import UHCAF_1LEVEL, UHCAF_2LEVEL
-
-    two = broadcast_benchmark(352, 8, UHCAF_2LEVEL).seconds_per_op
-    one = broadcast_benchmark(352, 8, UHCAF_1LEVEL).seconds_per_op
-    return one / two
-
-
-def _probe_tdlb_vs_raw_verbs() -> float:
-    """TDLB over raw-IB dissemination at scale — 'only marginally more
-    expensive' per the paper, so near 1.0."""
-    from .bench.microbench import barrier_benchmark
-    from .runtime.config import GASNET_IB_DISSEMINATION, UHCAF_2LEVEL
-
-    tdlb = barrier_benchmark(352, 8, UHCAF_2LEVEL).seconds_per_op
-    verbs = barrier_benchmark(352, 8, GASNET_IB_DISSEMINATION).seconds_per_op
-    return tdlb / verbs
-
-
-def _probe_conduit_local_gap() -> float:
-    """Hierarchy-unaware vs -aware same-node cost: the paper's lever."""
-    return GASNET_RDMA.local_overhead / DIRECT_SMP.local_overhead
-
-
-def _probe_mpi_transport_hierarchy() -> float:
-    """MPI's sm BTL makes its local path much cheaper than its remote
-    one — the reason flat MPI beats flat GASNet in the paper."""
-    return MPI_NATIVE.remote_overhead / MPI_NATIVE.local_overhead
-
-
-#: ``(name, probe, lo, hi)`` — the band each measured ratio must hit.
-CALIBRATION_CHECKS: Sequence[Tuple[str, Callable[[], float], float, float]] = (
-    ("barrier-peak-speedup", _probe_barrier_peak_speedup, 20.0, 32.0),
-    ("reduce-speedup-at-scale", _probe_reduce_speedup_at_scale, 50.0, 100.0),
-    ("broadcast-speedup-at-scale", _probe_broadcast_speedup_at_scale, 2.0, 6.0),
-    ("tdlb-vs-raw-verbs", _probe_tdlb_vs_raw_verbs, 0.5, 2.0),
-    ("conduit-local-gap", _probe_conduit_local_gap, 50.0, 500.0),
-    ("mpi-transport-hierarchy", _probe_mpi_transport_hierarchy, 2.0, 10.0),
-)
-
-
-@dataclass
-class CalibrationResult:
-    """One band check's outcome."""
-
-    name: str
-    lo: float
-    hi: float
-    value: Optional[float] = None
-    error: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        return (self.error is None and self.value is not None
-                and self.lo <= self.value <= self.hi)
-
-
-def check_calibration(jobs=None, cache=None) -> List[CalibrationResult]:
-    """Run every band check, optionally fanned across worker processes.
-
-    Returns one :class:`CalibrationResult` per entry of
-    :data:`CALIBRATION_CHECKS`, in order; a probe that raises becomes a
-    failed result rather than aborting the rest.
-    """
-    from .exec import TaskSpec, run_tasks
-
-    tasks = [TaskSpec(probe, label=name)
-             for name, probe, _, _ in CALIBRATION_CHECKS]
-    outcomes = run_tasks(tasks, jobs=jobs, cache=cache)
-    results = []
-    for (name, _, lo, hi), tres in zip(CALIBRATION_CHECKS, outcomes):
-        if tres.ok:
-            results.append(CalibrationResult(name=name, lo=lo, hi=hi,
-                                             value=tres.value))
-        else:
-            results.append(CalibrationResult(name=name, lo=lo, hi=hi,
-                                             error=tres.error or "failed"))
-    return results
-
-
-def main(argv=None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.calibration",
-        description="check the calibrated constants against the paper's "
-                    "headline bands",
-    )
-    parser.add_argument("-j", "--jobs", default=None,
-                        help="worker processes: an integer or 'auto' "
-                             "(default: REPRO_JOBS env, else 1)")
-    args = parser.parse_args(argv)
-
-    results = check_calibration(jobs=args.jobs)
-    width = max(len(r.name) for r in results)
-    for r in results:
-        if r.error is not None:
-            print(f"  {r.name:<{width}}  ERROR  {r.error.splitlines()[0]}")
-        else:
-            status = "ok" if r.ok else "OUT OF BAND"
-            print(f"  {r.name:<{width}}  {r.value:8.2f}  "
-                  f"[{r.lo:g}, {r.hi:g}]  {status}")
-    bad = [r for r in results if not r.ok]
-    print(f"{len(results) - len(bad)}/{len(results)} calibration band(s) ok")
-    return 1 if bad else 0
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

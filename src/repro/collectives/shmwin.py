@@ -269,8 +269,9 @@ def bcast_shmwin(
     # Conditional one-wait carries: the seed flag is bumped only when the
     # source is not its node's leader, a node's release only when it has
     # readers this call — both conditions are SPMD-uniform, so every
-    # image advances the same counters on the same calls.
-    seed_seq = (view.next_seq("shmwin-bc-seed")
+    # image advances the same counters on the same calls.  The seed flag
+    # belongs to the source's leader, so its count is kept per leader.
+    seed_seq = (view.next_seq(f"shmwin-bc-seed-{source_leader}")
                 if source_image != source_leader else None)
     my_readers = [s for s in h.slaves_of(my_leader) if s != source_image]
     rel_seq = (view.next_seq("shmwin-bc-rel")

@@ -20,10 +20,11 @@ SPMD-uniform state (the team hierarchy and the payload size), so all
 members delegate to the same underlying algorithm and the collective's
 results stay bit-identical with running that algorithm directly.
 
-Table resolution order: :func:`install_table` (explicit, wins) → the
-``REPRO_TOURNAMENT`` environment variable → ``./TOURNAMENT.json`` in the
-current directory.  The resolved table is cached process-wide; call
-``install_table(None)`` to drop it and re-resolve.
+The table is whatever :func:`install_table` installed, process-wide;
+with none installed, dispatch uses :data:`DEFAULTS`.  Nothing is read
+from the environment or the working directory, so a program's results
+do not depend on where it runs; ``install_table("TOURNAMENT.json")``
+opts into the committed artifact.
 """
 
 from __future__ import annotations
@@ -122,11 +123,9 @@ class CrossoverTable:
 
 
 # ----------------------------------------------------------------------
-# Process-wide table installation / resolution
+# Process-wide table installation
 # ----------------------------------------------------------------------
 _installed: Optional[CrossoverTable] = None
-_resolved: Optional[CrossoverTable] = None
-_resolve_attempted = False
 
 
 def install_table(table) -> None:
@@ -134,40 +133,20 @@ def install_table(table) -> None:
 
     Accepts a :class:`CrossoverTable`, a list of winner rows, a path to a
     TOURNAMENT.json file, or None to drop the installation and fall back
-    to env/cwd resolution on next use.
+    to :data:`DEFAULTS`.
     """
-    global _installed, _resolved, _resolve_attempted
-    if table is None:
-        _installed = None
-    elif isinstance(table, CrossoverTable):
+    global _installed
+    if table is None or isinstance(table, CrossoverTable):
         _installed = table
     elif isinstance(table, (str, os.PathLike)):
         _installed = CrossoverTable.from_json(table)
     else:
         _installed = CrossoverTable.from_rows(table)
-    _resolved = None
-    _resolve_attempted = False
 
 
 def current_table() -> Optional[CrossoverTable]:
-    """The table dispatch currently consults (installed → REPRO_TOURNAMENT
-    env → ./TOURNAMENT.json), or None when none resolves."""
-    global _resolved, _resolve_attempted
-    if _installed is not None:
-        return _installed
-    if not _resolve_attempted:
-        _resolve_attempted = True
-        _resolved = None
-        for candidate in (os.environ.get("REPRO_TOURNAMENT"),
-                          "TOURNAMENT.json"):
-            if candidate and os.path.exists(candidate):
-                try:
-                    _resolved = CrossoverTable.from_json(candidate)
-                except (OSError, ValueError, KeyError, json.JSONDecodeError):
-                    _resolved = None
-                else:
-                    break
-    return _resolved
+    """The installed table dispatch consults, or None."""
+    return _installed
 
 
 # ----------------------------------------------------------------------

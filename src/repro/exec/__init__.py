@@ -16,8 +16,8 @@ primitive:
   unchanged grid cells are skipped on re-runs
   (:mod:`repro.exec.cache`).
 
-The verify, bench, perf and calibration harnesses all route their grids
-through :func:`run_tasks`; see ``docs/parallel.md`` for the
+The verify, bench and perf harnesses and the paper's report route
+their grids through :func:`run_tasks`; see ``docs/parallel.md`` for the
 architecture, the cache key scheme, and the determinism guarantee.
 
 Command line::

@@ -1,7 +1,7 @@
 """Fan independent tasks across worker processes, results in order.
 
 The simulation grids this repo runs (conformance matrix cells, fuzz
-seeds, benchmark sweep cells, calibration probes) are embarrassingly
+seeds, benchmark sweep cells, the paper's claims) are embarrassingly
 parallel: every task is an independent, deterministic, CPU-bound
 function call.  :func:`run_tasks` runs them through the content-keyed
 :class:`~repro.exec.cache.ResultCache` and a stdlib

@@ -18,8 +18,10 @@ satisfy a later round's check.  What a completed round must hold:
 * ``reduce`` — ``co_reduce`` of an int scalar (``max``, exact) or a
   float array (``sum``, within :data:`FLOAT_RTOL`: combine order varies
   legally), allreduce and rooted forms.
-* ``broadcast`` (from ``min(2, n)``), ``allgather``, ``alltoall`` —
-  payloads derived from the image index, compared exactly.
+* ``broadcast`` (from ``min(2, n)``, then from ``n``: on most
+  multi-node shapes two non-leader sources on different nodes),
+  ``allgather``, ``alltoall`` — payloads derived from the image index,
+  compared exactly.
 * ``event`` — a ring of posts consumed by one ``event_wait``, with
   ``until_count=`` and with the default count on alternate rounds:
   ``event_query`` then reads 0, and a barrier isolates the rounds'
@@ -232,7 +234,8 @@ def _reference(kind: str, payload: str, me: int, n: int, r: int) -> Any:
             ref = ufunc(ref, _contribution(payload, i, r))
         return ref, ref if me == 1 else None
     if kind == "broadcast":
-        return _contribution(payload, min(2, n), r)
+        return (_contribution(payload, min(2, n), r),
+                _contribution(payload, n, r))
     if kind == "allgather":
         return [_contribution(payload, i, r) for i in range(1, n + 1)]
     if kind == "alltoall":
@@ -278,10 +281,14 @@ def _reduce_round(ctx, _state, payload, r, st) -> Iterator:
 
 
 def _broadcast_round(ctx, _state, payload, r, st) -> Iterator:
-    source = min(2, ctx.num_images())
+    n = ctx.num_images()
     value = _contribution(payload, ctx.this_image(), r)
-    got = yield from ctx.co_broadcast(value, source_image=source, stat=st)
-    return got
+    first = yield from ctx.co_broadcast(value, source_image=min(2, n),
+                                        stat=st)
+    if not st.ok:
+        return None
+    last = yield from ctx.co_broadcast(value, source_image=n, stat=st)
+    return first, last
 
 
 def _allgather_round(ctx, _state, payload, r, st) -> Iterator:

@@ -117,38 +117,39 @@ class TestBaselineShims:
 
 
 class TestCalibrationChecks:
-    """The band-check harness itself (probes run in the band tests of
-    benchmarks/; here we verify the plumbing and the cheap constant
-    probes)."""
+    """The model's constant checks are entries of the claims registry
+    (``repro.report``), evaluated like every other claim."""
 
-    def test_constant_probes_in_band(self):
-        from repro.calibration import CALIBRATION_CHECKS
+    def test_constant_checks_in_band(self):
+        from repro.report import REGISTRY, evaluate
 
-        by_name = {name: (probe, lo, hi)
-                   for name, probe, lo, hi in CALIBRATION_CHECKS}
-        for name in ("conduit-local-gap", "mpi-transport-hierarchy"):
-            probe, lo, hi = by_name[name]
-            assert lo <= probe() <= hi, name
+        claims = evaluate([e for e in REGISTRY if e.experiment == "model"])
+        assert len(claims) == 2
+        for c in claims:
+            assert c.ok, f"{c.description}: {c.measured}"
 
     def test_result_ok_logic(self):
-        from repro.calibration import CalibrationResult
+        from repro.report import Claim
 
-        assert CalibrationResult("x", 1.0, 2.0, value=1.5).ok
-        assert not CalibrationResult("x", 1.0, 2.0, value=2.5).ok
-        assert not CalibrationResult("x", 1.0, 2.0, error="boom").ok
+        assert Claim("x", "d", "p", "m", (1.0, 2.0), 1.5).ok
+        assert not Claim("x", "d", "p", "m", (1.0, 2.0), 2.5).ok
+        assert not Claim("x", "d", "p", "m", (1.0, 2.0), float("nan")).ok
+        assert not Claim("x", "d", "p", "m", (1.0, 2.0), 1.5,
+                         error="boom").ok
 
-    def test_check_calibration_reports_probe_failures(self, monkeypatch):
-        import repro.calibration as cal
+    def test_raising_cell_fails_its_claim(self):
+        from repro.exec import TaskSpec
+        from repro.report import REGISTRY, Entry, evaluate, render_report
 
-        def explode():
-            raise RuntimeError("probe broke")
+        good = next(e for e in REGISTRY if e.experiment == "model")
+        bad = Entry("X", "broken", "p", {"cell": TaskSpec(_explode)},
+                    lambda v: (1.0, "never"), (0.0, 2.0))
+        first, second = evaluate([good, bad])
+        assert first.ok
+        assert not second.ok
+        assert "probe broke" in second.error
+        assert "probe broke" in render_report([first, second])
 
-        monkeypatch.setattr(
-            cal, "CALIBRATION_CHECKS",
-            (("good", cal._probe_conduit_local_gap, 50.0, 500.0),
-             ("bad", explode, 0.0, 1.0)),
-        )
-        results = cal.check_calibration()
-        assert results[0].ok
-        assert not results[1].ok
-        assert "probe broke" in results[1].error
+
+def _explode():
+    raise RuntimeError("probe broke")

@@ -111,6 +111,22 @@ class TestShmwinSemantics:
                    for out in result.results[1:])
         assert result.world.initial_shared._win_values == {}
 
+    @pytest.mark.parametrize("sources", [(2, 8), (8, 2)])
+    def test_non_leader_sources_on_different_nodes(self, sources):
+        """Two broadcasts whose non-leader sources sit on different
+        nodes: each source's leader waits on its own seed flag, so the
+        seed count is kept per leader, not per team."""
+        def main(ctx):
+            out = []
+            for src in sources:
+                out.append((yield from ctx.co_broadcast(
+                    float(ctx.this_image()), source_image=src)))
+            return out
+
+        result = run_small(main, images=8, ipn=4, config=SHMWIN)
+        assert all(out == [float(s) for s in sources]
+                   for out in result.results)
+
     def test_window_slots_do_not_leak(self):
         result = run_small(_collective_mix, images=8, ipn=4, config=SHMWIN)
         assert result.world.initial_shared._win_values == {}
@@ -320,9 +336,8 @@ class TestTunedDispatch:
         assert tuned.time == direct.time
         assert tuned.results == direct.results
 
-    def test_fallback_to_two_level_defaults(self, tmp_path, monkeypatch):
-        """No table anywhere: tuned == the paper's two-level stack."""
-        monkeypatch.chdir(tmp_path)  # no ./TOURNAMENT.json to pick up
+    def test_fallback_to_two_level_defaults(self):
+        """No table installed: tuned == the paper's two-level stack."""
         install_table(None)
         tuned = run_small(_collective_mix, images=8, ipn=4,
                           config=UHCAF_TUNED)
@@ -335,6 +350,35 @@ class TestTunedDispatch:
             ("reduce", "small"): "two-level",
             ("broadcast", "small"): "two-level",
         }
+
+    def test_working_directory_and_environment_are_not_read(
+            self, tmp_path, monkeypatch):
+        """A TOURNAMENT.json in the working directory, or one named by
+        an environment variable, does not change what tuned picks: two
+        broadcasts from images 2 then 8 at 8 images x 4 per node finish
+        on the two-level defaults even where such a table routes them
+        to shmwin."""
+        table = tmp_path / "TOURNAMENT.json"
+        table.write_text(json.dumps({
+            "schema": CrossoverTable.SCHEMA,
+            "winners": [{"kind": "broadcast", "nodes": 2, "ipn": 4,
+                         "band": "small", "algorithm": "shmwin"}],
+        }))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("REPRO_TOURNAMENT", str(table))
+        install_table(None)
+
+        def main(ctx):
+            out = []
+            for src in (2, 8):
+                out.append((yield from ctx.co_broadcast(
+                    float(ctx.this_image()), source_image=src)))
+            return out
+
+        result = run_small(main, images=8, ipn=4, config=UHCAF_TUNED)
+        assert result.world.initial_shared.tuned_selections == {
+            ("broadcast", "small"): "two-level"}
+        assert all(out == [2.0, 8.0] for out in result.results)
 
     def test_stale_table_entry_falls_back(self):
         install_table([{"kind": "barrier", "nodes": 1, "ipn": 8,
