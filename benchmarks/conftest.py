@@ -21,32 +21,6 @@ import pytest
 from repro.exec import ResultCache
 from repro.report import REGISTRY, evaluate, render_report
 
-#: The OS-noise seed every benchmark table is generated with.  Pinned
-#: here — rather than relying on ``run_spmd``'s default — so regenerated
-#: tables are comparable across runs and the suite cannot silently drift
-#: if the default ever changes.
-BENCH_JITTER_SEED = 0
-
-
-@pytest.fixture(autouse=True)
-def explicit_seed(request, monkeypatch):
-    """Pin the seeded knobs of every ``run_spmd`` call a bench module
-    makes: ``jitter_seed`` defaults to :data:`BENCH_JITTER_SEED` and
-    schedule fuzzing (``tiebreak_seed``) stays off, unless the benchmark
-    passes its own values explicitly."""
-    module = request.module
-    original = getattr(module, "run_spmd", None)
-    if original is None:
-        return BENCH_JITTER_SEED
-
-    def seeded(*args, **kwargs):
-        kwargs.setdefault("jitter_seed", BENCH_JITTER_SEED)
-        kwargs.setdefault("tiebreak_seed", None)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, "run_spmd", seeded)
-    return BENCH_JITTER_SEED
-
 
 def emit(table, *extra_lines):
     """Print a result table (and summary lines) so ``-s`` runs show the

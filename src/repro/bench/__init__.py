@@ -10,7 +10,6 @@ from .microbench import (
     reduce_benchmark,
     sweep,
 )
-from .stats import ReplicaStats, replicate
 from .tables import ResultTable, Series, config_label
 
 __all__ = [
@@ -26,6 +25,4 @@ __all__ = [
     "ResultTable",
     "Series",
     "config_label",
-    "ReplicaStats",
-    "replicate",
 ]

@@ -11,10 +11,6 @@
     python -m repro.bench xscale --images 10000..100000 --rungs 3
                                              # extreme-scale ladder; rungs
                                              # above --ab-max run macro-only
-    python -m repro.bench tournament         # algorithm tournament: full
-                                             # grid, crossover table,
-                                             # TOURNAMENT.json + tuned gate
-    python -m repro.bench tournament --quick # PR-sized grid (2 shapes)
 
 (The ablation experiments E6–E12 live in ``benchmarks/`` and run under
 ``pytest benchmarks/ -s``; ``python -m repro`` checks the paper's
@@ -24,7 +20,9 @@ Every sweep cell is an independent simulation, so ``-j``/``--jobs``
 (or ``REPRO_JOBS=auto``) fans them across worker processes, Figure 1's
 HPL runs included; tables are identical to a sequential run.  The cell
 callables are module-level partials — picklable on purpose, so they
-actually reach the workers.
+actually reach the workers.  Cells go through the result cache under
+``.repro-cache/``, the one ``python -m repro`` fills, so a cell either
+command already simulated is not simulated again.
 """
 
 from __future__ import annotations
@@ -32,17 +30,17 @@ from __future__ import annotations
 import argparse
 import sys
 
+from ..exec import ResultCache, run_tasks
 from .cells import plan_experiment, plan_tasks, render_results
 from .hplbench import figure1
 from .xscale import geometric_ladder, xscale_sweep
 
 
 def _run_experiment(experiment: str, nodes: list[int], ipn: int,
-                    nelems: int, jobs=None) -> None:
-    from ..exec import run_tasks
-
+                    nelems: int, jobs, cache: ResultCache) -> None:
     plans = plan_experiment(experiment, nodes, ipn=ipn, nelems=nelems)
-    print(render_results(plans, run_tasks(plan_tasks(plans), jobs=jobs)))
+    print(render_results(plans, run_tasks(plan_tasks(plans), jobs=jobs,
+                                          cache=cache)))
 
 
 def _parse_images_spec(spec: str) -> list[int]:
@@ -54,46 +52,6 @@ def _parse_images_spec(spec: str) -> list[int]:
     if "," in spec:
         return [int(tok) for tok in spec.split(",") if tok.strip()]
     return [int(spec)]
-
-
-def _run_tournament(args) -> int:
-    from .tournament import (
-        QUICK_SHAPES,
-        render_crossover,
-        run_tournament,
-        write_tournament_json,
-    )
-
-    shapes = None
-    if args.shapes:
-        shapes = [tok for tok in args.shapes.split(",") if tok.strip()]
-    elif args.quick:
-        shapes = list(QUICK_SHAPES)
-    bands = None
-    if args.payloads:
-        bands = [tok for tok in args.payloads.split(",") if tok.strip()]
-    doc = run_tournament(
-        shapes=shapes, bands=bands, iters=args.iters, jobs=args.jobs,
-        progress=lambda msg: print(f"  {msg}", file=sys.stderr),
-    )
-    print(render_crossover(doc))
-    if args.tournament_json:
-        write_tournament_json(doc, args.tournament_json)
-        print(f"\nwrote {args.tournament_json}")
-    # Hard gate: tuned dispatch must never lose to a hand-picked fixed
-    # algorithm (selection is zero-cost, so a loss means broken dispatch).
-    eps = 1e-9
-    tuned = doc["tuned"]
-    failed = False
-    for label, speedup in (("best single fixed",
-                            tuned["speedup_vs_best_fixed"]),
-                           ("two-level default",
-                            tuned["speedup_vs_default"])):
-        if speedup < 1.0 - eps:
-            print(f"FAIL: tuned dispatch is {speedup:.4f}x the {label} "
-                  "(must be >= 1.0x)", file=sys.stderr)
-            failed = True
-    return 2 if failed else 0
 
 
 def _run_xscale(args) -> int:
@@ -133,7 +91,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("experiment",
                         choices=["barrier", "reduce", "broadcast", "hpl",
-                                 "xscale", "tournament", "all"])
+                                 "xscale", "all"])
     parser.add_argument("--nodes", type=int, nargs="+", default=[2, 8, 16, 44],
                         help="node counts to sweep (default: 2 8 16 44)")
     parser.add_argument("--ipn", type=int, default=8,
@@ -160,22 +118,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--xscale-json", default=None,
                         help="xscale mode: also write raw sweep rows to this "
                              "JSON file (CI artifact)")
-    parser.add_argument("--shapes", default=None,
-                        help="tournament mode: comma list of conformance "
-                             "shape names (default: all 8; --quick: 2)")
-    parser.add_argument("--payloads", default=None,
-                        help="tournament mode: comma list of payload bands "
-                             "(small,medium,large; default: all)")
-    parser.add_argument("--iters", type=int, default=5,
-                        help="tournament mode: timed ops per cell "
-                             "(default 5)")
-    parser.add_argument("--tournament-json", default="TOURNAMENT.json",
-                        help="tournament mode: crossover-table artifact "
-                             "path (default TOURNAMENT.json; '' disables)")
     args = parser.parse_args(argv)
-
-    if args.experiment == "tournament":
-        return _run_tournament(args)
 
     if args.experiment == "xscale":
         # macro-only cells at 100k images are single giant simulations —
@@ -183,13 +126,14 @@ def main(argv: list[str] | None = None) -> int:
         # xscale runs sequentially and ignores -j.
         return _run_xscale(args)
 
+    cache = ResultCache()
     for experiment in ("barrier", "reduce", "broadcast"):
         if args.experiment in (experiment, "all"):
             _run_experiment(experiment, args.nodes, args.ipn, args.nelems,
-                            jobs=args.jobs)
+                            args.jobs, cache)
             print()
     if args.experiment in ("hpl", "all"):
-        table = figure1(quick=args.quick, jobs=args.jobs)
+        table = figure1(quick=args.quick, jobs=args.jobs, cache=cache)
         print(table.render())
     return 0
 

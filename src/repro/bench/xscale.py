@@ -106,12 +106,11 @@ def assert_macro_capable(
     a non-collapsible configuration dies before the first rung rather
     than after a multi-million-event fine-grained simulation.
 
-    Every variant now declares its capability explicitly at registration
-    (``macro_kind=None`` for always-fine-grained families like shmwin
-    and tuned dispatch, which never join macro windows and so never bet
-    in the grant audit).  With ``allow_fine=True`` such strategies map
-    to ``None`` in the returned dict instead of raising — for harnesses
-    like the tournament that sweep *every* registered variant and accept
+    Every variant declares its capability explicitly at registration
+    (``macro_kind=None`` for always-fine-grained families like shmwin,
+    which never join macro windows and so never bet in the grant
+    audit).  With ``allow_fine=True`` such strategies map to ``None`` in
+    the returned dict instead of raising, for a harness that accepts
     fine-grained rungs; the default stays strict because an
     extreme-scale ladder should refuse to run fine-grained by accident.
     """

@@ -20,10 +20,7 @@ Static eligibility (checked at each invocation's first arrival by
   No monitor, no engine trace, no tiebreak RNG, no fault manager, no
   world-level trace log, ``config.macro_events`` on, and the collective
   spans the *full* image set (a sub-team window can interleave with
-  images outside the team).  Data-carrying windows additionally require
-  deterministic compute (``compute_jitter == 0`` — jitter draws
-  per-image RNG streams in fine-grained resume order, which a replay
-  cannot mirror).
+  images outside the team).
 
 One image per node
   Macro-events engage only when every image owns its node, so that the
@@ -135,11 +132,9 @@ from .reduce import REDUCE_OPS, _combine, _freeze
 
 __all__ = ["MacroCollectives", "Replayed"]
 
-#: data-carrying window kinds (the replay also produces result values)
-DATA_KINDS = ("reduce-2l", "reduce-rd", "bcast-2l")
-
-#: window kinds :meth:`MacroCollectives.offer` knows how to replay
-REPLAYABLE = ("tdlb", "linear") + DATA_KINDS
+#: window kinds :meth:`MacroCollectives.offer` knows how to replay; the
+#: last three carry data (the replay also produces result values)
+REPLAYABLE = ("tdlb", "linear", "reduce-2l", "reduce-rd", "bcast-2l")
 
 
 class Replayed:
@@ -587,10 +582,6 @@ class MacroCollectives:
         size = view.size
         if size <= 1 or kind not in REPLAYABLE:
             return None
-        if kind in DATA_KINDS and world.config.compute_jitter > 0.0:
-            # Jitter draws a per-image RNG stream on every compute_cost,
-            # in fine-grained resume order, which a replay cannot mirror.
-            return None
         if len(view.shared.hierarchy.leaders) != size:
             # Some node holds several images: its intranode steps would
             # hold a shared bus virtually past the window's early exits,
@@ -692,11 +683,10 @@ class MacroCollectives:
         for p, value in zip(positions, values):
             waiters[p].resume(value)
 
-    # -- a compute_cost Timeout's span, jitter-free ---------------------
+    # -- a compute_cost Timeout's span ----------------------------------
     def _compute_delay(self, flops: float) -> float:
         """The exact delay ``ctx.compute_cost(flops)`` would charge —
-        same ``machine.compute`` call, so the same float.  Data windows
-        only engage with ``compute_jitter == 0``, so no noise factor."""
+        same ``machine.compute`` call, so the same float."""
         world = self.world
         return world.machine.compute(
             flops, efficiency=world.config.compute_efficiency

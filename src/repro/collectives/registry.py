@@ -52,7 +52,6 @@ from .reduce import (
     allreduce_two_level,
 )
 from .shmwin import allreduce_shmwin, barrier_shmwin, bcast_shmwin
-from .tuned import tuned_allreduce, tuned_barrier, tuned_bcast
 
 __all__ = ["AlgorithmInfo", "register", "info", "BARRIERS", "REDUCTIONS",
            "BROADCASTS", "ALLGATHERS", "ALLTOALLS", "MACRO_CAPABLE",
@@ -165,7 +164,6 @@ register("barrier", "tournament", barrier_tournament, macro_kind=None)
 register("barrier", "tdlb", barrier_tdlb, macro_kind="tdlb")
 register("barrier", "tdlb-numa", barrier_tdlb_numa, macro_kind=None)
 register("barrier", "shmwin", barrier_shmwin, macro_kind=None)
-register("barrier", "tuned", tuned_barrier, macro_kind=None)
 
 register("reduce", "linear-flat", allreduce_linear_flat, macro_kind=None)
 register("reduce", "binomial-flat", allreduce_binomial_flat, macro_kind=None)
@@ -175,13 +173,11 @@ register("reduce", "rabenseifner", allreduce_rabenseifner, macro_kind=None)
 register("reduce", "two-level", allreduce_two_level, macro_kind="reduce-2l")
 register("reduce", "three-level", allreduce_three_level, macro_kind=None)
 register("reduce", "shmwin", allreduce_shmwin, macro_kind=None)
-register("reduce", "tuned", tuned_allreduce, macro_kind=None)
 
 register("broadcast", "linear-flat", bcast_linear_flat, macro_kind=None)
 register("broadcast", "binomial-flat", bcast_binomial_flat, macro_kind=None)
 register("broadcast", "two-level", bcast_two_level, macro_kind="bcast-2l")
 register("broadcast", "shmwin", bcast_shmwin, macro_kind=None)
-register("broadcast", "tuned", tuned_bcast, macro_kind=None)
 
 register("allgather", "linear-flat", allgather_linear_flat, macro_kind=None)
 register("allgather", "bruck-flat", allgather_bruck_flat, macro_kind=None)

@@ -38,7 +38,6 @@ from ..calibration import (
 __all__ = [
     "RuntimeConfig",
     "UHCAF_2LEVEL",
-    "UHCAF_TUNED",
     "UHCAF_1LEVEL",
     "GASNET_IB_DISSEMINATION",
     "CAF20_OPENUH",
@@ -63,10 +62,6 @@ class RuntimeConfig:
     #: key into :data:`repro.calibration.BACKEND_EFFICIENCY`
     backend: str = "openuh"
     leader_strategy: str = "lowest"
-    #: fractional OS-noise on compute times (0 = none); each image draws
-    #: deterministic per-call factors in [1, 1+jitter] from a seeded RNG,
-    #: so jittered runs are still exactly reproducible
-    compute_jitter: float = 0.0
     #: allow :mod:`repro.collectives.macro` to collapse eligible
     #: collective windows into analytically-replayed macro-events.  They
     #: engage only when every image owns its node; elsewhere the first
@@ -99,21 +94,6 @@ UHCAF_2LEVEL = RuntimeConfig(
     broadcast="two-level",
     allgather="two-level",
     backend="openuh",
-)
-
-#: tuned auto-selection: every collective consults the persisted
-#: tournament crossover table (:mod:`repro.collectives.tuned`) and
-#: delegates to the measured-fastest algorithm for the current
-#: (shape, payload band) regime, falling back to the two-level defaults
-#: when no table row matches.  Macro-events stay off: the selection can
-#: land on any registered variant, so the config as a whole cannot
-#: promise a macro-collapsible window shape up front.
-UHCAF_TUNED = UHCAF_2LEVEL.with_(
-    name="uhcaf-tuned",
-    barrier="tuned",
-    reduce="tuned",
-    broadcast="tuned",
-    macro_events=False,
 )
 
 UHCAF_1LEVEL = RuntimeConfig(
@@ -181,7 +161,6 @@ NAMED_CONFIGS = {
     cfg.name: cfg
     for cfg in (
         UHCAF_2LEVEL,
-        UHCAF_TUNED,
         UHCAF_1LEVEL,
         GASNET_IB_DISSEMINATION,
         CAF20_OPENUH,

@@ -82,7 +82,7 @@ class World:
     """Everything shared by the images of one SPMD run."""
 
     def __init__(self, machine: Machine, config: RuntimeConfig,
-                 jitter_seed: int = 0, trace: bool = False,
+                 trace: bool = False,
                  fault_schedule: Optional[FaultSchedule] = None):
         self.engine = machine.engine
         self.machine = machine
@@ -132,10 +132,8 @@ class World:
         self.trace: Optional[List[Tuple[float, int, str, str]]] = (
             [] if trace else None
         )
-        self._jitter_seed = jitter_seed
-        self._jitter_rngs: Dict[int, Any] = {}
-        #: flop count → its jitter-free compute command, shared by every
-        #: image (see :meth:`CafContext.compute_cost`)
+        #: flop count → its compute command, shared by every image (see
+        #: :meth:`CafContext.compute_cost`)
         self.compute_costs: Dict[float, Timeout] = {}
         self._resources: Optional[list] = None
 
@@ -159,18 +157,6 @@ class World:
                 res.extend(sm.bus(n, s) for s in sockets)
             self._resources = res
         return res
-
-    def jitter_factor(self, proc: int) -> float:
-        """Next OS-noise multiplier for image ``proc`` — uniform in
-        [1, 1+jitter], from a per-image seeded stream (reproducible)."""
-        jitter = self.config.compute_jitter
-        if jitter <= 0.0:
-            return 1.0
-        rng = self._jitter_rngs.get(proc)
-        if rng is None:
-            rng = np.random.default_rng((self._jitter_seed, proc))
-            self._jitter_rngs[proc] = rng
-        return 1.0 + jitter * float(rng.random())
 
 
 class CafContext:
@@ -222,24 +208,19 @@ class CafContext:
 
     def compute_cost(self, flops: float) -> Timeout:
         """A yieldable command charging ``flops`` of local work at this
-        image's backend-dependent compute rate (plus configured OS-noise
-        jitter, if any).  Without jitter the command depends on
+        image's backend-dependent compute rate.  The command depends on
         ``flops`` alone, so the world keeps one per Python-number flop
         count (a NumPy scalar would change the delay's type)."""
         world = self.world
-        if world.config.compute_jitter <= 0.0:
-            cls = flops.__class__
-            if cls is float or cls is int:
-                cmd = world.compute_costs.get(flops)
-                if cmd is None:
-                    cmd = world.compute_costs[flops] = self.machine.compute(
-                        flops, efficiency=world.config.compute_efficiency)
-                return cmd
-        cmd = self.machine.compute(flops, efficiency=self.config.compute_efficiency)
-        factor = world.jitter_factor(self.proc)
-        if factor != 1.0:
-            return Timeout(cmd.delay * factor)
-        return cmd
+        cls = flops.__class__
+        if cls is float or cls is int:
+            cmd = world.compute_costs.get(flops)
+            if cmd is None:
+                cmd = world.compute_costs[flops] = self.machine.compute(
+                    flops, efficiency=world.config.compute_efficiency)
+            return cmd
+        return self.machine.compute(
+            flops, efficiency=world.config.compute_efficiency)
 
     def _log(self, op: str, detail: str = "") -> None:
         """Append a trace record.  Callers test ``world.trace`` first, so
@@ -997,7 +978,6 @@ def run_spmd(
     args: Tuple = (),
     max_events: Optional[int] = None,
     trace: bool = False,
-    jitter_seed: int = 0,
     tiebreak_seed: Optional[int] = None,
     monitor: Optional[Any] = None,
     faults: Optional[FaultSchedule] = None,
@@ -1008,9 +988,7 @@ def run_spmd(
     Either supply a prebuilt ``machine`` or let this build one from
     ``spec`` (default: the paper's cluster, sized to fit) with
     ``num_images`` and ``images_per_node``/``placements``.  ``trace=True``
-    records every logged runtime operation on ``result.trace``;
-    ``jitter_seed`` selects the OS-noise stream when the config enables
-    ``compute_jitter``.
+    records every logged runtime operation on ``result.trace``.
 
     ``tiebreak_seed`` fuzzes the engine's same-instant event order (see
     :mod:`repro.verify`): ``None`` keeps the historical insertion-order
@@ -1067,8 +1045,7 @@ def run_spmd(
         monitor.attach(machine.num_images)
         engine.monitor = monitor
 
-    world = World(machine, config, jitter_seed=jitter_seed, trace=trace,
-                  fault_schedule=faults)
+    world = World(machine, config, trace=trace, fault_schedule=faults)
     processes = []
     for proc in range(machine.num_images):
         process = Process(engine, main(CafContext(world, proc), *args),

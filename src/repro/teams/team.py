@@ -95,11 +95,6 @@ class TeamShared:
         #: the last expected reader takes the value, so a long run of
         #: window collectives never accumulates dead slots
         self._win_values: Dict[tuple, list] = {}
-        # --- tuned-dispatch selections (resolved once per team) ----------
-        #: (kind, payload band) → algorithm name, filled lazily by
-        #: :mod:`repro.collectives.tuned` the first time a tuned
-        #: collective of that regime runs on this team
-        self.tuned_selections: Dict[tuple, str] = {}
         # --- form_team rendezvous state ----------------------------------
         self.formation_counter = 0
         self._formations: Dict[int, dict] = {}

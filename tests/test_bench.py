@@ -137,13 +137,13 @@ class TestMicrobench:
 
 
 class TestFigure1Harness:
-    def test_quick_mode_preserves_orderings(self):
-        table = figure1(quick=True)
+    def test_quick_mode_preserves_orderings(self, quick_report):
+        table = figure1(quick=True, cache=quick_report[1])
         two = table.get("UHCAF 2level")
         gfortran = table.get("CAF2.0 GFortran backend")
         for label in table.labels:
             assert two.values[label] > gfortran.values[label]
 
-    def test_quick_mode_has_all_five_systems(self):
-        table = figure1(quick=True)
+    def test_quick_mode_has_all_five_systems(self, quick_report):
+        table = figure1(quick=True, cache=quick_report[1])
         assert len(table.series) == 5

@@ -102,7 +102,7 @@ class TestBaselineShims:
 
     def test_named_configs_complete(self):
         assert set(NAMED_CONFIGS) == {
-            "uhcaf-2level", "uhcaf-tuned", "uhcaf-1level",
+            "uhcaf-2level", "uhcaf-1level",
             "gasnet-ib-dissemination",
             "caf2.0-openuh", "caf2.0-gfortran", "openmpi-gcc",
         }

@@ -2,21 +2,9 @@
 
 from pathlib import Path
 
-import pytest
-
 from repro.__main__ import main
-from repro.exec import ResultCache, stable_fingerprint
-from repro.report import REGISTRY, Claim, render_report, run_report
-
-
-@pytest.fixture(scope="module")
-def quick(tmp_path_factory):
-    """The quick report, evaluated once.  Its cache sits where
-    ``python -m repro`` looks when run from ``root``, so the CLI tests
-    are served from it."""
-    root = tmp_path_factory.mktemp("report")
-    cache = ResultCache(root=root / ".repro-cache")
-    return root, cache, run_report(quick=True, cache=cache)
+from repro.exec import stable_fingerprint
+from repro.report import REGISTRY, Claim, render_report
 
 
 class TestClaim:
@@ -56,21 +44,21 @@ class TestRender:
 
 
 class TestRunReport:
-    def test_quick_report_all_in_band(self, quick):
-        _, _, claims = quick
+    def test_quick_report_all_in_band(self, quick_report):
+        _, _, claims = quick_report
         assert len(claims) >= 6
         for c in claims:
             assert c.ok, f"{c.experiment} {c.description}: {c.measured}"
 
-    def test_quick_report_covers_headlines(self, quick):
-        _, _, claims = quick
+    def test_quick_report_covers_headlines(self, quick_report):
+        _, _, claims = quick_report
         experiments = {c.experiment for c in claims}
         assert experiments >= {"E1", "E2", "E3", "E4", "E5", "E6", "model"}
 
-    def test_shared_cells_run_once(self, quick):
+    def test_shared_cells_run_once(self, quick_report):
         """Entries that read the same cell share one run: the cache
         holds one entry per distinct quick cell."""
-        _, cache, _ = quick
+        _, cache, _ = quick_report
         distinct = {stable_fingerprint(t) for e in REGISTRY
                     if e.quick_cells for t in e.quick_cells.values()}
         assert cache.puts == len(distinct)
@@ -94,14 +82,14 @@ class TestRunReport:
 
 
 class TestReportCli:
-    def test_prints_report(self, quick, monkeypatch, capsys):
-        monkeypatch.chdir(quick[0])
+    def test_prints_report(self, quick_report, monkeypatch, capsys):
+        monkeypatch.chdir(quick_report[0])
         assert main(["--quick"]) == 0
         out = capsys.readouterr().out
         assert "paper vs measured" in out
 
-    def test_writes_file(self, quick, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(quick[0])
+    def test_writes_file(self, quick_report, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(quick_report[0])
         path = tmp_path / "report.md"
         assert main(["--quick", "-o", str(path)]) == 0
         assert "paper vs measured" in path.read_text()

@@ -1,41 +1,24 @@
-"""Shared-memory-window collectives, tuned dispatch, and the tournament.
+"""Shared-memory-window collectives and the registry's capability
+contract.
 
-Covers the PR's three layers: the shmwin algorithm family's semantics
-(results, determinism, faults, and the intra-node performance edge it
-exists for), the generalized registry's explicit-capability contract,
-and tuned dispatch pinned against a fixed crossover table plus the
-tournament CLI that produces one.
+Covers the shmwin algorithm family's semantics (results, determinism,
+faults, and the intra-node performance edge it exists for) and the
+generalized registry's explicit-capability declarations.
 """
-
-import json
 
 import numpy as np
 import pytest
 
-from repro.bench.__main__ import main as bench_main
 from repro.bench.microbench import reduce_benchmark
 from repro.collectives import registry
-from repro.collectives.tuned import (
-    CrossoverTable,
-    install_table,
-    payload_band,
-    shape_key,
-)
 from repro.faults import FAILED, FaultSchedule, ImageFailure, Stat
-from repro.runtime.config import UHCAF_2LEVEL, UHCAF_TUNED
+from repro.runtime.config import UHCAF_2LEVEL
 from tests.conftest import run_small
 
 SHMWIN = UHCAF_2LEVEL.with_(
     name="uhcaf-shmwin", barrier="shmwin", reduce="shmwin",
     broadcast="shmwin", macro_events=False,
 )
-
-
-@pytest.fixture(autouse=True)
-def _clean_table():
-    """Never leak an installed crossover table between tests."""
-    yield
-    install_table(None)
 
 
 def _collective_mix(ctx):
@@ -266,9 +249,8 @@ class TestRegistryHygiene:
 
     def test_new_families_declare_fine_grained(self):
         for kind in ("barrier", "reduce", "broadcast"):
-            for name in ("shmwin", "tuned"):
-                assert registry.macro_kind(kind, name) is None
-                assert registry.info(kind, name).macro_kind is None
+            assert registry.macro_kind(kind, "shmwin") is None
+            assert registry.info(kind, "shmwin").macro_kind is None
 
     def test_info_exposes_callable(self):
         from repro.collectives.shmwin import barrier_shmwin
@@ -278,157 +260,7 @@ class TestRegistryHygiene:
     def test_xscale_assertion_allows_fine_when_asked(self):
         from repro.bench.xscale import assert_macro_capable
 
-        tuned_cfg = UHCAF_TUNED
         with pytest.raises(ValueError, match="not macro-capable"):
-            assert_macro_capable(tuned_cfg)
-        kinds = assert_macro_capable(tuned_cfg, allow_fine=True)
+            assert_macro_capable(SHMWIN)
+        kinds = assert_macro_capable(SHMWIN, allow_fine=True)
         assert set(kinds.values()) == {None}
-
-
-# ----------------------------------------------------------------------
-class TestTunedDispatch:
-    ROWS = [
-        {"kind": "barrier", "nodes": 1, "ipn": 8, "band": "small",
-         "algorithm": "shmwin"},
-        {"kind": "reduce", "nodes": 1, "ipn": 8, "band": "small",
-         "algorithm": "shmwin"},
-        {"kind": "reduce", "nodes": 1, "ipn": 8, "band": "large",
-         "algorithm": "binomial-flat"},
-        {"kind": "broadcast", "nodes": 1, "ipn": 8, "band": "small",
-         "algorithm": "binomial-flat"},
-    ]
-
-    def _mixed_payloads(self, ctx):
-        me = ctx.this_image()
-        yield from ctx.sync_all()
-        small = yield from ctx.co_sum(float(me))
-        large = yield from ctx.co_sum(np.ones(65536))
-        b = yield from ctx.co_broadcast(7, source_image=1)
-        return (small, float(large[0]), b)
-
-    def test_selection_pinned_by_table(self):
-        """Golden: a fixed crossover table makes dispatch deterministic —
-        the cached per-team selections are exactly the table rows."""
-        install_table(self.ROWS)
-        result = run_small(self._mixed_payloads, images=8, ipn=8,
-                           config=UHCAF_TUNED)
-        assert result.world.initial_shared.tuned_selections == {
-            ("barrier", "small"): "shmwin",
-            ("reduce", "small"): "shmwin",
-            ("reduce", "large"): "binomial-flat",
-            ("broadcast", "small"): "binomial-flat",
-        }
-        for out in result.results:
-            assert out == (36.0, 8.0, 7)
-
-    def test_tuned_time_equals_selected_algorithm_exactly(self):
-        """Selection is zero simulated cost: a tuned run must be
-        bit-identical in time and results to the selected algorithm run
-        directly."""
-        rows = [{"kind": k, "nodes": 1, "ipn": 8, "band": b,
-                 "algorithm": "shmwin"}
-                for k in ("barrier", "reduce", "broadcast")
-                for b in ("small", "medium", "large")]
-        install_table(rows)
-        tuned = run_small(_collective_mix, images=8, ipn=8,
-                          config=UHCAF_TUNED)
-        direct = run_small(_collective_mix, images=8, ipn=8, config=SHMWIN)
-        assert tuned.time == direct.time
-        assert tuned.results == direct.results
-
-    def test_fallback_to_two_level_defaults(self):
-        """No table installed: tuned == the paper's two-level stack."""
-        install_table(None)
-        tuned = run_small(_collective_mix, images=8, ipn=4,
-                          config=UHCAF_TUNED)
-        ref = run_small(_collective_mix, images=8, ipn=4,
-                        config=UHCAF_2LEVEL.with_(macro_events=False))
-        assert tuned.time == ref.time
-        assert tuned.results == ref.results
-        assert tuned.world.initial_shared.tuned_selections == {
-            ("barrier", "small"): "tdlb",
-            ("reduce", "small"): "two-level",
-            ("broadcast", "small"): "two-level",
-        }
-
-    def test_working_directory_and_environment_are_not_read(
-            self, tmp_path, monkeypatch):
-        """A TOURNAMENT.json in the working directory, or one named by
-        an environment variable, does not change what tuned picks: two
-        broadcasts from images 2 then 8 at 8 images x 4 per node finish
-        on the two-level defaults even where such a table routes them
-        to shmwin."""
-        table = tmp_path / "TOURNAMENT.json"
-        table.write_text(json.dumps({
-            "schema": CrossoverTable.SCHEMA,
-            "winners": [{"kind": "broadcast", "nodes": 2, "ipn": 4,
-                         "band": "small", "algorithm": "shmwin"}],
-        }))
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("REPRO_TOURNAMENT", str(table))
-        install_table(None)
-
-        def main(ctx):
-            out = []
-            for src in (2, 8):
-                out.append((yield from ctx.co_broadcast(
-                    float(ctx.this_image()), source_image=src)))
-            return out
-
-        result = run_small(main, images=8, ipn=4, config=UHCAF_TUNED)
-        assert result.world.initial_shared.tuned_selections == {
-            ("broadcast", "small"): "two-level"}
-        assert all(out == [2.0, 8.0] for out in result.results)
-
-    def test_stale_table_entry_falls_back(self):
-        install_table([{"kind": "barrier", "nodes": 1, "ipn": 8,
-                        "band": "small", "algorithm": "gone-algorithm"}])
-        result = run_small(_collective_mix, images=8, ipn=8,
-                           config=UHCAF_TUNED)
-        sel = result.world.initial_shared.tuned_selections
-        assert sel[("barrier", "small")] == "tdlb"
-
-    def test_bands_and_shape_key(self):
-        assert payload_band(8) == "small"
-        assert payload_band(255) == "small"
-        assert payload_band(256) == "medium"
-        assert payload_band(16 * 1024 - 1) == "medium"
-        assert payload_band(16 * 1024) == "large"
-        assert shape_key(8, 8) == (1, 8)
-        assert shape_key(8, 4) == (2, 4)
-        assert shape_key(3, 2) == (2, 2)
-        assert shape_key(4, 1) == (4, 1)
-
-    def test_from_json_validates_schema(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"schema": "other/v9", "winners": []}))
-        with pytest.raises(ValueError, match="expected schema"):
-            CrossoverTable.from_json(path)
-
-
-# ----------------------------------------------------------------------
-class TestTournamentCLI:
-    def test_quick_grid_emits_table_and_gates(self, tmp_path, capsys):
-        out_json = tmp_path / "TOURNAMENT.json"
-        rc = bench_main([
-            "tournament", "--shapes", "1node", "--payloads", "small",
-            "--iters", "2", "--tournament-json", str(out_json),
-        ])
-        assert rc == 0
-        text = capsys.readouterr().out
-        assert "crossover table" in text
-        assert "tuned dispatch:" in text
-        doc = json.loads(out_json.read_text())
-        assert doc["schema"] == "repro.bench/tournament/v1"
-        swept = {(r["kind"], r["algorithm"]) for r in doc["grid"]}
-        for kind, table in (("barrier", registry.BARRIERS),
-                            ("reduce", registry.REDUCTIONS),
-                            ("broadcast", registry.BROADCASTS)):
-            for name in table:
-                if name != "tuned":
-                    assert (kind, name) in swept
-        assert doc["tuned"]["speedup_vs_best_fixed"] >= 1.0 - 1e-9
-        assert doc["tuned"]["speedup_vs_default"] >= 1.0 - 1e-9
-        # the artifact round-trips into the dispatch table
-        table = CrossoverTable.from_json(out_json)
-        assert len(table) == len(doc["winners"]) > 0
