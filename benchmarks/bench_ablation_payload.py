@@ -16,8 +16,6 @@ completing the strategy map a production runtime would dispatch on —
 size *and* hierarchy, not either alone.
 """
 
-import numpy as np
-
 from repro.bench.tables import ResultTable, Series
 from conftest import emit
 

@@ -12,7 +12,7 @@ iterations in exact arithmetic, which the tests rely on.
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Iterator
 
 import numpy as np
 

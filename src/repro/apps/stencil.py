@@ -10,7 +10,7 @@ loosely-coupled subproblem decomposition).
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 

@@ -9,7 +9,7 @@ stdout is directly comparable to the paper's figures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 __all__ = ["Series", "ResultTable", "config_label"]
 

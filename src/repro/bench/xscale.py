@@ -97,9 +97,7 @@ SHAPE_PROGRAMS = {
 }
 
 
-def assert_macro_capable(
-    config: RuntimeConfig, allow_fine: bool = False,
-) -> Dict[str, str]:
+def assert_macro_capable(config: RuntimeConfig) -> Dict[str, str]:
     """Map each swept shape to its macro window kind, or raise.
 
     Consults the strategy registry's :func:`macro_kind` so a sweep over
@@ -109,16 +107,13 @@ def assert_macro_capable(
     Every variant declares its capability explicitly at registration
     (``macro_kind=None`` for always-fine-grained families like shmwin,
     which never join macro windows and so never bet in the grant
-    audit).  With ``allow_fine=True`` such strategies map to ``None`` in
-    the returned dict instead of raising, for a harness that accepts
-    fine-grained rungs; the default stays strict because an
-    extreme-scale ladder should refuse to run fine-grained by accident.
+    audit).
     """
     kinds = {}
     for shape, (kind, attr, _main, _iters) in SHAPE_PROGRAMS.items():
         strategy = getattr(config, attr)
         mk = macro_kind(kind, strategy)
-        if mk is None and not allow_fine:
+        if mk is None:
             raise ValueError(
                 f"{kind} strategy {strategy!r} (config {config.name!r}) is "
                 "not macro-capable; an extreme-scale sweep would run "

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import Any, Iterator, List
 
-from .base import payload_nbytes
 from .reduce import _freeze, _send_value, _wait_values
 from ..teams.team import TeamView
 

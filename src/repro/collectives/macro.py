@@ -485,6 +485,7 @@ class MacroCollectives:
                 self.inexact = True
             for proc in g.waiters:  # arrival order
                 proc.resume(False)
+            g.waiters.clear()
         return progressed
 
     def _ensure_hook(self) -> None:
@@ -561,6 +562,7 @@ class MacroCollectives:
         self.demotions += 1
         for proc in g.waiters:  # arrival order
             proc.resume(False)
+        g.waiters.clear()
         return None
 
     def _open(self, view, kind: str, seq, op: Any,
@@ -672,7 +674,8 @@ class MacroCollectives:
         parks after its commit."""
         self._pending_wakes -= 1
         window[0] -= 1
-        if window[0] == 0:
+        last = window[0] == 0
+        if last:
             self._active_windows.remove(window)
             if (
                 self.disabled_reason is None
@@ -682,6 +685,12 @@ class MacroCollectives:
                 self._disable("overlap")
         for p, value in zip(positions, values):
             waiters[p].resume(value)
+        if last:
+            # Every waiter has resumed.  A process whose last wait was
+            # this window still names its Park, whose queue is this
+            # list: left full, finished processes would hold each other
+            # in a cycle that only the garbage collector frees.
+            waiters.clear()
 
     # -- a compute_cost Timeout's span ----------------------------------
     def _compute_delay(self, flops: float) -> float:

@@ -23,7 +23,6 @@ import numpy as np
 
 from ..teams.team import TeamView
 from .reduce import (
-    REDUCE_OPS,
     _combine,
     _recursive_doubling,
     _send_value,

@@ -22,7 +22,7 @@ learn about the failure only through the runtime (``stat=`` returns,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 __all__ = ["ImageFailure", "FaultSchedule", "parse_schedule"]

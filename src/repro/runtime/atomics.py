@@ -20,7 +20,7 @@ synchronization: barrier cocounters and event counts are AtomicVars.
 from __future__ import annotations
 
 import operator
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
 from ..sim import Cell, SimEvent, Wait
 from .conduit import Conduit

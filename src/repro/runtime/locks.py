@@ -28,7 +28,7 @@ when no ``stat=`` is supplied — OpenUH aborts by default).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Tuple
 
 from ..faults.manager import (
     STAT_LOCKED,

@@ -28,7 +28,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..calibration import ConduitProfile
 from ..collectives.macro import MacroCollectives
 from ..collectives.reduce import REDUCE_OPS
 from ..collectives.registry import resolve
@@ -47,7 +46,7 @@ from ..faults.manager import (
 )
 from ..faults.schedule import FaultSchedule
 from ..machine import Machine, MachineSpec, Placement, TrafficSnapshot, build_machine, paper_cluster
-from ..sim import Engine, Process, SimEvent, Timeout, Wait
+from ..sim import Engine, Process, SimEvent, Timeout, Wait, collector_paused
 from ..teams.formation import form_team as _form_team
 from ..teams.team import INITIAL_TEAM_NUMBER, TeamShared, TeamView
 from .atomics import AtomicVar
@@ -1013,48 +1012,60 @@ def run_spmd(
     virtual NIC holds, so get completion times can differ; the run is
     then flagged ``world.macro.inexact`` (``disabled_reason ==
     "overlap"``).  This knob exists for A/B verification and benchmarks.
+
+    The cyclic garbage collector is paused from building the machine
+    through the end of the run (:func:`repro.sim.collector_paused`), so
+    ``main`` sees ``gc.isenabled()`` False.  A run allocates several
+    long-lived objects per image and per node, and the collections
+    their allocations would trigger walk them again and again to free
+    nothing: a finished run leaves no cycles (reference counting frees
+    what it drops).  On every exit, a return or a raised error, the
+    collector is re-enabled if and only if it was enabled when the call
+    began; the next allocation then starts one young collection, which
+    walks the run's surviving objects once.
     """
     if macro_events is not None:
         config = config.with_(macro_events=macro_events)
-    if machine is None:
-        if num_images is None:
-            raise ValueError("need num_images (or a prebuilt machine)")
-        if spec is None:
-            ipn = images_per_node or 1
-            needed = -(-num_images // ipn)
-            spec = paper_cluster(max(needed, 1))
-        engine_kwargs: dict = {}
-        if max_events is not None:
-            engine_kwargs["max_events"] = max_events
-        if tiebreak_seed is not None:
-            engine_kwargs["tiebreak_seed"] = tiebreak_seed
-        engine = Engine(**engine_kwargs)
-        machine = build_machine(
-            engine, spec, num_images,
-            images_per_node=images_per_node, placements=placements,
-        )
-    else:
-        engine = machine.engine
-        if tiebreak_seed is not None and engine.tiebreak_seed != tiebreak_seed:
-            raise ValueError(
-                "tiebreak_seed must be passed to the prebuilt machine's "
-                "Engine, not to run_spmd"
+    with collector_paused():
+        if machine is None:
+            if num_images is None:
+                raise ValueError("need num_images (or a prebuilt machine)")
+            if spec is None:
+                ipn = images_per_node or 1
+                needed = -(-num_images // ipn)
+                spec = paper_cluster(max(needed, 1))
+            engine_kwargs: dict = {}
+            if max_events is not None:
+                engine_kwargs["max_events"] = max_events
+            if tiebreak_seed is not None:
+                engine_kwargs["tiebreak_seed"] = tiebreak_seed
+            engine = Engine(**engine_kwargs)
+            machine = build_machine(
+                engine, spec, num_images,
+                images_per_node=images_per_node, placements=placements,
             )
+        else:
+            engine = machine.engine
+            if tiebreak_seed is not None and engine.tiebreak_seed != tiebreak_seed:
+                raise ValueError(
+                    "tiebreak_seed must be passed to the prebuilt machine's "
+                    "Engine, not to run_spmd"
+                )
 
-    if monitor is not None:
-        monitor.attach(machine.num_images)
-        engine.monitor = monitor
+        if monitor is not None:
+            monitor.attach(machine.num_images)
+            engine.monitor = monitor
 
-    world = World(machine, config, trace=trace, fault_schedule=faults)
-    processes = []
-    for proc in range(machine.num_images):
-        process = Process(engine, main(CafContext(world, proc), *args),
-                          name=f"image{proc + 1}", actor=proc)
-        process.done.on_trigger(partial(_image_done, world, proc))
-        processes.append(process)
-    if world.faults is not None:
-        world.faults.arm(processes, world.initial_shared)
-    final_time = engine.run()
+        world = World(machine, config, trace=trace, fault_schedule=faults)
+        processes = []
+        for proc in range(machine.num_images):
+            process = Process(engine, main(CafContext(world, proc), *args),
+                              name=f"image{proc + 1}", actor=proc)
+            process.done.on_trigger(partial(_image_done, world, proc))
+            processes.append(process)
+        if world.faults is not None:
+            world.faults.arm(processes, world.initial_shared)
+        final_time = engine.run()
     return SpmdResult(
         time=final_time,
         results=[p.result for p in processes],

@@ -3,9 +3,12 @@
 This subpackage is the substrate everything else stands on: a
 reproducible event-heap engine (:mod:`~repro.sim.engine`), wait/wake
 primitives (:mod:`~repro.sim.primitives`), and generator-based simulated
-processes (:mod:`~repro.sim.process`).
+processes (:mod:`~repro.sim.process`).  :func:`collector_paused`
+keeps CPython's cyclic collector off while a world is built and run
+(:mod:`~repro.sim.collector`).
 """
 
+from .collector import collector_paused
 from .engine import Engine
 from .errors import (
     DeadlockError,
@@ -44,4 +47,5 @@ __all__ = [
     "DeadlockError",
     "ProcessFailure",
     "SimulationLimitExceeded",
+    "collector_paused",
 ]

@@ -29,7 +29,7 @@ Leader election strategies (experiment E7 ablates them):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from ..machine import Topology

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime.config import UHCAF_1LEVEL, UHCAF_2LEVEL
+from repro.runtime.config import UHCAF_2LEVEL
 from repro.sim import ProcessFailure
 from tests.conftest import run_small
 

@@ -3,8 +3,6 @@ the reproduction's shape results rest on (docs/calibration.md).  If a
 re-tuning breaks one of these, the benchmark suite will likely drift out
 of the paper's bands — fail here first, with a named reason."""
 
-import pytest
-
 from repro.baselines import caf20, gasnet
 from repro.calibration import (
     BACKEND_EFFICIENCY,

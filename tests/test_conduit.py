@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from repro.calibration import DIRECT_SMP, GASNET_RDMA, IB_VERBS, ConduitProfile
+from repro.calibration import DIRECT_SMP, GASNET_RDMA, IB_VERBS
 from repro.faults import FaultSchedule, ImageFailure
 from repro.faults.manager import FaultManager
 from repro.machine import build_machine, paper_cluster

@@ -2,7 +2,6 @@
 payload, transfer costs must obey the physical invariants the analysis
 relies on (monotonicity, path ordering, profile ordering)."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

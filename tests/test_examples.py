@@ -5,8 +5,6 @@ import pathlib
 import subprocess
 import sys
 
-import pytest
-
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
 

@@ -1,6 +1,5 @@
 """Tests for the distributed triangular solves (HPL's solve phase)."""
 
-import numpy as np
 import pytest
 
 from repro.hpl import run_hpl

@@ -4,15 +4,7 @@ on every stack configuration — the cross-module safety net."""
 import numpy as np
 import pytest
 
-from repro.runtime.config import (
-    CAF20_GFORTRAN,
-    CAF20_OPENUH,
-    GASNET_IB_DISSEMINATION,
-    NAMED_CONFIGS,
-    OPENMPI_GCC,
-    UHCAF_1LEVEL,
-    UHCAF_2LEVEL,
-)
+from repro.runtime.config import NAMED_CONFIGS, UHCAF_2LEVEL
 from tests.conftest import run_small
 
 ALL_CONFIGS = list(NAMED_CONFIGS.values())

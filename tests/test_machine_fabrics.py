@@ -3,7 +3,7 @@
 import pytest
 
 from repro.machine import build_machine, paper_cluster
-from repro.sim import Engine, Process, Timeout
+from repro.sim import Engine, Process
 
 
 def make(images=8, ipn=4, nodes=4):

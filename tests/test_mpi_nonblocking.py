@@ -1,7 +1,6 @@
 """Tests for MPI non-blocking point-to-point (isend/irecv/wait/waitall)."""
 
 import numpy as np
-import pytest
 
 from repro.baselines.mpi import run_mpi
 from repro.machine import paper_cluster

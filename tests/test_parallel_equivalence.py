@@ -9,7 +9,6 @@ string objects happen to be shared, which is identity, not content.)
 """
 
 import numpy as np
-import pytest
 
 from repro.exec import ResultCache
 from repro.exec.cache import invalidate_fingerprint_memo

@@ -1,6 +1,5 @@
 """Tests for sync images, sync memory, events, and atomics."""
 
-import numpy as np
 import pytest
 
 from repro.sim import ProcessFailure

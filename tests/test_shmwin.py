@@ -257,10 +257,8 @@ class TestRegistryHygiene:
 
         assert registry.info("barrier", "shmwin").fn is barrier_shmwin
 
-    def test_xscale_assertion_allows_fine_when_asked(self):
+    def test_xscale_assertion_rejects_fine_grained_configs(self):
         from repro.bench.xscale import assert_macro_capable
 
         with pytest.raises(ValueError, match="not macro-capable"):
             assert_macro_capable(SHMWIN)
-        kinds = assert_macro_capable(SHMWIN, allow_fine=True)
-        assert set(kinds.values()) == {None}
