@@ -1,19 +1,25 @@
-"""A miniature MPI on the simulated cluster — the paper's MPI comparators.
+"""A miniature MPI on the simulated cluster — the paper's MPI_Barrier lines.
 
-The paper benchmarks its collectives against MPI_Barrier (and friends)
-from MVAPICH 2.0beta, default Open MPI 1.8.3, and Open MPI with its
-hierarchy-awareness options (the ``hierarch`` and ``sm`` coll modules).
-This module provides just enough of MPI to reproduce those lines,
-running on the same :class:`~repro.machine.Machine` and cost model as
-the CAF runtime:
+The paper's barrier experiment (E2) compares its TDLB against
+MPI_Barrier from MVAPICH 2.0beta, default Open MPI 1.8.3, and Open MPI
+with its hierarchy-awareness options (the ``hierarch`` and ``sm`` coll
+modules).  This module provides just enough of MPI to reproduce those
+three lines, running on the same :class:`~repro.machine.Machine` and
+cost model as the CAF runtime:
 
-* :class:`MpiWorld` / :func:`run_mpi` — SPMD launcher for rank programs.
-* :class:`Communicator` — groups, ``split``, ``dup``; two-sided
-  ``send``/``recv`` with (source, tag) matching over the MPI-native
-  conduit profile (eager protocol; both sides pay software overhead,
-  same-node pairs ride the shared-memory BTL).
-* Collectives in three tunings (``mvapich``, ``openmpi``,
-  ``openmpi-hierarch``): barrier, broadcast, allreduce.
+* :func:`run_mpi` — SPMD launcher for rank programs.  There is one
+  communicator (``MPI_COMM_WORLD``), so a rank is its machine proc.
+* :class:`MpiContext` — eager two-sided ``send``/``recv`` with
+  (source, tag) matching, and ``barrier`` in three tunings
+  (``mvapich``, ``openmpi``, ``openmpi-hierarch``).
+
+A send is one costed transfer through a
+:class:`~repro.runtime.conduit.Conduit` with the MPI-native profile:
+the sender pays its software overhead, same-node pairs ride the
+shared-memory BTL (the conduit's ``loopback`` route) and other pairs the
+NIC.  The library charges no loopback penalty, so the profile's is set
+to 0 here; HPL's Open MPI line (``OPENMPI_GCC``) keeps it.  The receiver
+pays ``recv_overhead`` when a message matches.
 
 Ranks are **0-based**, as in MPI; only the CAF side of the repo uses
 Fortran's 1-based images.
@@ -22,23 +28,20 @@ Fortran's 1-based images.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..calibration import MPI_NATIVE, ConduitProfile
-from ..machine import Machine, MachineSpec, build_machine, paper_cluster
-from ..sim import Cell, Engine, Process, Timeout, Wait, WaitFor
+from ..calibration import MPI_NATIVE
 from ..collectives.base import binomial_peers
+from ..machine import Machine, MachineSpec, build_machine, paper_cluster
+from ..runtime.conduit import Conduit
+from ..sim import Cell, Engine, Process, Timeout, WaitFor
 
-__all__ = ["MpiWorld", "Communicator", "MpiContext", "MpiRequest",
-           "run_mpi", "MPI_TUNINGS"]
+__all__ = ["MpiWorld", "MpiContext", "run_mpi", "MPI_TUNINGS"]
 
 MPI_TUNINGS = ("mvapich", "openmpi", "openmpi-hierarch")
-
-#: pure synchronization message size
-SYNC_NBYTES = 8
 
 
 def _payload_nbytes(value: Any) -> int:
@@ -51,92 +54,47 @@ def _freeze(value: Any) -> Any:
 
 
 class MpiWorld:
-    """Shared state of one MPI job: machine, conduit costs, match queues."""
+    """Shared state of one MPI job: machine, conduit, match queues."""
 
-    def __init__(self, machine: Machine, tuning: str = "openmpi",
-                 profile: ConduitProfile = MPI_NATIVE):
+    def __init__(self, machine: Machine, tuning: str = "openmpi"):
         if tuning not in MPI_TUNINGS:
             raise ValueError(f"unknown MPI tuning {tuning!r}; have {MPI_TUNINGS}")
         self.machine = machine
         self.engine = machine.engine
         self.tuning = tuning
-        self.profile = profile
-        # Unexpected-message queues: (comm_id, dst_rank) → list of
-        # (src_rank, tag, payload), plus an arrival counter to wake matchers.
-        self._queues: Dict[Tuple[Any, int], List[Tuple[int, Any, Any]]] = {}
-        self._arrivals: Dict[Tuple[Any, int], Cell] = {}
+        self.profile = replace(MPI_NATIVE, loopback_penalty=0.0)
+        self.conduit = Conduit(machine, self.profile)
+        # Unexpected-message queue per rank: (src, tag, payload) in
+        # arrival order, plus an arrival counter to wake matchers.
+        ranks = range(machine.num_images)
+        self._queues: List[List[Tuple[int, Any, Any]]] = [[] for _ in ranks]
+        self._arrivals = [Cell(self.engine, 0, name=f"mpi.arrive[{r}]")
+                          for r in ranks]
 
-    # -- matching infrastructure ---------------------------------------
-    def arrival_cell(self, comm_id: Any, rank: int) -> Cell:
-        key = (comm_id, rank)
-        cell = self._arrivals.get(key)
-        if cell is None:
-            cell = Cell(self.engine, 0, name=f"mpi.arrive[{comm_id},{rank}]")
-            self._arrivals[key] = cell
-        return cell
+    def enqueue(self, dst: int, src: int, tag: Any, payload: Any) -> None:
+        self._queues[dst].append((src, tag, payload))
+        self._arrivals[dst].add(1)
 
-    def enqueue(self, comm_id: Any, dst: int, src: int, tag: Any, payload: Any) -> None:
-        self._queues.setdefault((comm_id, dst), []).append((src, tag, payload))
-        self.arrival_cell(comm_id, dst).add(1)
-
-    def match(self, comm_id: Any, dst: int, src: Optional[int], tag: Any) -> Optional[Any]:
+    def match(self, dst: int, src: Optional[int], tag: Any) -> Optional[Tuple]:
         """Pop the first queued message matching (src, tag); None-src and
         None-tag are wildcards (MPI_ANY_SOURCE / MPI_ANY_TAG)."""
-        queue = self._queues.get((comm_id, dst))
-        if not queue:
-            return None
-        for i, (msrc, mtag, payload) in enumerate(queue):
+        queue = self._queues[dst]
+        for i, (msrc, mtag, _payload) in enumerate(queue):
             if (src is None or msrc == src) and (tag is None or mtag == tag):
-                queue.pop(i)
-                return (msrc, mtag, payload)
+                return queue.pop(i)
         return None
-
-
-class Communicator:
-    """An ordered group of global procs with its own message-matching space.
-
-    ``comm_id`` must be identical at every member rank (message matching
-    keys on it), so derived communicators compute it deterministically
-    from the parent id and the split parameters rather than from a local
-    counter — mirroring how real MPIs agree on context ids.
-    """
-
-    def __init__(self, world: MpiWorld, procs: Sequence[int], comm_id: Any = 0):
-        if len(set(procs)) != len(procs):
-            raise ValueError("duplicate procs in communicator group")
-        self.world = world
-        self.comm_id = comm_id
-        self.procs = list(procs)
-        self._rank_of = {p: r for r, p in enumerate(self.procs)}
-
-    @property
-    def size(self) -> int:
-        return len(self.procs)
-
-    def rank_of_proc(self, proc: int) -> int:
-        try:
-            return self._rank_of[proc]
-        except KeyError:
-            raise ValueError(f"proc {proc} not in communicator") from None
 
 
 class MpiContext:
     """One rank's API handle (the ``comm`` argument of rank programs)."""
 
-    def __init__(self, world: MpiWorld, proc: int, comm_world: Communicator):
+    def __init__(self, world: MpiWorld, rank: int):
         self.world = world
-        self.proc = proc
-        self.comm_world = comm_world
-        # Per-rank, per-communicator collective sequence numbers: every
-        # rank of a communicator issues collectives in the same order
-        # (SPMD), so local counters agree and successive collectives get
-        # distinct, matching tags.
-        self._coll_seqs: Dict[Any, int] = {}
-
-    def _next_coll_tag(self, comm: Communicator, kind: str) -> Tuple[str, int]:
-        seq = self._coll_seqs.get(comm.comm_id, 0) + 1
-        self._coll_seqs[comm.comm_id] = seq
-        return (kind, seq)
+        self.proc = rank
+        # Every rank issues its barriers in the same order (SPMD), so
+        # local counters agree and successive barriers get distinct,
+        # matching tags.
+        self._barriers = 0
 
     @property
     def now(self) -> float:
@@ -149,469 +107,113 @@ class MpiContext:
         run unchanged on either stack."""
         return self.world.machine
 
-    def rank(self, comm: Optional[Communicator] = None) -> int:
-        comm = comm or self.comm_world
-        return comm.rank_of_proc(self.proc)
+    def rank(self) -> int:
+        return self.proc
 
-    def size(self, comm: Optional[Communicator] = None) -> int:
-        return (comm or self.comm_world).size
+    def size(self) -> int:
+        return self.world.machine.num_images
 
     # ------------------------------------------------------------------
     # Point-to-point (eager protocol)
     # ------------------------------------------------------------------
-    def send(self, value: Any, dest: int, tag: Any = 0,
-             comm: Optional[Communicator] = None):
+    def send(self, value: Any, dest: int, tag: Any = 0):
         """Blocking-through-injection eager send (both sides pay software
         overhead; small messages never rendezvous)."""
-        comm = comm or self.comm_world
-        dst_proc = comm.procs[dest]
         world = self.world
-        profile = world.profile
         payload = _freeze(value)
-        nbytes = _payload_nbytes(value)
-        same = world.machine.same_node(self.proc, dst_proc)
-        overhead = profile.local_overhead if same else profile.remote_overhead
-        yield Timeout(overhead)
-        my_rank = comm.rank_of_proc(self.proc)
+        yield from world.conduit.transfer(
+            self.proc, dest, _payload_nbytes(value),
+            on_delivered=lambda: world.enqueue(dest, self.proc, tag, payload),
+        )
 
-        def deliver() -> None:
-            world.enqueue(comm.comm_id, dest, my_rank, tag, payload)
-
-        if same:
-            ps = world.machine.topology.placement(self.proc)
-            pd = world.machine.topology.placement(dst_proc)
-            yield from world.machine.shared_memory.transfer(
-                ps.node, ps.core, pd.core, nbytes, on_visible=deliver
-            )
-        else:
-            yield from world.machine.interconnect.send(
-                world.machine.node_of(self.proc),
-                world.machine.node_of(dst_proc),
-                nbytes,
-                on_delivered=deliver,
-            )
-
-    def recv(self, source: Optional[int] = None, tag: Any = None,
-             comm: Optional[Communicator] = None):
+    def recv(self, source: Optional[int] = None, tag: Any = None):
         """Blocking receive; returns the payload.  Wildcards via None."""
-        comm = comm or self.comm_world
         world = self.world
-        my_rank = comm.rank_of_proc(self.proc)
-        cell = world.arrival_cell(comm.comm_id, my_rank)
+        cell = world._arrivals[self.proc]
         while True:
-            hit = world.match(comm.comm_id, my_rank, source, tag)
+            hit = world.match(self.proc, source, tag)
             if hit is not None:
                 yield Timeout(world.profile.recv_overhead)
                 return hit[2]
             seen = cell.value
             yield WaitFor(cell, lambda v, s=seen: v > s)
 
-    def isend(self, value: Any, dest: int, tag: Any = 0,
-              comm: Optional[Communicator] = None):
-        """Non-blocking send: blocks only through posting (software
-        overhead); injection and the wire proceed asynchronously.
-        Generator returning a request; complete it with :meth:`wait`."""
-        comm = comm or self.comm_world
-        dst_proc = comm.procs[dest]
-        world = self.world
-        profile = world.profile
-        payload = _freeze(value)
-        nbytes = _payload_nbytes(value)
-        same = world.machine.same_node(self.proc, dst_proc)
-        yield Timeout(profile.local_overhead if same else profile.remote_overhead)
-        my_rank = comm.rank_of_proc(self.proc)
-
-        def deliver() -> None:
-            world.enqueue(comm.comm_id, dest, my_rank, tag, payload)
-
-        done = world.machine.transfer_async(
-            self.proc, dst_proc, nbytes, on_delivered=deliver
-        )
-        return MpiRequest(kind="send", event=done)
-
-    def irecv(self, source: Optional[int] = None, tag: Any = None,
-              comm: Optional[Communicator] = None):
-        """Non-blocking receive.  Simplification vs real MPI: matching
-        happens at :meth:`wait` time rather than at message arrival, so
-        two outstanding irecvs with overlapping wildcards may match in
-        wait order instead of post order.  Generator (posts nothing but
-        keeps the call style uniform); returns a request."""
-        comm = comm or self.comm_world
-        yield Timeout(0.0)
-        return MpiRequest(kind="recv", event=None,
-                          match=(comm, source, tag))
-
-    def wait(self, request: "MpiRequest"):
-        """Complete a non-blocking operation; returns the payload for
-        receives, None for sends."""
-        if request.kind == "send":
-            yield Wait(request.event)
-            return None
-        comm, source, tag = request.match
-        value = yield from self.recv(source, tag, comm)
-        return value
-
-    def waitall(self, requests: Sequence["MpiRequest"]):
-        """Complete several requests; returns their results in order."""
-        out = []
-        for request in requests:
-            out.append((yield from self.wait(request)))
-        return out
-
-    def sendrecv(self, value: Any, peer: int, tag: Any = 0,
-                 comm: Optional[Communicator] = None):
-        """Simultaneous exchange with ``peer`` (send first — both sides
-        sending first is what makes the exchange deadlock-free here,
-        since sends only block through injection)."""
-        yield from self.send(value, peer, tag, comm)
-        got = yield from self.recv(peer, tag, comm)
-        return got
-
     # ------------------------------------------------------------------
-    # Communicator management
+    # MPI_Barrier (tuning-dispatched)
     # ------------------------------------------------------------------
-    def split(self, color: int, key: int, comm: Optional[Communicator] = None):
-        """MPI_Comm_split via gather-to-0 + broadcast of assignments (the
-        classic implementation, costed accordingly)."""
-        comm = comm or self.comm_world
-        my_rank = comm.rank_of_proc(self.proc)
-        tag = self._next_coll_tag(comm, "split")
-        record = (my_rank, color, key)
-        if my_rank != 0:
-            yield from self.send(record, 0, tag, comm)
-            new_group = yield from self.recv(0, (tag, "out"), comm)
-        else:
-            records = [record]
-            for _ in range(comm.size - 1):
-                rec = yield from self.recv(None, tag, comm)
-                records.append(rec)
-            groups: Dict[int, List[Tuple[int, int]]] = {}
-            for rank, col, k in records:
-                groups.setdefault(col, []).append((k, rank))
-            assignment: Dict[int, List[int]] = {}
-            for col, entries in groups.items():
-                ranks = [r for _, r in sorted(entries)]
-                for r in ranks:
-                    assignment[r] = ranks
-            for r in range(1, comm.size):
-                yield from self.send(assignment[r], r, (tag, "out"), comm)
-            new_group = assignment[0]
-        new_id = (comm.comm_id, "split", tag[1], color)
-        return Communicator(self.world, [comm.procs[r] for r in new_group], new_id)
-
-    # ------------------------------------------------------------------
-    # Collectives (tuning-dispatched)
-    # ------------------------------------------------------------------
-    def _node_groups(self, comm: Communicator) -> Tuple[List[int], Dict[int, int]]:
+    def _node_groups(self) -> Tuple[List[int], Dict[int, int]]:
         """(leader ranks sorted, rank → leader rank) by physical node —
         what Open MPI's hierarch module computes at communicator setup."""
+        machine = self.world.machine
         by_node: Dict[int, List[int]] = {}
-        for r, proc in enumerate(comm.procs):
-            by_node.setdefault(self.world.machine.node_of(proc), []).append(r)
+        for r in range(self.size()):
+            by_node.setdefault(machine.node_of(r), []).append(r)
         leader_of: Dict[int, int] = {}
         leaders = []
         for node in sorted(by_node):
-            ranks = sorted(by_node[node])
+            ranks = by_node[node]
             leaders.append(ranks[0])
             for r in ranks:
                 leader_of[r] = ranks[0]
         return leaders, leader_of
 
-    def barrier(self, comm: Optional[Communicator] = None):
+    def barrier(self):
         """MPI_Barrier in the world's tuning: pairwise-exchange dissemination
         (mvapich), the default binomial fan-in/fan-out tree (openmpi, as in
         Open MPI 1.8 untuned), or the two-level sm+hierarch scheme
         (openmpi-hierarch)."""
-        comm = comm or self.comm_world
-        tag = self._next_coll_tag(comm, "barrier")
+        self._barriers += 1
+        tag = ("barrier", self._barriers)
         tuning = self.world.tuning
         if tuning == "openmpi-hierarch":
-            yield from self._barrier_hierarchical(comm, tag)
+            yield from self._barrier_hierarchical(tag)
         elif tuning == "openmpi":
-            ranks = list(range(comm.size))
-            yield from self._barrier_tree(comm, ranks, tag)
+            yield from self._barrier_tree(tag)
         else:
-            ranks = list(range(comm.size))
-            yield from self._barrier_dissemination(comm, ranks, tag)
+            yield from self._barrier_dissemination(list(range(self.size())), tag)
 
-    def _barrier_tree(self, comm: Communicator, participants: List[int], tag) -> Any:
+    def _barrier_tree(self, tag) -> Any:
         """Binomial fan-in to rank 0 then fan-out: 2·log2(n) latency, the
         shape of Open MPI's default (coll basic/tuned untuned) barrier."""
-        n = len(participants)
+        n = self.size()
         if n <= 1:
             return
-        me = comm.rank_of_proc(self.proc)
-        vrank = participants.index(me)
-        parent, children = binomial_peers(vrank, n)
+        parent, children = binomial_peers(self.proc, n)
         for child in sorted(children):
-            yield from self.recv(participants[child], tag + ("up",), comm)
+            yield from self.recv(child, tag + ("up",))
         if parent is not None:
-            yield from self.send(0, participants[parent], tag + ("up",), comm)
-            yield from self.recv(participants[parent], tag + ("down",), comm)
+            yield from self.send(0, parent, tag + ("up",))
+            yield from self.recv(parent, tag + ("down",))
         for child in children:
-            yield from self.send(0, participants[child], tag + ("down",), comm)
+            yield from self.send(0, child, tag + ("down",))
 
-    def _barrier_dissemination(self, comm: Communicator,
-                               participants: List[int], tag) -> Any:
+    def _barrier_dissemination(self, participants: List[int], tag) -> Any:
         n = len(participants)
         if n <= 1:
             return
-        me = comm.rank_of_proc(self.proc)
-        pos = participants.index(me)
+        pos = participants.index(self.proc)
         rounds = math.ceil(math.log2(n))
         for r in range(rounds):
             dist = 1 << r
             to = participants[(pos + dist) % n]
             frm = participants[(pos - dist) % n]
-            yield from self.send(0, to, tag + (r,), comm)
-            yield from self.recv(frm, tag + (r,), comm)
+            yield from self.send(0, to, tag + (r,))
+            yield from self.recv(frm, tag + (r,))
 
-    def _barrier_hierarchical(self, comm: Communicator, tag) -> Any:
-        leaders, leader_of = self._node_groups(comm)
-        me = comm.rank_of_proc(self.proc)
+    def _barrier_hierarchical(self, tag) -> Any:
+        leaders, leader_of = self._node_groups()
+        me = self.proc
         my_leader = leader_of[me]
         if me != my_leader:
-            yield from self.send(0, my_leader, tag + ("up",), comm)
-            yield from self.recv(my_leader, tag + ("down",), comm)
+            yield from self.send(0, my_leader, tag + ("up",))
+            yield from self.recv(my_leader, tag + ("down",))
             return
         locals_ = [r for r, l in leader_of.items() if l == me and r != me]
         for _ in locals_:
-            yield from self.recv(None, tag + ("up",), comm)
-        yield from self._barrier_dissemination(comm, leaders, tag + ("lead",))
-        for r in sorted(locals_):
-            yield from self.send(0, r, tag + ("down",), comm)
-
-    def bcast(self, value: Any, root: int = 0,
-              comm: Optional[Communicator] = None):
-        """MPI_Bcast: binomial tree (flat tunings) or leader-then-local
-        two-level tree (hierarch).  Returns the payload at every rank."""
-        comm = comm or self.comm_world
-        tag = self._next_coll_tag(comm, "bcast")
-        if self.world.tuning == "openmpi-hierarch":
-            result = yield from self._bcast_hierarchical(comm, value, root, tag)
-        else:
-            ranks = list(range(comm.size))
-            result = yield from self._bcast_binomial(comm, ranks, value, root, tag)
-        return result
-
-    def _bcast_binomial(self, comm: Communicator, participants: List[int],
-                        value: Any, root: int, tag) -> Any:
-        n = len(participants)
-        me = comm.rank_of_proc(self.proc)
-        pos = participants.index(me)
-        rpos = participants.index(root)
-        vrank = (pos - rpos) % n
-        parent, children = binomial_peers(vrank, n)
-        if parent is None:
-            payload = _freeze(value)
-        else:
-            payload = yield from self.recv(None, tag, comm)
-        for child in children:
-            target = participants[(child + rpos) % n]
-            yield from self.send(payload, target, tag, comm)
-        return payload
-
-    def _bcast_hierarchical(self, comm: Communicator, value: Any,
-                            root: int, tag) -> Any:
-        leaders, leader_of = self._node_groups(comm)
-        me = comm.rank_of_proc(self.proc)
-        my_leader = leader_of[me]
-        root_leader = leader_of[root]
-        payload = _freeze(value) if me == root else None
-        if me == root and my_leader != me:
-            yield from self.send(payload, my_leader, tag + ("seed",), comm)
-        if me == my_leader:
-            if me == root_leader and me != root:
-                payload = yield from self.recv(root, tag + ("seed",), comm)
-            payload = yield from self._bcast_binomial(
-                comm, leaders, payload, root_leader, tag + ("lead",)
-            )
-            for r in sorted(r for r, l in leader_of.items() if l == me and r != me):
-                if r == root:
-                    continue
-                yield from self.send(payload, r, tag + ("fan",), comm)
-            return payload
-        if me == root:
-            return payload
-        payload = yield from self.recv(my_leader, tag + ("fan",), comm)
-        return payload
-
-    def allreduce(self, value: Any, op: Callable[[Any, Any], Any] = None,
-                  comm: Optional[Communicator] = None):
-        """MPI_Allreduce: recursive doubling (flat tunings) or reduce-to-
-        leaders + leader exchange + local bcast (hierarch).  ``op``
-        defaults to addition."""
-        comm = comm or self.comm_world
-        if op is None:
-            op = lambda a, b: a + b  # noqa: E731 - the MPI_SUM default
-        tag = self._next_coll_tag(comm, "allreduce")
-        if self.world.tuning == "openmpi-hierarch":
-            leaders, leader_of = self._node_groups(comm)
-            me = comm.rank_of_proc(self.proc)
-            my_leader = leader_of[me]
-            if me != my_leader:
-                yield from self.send(_freeze(value), my_leader, tag + ("up",), comm)
-                result = yield from self.recv(my_leader, tag + ("down",), comm)
-                return result
-            acc = _freeze(value)
-            locals_ = sorted(r for r, l in leader_of.items() if l == me and r != me)
-            for _ in locals_:
-                contrib = yield from self.recv(None, tag + ("up",), comm)
-                acc = op(acc, contrib)
-            acc = yield from self._allreduce_rd(comm, leaders, acc, op, tag)
-            for r in locals_:
-                yield from self.send(acc, r, tag + ("down",), comm)
-            return acc
-        ranks = list(range(comm.size))
-        result = yield from self._allreduce_rd(comm, ranks, value, op, tag)
-        return result
-
-    def _allreduce_rd(self, comm: Communicator, participants: List[int],
-                      value: Any, op, tag) -> Any:
-        n = len(participants)
-        acc = _freeze(value)
-        if n == 1:
-            return acc
-        me = comm.rank_of_proc(self.proc)
-        pos = participants.index(me)
-        pow2 = 1 << (n.bit_length() - 1)
-        rem = n - pow2
-        newrank = -1
-        if pos < 2 * rem:
-            if pos % 2 == 1:
-                yield from self.send(acc, participants[pos - 1], tag + ("f",), comm)
-            else:
-                got = yield from self.recv(participants[pos + 1], tag + ("f",), comm)
-                acc = op(acc, got)
-                newrank = pos // 2
-        else:
-            newrank = pos - rem
-        if newrank >= 0:
-            mask = 1
-            while mask < pow2:
-                pnew = newrank ^ mask
-                ppos = pnew * 2 if pnew < rem else pnew + rem
-                peer = participants[ppos]
-                yield from self.send(acc, peer, tag + ("x", mask), comm)
-                got = yield from self.recv(peer, tag + ("x", mask), comm)
-                acc = op(acc, got)
-                mask <<= 1
-        if pos < 2 * rem:
-            if pos % 2 == 0:
-                yield from self.send(acc, participants[pos + 1], tag + ("u",), comm)
-            else:
-                acc = yield from self.recv(participants[pos - 1], tag + ("u",), comm)
-        return acc
-
-
-    # ------------------------------------------------------------------
-    # Rooted collectives (binomial trees over the active tuning's
-    # point-to-point layer)
-    # ------------------------------------------------------------------
-    def reduce(self, value: Any, op: Callable[[Any, Any], Any] = None,
-               root: int = 0, comm: Optional[Communicator] = None):
-        """MPI_Reduce: binomial fan-in to ``root``; only the root gets
-        the result (others return None)."""
-        comm = comm or self.comm_world
-        if op is None:
-            op = lambda a, b: a + b  # noqa: E731
-        tag = self._next_coll_tag(comm, "reduce")
-        n = comm.size
-        me = comm.rank_of_proc(self.proc)
-        vrank = (me - root) % n
-        parent, children = binomial_peers(vrank, n)
-        acc = _freeze(value)
-        for child in sorted(children):
-            got = yield from self.recv(None, tag + (child,), comm)
-            acc = op(acc, got)
-        if parent is not None:
-            target = (parent + root) % n
-            yield from self.send(acc, target, tag + (vrank,), comm)
-            return None
-        return acc
-
-    def gather(self, value: Any, root: int = 0,
-               comm: Optional[Communicator] = None):
-        """MPI_Gather: binomial fan-in of (rank, value) pairs; the root
-        returns the list ordered by rank, others None."""
-        comm = comm or self.comm_world
-        tag = self._next_coll_tag(comm, "gather")
-        n = comm.size
-        me = comm.rank_of_proc(self.proc)
-        vrank = (me - root) % n
-        parent, children = binomial_peers(vrank, n)
-        bundle = [(me, _freeze(value))]
-        for child in sorted(children):
-            got = yield from self.recv(None, tag + (child,), comm)
-            bundle.extend(got)
-        if parent is not None:
-            target = (parent + root) % n
-            yield from self.send(bundle, target, tag + (vrank,), comm)
-            return None
-        return [v for _, v in sorted(bundle)]
-
-    def scatter(self, values: Optional[Sequence[Any]], root: int = 0,
-                comm: Optional[Communicator] = None):
-        """MPI_Scatter: the root distributes ``values[rank]`` down a
-        binomial tree (each subtree's slice travels together); every
-        rank returns its element."""
-        comm = comm or self.comm_world
-        tag = self._next_coll_tag(comm, "scatter")
-        n = comm.size
-        me = comm.rank_of_proc(self.proc)
-        vrank = (me - root) % n
-        parent, children = binomial_peers(vrank, n)
-        if parent is None:
-            if values is None or len(values) != n:
-                raise ValueError(
-                    f"scatter root needs exactly {n} values, got "
-                    f"{None if values is None else len(values)}"
-                )
-            # key the bundle by vrank; entry vr holds the element destined
-            # for real rank (vr + root) mod n
-            bundle = {vr: _freeze(values[(vr + root) % n]) for vr in range(n)}
-            mine = bundle.pop(0)
-        else:
-            bundle = yield from self.recv(None, tag, comm)
-            mine = bundle.pop(vrank)
-        for child in reversed(sorted(children)):
-            # the child's subtree spans vranks [child, child + subtree)
-            stride = child & -child
-            subtree = {vr: v for vr, v in bundle.items()
-                       if child <= vr < child + stride}
-            for vr in subtree:
-                del bundle[vr]
-            target = (child + root) % n
-            yield from self.send(subtree, target, tag, comm)
-        return mine
-
-    def alltoall(self, values: Sequence[Any],
-                 comm: Optional[Communicator] = None):
-        """MPI_Alltoall: pairwise exchange; ``values[r]`` goes to rank
-        ``r``; returns the list received, indexed by source rank."""
-        comm = comm or self.comm_world
-        tag = self._next_coll_tag(comm, "alltoall")
-        n = comm.size
-        me = comm.rank_of_proc(self.proc)
-        if len(values) != n:
-            raise ValueError(f"alltoall needs {n} values, got {len(values)}")
-        out: List[Any] = [None] * n
-        out[me] = _freeze(values[me])
-        for r in range(1, n):
-            send_to = (me + r) % n
-            recv_from = (me - r) % n
-            yield from self.send(values[send_to], send_to, tag + (r,), comm)
-            out[recv_from] = yield from self.recv(recv_from, tag + (r,), comm)
-        return out
-
-
-@dataclass
-class MpiRequest:
-    """Handle of a non-blocking point-to-point operation."""
-
-    kind: str                      # "send" | "recv"
-    event: Any = None              # source-completion event (sends)
-    match: Any = None              # (comm, source, tag) (receives)
+            yield from self.recv(None, tag + ("up",))
+        yield from self._barrier_dissemination(leaders, tag + ("lead",))
+        for r in locals_:
+            yield from self.send(0, r, tag + ("down",))
 
 
 @dataclass
@@ -627,7 +229,6 @@ def run_mpi(
     images_per_node: Optional[int] = None,
     spec: Optional[MachineSpec] = None,
     tuning: str = "openmpi",
-    profile: ConduitProfile = MPI_NATIVE,
     args: Tuple = (),
 ) -> MpiResult:
     """Run ``main(ctx, *args)`` on ``num_ranks`` MPI ranks.
@@ -640,11 +241,10 @@ def run_mpi(
         spec = paper_cluster(max(-(-num_ranks // ipn), 1))
     engine = Engine()
     machine = build_machine(engine, spec, num_ranks, images_per_node=images_per_node)
-    world = MpiWorld(machine, tuning=tuning, profile=profile)
-    comm_world = Communicator(world, list(range(num_ranks)))
-    processes = []
-    for proc in range(num_ranks):
-        ctx = MpiContext(world, proc, comm_world)
-        processes.append(Process(engine, main(ctx, *args), name=f"rank{proc}"))
+    world = MpiWorld(machine, tuning=tuning)
+    processes = [
+        Process(engine, main(MpiContext(world, rank), *args), name=f"rank{rank}")
+        for rank in range(num_ranks)
+    ]
     final = engine.run()
     return MpiResult(time=final, results=[p.result for p in processes], world=world)

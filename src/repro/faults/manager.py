@@ -205,10 +205,6 @@ class ImageLiveness:
     def is_stopped(self, proc: int) -> bool:
         return proc in self._stopped
 
-    @property
-    def stopped_procs(self) -> frozenset:
-        return frozenset(self._stopped)
-
     def stopped_team_indices(self, shared: Any) -> List[int]:
         """Team-relative 1-based indices of this team's stopped members."""
         p2i = shared.proc_to_index

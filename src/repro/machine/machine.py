@@ -1,21 +1,24 @@
-"""The :class:`Machine` facade: one object the runtime talks to.
+"""The :class:`Machine` facade: the hardware one simulated run executes on.
 
 A Machine binds a :class:`~repro.machine.spec.MachineSpec`, an image
 :class:`~repro.machine.topology.Topology`, and the two fabrics
 (:class:`~repro.machine.network.Interconnect` and
-:class:`~repro.machine.memnode.SharedMemory`) to a simulation engine, and
-exposes placement-aware transport: callers say *which images* talk, the
-Machine decides whether that is a NIC transaction or a cache-coherence
-transaction.  This is the knowledge a memory-hierarchy-aware runtime has
-and a flat runtime ignores — the entire paper in one dispatch.
+:class:`~repro.machine.memnode.SharedMemory`) to a simulation engine.  It
+answers placement queries, prices compute, and snapshots the fabrics'
+traffic counters; it moves no data itself.  Every message goes through a
+:class:`~repro.runtime.conduit.Conduit` route, and the path choice (a NIC
+transaction or a cache-coherence transaction) lives in
+``Conduit.resolve_path``.  That choice is the knowledge a
+memory-hierarchy-aware runtime has and a flat runtime ignores — the
+entire paper in one dispatch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
-from ..sim import Engine, SimEvent, Timeout, collector_paused
+from ..sim import Engine, Timeout, collector_paused
 from .memnode import SharedMemory
 from .network import Interconnect
 from .spec import MachineSpec
@@ -48,7 +51,7 @@ class TrafficSnapshot:
 
 
 class Machine:
-    """Placement-aware transport + compute-cost accounting."""
+    """Placement queries, compute costs and fabric traffic counters."""
 
     def __init__(self, engine: Engine, topology: Topology):
         self.engine = engine
@@ -69,52 +72,6 @@ class Machine:
 
     def same_node(self, a: int, b: int) -> bool:
         return self.topology.same_node(a, b)
-
-    # ------------------------------------------------------------------
-    # Transport
-    # ------------------------------------------------------------------
-    def transfer(
-        self,
-        src_image: int,
-        dst_image: int,
-        nbytes: int,
-        on_delivered: Optional[Callable[[], None]] = None,
-    ) -> Iterator:
-        """Move ``nbytes`` from ``src_image``'s memory to ``dst_image``'s.
-
-        Generator to ``yield from`` in the sending process: it blocks the
-        sender through source-side completion, and invokes
-        ``on_delivered`` when the payload is visible at the target.
-        Routing (NIC vs coherence fabric) follows placement.
-        """
-        ps = self.topology.placement(src_image)
-        pd = self.topology.placement(dst_image)
-        if ps.node == pd.node:
-            yield from self.shared_memory.transfer(
-                ps.node, ps.core, pd.core, nbytes, on_visible=on_delivered
-            )
-        else:
-            yield from self.interconnect.send(
-                ps.node, pd.node, nbytes, on_delivered=on_delivered
-            )
-
-    def transfer_async(
-        self,
-        src_image: int,
-        dst_image: int,
-        nbytes: int,
-        on_delivered: Optional[Callable[[], None]] = None,
-    ) -> SimEvent:
-        """Callback-style :meth:`transfer`; event fires at source completion."""
-        ps = self.topology.placement(src_image)
-        pd = self.topology.placement(dst_image)
-        if ps.node == pd.node:
-            return self.shared_memory.transfer_async(
-                ps.node, ps.core, pd.core, nbytes, on_visible=on_delivered
-            )
-        return self.interconnect.send_async(
-            ps.node, pd.node, nbytes, on_delivered=on_delivered
-        )
 
     # ------------------------------------------------------------------
     # Compute
@@ -142,10 +99,6 @@ class Machine:
             intra_messages=self.shared_memory.messages,
             intra_bytes=self.shared_memory.bytes,
         )
-
-    def reset_traffic(self) -> None:
-        self.interconnect.reset_counters()
-        self.shared_memory.reset_counters()
 
 
 def build_machine(

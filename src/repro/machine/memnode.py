@@ -14,23 +14,26 @@ Stores that cross the socket interconnect occupy the home controller
 longer (``cross_socket_bus_factor``) and take the higher
 ``smp_latency`` to become visible — the NUMA structure the paper lists
 as future work and experiment E8 exploits.
+
+A conduit ``loopback`` or ``direct`` route prices its stores with
+:meth:`SharedMemory._plan`, holds the home controller for the occupancy
+and schedules delivery one visibility latency later (see
+:mod:`repro.runtime.conduit`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
-
-from ..sim import Engine, Hold, Resource, SimEvent
+from ..sim import Engine, Resource
 from .spec import MachineSpec
 
 __all__ = ["SharedMemory"]
 
 
 class SharedMemory:
-    """Per-socket memory-controller model."""
+    """Per-socket memory-controller model, plus the lifetime message and
+    byte counters the conduit's same-node routes bump."""
 
     def __init__(self, engine: Engine, spec: MachineSpec):
-        self._engine = engine
         self._spec = spec
         self._buses = [
             [
@@ -46,13 +49,27 @@ class SharedMemory:
     def bus(self, node: int, socket: int = 0) -> Resource:
         return self._buses[node][socket]
 
-    def reset_counters(self) -> None:
-        self.messages = 0
-        self.bytes = 0
-
     def _plan(self, src_core: int, dst_core: int, nbytes: int,
               bandwidth_factor: float):
-        """(occupancy seconds, visibility latency, home socket)."""
+        """(occupancy seconds, visibility latency, home socket) of a store
+        of ``nbytes``.
+
+        The store holds the destination socket's memory controller for
+        the occupancy window (``bus_hold`` plus payload streaming time,
+        inflated for cross-socket stores), after which the data becomes
+        visible to ``dst_core`` one coherence latency later.
+        ``bandwidth_factor`` < 1 degrades the streaming rate: conduit
+        loopback paths that bounce payloads through chunked
+        Active-Message buffers move data slower than a direct memcpy.
+        ``src_core == dst_core`` is legal: a self-put degenerates to a
+        memcpy.
+        """
+        if nbytes < 0:
+            raise ValueError(f"nbytes must be >= 0, got {nbytes}")
+        if not 0 < bandwidth_factor <= 1.0:
+            raise ValueError(
+                f"bandwidth_factor must be in (0, 1], got {bandwidth_factor}"
+            )
         node = self._spec.node
         same_socket = node.socket_of(src_core) == node.socket_of(dst_core)
         occupancy = node.bus_hold + nbytes / (node.smp_bandwidth * bandwidth_factor)
@@ -62,70 +79,3 @@ class SharedMemory:
         else:
             latency = node.intra_socket_latency
         return occupancy, latency, node.socket_of(dst_core)
-
-    def _validate(self, nbytes: int, bandwidth_factor: float) -> None:
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        if not 0 < bandwidth_factor <= 1.0:
-            raise ValueError(
-                f"bandwidth_factor must be in (0, 1], got {bandwidth_factor}"
-            )
-
-    def transfer(
-        self,
-        node: int,
-        src_core: int,
-        dst_core: int,
-        nbytes: int,
-        on_visible: Optional[Callable[[], None]] = None,
-        bandwidth_factor: float = 1.0,
-    ) -> Iterator:
-        """Transport generator for an intra-node store of ``nbytes``.
-
-        The producing process holds the destination socket's memory
-        controller for the occupancy window (``bus_hold`` plus payload
-        streaming time, inflated for cross-socket stores), after which
-        the data becomes visible to ``dst_core`` one coherence latency
-        later.  ``bandwidth_factor`` < 1 degrades the streaming rate —
-        conduit loopback paths that bounce payloads through chunked
-        Active-Message buffers move data slower than a direct memcpy.
-        ``src_core == dst_core`` is legal: a self-put degenerates to a
-        memcpy.
-        """
-        self._validate(nbytes, bandwidth_factor)
-        self.messages += 1
-        self.bytes += nbytes
-        occupancy, latency, home = self._plan(
-            src_core, dst_core, nbytes, bandwidth_factor
-        )
-        yield Hold(self._buses[node][home], occupancy)
-        if on_visible is not None:
-            self._engine.schedule(
-                latency, on_visible, label=f"smp{node}:{src_core}->{dst_core}"
-            )
-
-    def transfer_async(
-        self,
-        node: int,
-        src_core: int,
-        dst_core: int,
-        nbytes: int,
-        on_visible: Optional[Callable[[], None]] = None,
-        bandwidth_factor: float = 1.0,
-    ) -> SimEvent:
-        """Callback-style variant; the returned event fires when the bus
-        transaction retires (source-side completion)."""
-        self._validate(nbytes, bandwidth_factor)
-        self.messages += 1
-        self.bytes += nbytes
-        occupancy, latency, home = self._plan(
-            src_core, dst_core, nbytes, bandwidth_factor
-        )
-
-        def _after_bus() -> None:
-            if on_visible is not None:
-                self._engine.schedule(
-                    latency, on_visible, label=f"smp{node}:{src_core}->{dst_core}"
-                )
-
-        return self._buses[node][home].occupy(occupancy, then=_after_bus)

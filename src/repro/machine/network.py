@@ -11,102 +11,33 @@ The fabric charges two distinct costs for a message:
   to land at the target, where a delivery callback fires (RDMA-style: no
   receiver CPU involvement).
 
-Software per-message overhead (GASNet vs raw verbs vs MPI) is charged by
-the conduit layer on the *sender's core*, not here.
+Both formulas live on :class:`~repro.machine.spec.NetworkSpec`
+(``inject_time``, ``wire_time``); a conduit ``remote`` route holds the
+sender's NIC for the first and schedules delivery after the second (see
+:mod:`repro.runtime.conduit`).  Software per-message overhead (GASNet vs
+raw verbs vs MPI) is charged by the conduit on the *sender's core*, not
+here.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
-
-from ..sim import Engine, Hold, Resource, SimEvent
+from ..sim import Engine, Resource
 from .spec import MachineSpec
 
 __all__ = ["Interconnect"]
 
 
 class Interconnect:
-    """The cluster's network: one NIC resource per node plus LogGP timing."""
+    """The cluster's network: one NIC resource per node plus the
+    lifetime message and byte counters the conduit's remote routes bump."""
 
     def __init__(self, engine: Engine, spec: MachineSpec):
-        self._engine = engine
-        self._spec = spec
         self._nics = [
             Resource(engine, capacity=spec.network.nic_capacity, name=f"nic{n}")
             for n in range(spec.num_nodes)
         ]
-        #: lifetime statistics, reset via :meth:`reset_counters`
         self.messages = 0
         self.bytes = 0
 
     def nic(self, node: int) -> Resource:
         return self._nics[node]
-
-    def reset_counters(self) -> None:
-        self.messages = 0
-        self.bytes = 0
-
-    def send(
-        self,
-        src_node: int,
-        dst_node: int,
-        nbytes: int,
-        on_delivered: Optional[Callable[[], None]] = None,
-    ) -> Iterator:
-        """Transport generator: ``yield from`` by the sending process.
-
-        The sender blocks through NIC injection (local completion — the
-        source buffer is reusable when this generator returns); delivery
-        at ``dst_node`` happens ``wire_time`` later via ``on_delivered``.
-        Sending to the local node is a modeling error: the caller should
-        have used the shared-memory fabric, and catching that here keeps
-        hierarchy-aware code honest.
-        """
-        if src_node == dst_node:
-            raise ValueError(
-                f"Interconnect.send within node {src_node}; "
-                "use SharedMemory for local transfers"
-            )
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        net = self._spec.network
-        self.messages += 1
-        self.bytes += nbytes
-        yield Hold(self._nics[src_node], net.inject_time(nbytes))
-        if on_delivered is not None:
-            self._engine.schedule(
-                net.wire_time(nbytes), on_delivered, label=f"wire{src_node}->{dst_node}"
-            )
-
-    def send_async(
-        self,
-        src_node: int,
-        dst_node: int,
-        nbytes: int,
-        on_delivered: Optional[Callable[[], None]] = None,
-    ) -> SimEvent:
-        """Fire-and-forget variant for callback-style callers.
-
-        Returns an event that triggers at *local* completion (injection
-        finished).  Used by the runtime's non-blocking put path.
-        """
-        if src_node == dst_node:
-            raise ValueError(
-                f"Interconnect.send within node {src_node}; "
-                "use SharedMemory for local transfers"
-            )
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        net = self._spec.network
-        self.messages += 1
-        self.bytes += nbytes
-
-        def _after_injection() -> None:
-            if on_delivered is not None:
-                self._engine.schedule(
-                    net.wire_time(nbytes),
-                    on_delivered,
-                    label=f"wire{src_node}->{dst_node}",
-                )
-
-        return self._nics[src_node].occupy(net.inject_time(nbytes), then=_after_injection)

@@ -55,7 +55,6 @@ def _bus_price(sm, src_core: int, dst_core: int, factor: float,
     """Memory-controller occupancy and visibility latency of a store;
     any route with the same home socket, crossing and ``factor``
     prices identically, so one route's cores serve its whole table."""
-    sm._validate(nbytes, factor)
     occupancy, latency, _home = sm._plan(src_core, dst_core, nbytes, factor)
     return occupancy, latency
 
@@ -176,10 +175,6 @@ class Conduit:
 
     def progress_engine(self, node: int) -> Resource:
         return self._engines[node]
-
-    def reset_counters(self) -> None:
-        for key in self.counts:
-            self.counts[key] = 0
 
     def monitored_delivery(
         self,
@@ -393,8 +388,8 @@ class Conduit:
                 on_delivered: Optional[Callable[[], None]]) -> SimEvent:
         """The fabric leg of a transfer issued from a delivery callback,
         where no sender process can block on an overhead (an event
-        post's leader relay); the returned event fires when the fabric
-        hold retires."""
+        post's leader relay, a ``get_nb`` response); the returned event
+        fires when the fabric hold retires."""
         hold, latency = route.costs[nbytes]
         self.counts[route.kind] += 1
         return self._launch(route, nbytes, hold, latency, on_delivered)
@@ -411,7 +406,3 @@ class Conduit:
                                        on_delivered, "loopback-poll")
             then = partial(self._schedule, latency, on_delivered, route.label)
         return hold.resource.occupy(hold.duration, then=then)
-
-    def recv_cost(self) -> float:
-        """Receiver-side CPU time per message (two-sided conduits)."""
-        return self.profile.recv_overhead

@@ -16,9 +16,9 @@ constants are the exact comparison lines of §V:
 ``CAF20_OPENUH`` /        Rice CAF 2.0: flat two-array dissemination,
 ``CAF20_GFORTRAN``        binomial collectives, backend-dependent
                           compute quality
-``MPI_*``                 see :mod:`repro.baselines.mpi` (the MPI
-                          comparison runs on its own library, but HPL's
-                          Open MPI line uses this config)
+``OPENMPI_GCC``           HPL's Open MPI line (Figure 1) on the
+                          ``MPI_NATIVE`` profile; E2's MPI_Barrier rows
+                          run on :mod:`repro.baselines.mpi` instead
 ========================  =============================================
 """
 
@@ -65,15 +65,17 @@ class RuntimeConfig:
     #: allow :mod:`repro.collectives.macro` to collapse eligible
     #: collective windows into analytically-replayed macro-events.  They
     #: engage only when every image owns its node; elsewhere the first
-    #: collective switches them off.  The replay is exact (same final
-    #: coarray state, same simulated times) with one known exception: a
-    #: blocking ``get`` into an image whose collapsed window is still
-    #: delivering lands among the window's virtual NIC holds, so the
-    #: run is flagged ``world.macro.inexact`` and get completion times
-    #: can differ.  The runtime automatically falls back to fine-grained
-    #: execution whenever any observer (monitor, trace, tiebreak RNG,
-    #: fault schedule) is attached; set False to force the fine-grained
-    #: path unconditionally.
+    #: collective switches them off.  The replay is not always exact: a
+    #: replayed window resumes the images that leave it at one instant
+    #: in team-index order, not in the fine-grained path's order, so a
+    #: ``lock``, ``atomic_fetch_add`` or ``get`` aimed at one image
+    #: right after it can resolve differently, unflagged (see
+    #: :func:`repro.runtime.program.run_spmd`).  A blocking ``get``
+    #: landing among a collapsed window's virtual NIC holds is caught
+    #: and flags ``world.macro.inexact``.  The runtime falls back to
+    #: fine-grained execution whenever any observer (monitor, trace,
+    #: tiebreak RNG, fault schedule) is attached; set False to force the
+    #: fine-grained path unconditionally.
     macro_events: bool = True
 
     @property

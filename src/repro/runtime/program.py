@@ -373,16 +373,17 @@ class CafContext:
             done = SimEvent(self.engine)
             done.trigger()
             return RmaHandle(source_done=done, delivered=delivered)
-        machine = self.machine
+        conduit = self.conduit
+        # RDMA-style response: the target's NIC (or memory system) streams
+        # the data back with no target CPU involvement, so the leg pays
+        # no software overhead and no loopback poll.
+        back = conduit.route(
+            src, self.proc,
+            "direct" if self.machine.same_node(src, self.proc) else "remote")
 
         def respond() -> None:
-            # RDMA-style response: target NIC streams the data back with
-            # no target CPU involvement.
             value = coarray.read(src, index)
-            machine.transfer_async(
-                src, self.proc, nbytes,
-                on_delivered=lambda: delivered.trigger(value),
-            )
+            conduit.forward(back, nbytes, lambda: delivered.trigger(value))
 
         source_done = yield from self.conduit.transfer_nb(
             self.proc, src, GET_REQUEST_NBYTES, on_delivered=respond,
@@ -1006,12 +1007,18 @@ def run_spmd(
     ``macro_events`` overrides ``config.macro_events`` for this run:
     False forces every collective through the fine-grained path, True
     re-enables the (default-on) macro-event collapse, which engages only
-    when every image owns its node.  The result is identical either way
-    except in one known case: a blocking ``get`` into an image whose
-    collapsed window is still delivering lands among the window's
-    virtual NIC holds, so get completion times can differ; the run is
-    then flagged ``world.macro.inexact`` (``disabled_reason ==
-    "overlap"``).  This knob exists for A/B verification and benchmarks.
+    when every image owns its node.  The two paths do not always
+    agree.  A replayed window resumes the images that leave it at one
+    instant in team-index order, where the fine-grained path resumes
+    them in the order their last deliveries fire.  So a ``lock``, an
+    ``atomic_fetch_add`` or a ``get`` aimed at one image right after a
+    replayed window can resolve differently (other per-image results or
+    completion times), and nothing flags the run.  A blocking ``get``
+    that lands among a collapsed window's virtual NIC holds is caught:
+    the run is flagged ``world.macro.inexact`` (``disabled_reason ==
+    "overlap"``) and macro-events stay off for the rest of it.  Pass
+    False where the order in which images leave a collective matters.
+    This knob exists for A/B verification and benchmarks.
 
     The cyclic garbage collector is paused from building the machine
     through the end of the run (:func:`repro.sim.collector_paused`), so

@@ -291,13 +291,6 @@ class Engine:
         """
         self._drain_hooks.append(hook)
 
-    def remove_drain_hook(self, hook: Callable[[], bool]) -> None:
-        """Deregister a hook added by :meth:`add_drain_hook` (no-op if absent)."""
-        try:
-            self._drain_hooks.remove(hook)
-        except ValueError:
-            pass
-
     # ------------------------------------------------------------------
     # Run loop
     # ------------------------------------------------------------------

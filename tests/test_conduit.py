@@ -198,8 +198,6 @@ class TestCosts:
         Process(eng, proc())
         eng.run()
         assert c.counts == {"remote": 1, "loopback": 1, "direct": 1}
-        c.reset_counters()
-        assert c.counts == {"remote": 0, "loopback": 0, "direct": 0}
 
 
 class TestProfiles:

@@ -1,61 +1,68 @@
-"""Unit tests for the interconnect, shared-memory fabric, and Machine facade."""
+"""Unit tests for the interconnect, shared-memory fabric, and Machine facade.
+
+Messages reach the fabrics only through conduit routes, so these tests
+drive a :class:`~repro.runtime.conduit.Conduit` whose profile charges no
+software cost: a ``remote`` transfer then takes exactly the sender NIC's
+injection time, and a ``loopback`` store exactly the home memory
+controller's occupancy, which are the fabrics' own formulas."""
+
+from dataclasses import replace
 
 import pytest
 
-from repro.machine import build_machine, paper_cluster
+from repro.calibration import ConduitProfile
+from repro.machine import TrafficSnapshot, build_machine, paper_cluster
+from repro.runtime.conduit import Conduit
 from repro.sim import Engine, Process
 
+#: a stack with no software cost: no overheads, no loopback poll
+BARE = ConduitProfile(name="bare", remote_overhead=0.0, local_overhead=0.0)
 
-def make(images=8, ipn=4, nodes=4):
+
+def make(images=8, ipn=4, nodes=4, profile=BARE):
     eng = Engine()
-    return eng, build_machine(eng, paper_cluster(nodes), images, images_per_node=ipn)
+    m = build_machine(eng, paper_cluster(nodes), images, images_per_node=ipn)
+    return eng, m, Conduit(m, profile)
 
 
 def drive(eng, gen):
     """Run one transport generator as a process; return completion time."""
-    p = Process(eng, gen)
+    Process(eng, gen)
     eng.run()
     return eng.now
 
 
 class TestInterconnect:
-    def test_same_node_send_rejected(self):
-        eng, m = make()
-
-        def proc():
-            yield from m.interconnect.send(0, 0, 8)
-
-        from repro.sim import ProcessFailure
-        Process(eng, proc())
-        with pytest.raises(ProcessFailure, match="SharedMemory"):
-            eng.run()
+    def test_same_node_send_stays_off_the_nic(self):
+        # a same-node pair asked for the remote path takes the loopback
+        # route: the store goes to the node's memory system, not a NIC
+        eng, m, c = make()
+        drive(eng, c.transfer(0, 1, 8, path="remote"))
+        assert c.counts["loopback"] == 1
+        assert (m.interconnect.messages, m.shared_memory.messages) == (0, 1)
 
     def test_sender_blocks_for_injection_only(self):
-        eng, m = make()
+        eng, m, c = make()
         net = m.spec.network
-        t = drive(eng, m.interconnect.send(0, 1, 0))
+        t = drive(eng, c.transfer(0, 4, 0, path="remote"))
         assert t == pytest.approx(net.inject_time(0))
 
     def test_delivery_after_wire_time(self):
-        eng, m = make()
+        eng, m, c = make()
         net = m.spec.network
         arrival = []
-
-        def proc():
-            yield from m.interconnect.send(0, 1, 100,
-                                           on_delivered=lambda: arrival.append(eng.now))
-
-        Process(eng, proc())
+        Process(eng, c.transfer(0, 4, 100, path="remote",
+                                on_delivered=lambda: arrival.append(eng.now)))
         eng.run()
         assert arrival[0] == pytest.approx(net.inject_time(100) + net.wire_time(100))
 
     def test_nic_serializes_concurrent_sends(self):
-        eng, m = make()
+        eng, m, c = make()
         net = m.spec.network
         done = []
 
         def proc():
-            yield from m.interconnect.send(0, 1, 0)
+            yield from c.transfer(0, 4, 0, path="remote")
             done.append(eng.now)
 
         for _ in range(3):
@@ -65,78 +72,61 @@ class TestInterconnect:
         assert gaps == [1, 2, 3]
 
     def test_distinct_nodes_inject_in_parallel(self):
-        eng, m = make()
+        eng, m, c = make(images=16)
         net = m.spec.network
         done = []
 
-        def proc(src):
-            yield from m.interconnect.send(src, (src + 1) % 4, 0)
+        def proc(node):
+            yield from c.transfer(4 * node, 4 * ((node + 1) % 4), 0,
+                                  path="remote")
             done.append(eng.now)
 
-        for src in range(3):
-            Process(eng, proc(src))
+        for node in range(3):
+            Process(eng, proc(node))
         eng.run()
-        assert all(t == pytest.approx(net.inject_time(0)) for t in done)
+        assert done == [pytest.approx(net.inject_time(0))] * 3
 
     def test_traffic_counters(self):
-        eng, m = make()
-        drive(eng, m.interconnect.send(0, 1, 512))
+        eng, m, c = make()
+        drive(eng, c.transfer(0, 4, 512, path="remote"))
         assert m.interconnect.messages == 1
         assert m.interconnect.bytes == 512
-        m.interconnect.reset_counters()
-        assert m.interconnect.messages == 0
+        assert m.traffic() == TrafficSnapshot(1, 512, 0, 0)
 
     def test_negative_bytes_rejected(self):
-        eng, m = make()
-        with pytest.raises(Exception):
-            drive(eng, m.interconnect.send(0, 1, -1))
+        eng, m, c = make()
+        with pytest.raises(Exception, match="nbytes"):
+            drive(eng, c.transfer(0, 4, -1, path="remote"))
 
 
 class TestSharedMemory:
     def test_visibility_latency_cross_socket(self):
-        eng, m = make(images=8, ipn=8, nodes=1)
+        eng, m, c = make(images=8, ipn=8, nodes=1)
         node = m.spec.node
         arrival = []
-
-        def proc():
-            yield from m.shared_memory.transfer(
-                0, 0, 7, 8, on_visible=lambda: arrival.append(eng.now)
-            )
-
-        Process(eng, proc())
+        Process(eng, c.transfer(0, 7, 8, path="loopback",
+                                on_delivered=lambda: arrival.append(eng.now)))
         eng.run()
         occupancy = (node.bus_hold + 8 / node.smp_bandwidth) * node.cross_socket_bus_factor
         assert arrival[0] == pytest.approx(occupancy + node.smp_latency)
 
     def test_intra_socket_visibility_is_cheaper(self):
-        eng, m = make(images=8, ipn=8, nodes=1)
         arrivals = {}
-
-        def proc(dst, key):
-            yield from m.shared_memory.transfer(
-                0, 0, dst, 8, on_visible=lambda: arrivals.__setitem__(key, eng.now)
-            )
-
-        Process(eng, proc(1, "same_socket"))
-        eng.run()
-        eng2, m2 = make(images=8, ipn=8, nodes=1)
-
-        def proc2():
-            yield from m2.shared_memory.transfer(
-                0, 0, 7, 8, on_visible=lambda: arrivals.__setitem__("cross", eng2.now)
-            )
-
-        Process(eng2, proc2())
-        eng2.run()
+        for dst, key in ((1, "same_socket"), (7, "cross")):
+            eng, m, c = make(images=8, ipn=8, nodes=1)
+            Process(eng, c.transfer(
+                0, dst, 8, path="loopback",
+                on_delivered=lambda: arrivals.__setitem__(key, eng.now)))
+            eng.run()
         assert arrivals["same_socket"] < arrivals["cross"]
 
     def test_bus_serializes_notifications(self):
-        eng, m = make(images=8, ipn=8, nodes=1)
+        eng, m, c = make(images=8, ipn=8, nodes=1)
         node = m.spec.node
         done = []
 
         def proc():
-            yield from m.shared_memory.transfer(0, 0, 1, 0)
+            yield from c.transfer(0, 1, 0, path="loopback")
             done.append(eng.now)
 
         for _ in range(4):
@@ -147,59 +137,64 @@ class TestSharedMemory:
         )
 
     def test_bandwidth_factor_slows_streaming(self):
-        eng, m = make(images=8, ipn=8, nodes=1)
-        t_full = drive(eng, m.shared_memory.transfer(0, 0, 1, 3_000_000))
-        eng2, m2 = make(images=8, ipn=8, nodes=1)
-        t_slow = drive(
-            eng2,
-            m2.shared_memory.transfer(0, 0, 1, 3_000_000, bandwidth_factor=0.5),
-        )
+        eng, m, c = make(images=8, ipn=8, nodes=1)
+        t_full = drive(eng, c.transfer(0, 1, 3_000_000, path="loopback"))
+        eng2, m2, c2 = make(images=8, ipn=8, nodes=1,
+                            profile=replace(BARE, loopback_bw_factor=0.5))
+        t_slow = drive(eng2, c2.transfer(0, 1, 3_000_000, path="loopback"))
         assert t_slow == pytest.approx(t_full * 2, rel=0.01)
 
     def test_bad_bandwidth_factor_rejected(self):
-        eng, m = make()
-        with pytest.raises(Exception):
-            drive(eng, m.shared_memory.transfer(0, 0, 1, 8, bandwidth_factor=0.0))
+        eng, m, c = make(profile=replace(BARE, loopback_bw_factor=0.0))
+        with pytest.raises(Exception, match="bandwidth_factor"):
+            drive(eng, c.transfer(0, 1, 8, path="loopback"))
 
 
 class TestMachineFacade:
     def test_transfer_routes_same_node_to_shared_memory(self):
-        eng, m = make()
-        drive(eng, m.transfer(0, 1, 64))
+        eng, m, c = make()
+        drive(eng, c.transfer(0, 1, 64))
         assert m.shared_memory.messages == 1
         assert m.interconnect.messages == 0
 
     def test_transfer_routes_cross_node_to_interconnect(self):
-        eng, m = make()
-        drive(eng, m.transfer(0, 4, 64))
+        eng, m, c = make()
+        drive(eng, c.transfer(0, 4, 64))
         assert m.interconnect.messages == 1
         assert m.shared_memory.messages == 0
 
     def test_traffic_snapshot_subtraction(self):
-        eng, m = make()
-        drive(eng, m.transfer(0, 4, 64))
-        snap = m.traffic()
-        eng2 = Engine()
-        # continue on same machine is awkward; just verify arithmetic
-        diff = snap - snap
-        assert diff.total_messages == 0
+        eng, m, c = make()
+        marks = []
+
+        def proc():
+            yield from c.transfer(0, 4, 64)
+            marks.append(m.traffic())
+            yield from c.transfer(0, 1, 16)
+            yield from c.transfer(0, 2, 16)
+            marks.append(m.traffic())
+
+        drive(eng, proc())
+        phase = marks[1] - marks[0]
+        assert phase == TrafficSnapshot(0, 0, 2, 32)
+        assert phase.total_messages == 2
 
     def test_compute_charges_flops_at_efficiency(self):
-        eng, m = make()
+        eng, m, _ = make()
         cmd = m.compute(8.8e9, efficiency=1.0)
         assert cmd.delay == pytest.approx(1.0)
         cmd = m.compute(8.8e9, efficiency=0.5)
         assert cmd.delay == pytest.approx(2.0)
 
     def test_compute_rejects_bad_efficiency(self):
-        eng, m = make()
+        eng, m, _ = make()
         with pytest.raises(ValueError):
             m.compute(1.0, efficiency=0.0)
         with pytest.raises(ValueError):
             m.compute(1.0, efficiency=1.5)
 
     def test_compute_rejects_negative_flops(self):
-        eng, m = make()
+        eng, m, _ = make()
         with pytest.raises(ValueError):
             m.compute(-1.0)
 

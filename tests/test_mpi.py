@@ -1,11 +1,13 @@
-"""Tests for the miniature MPI baseline: point-to-point matching,
-communicator split, collectives across all three tunings."""
+"""Tests for the miniature MPI baseline: point-to-point matching and
+MPI_Barrier in all three tunings, with E2's rows pinned to the ulp."""
 
 import numpy as np
 import pytest
 
 from repro.baselines.mpi import MPI_TUNINGS, run_mpi
-from repro.machine import paper_cluster
+from repro.bench.microbench import mpi_barrier_benchmark
+from repro.machine import TrafficSnapshot, paper_cluster
+from tests.conftest import assert_counts_agree
 
 
 def run(main, ranks=4, ipn=2, tuning="openmpi", **kw):
@@ -84,11 +86,13 @@ class TestPointToPoint:
         assert (run(main, ranks=2).results[1] == 1).all()
 
     def test_sendrecv_exchange(self):
+        # both sides send first: eager sends block only through
+        # injection, so the symmetric exchange cannot deadlock
         def main(ctx):
             me = ctx.rank()
             peer = 1 - me
-            got = yield from ctx.sendrecv(me * 10, peer, tag=3)
-            return got
+            yield from ctx.send(me * 10, peer, tag=3)
+            return (yield from ctx.recv(peer, tag=3))
 
         assert run(main, ranks=2).results == [10, 0]
 
@@ -112,36 +116,6 @@ class TestPointToPoint:
         assert r.results[1] < r.results[2]
 
 
-class TestCommunicators:
-    def test_split_by_parity(self):
-        def main(ctx):
-            me = ctx.rank()
-            sub = yield from ctx.split(color=me % 2, key=me)
-            return (ctx.rank(sub), ctx.size(sub))
-
-        results = run(main, ranks=6).results
-        assert results == [(0, 3), (0, 3), (1, 3), (1, 3), (2, 3), (2, 3)]
-
-    def test_split_key_reorders_ranks(self):
-        def main(ctx):
-            me = ctx.rank()
-            sub = yield from ctx.split(color=0, key=-me)
-            return ctx.rank(sub)
-
-        assert run(main, ranks=4).results == [3, 2, 1, 0]
-
-    def test_sub_communicator_isolated_from_world(self):
-        def main(ctx):
-            me = ctx.rank()
-            sub = yield from ctx.split(color=me % 2, key=me)
-            total = yield from ctx.allreduce(1, comm=sub)
-            world_total = yield from ctx.allreduce(1)
-            return (total, world_total)
-
-        results = run(main, ranks=6).results
-        assert all(r == (3, 6) for r in results)
-
-
 class TestCollectives:
     @pytest.mark.parametrize("tuning", MPI_TUNINGS)
     def test_barrier_holds_everyone(self, tuning):
@@ -156,44 +130,6 @@ class TestCollectives:
         results = run(main, ranks=8, ipn=4, tuning=tuning).results
         last = max(a for a, _ in results)
         assert all(t >= last for _, t in results)
-
-    @pytest.mark.parametrize("tuning", MPI_TUNINGS)
-    @pytest.mark.parametrize("ranks", [1, 2, 5, 8])
-    def test_allreduce_sum(self, tuning, ranks):
-        def main(ctx):
-            return (yield from ctx.allreduce(ctx.rank() + 1))
-
-        results = run(main, ranks=ranks, tuning=tuning).results
-        assert all(r == ranks * (ranks + 1) // 2 for r in results)
-
-    @pytest.mark.parametrize("tuning", MPI_TUNINGS)
-    def test_allreduce_custom_op(self, tuning):
-        def main(ctx):
-            out = yield from ctx.allreduce(
-                ctx.rank() + 1, op=lambda a, b: max(a, b)
-            )
-            return out
-
-        assert all(r == 6 for r in run(main, ranks=6, tuning=tuning).results)
-
-    @pytest.mark.parametrize("tuning", MPI_TUNINGS)
-    @pytest.mark.parametrize("root", [0, 3])
-    def test_bcast_from_any_root(self, tuning, root):
-        def main(ctx):
-            value = f"r{ctx.rank()}" if ctx.rank() == root else None
-            return (yield from ctx.bcast(value, root=root))
-
-        results = run(main, ranks=6, ipn=4, tuning=tuning).results
-        assert results == [f"r{root}"] * 6
-
-    @pytest.mark.parametrize("tuning", MPI_TUNINGS)
-    def test_bcast_array(self, tuning):
-        def main(ctx):
-            value = np.arange(10) if ctx.rank() == 0 else None
-            out = yield from ctx.bcast(value, root=0)
-            return (out == np.arange(10)).all()
-
-        assert all(run(main, ranks=5, tuning=tuning).results)
 
     def test_hierarchical_barrier_beats_tree_with_colocated_ranks(self):
         def body(ctx):
@@ -210,3 +146,35 @@ class TestCollectives:
     def test_unknown_tuning_rejected(self):
         with pytest.raises(ValueError, match="tuning"):
             run(lambda ctx: iter(()), ranks=2, tuning="magic")
+
+    @pytest.mark.parametrize("tuning", MPI_TUNINGS)
+    def test_conduit_counts_match_fabric_counters(self, tuning):
+        res = run(lambda ctx: ctx.barrier(), ranks=13, ipn=4, tuning=tuning)
+        traffic = res.world.machine.traffic()
+        assert traffic.inter_messages > 0 and traffic.intra_messages > 0
+        assert_counts_agree(res.world.conduit.counts, traffic)
+
+
+#: E2's MPI rows, (seconds per op as float.hex, per-op traffic
+#: (inter msgs, inter bytes, intra msgs, intra bytes)) for
+#: ``mpi_barrier_benchmark`` at 16(2), 64(8) and 13 ranks 4 per node
+E2_ROWS = {
+    ("mvapich", 16, 8): ("0x1.8849be4fbad68p-17", (29, 238, 33, 265)),
+    ("mvapich", 64, 8): ("0x1.5154dcb90498dp-16", (247, 1977, 132, 1062)),
+    ("mvapich", 13, 4): ("0x1.f425a36125dfdp-17", (36, 290, 14, 112)),
+    ("openmpi", 16, 8): ("0x1.ef556ebaafccep-17", (2, 16, 29, 232)),
+    ("openmpi", 64, 8): ("0x1.0905593fd320ap-15", (14, 114, 117, 938)),
+    ("openmpi", 13, 4): ("0x1.1a5ffb224e5c2p-16", (6, 48, 18, 149)),
+    ("openmpi-hierarch", 16, 8): ("0x1.7460a3cc39d40p-17", (2, 16, 27, 216)),
+    ("openmpi-hierarch", 64, 8): ("0x1.47604f7744198p-16", (24, 192, 108, 864)),
+    ("openmpi-hierarch", 13, 4): ("0x1.6a77d3df69066p-17", (8, 64, 17, 139)),
+}
+
+
+class TestE2Rows:
+    @pytest.mark.parametrize("tuning,ranks,ipn", sorted(E2_ROWS))
+    def test_barrier_row_is_exact(self, tuning, ranks, ipn):
+        seconds, traffic = E2_ROWS[tuning, ranks, ipn]
+        res = mpi_barrier_benchmark(ranks, ipn, tuning)
+        assert res.seconds_per_op.hex() == seconds
+        assert res.traffic_per_op == TrafficSnapshot(*traffic)

@@ -123,31 +123,38 @@ class TestNbMatchesBlocking:
 
 
 class TestFabricAsyncParity:
+    """``Conduit.forward``, the callback-style fabric leg (an event
+    relay, a ``get_nb`` response), charges the fabric's own formulas:
+    no software overhead, delivery one fabric latency after the hold."""
+
     def test_interconnect_send_async_timing(self):
-        eng, machine, _ = make()
+        eng, machine, conduit = make()
         net = machine.spec.network
         arrivals = []
-        ev = machine.interconnect.send_async(
-            0, 1, 256, on_delivered=lambda: arrivals.append(eng.now))
+        ev = conduit.forward(conduit.route(0, 4, "remote"), 256,
+                             lambda: arrivals.append(eng.now))
+        ev.on_trigger(lambda _: arrivals.append(eng.now))
         eng.run()
-        assert arrivals[0] == pytest.approx(
-            net.inject_time(256) + net.wire_time(256))
+        assert arrivals == [pytest.approx(net.inject_time(256)),
+                            pytest.approx(net.inject_time(256)
+                                          + net.wire_time(256))]
 
     def test_shared_memory_async_timing(self):
-        eng, machine, _ = make(images=8, ipn=8, nodes=1)
+        eng, machine, conduit = make(images=8, ipn=8, nodes=1)
         node = machine.spec.node
         arrivals = []
-        machine.shared_memory.transfer_async(
-            0, 0, 1, 64, on_visible=lambda: arrivals.append(eng.now))
+        conduit.forward(conduit.route(0, 1, "direct"), 64,
+                        lambda: arrivals.append(eng.now))
         eng.run()
         expected = (node.bus_hold + 64 / node.smp_bandwidth
                     + node.intra_socket_latency)
         assert arrivals[0] == pytest.approx(expected)
 
-    def test_machine_transfer_async_routes_by_placement(self):
-        eng, machine, _ = make()
-        machine.transfer_async(0, 1, 32)
-        machine.transfer_async(0, 4, 32)
+    def test_forward_routes_by_placement(self):
+        eng, machine, conduit = make()
+        conduit.forward(conduit.route(0, 1, "direct"), 32, None)
+        conduit.forward(conduit.route(0, 4, "remote"), 32, None)
         eng.run()
         assert machine.shared_memory.messages == 1
         assert machine.interconnect.messages == 1
+        assert conduit.counts == {"remote": 1, "loopback": 0, "direct": 1}
