@@ -352,12 +352,14 @@ def run_tasks(
 ) -> List[TaskResult]:
     """Run independent tasks through cache + pool; results in order.
 
-    The cache, when given, is consulted first: hits are returned without
-    executing anything, misses are executed (pooled or inline) and
-    stored on success.  ``progress`` fires once per task in submission
-    order.  ``task_timeout`` bounds each pooled attempt in wall-clock
-    seconds.  ``stats_out`` (a dict) receives worker utilization and
-    cache counters for harness reporting.
+    The cache, when given, keys every task under one snapshot of the
+    source (:meth:`ResultCache.task_keys`) and is consulted first: hits
+    are returned without executing anything, misses are executed
+    (pooled or inline) and stored on success under those keys.
+    ``progress`` fires once per task in submission order.
+    ``task_timeout`` bounds each pooled attempt in wall-clock seconds.
+    ``stats_out`` (a dict) receives worker utilization and cache
+    counters for harness reporting.
     """
     t0 = time.perf_counter()
     results: List[Optional[TaskResult]] = [None] * len(tasks)
@@ -375,8 +377,9 @@ def run_tasks(
                 reported += 1
 
     misses: List[int] = []
-    for index, task in enumerate(tasks):
-        key = cache.task_key(task) if cache is not None else None
+    batch_keys = (cache.task_keys(tasks) if cache is not None
+                  else [None] * len(tasks))
+    for index, key in enumerate(batch_keys):
         if key is not None:
             hit, value = cache.get(key)
             if hit:

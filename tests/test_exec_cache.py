@@ -10,6 +10,7 @@ than no cache).
 
 import functools
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,25 @@ from repro.runtime.config import UHCAF_1LEVEL, UHCAF_2LEVEL
 
 def job(x, scale=1):
     return x * scale
+
+
+def rewrite(path, text):
+    """A task that edits the source tree its batch was keyed under."""
+    Path(path).write_text(text)
+    return text
+
+
+def nested(cache_root, src_root, path, text):
+    """Edit the source, then run a batch of one through a cache on it."""
+    Path(path).write_text(text)
+    cache = ResultCache(root=cache_root, source_roots=[src_root])
+    [result] = run_tasks([TaskSpec(job, (7,))], jobs=1, cache=cache)
+    return result.value
+
+
+def _entries_by_generation(cache):
+    return {gen.name: sum(1 for _ in gen.rglob("*.pkl"))
+            for gen in cache._dir().iterdir()}
 
 
 # ----------------------------------------------------------------------
@@ -105,8 +125,8 @@ class TestSourceFingerprint:
 
     def test_stat_scan_revalidates_without_explicit_invalidation(self, tmp_path):
         """An ordinary edit (mtime/size change) is picked up by the memo's
-        stat-scan guard — no ``invalidate_fingerprint_memo()`` required.
-        This is what lets a long-lived server see source changes."""
+        stat-scan guard — no ``invalidate_fingerprint_memo()`` required —
+        so the next batch a process keys sees the edited tree."""
         src = tmp_path / "mod.py"
         src.write_text("X = 1\n")
         before = source_fingerprint([tmp_path])
@@ -323,6 +343,30 @@ class TestRunTasksCaching:
         assert fresh.hits == 0 and fresh.misses == 1
         invalidate_fingerprint_memo()
 
+    def test_batch_outliving_a_source_edit_stays_in_its_generation(
+            self, tmp_path):
+        """A task that edits the source mid-batch does not move the rest
+        of the batch: every entry lands in the generation the batch was
+        keyed under, where a later batch on that source finds it."""
+        src_root = tmp_path / "src"
+        src_root.mkdir()
+        sim = src_root / "sim.py"
+        sim.write_text("X = 1\n")
+        cache = ResultCache(root=tmp_path / "cache", source_roots=[src_root])
+        start = cache.generation()
+        tasks = [TaskSpec(job, (1,)),
+                 TaskSpec(rewrite, (str(sim), "X = 22\n")),
+                 TaskSpec(job, (2,))]
+        assert all(r.ok for r in run_tasks(tasks, jobs=1, cache=cache))
+        assert cache.generation() != start
+        assert _entries_by_generation(cache) == {start: 3}
+
+        sim.write_text("X = 1\n")
+        again = ResultCache(root=tmp_path / "cache", source_roots=[src_root])
+        run_tasks([TaskSpec(job, (1,)), TaskSpec(job, (2,))], jobs=1,
+                  cache=again)
+        assert again.hits == 2
+
     def test_unkeyable_tasks_run_every_time(self, tmp_path):
         cache = ResultCache(root=tmp_path)
         make = lambda: [TaskSpec(lambda: 7)]  # noqa: E731
@@ -378,6 +422,67 @@ class TestRunTasksCaching:
             run_tasks([TaskSpec(job, (i,)) for i in range(4)], jobs=jobs,
                       cache=ResultCache(root=tmp_path), progress=progress)
         assert len(seen) == 1 and seen[0].ok
+
+
+# ----------------------------------------------------------------------
+class TestSourceScans:
+    """A batch scans the source tree once; a key needs no scan after."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        from repro.exec import cache as cache_module
+
+        calls = []
+        scan = cache_module._stat_signature
+
+        def counted(roots):
+            calls.append(roots)
+            return scan(roots)
+
+        monkeypatch.setattr(cache_module, "_stat_signature", counted)
+        return calls
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_scan_per_batch(self, tmp_path, scans, jobs):
+        tasks = [TaskSpec(job, (i,)) for i in range(6)]
+        cold = ResultCache(root=tmp_path)
+        run_tasks(tasks, jobs=jobs, cache=cold)
+        assert cold.puts == 6
+        assert len(scans) == 1
+        warm = ResultCache(root=tmp_path)
+        run_tasks(tasks + [TaskSpec(job, (9,))], jobs=jobs, cache=warm)
+        assert warm.hits == 6 and warm.puts == 1
+        assert len(scans) == 2
+
+    def test_get_and_put_do_not_scan(self, tmp_path, scans):
+        cache = ResultCache(root=tmp_path)
+        key = cache.task_key(TaskSpec(job, (3,)))
+        assert key.startswith(cache.generation())
+        del scans[:]
+        assert cache.put(key, 9)
+        assert cache.get(key) == (True, 9)
+        assert scans == []
+
+    def test_nested_batch_keeps_the_outer_generation(self, tmp_path, scans):
+        """An inline task that edits the source and runs a batch of its
+        own leaves the outer batch's entries in the outer generation."""
+        src_root = tmp_path / "src"
+        src_root.mkdir()
+        sim = src_root / "sim.py"
+        sim.write_text("X = 1\n")
+        root = tmp_path / "cache"
+        cache = ResultCache(root=root, source_roots=[src_root])
+        outer = cache.generation()
+        del scans[:]
+        tasks = [TaskSpec(job, (1,)),
+                 TaskSpec(nested, (str(root), str(src_root), str(sim),
+                                   "X = 22\n")),
+                 TaskSpec(job, (2,))]
+        results = run_tasks(tasks, jobs=1, cache=cache)
+        assert [r.value for r in results] == [1, 7, 2]
+        assert len(scans) == 2  # the outer batch's and the nested one's
+        inner = cache.generation()
+        assert _entries_by_generation(cache) == {outer: 3, inner: 1}
 
 
 # ----------------------------------------------------------------------

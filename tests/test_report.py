@@ -83,10 +83,16 @@ class TestRunReport:
 
 class TestReportCli:
     def test_prints_report(self, quick_report, monkeypatch, capsys):
+        """A re-run over the session's filled cache serves every cell,
+        and its last line says so."""
         monkeypatch.chdir(quick_report[0])
         assert main(["--quick"]) == 0
         out = capsys.readouterr().out
         assert "paper vs measured" in out
+        cells = len({stable_fingerprint(t) for e in REGISTRY
+                     if e.quick_cells for t in e.quick_cells.values()})
+        assert out.splitlines()[-1] == (
+            f"cache: {cells}/{cells} cell(s) served from .repro-cache")
 
     def test_writes_file(self, quick_report, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(quick_report[0])
