@@ -105,9 +105,9 @@ def assert_macro_capable(config: RuntimeConfig) -> Dict[str, str]:
     than after a multi-million-event fine-grained simulation.
 
     Every variant declares its capability explicitly at registration
-    (``macro_kind=None`` for always-fine-grained families like shmwin,
-    which never join macro windows and so never bet in the grant
-    audit).
+    (``macro_kind=None`` for strategies that always run fine-grained,
+    such as the flat binomial reduce and broadcast, which never join
+    macro windows and so never bet in the grant audit).
     """
     kinds = {}
     for shape, (kind, attr, _main, _iters) in SHAPE_PROGRAMS.items():

@@ -9,11 +9,9 @@ memory-hierarchy-aware two-level forms, selectable by name through
 from .barrier import (
     barrier_dissemination,
     barrier_dissemination_mcs,
-    barrier_dissemination_twowait,
     barrier_linear,
     barrier_tdlb,
     barrier_tdlb_numa,
-    barrier_tournament,
 )
 from .alltoall import (
     alltoall_linear_flat,
@@ -27,7 +25,7 @@ from .gather import (
     allgather_linear_flat,
     allgather_two_level,
 )
-from .broadcast import bcast_binomial_flat, bcast_linear_flat, bcast_two_level
+from .broadcast import bcast_binomial_flat, bcast_two_level
 from .reduce import (
     REDUCE_OPS,
     allreduce_binomial_flat,
@@ -49,11 +47,9 @@ from .registry import (
 __all__ = [
     "barrier_dissemination",
     "barrier_dissemination_mcs",
-    "barrier_dissemination_twowait",
     "barrier_linear",
     "barrier_tdlb",
     "barrier_tdlb_numa",
-    "barrier_tournament",
     "allgather_linear_flat",
     "allgather_bruck_flat",
     "allgather_two_level",
@@ -63,7 +59,6 @@ __all__ = [
     "alltoall_pairwise_flat",
     "alltoall_two_level",
     "bcast_binomial_flat",
-    "bcast_linear_flat",
     "bcast_two_level",
     "allreduce_binomial_flat",
     "allreduce_linear_flat",

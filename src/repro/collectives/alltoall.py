@@ -52,8 +52,7 @@ def _normalize(view: TeamView, payloads) -> Dict[int, Any]:
     return items
 
 
-def alltoall_linear_flat(ctx, view: TeamView, payloads,
-                         path: str = "auto") -> Iterator:
+def alltoall_linear_flat(ctx, view: TeamView, payloads) -> Iterator:
     """Each image sends its n−1 payloads directly, rotated by rank."""
     items = _normalize(view, payloads)
     tag = view.next_op_tag("a2a-lin")
@@ -64,16 +63,14 @@ def alltoall_linear_flat(ctx, view: TeamView, payloads,
         return out
     for shift in range(1, n):
         target = (me - 1 + shift) % n + 1
-        yield from _send_value(ctx, view, target, tag, (me, items[target]),
-                               path=path)
+        yield from _send_value(ctx, view, target, tag, (me, items[target]))
     got = yield from _wait_values(ctx, view, tag, n - 1)
     for sender, value in got:
         out[sender] = value
     return out
 
 
-def alltoall_pairwise_flat(ctx, view: TeamView, payloads,
-                           path: str = "auto") -> Iterator:
+def alltoall_pairwise_flat(ctx, view: TeamView, payloads) -> Iterator:
     """n−1 pairwise-exchange rounds (the MPI_Alltoall long-message
     schedule): round r pairs me with (me−1 ± r) mod n."""
     items = _normalize(view, payloads)
@@ -86,7 +83,7 @@ def alltoall_pairwise_flat(ctx, view: TeamView, payloads,
         send_to = (rank + r) % n + 1
         recv_from = (rank - r) % n + 1
         yield from _send_value(ctx, view, send_to, tag + (r,),
-                               (me, items[send_to]), path=path)
+                               (me, items[send_to]))
         got = yield from _wait_values(ctx, view, tag + (r,), 1)
         sender, value = got[0]
         assert sender == recv_from
@@ -142,8 +139,7 @@ def alltoall_two_level(ctx, view: TeamView, payloads) -> Iterator:
         peer = leaders[(my_rank + r) % num_leaders]
         peer_node = h.node_of[peer]
         outgoing = node_outgoing.pop(peer_node, [])
-        yield from _send_value(ctx, view, peer, lead_tag + (r,), outgoing,
-                               path="auto")
+        yield from _send_value(ctx, view, peer, lead_tag + (r,), outgoing)
         got = yield from _wait_values(ctx, view, lead_tag + (r,), 1)
         arrived.extend(got[0])
 

@@ -4,13 +4,12 @@ This module implements the paper's §IV:
 
 * :func:`barrier_dissemination` — the classic flat dissemination barrier
   [Hensgen/Finkel/Manber 1988] reformulated for one-sided PGAS with the
-  paper's single-wait ``sync_flags`` carry.  Hierarchy-unaware: with
-  ``path="auto"`` on an unaware runtime, same-node notifications take the
-  conduit loopback, which is what makes it collapse at 8 images/node.
-* :func:`barrier_dissemination_mcs` / :func:`barrier_dissemination_twowait`
-  — the historical two-array [Mellor-Crummey & Scott 1991, Alg. 9] and
-  two-wait [Hensgen et al.] formulations, modeled with their extra
-  per-round bookkeeping; CAF 2.0 uses the former.
+  paper's single-wait ``sync_flags`` carry.  Hierarchy-unaware: on an
+  unaware runtime same-node notifications take the conduit loopback,
+  which is what makes it collapse at 8 images/node.
+* :func:`barrier_dissemination_mcs` — the historical two-array
+  formulation [Mellor-Crummey & Scott 1991, Alg. 9], modeled with its
+  extra per-round bookkeeping; the CAF 2.0 configs run it.
 * :func:`barrier_linear` — the centralized counter barrier: 2(n−1)
   notifications through one leader.  Great inside a node, terrible
   across nodes (§IV-A's analysis).
@@ -18,6 +17,8 @@ This module implements the paper's §IV:
   Linear Barrier: (1) slaves sync linearly with their node leader,
   (2) leaders run dissemination among themselves, (3) leaders release
   their intranode set.
+* :func:`barrier_tdlb_numa` — TDLB with a socket tier below the node
+  tier (the paper's §VII future work).
 
 Each function is a generator run by every member of the team, and every
 function must be entered by *all* members of the team (SPMD collective
@@ -36,7 +37,6 @@ from ..sim import WaitFor
 from ..teams.team import TeamView
 from .base import (
     NOTIFY_NBYTES,
-    binomial_peers,
     dissemination_rounds,
     member_plan,
     node_plan,
@@ -46,9 +46,7 @@ from .base import (
 __all__ = [
     "barrier_dissemination",
     "barrier_dissemination_mcs",
-    "barrier_dissemination_twowait",
     "barrier_linear",
-    "barrier_tournament",
     "barrier_tdlb",
     "barrier_tdlb_numa",
 ]
@@ -56,51 +54,42 @@ __all__ = [
 #: extra per-round local bookkeeping of the two-sync-array variant [7]:
 #: sense reversal + parity flip on a shared line (two extra cache events)
 MCS_EXTRA_ROUND_COST = 0.12e-6
-#: extra per-round cost of the two-wait variant [3]: the second wait
-#: (flag reset visibility) adds roughly one coherence latency
-TWOWAIT_EXTRA_ROUND_COST = 0.25e-6
 
 
-def barrier_dissemination(ctx, view: TeamView, path: str = "auto") -> Iterator:
+def barrier_dissemination(ctx, view: TeamView) -> Iterator:
     """Flat one-wait dissemination over the whole team: n·⌈log2 n⌉
     notifications, ⌈log2 n⌉ rounds."""
     seq = view.next_seq("diss")
     yield from dissemination_rounds(
-        ctx, view, view.shared.indices, variant="diss", seq=seq, path=path
+        ctx, view, view.shared.indices, variant="diss", seq=seq
     )
 
 
-def barrier_dissemination_mcs(ctx, view: TeamView, path: str = "auto") -> Iterator:
+def barrier_dissemination_mcs(ctx, view: TeamView) -> Iterator:
     """Flat dissemination with the two-sync-array bookkeeping of [7]."""
     seq = view.next_seq("diss-mcs")
     yield from dissemination_rounds(
         ctx, view, view.shared.indices, variant="diss-mcs", seq=seq,
-        path=path, extra_round_cost=MCS_EXTRA_ROUND_COST,
+        extra_round_cost=MCS_EXTRA_ROUND_COST,
     )
 
 
-def barrier_dissemination_twowait(ctx, view: TeamView, path: str = "auto") -> Iterator:
-    """Flat dissemination with the two-wait bookkeeping of [3]."""
-    seq = view.next_seq("diss-2w")
-    yield from dissemination_rounds(
-        ctx, view, view.shared.indices, variant="diss-2w", seq=seq,
-        path=path, extra_round_cost=TWOWAIT_EXTRA_ROUND_COST,
-    )
-
-
-def barrier_linear(ctx, view: TeamView, path: str = "auto") -> Iterator:
+def barrier_linear(ctx, view: TeamView) -> Iterator:
     """Centralized counter barrier over the whole team, leader = index 1.
 
     2(n−1) notifications in two serial phases — the §IV-A comparison
     point: cheaper than dissemination when everything serializes anyway
-    (one shared-memory node), slower across nodes."""
+    (one shared-memory node), slower across nodes.  Its counters are
+    the ``linear-arrive`` flag of the leader and one ``linear-release``
+    flag per other member, so they never alias TDLB's cocounters and
+    release flags."""
     seq = view.next_seq("linear")
     shared = view.shared
     n = view.size
     if n == 1:
         return
     macro = getattr(ctx, "macro", None)
-    if macro is not None and path == "auto":
+    if macro is not None:
         # Offer the window to the macro-event coordinator.  If it parks
         # this image and resumes it with True, the barrier was replayed
         # (exit times, flag state, traffic all mirrored) and this image
@@ -111,48 +100,21 @@ def barrier_linear(ctx, view: TeamView, path: str = "auto") -> Iterator:
             return
     leader = 1
     me = view.index
+    arrived = shared.diss_flag(leader, 0, "linear-arrive")
     if me != leader:
-        yield from notify(ctx, view, leader, shared.cocounter(leader), path=path)
+        yield from notify(ctx, view, leader, arrived)
         yield from wait_or_fail(
-            ctx, view, shared.release_flag(me), lambda v, s=seq: v >= s
+            ctx, view, shared.diss_flag(me, 0, "linear-release"),
+            lambda v, s=seq: v >= s,
         )
     else:
         yield from wait_or_fail(
-            ctx, view, shared.cocounter(leader),
-            lambda v, s=seq * (n - 1): v >= s,
+            ctx, view, arrived, lambda v, s=seq * (n - 1): v >= s,
         )
         for slave in range(2, n + 1):
             yield from notify(
-                ctx, view, slave, shared.release_flag(slave), path=path
+                ctx, view, slave, shared.diss_flag(slave, 0, "linear-release")
             )
-
-
-def barrier_tournament(ctx, view: TeamView, path: str = "auto") -> Iterator:
-    """Tournament barrier [Mellor-Crummey & Scott 1991]: statically paired
-    rounds fan arrivals into a champion (rank 0) along a binomial tree —
-    2(n−1) notifications like the linear barrier, but ⌈log₂ n⌉ *rounds*
-    like dissemination, trading total messages for critical-path depth.
-    Included for the §VI comparison space (and the E6 counts bench)."""
-    seq = view.next_seq("tournament")
-    shared = view.shared
-    n = view.size
-    if n == 1:
-        return
-    rank = view.index - 1
-    parent, children = binomial_peers(rank, n)
-    # fan-in: wait for each child's arrival, then report to the parent
-    for child in sorted(children):
-        arrive = shared.diss_flag(view.index, child, "tourn-arrive")
-        yield from wait_or_fail(ctx, view, arrive, lambda v, s=seq: v >= s)
-    if parent is not None:
-        arrive = shared.diss_flag(parent + 1, rank, "tourn-arrive")
-        yield from notify(ctx, view, parent + 1, arrive, path=path)
-        release = shared.diss_flag(view.index, 0, "tourn-release")
-        yield from wait_or_fail(ctx, view, release, lambda v, s=seq: v >= s)
-    # fan-out: champion (and each released winner) wakes its children
-    for child in children:
-        release = shared.diss_flag(child + 1, 0, "tourn-release")
-        yield from notify(ctx, view, child + 1, release, path=path)
 
 
 def barrier_tdlb(ctx, view: TeamView) -> Iterator:
@@ -200,7 +162,7 @@ def barrier_tdlb(ctx, view: TeamView) -> Iterator:
     # Step 2: inter-node dissemination among leaders only.
     yield from dissemination_rounds(
         ctx, view, view.shared.hierarchy.leaders, variant="tdlb-leaders",
-        seq=seq, path="auto",
+        seq=seq,
     )
     # Step 3: release the intranode set.
     for route, release in plan.releases:
@@ -302,7 +264,7 @@ def barrier_tdlb_numa(ctx, view: TeamView) -> Iterator:
             )
         # Tier 3: node leaders across the interconnect.
         yield from dissemination_rounds(
-            ctx, view, h.leaders, variant="tdlb3-leaders", seq=seq, path="auto"
+            ctx, view, h.leaders, variant="tdlb3-leaders", seq=seq
         )
         # Tier 2 down: release the other socket leaders.
         for sl in socket_leaders:

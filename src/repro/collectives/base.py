@@ -170,7 +170,7 @@ def node_plan(ctx, view: TeamView) -> NodePlan:
 
 
 def _diss_rounds(ctx, view: TeamView, participants: Sequence[int],
-                 variant: str, path: str) -> list:
+                 variant: str) -> list:
     """Per round: the route to this member's partner, the increment of
     the partner's flag, and this member's own flag."""
     conduit = ctx.conduit
@@ -181,7 +181,7 @@ def _diss_rounds(ctx, view: TeamView, participants: Sequence[int],
     for r in range(math.ceil(math.log2(n))):
         send_to = participants[(rank + (1 << r)) % n]
         rounds.append((
-            conduit.route(view.proc, shared.proc_of(send_to), path),
+            conduit.route(view.proc, shared.proc_of(send_to)),
             partial(shared.diss_flag(send_to, r, variant).add, 1),
             shared.diss_flag(view.index, r, variant),
         ))
@@ -194,7 +194,6 @@ def dissemination_rounds(
     participants: Sequence[int],
     variant: str,
     seq: int,
-    path: str = "auto",
     extra_round_cost: float = 0.0,
 ) -> Iterator:
     """One-wait dissemination barrier among ``participants`` (team indices).
@@ -203,17 +202,17 @@ def dissemination_rounds(
     ``variant`` namespaces the sync_flags so different algorithms on the
     same team never alias counters; ``seq`` is this call's invocation
     number for the carry predicate.  ``extra_round_cost`` models the
-    additional local bookkeeping of the two-array [7] / two-wait [3]
-    historical variants (experiment E6 compares them).
+    additional local bookkeeping of the two-array variant [7]
+    (``dissemination-mcs``, the CAF 2.0 configs' barrier).
     """
     if len(participants) <= 1:
         return
     plans = member_plan(view).diss
-    key = (id(participants), variant, path)
+    key = (id(participants), variant)
     entry = plans.get(key)
     if entry is None:
         entry = plans[key] = (
-            participants, _diss_rounds(ctx, view, participants, variant, path)
+            participants, _diss_rounds(ctx, view, participants, variant)
         )
     send = ctx.conduit.send
     arrived = partial(le, seq)  # flag >= seq

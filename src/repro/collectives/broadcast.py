@@ -1,7 +1,5 @@
 """One-to-all broadcast (``co_broadcast``) algorithms.
 
-* :func:`bcast_linear_flat` — source pushes to every other image
-  serially; the naive baseline.
 * :func:`bcast_binomial_flat` — classic binomial tree over the whole
   team (ranks rotated so the source is the root), hierarchy-unaware:
   tree edges cross nodes arbitrarily and same-node hops pay the conduit
@@ -24,7 +22,7 @@ from ..teams.team import TeamView
 from .base import binomial_peers, member_plan, node_plan
 from .reduce import _post, _send_value, _wait_values
 
-__all__ = ["bcast_linear_flat", "bcast_binomial_flat", "bcast_two_level"]
+__all__ = ["bcast_binomial_flat", "bcast_two_level"]
 
 
 def _freeze(value: Any) -> Any:
@@ -40,28 +38,8 @@ def _check_source(view: TeamView, source_image: int) -> None:
         )
 
 
-def bcast_linear_flat(
-    ctx, view: TeamView, value: Any, source_image: int, path: str = "auto"
-) -> Iterator:
-    """Source sends to all n−1 others back-to-back (serialized at source)."""
-    _check_source(view, source_image)
-    tag = view.next_op_tag("bc-lin")
-    n = view.size
-    me = view.index
-    if n == 1:
-        return _freeze(value)
-    if me == source_image:
-        payload = _freeze(value)
-        for target in range(1, n + 1):
-            if target != me:
-                yield from _send_value(ctx, view, target, tag, payload, path=path)
-        return payload
-    got = yield from _wait_values(ctx, view, tag, 1)
-    return got[0]
-
-
 def bcast_binomial_flat(
-    ctx, view: TeamView, value: Any, source_image: int, path: str = "auto"
+    ctx, view: TeamView, value: Any, source_image: int
 ) -> Iterator:
     """Binomial tree over the whole team, root at ``source_image``."""
     _check_source(view, source_image)
@@ -79,7 +57,7 @@ def bcast_binomial_flat(
         payload = got[0]
     for child in children:
         target = (child + source_image - 1) % n + 1
-        yield from _send_value(ctx, view, target, tag, payload, path=path)
+        yield from _send_value(ctx, view, target, tag, payload)
     return payload
 
 

@@ -31,8 +31,7 @@ __all__ = [
 ]
 
 
-def allgather_linear_flat(ctx, view: TeamView, value: Any,
-                          path: str = "auto") -> Iterator:
+def allgather_linear_flat(ctx, view: TeamView, value: Any) -> Iterator:
     """Gather-to-root + serial fan-out of the whole assembled list."""
     tag = view.next_op_tag("ag-lin")
     n = view.size
@@ -42,20 +41,19 @@ def allgather_linear_flat(ctx, view: TeamView, value: Any,
     me = view.index
     out_tag = tag + ("out",)
     if me != root:
-        yield from _send_value(ctx, view, root, tag, (me, _freeze(value)),
-                               path=path)
+        yield from _send_value(ctx, view, root, tag, (me, _freeze(value)))
         got = yield from _wait_values(ctx, view, out_tag, 1)
         return got[0]
     pairs = [(root, _freeze(value))]
     pairs += (yield from _wait_values(ctx, view, tag, n - 1))
     assembled = [v for _, v in sorted(pairs)]
     for target in range(2, n + 1):
-        yield from _send_value(ctx, view, target, out_tag, assembled, path=path)
+        yield from _send_value(ctx, view, target, out_tag, assembled)
     return assembled
 
 
 def _bruck(ctx, view: TeamView, participants: List[int], mine: Any,
-           tag, path: str = "auto") -> Iterator:
+           tag) -> Iterator:
     """Bruck allgather among ``participants`` (team indices); returns the
     list ordered by participant position."""
     n = len(participants)
@@ -70,8 +68,7 @@ def _bruck(ctx, view: TeamView, participants: List[int], mine: Any,
         send_to = participants[(rank - dist) % n]
         recv_count = min(dist, n - dist)
         chunk = {i: blocks[i] for i in range(recv_count)}
-        yield from _send_value(ctx, view, send_to, tag + (step,), chunk,
-                               path=path)
+        yield from _send_value(ctx, view, send_to, tag + (step,), chunk)
         got = yield from _wait_values(ctx, view, tag + (step,), 1)
         for i, v in got[0].items():
             blocks[i + dist] = v
@@ -80,13 +77,11 @@ def _bruck(ctx, view: TeamView, participants: List[int], mine: Any,
     return [blocks[(p - rank) % n] for p in range(n)]
 
 
-def allgather_bruck_flat(ctx, view: TeamView, value: Any,
-                         path: str = "auto") -> Iterator:
+def allgather_bruck_flat(ctx, view: TeamView, value: Any) -> Iterator:
     """⌈log₂ n⌉-round Bruck exchange over the whole team."""
     tag = view.next_op_tag("ag-bruck")
     participants = list(range(1, view.size + 1))
-    result = yield from _bruck(ctx, view, participants, _freeze(value), tag,
-                               path=path)
+    result = yield from _bruck(ctx, view, participants, _freeze(value), tag)
     return result
 
 
@@ -114,7 +109,7 @@ def allgather_two_level(ctx, view: TeamView, value: Any) -> Iterator:
     node_chunk = sorted(pairs)  # [(index, value)] for my whole node
 
     chunks = yield from _bruck(ctx, view, h.leaders, node_chunk,
-                               tag + ("lead",), path="auto")
+                               tag + ("lead",))
     merged = sorted(pair for chunk in chunks for pair in chunk)
     assembled = [v for _, v in merged]
     for slave in slaves:

@@ -729,14 +729,14 @@ class MacroCollectives:
         n = ring.size
         when = np.array(g.when)
         _, delivered = rounds.send(ring.slots[1:], when[1:], NOTIFY_NBYTES)
-        shared.cocounter(1).add(n - 1)
+        shared.diss_flag(1, 0, "linear-arrive").add(n - 1)
 
         exit_at = np.empty(n)
         root = ring.slots[:1]
         t = np.maximum(when[:1], delivered.max())
         for s in range(1, n):
             t, delivered = rounds.send(root, t, NOTIFY_NBYTES)
-            shared.release_flag(s + 1).add(1)
+            shared.diss_flag(s + 1, 0, "linear-release").add(1)
             exit_at[s] = delivered[0]
         exit_at[0] = t[0]
         return exit_at

@@ -47,7 +47,7 @@ def _chunk_bounds(size: int, pow2: int) -> List[Tuple[int, int]]:
 
 def allreduce_rabenseifner(
     ctx, view: TeamView, value: Any, op: str = "sum",
-    result_image: Optional[int] = None, path: str = "auto",
+    result_image: Optional[int] = None,
 ) -> Iterator:
     """Reduce-scatter + allgather allreduce over the whole team."""
     _combine(op, value, value)  # validate op uniformly
@@ -63,7 +63,7 @@ def allreduce_rabenseifner(
             arr = None  # keep the original pair payload below
         tag = view.next_op_tag("red-rab-small")
         result = yield from _recursive_doubling(
-            ctx, view, view.shared.indices, value, op, tag, path=path)
+            ctx, view, view.shared.indices, value, op, tag)
         if result_image is not None and view.index != result_image:
             return None
         return result
@@ -78,8 +78,7 @@ def allreduce_rabenseifner(
     newrank = -1
     if rank < 2 * rem:
         if rank % 2 == 1:
-            yield from _send_value(ctx, view, rank, tag + ("fold", rank),
-                                   acc, path=path)
+            yield from _send_value(ctx, view, rank, tag + ("fold", rank), acc)
         else:
             got = yield from _wait_values(ctx, view, tag + ("fold", rank + 1), 1)
             acc = _combine(op, acc, got[0])
@@ -113,7 +112,7 @@ def allreduce_rabenseifner(
             b = chunks[send_hi - 1][1]
             yield from _send_value(
                 ctx, view, partner, tag + ("rs", step, partner_new),
-                flat[a:b].copy(), path=path,
+                flat[a:b].copy(),
             )
             got = yield from _wait_values(
                 ctx, view, tag + ("rs", step, newrank), 1)
@@ -135,7 +134,7 @@ def allreduce_rabenseifner(
             b = chunks[last_idx - 1][1]
             yield from _send_value(
                 ctx, view, partner, tag + ("ag", step, partner_new),
-                (send_idx, last_idx, flat[a:b].copy()), path=path,
+                (send_idx, last_idx, flat[a:b].copy()),
             )
             got = yield from _wait_values(
                 ctx, view, tag + ("ag", step, newrank), 1)
@@ -151,7 +150,7 @@ def allreduce_rabenseifner(
     if rank < 2 * rem:
         if rank % 2 == 0:
             yield from _send_value(ctx, view, rank + 2,
-                                   tag + ("unfold", rank + 1), acc, path=path)
+                                   tag + ("unfold", rank + 1), acc)
         else:
             got = yield from _wait_values(ctx, view, tag + ("unfold", rank), 1)
             acc = got[0]

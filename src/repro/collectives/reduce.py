@@ -157,7 +157,7 @@ def _wait_values(ctx, view: TeamView, tag, count: int) -> list:
 # ----------------------------------------------------------------------
 def allreduce_linear_flat(
     ctx, view: TeamView, value: Any, op: str = "sum",
-    result_image: Optional[int] = None, path: str = "auto",
+    result_image: Optional[int] = None,
 ) -> Iterator:
     """Gather-to-root, combine, serial fan-out.  2(n−1) conduit messages,
     all serialized through image 1's node."""
@@ -170,7 +170,7 @@ def allreduce_linear_flat(
     me = view.index
     out_tag = tag + ("out",)
     if me != root:
-        yield from _send_value(ctx, view, root, tag, value, path=path)
+        yield from _send_value(ctx, view, root, tag, value)
         if result_image is not None and me != result_image:
             return None
         got = yield from _wait_values(ctx, view, out_tag, 1)
@@ -188,7 +188,7 @@ def allreduce_linear_flat(
     else:
         targets = [] if result_image == root else [result_image]
     for target in targets:
-        yield from _send_value(ctx, view, target, out_tag, acc, path=path)
+        yield from _send_value(ctx, view, target, out_tag, acc)
     if result_image is not None and me != result_image:
         return None
     return acc
@@ -199,7 +199,7 @@ def allreduce_linear_flat(
 # ----------------------------------------------------------------------
 def allreduce_binomial_flat(
     ctx, view: TeamView, value: Any, op: str = "sum",
-    result_image: Optional[int] = None, path: str = "auto",
+    result_image: Optional[int] = None,
 ) -> Iterator:
     """Binomial-tree reduce to index 1, then binomial broadcast back."""
     _combine(op, value, value)
@@ -217,14 +217,14 @@ def allreduce_binomial_flat(
         acc = _combine(op, acc, got[0])
         yield ctx.compute_cost(combine_flops(value))
     if parent is not None:
-        yield from _send_value(ctx, view, parent + 1, tag + (rank,), acc, path=path)
+        yield from _send_value(ctx, view, parent + 1, tag + (rank,), acc)
     # Broadcast phase: root (rank 0 = index 1) pushes down the same tree.
     out_tag = tag + ("out",)
     if parent is not None:
         got = yield from _wait_values(ctx, view, out_tag, 1)
         acc = got[0]
     for child in children:
-        yield from _send_value(ctx, view, child + 1, out_tag, acc, path=path)
+        yield from _send_value(ctx, view, child + 1, out_tag, acc)
     if result_image is not None and view.index != result_image:
         return None
     return acc
@@ -243,13 +243,12 @@ class _RdPlan:
     __slots__ = ("participants", "fold_to", "fold_from", "rounds",
                  "unfold_to", "unfold_from")
 
-    def __init__(self, ctx, view: TeamView, participants: Sequence[int],
-                 path: str):
+    def __init__(self, ctx, view: TeamView, participants: Sequence[int]):
         conduit = ctx.conduit
         shared = view.shared
 
         def edge(target: int, suffix: tuple) -> tuple:
-            route = conduit.route(view.proc, shared.proc_of(target), path)
+            route = conduit.route(view.proc, shared.proc_of(target))
             return route, target, suffix
 
         self.participants = participants
@@ -291,7 +290,7 @@ class _RdPlan:
 
 def _recursive_doubling(
     ctx, view: TeamView, participants: Sequence[int], value: Any,
-    op: str, tag, path: str = "auto",
+    op: str, tag,
 ) -> Iterator:
     """MPICH-style allreduce among ``participants`` (team indices; caller
     must be one of them).  Handles non-power-of-two sizes with the
@@ -300,10 +299,10 @@ def _recursive_doubling(
     if len(participants) == 1:
         return acc
     plans = member_plan(view).rd
-    key = (id(participants), path)
+    key = id(participants)
     plan = plans.get(key)
     if plan is None:
-        plan = plans[key] = _RdPlan(ctx, view, participants, path)
+        plan = plans[key] = _RdPlan(ctx, view, participants)
     conduit = ctx.conduit
     shared = view.shared
 
@@ -332,7 +331,7 @@ def _recursive_doubling(
 
 def allreduce_recursive_doubling(
     ctx, view: TeamView, value: Any, op: str = "sum",
-    result_image: Optional[int] = None, path: str = "auto",
+    result_image: Optional[int] = None,
 ) -> Iterator:
     """Flat recursive-doubling allreduce over the whole team."""
     _combine(op, value, value)
@@ -350,7 +349,7 @@ def allreduce_recursive_doubling(
             if replayed:
                 return replayed.value
     acc = yield from _recursive_doubling(
-        ctx, view, view.shared.indices, value, op, tag, path=path
+        ctx, view, view.shared.indices, value, op, tag
     )
     if result_image is not None and view.index != result_image:
         return None
@@ -412,8 +411,7 @@ def allreduce_two_level(
         yield ctx.compute_cost(combine_flops(value) * len(slaves))
 
     acc = yield from _recursive_doubling(
-        ctx, view, shared.hierarchy.leaders, acc, op, tag + ("lead",),
-        path="auto",
+        ctx, view, shared.hierarchy.leaders, acc, op, tag + ("lead",)
     )
 
     if result_image is None:
@@ -492,7 +490,7 @@ def allreduce_three_level(
             yield ctx.compute_cost(combine_flops(value) * len(other_leaders))
         # Tier 3: across nodes.
         acc = yield from _recursive_doubling(
-            ctx, view, h.leaders, acc, op, tag + ("lead",), path="auto")
+            ctx, view, h.leaders, acc, op, tag + ("lead",))
         # Tier 2 down.
         for sl in socket_leaders:
             if sl != me:

@@ -1,18 +1,18 @@
-"""Generalized strategy registry: ``kind`` × ``algorithm`` with
-capability metadata.
+"""Strategy registry: ``kind`` × ``algorithm`` with macro capability.
 
 The runtime config names a strategy per operation
 (:class:`repro.runtime.config.RuntimeConfig`); the context resolves it
 here.  Registering by name keeps benchmark definitions declarative — a
 comparison line in the harness is just a config with different strings.
+Every registered name is run by a named config, a benchmark, an example
+or a perfbench workload; ``tests/test_registry.py`` checks that.
 
 Every variant is registered through :func:`register`, which **requires**
 the macro capability to be declared explicitly: ``macro_kind`` is the
 window kind the strategy joins with in the macro-event coordinator
 (:data:`repro.collectives.macro.REPLAYABLE`), or ``None`` for a strategy
-that always runs fine-grained.  Making the declaration mandatory is the
-registry-hygiene contract: a new algorithm family (like the
-shared-memory-window one) cannot be added without stating whether the
+that always runs fine-grained.  Making the declaration mandatory keeps
+a new algorithm from being added without stating whether the
 extreme-scale sweep may bet a macro-collapsed run on it — variants
 declared ``macro_kind=None`` fine-pin gracefully instead of tripping the
 macro grant audit.
@@ -20,19 +20,16 @@ macro grant audit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from .barrier import (
     barrier_dissemination,
     barrier_dissemination_mcs,
-    barrier_dissemination_twowait,
     barrier_linear,
     barrier_tdlb,
     barrier_tdlb_numa,
-    barrier_tournament,
 )
-from .broadcast import bcast_binomial_flat, bcast_linear_flat, bcast_two_level
+from .broadcast import bcast_binomial_flat, bcast_two_level
 from .alltoall import (
     alltoall_linear_flat,
     alltoall_pairwise_flat,
@@ -51,23 +48,9 @@ from .reduce import (
     allreduce_recursive_doubling,
     allreduce_two_level,
 )
-from .shmwin import allreduce_shmwin, barrier_shmwin, bcast_shmwin
 
-__all__ = ["AlgorithmInfo", "register", "info", "BARRIERS", "REDUCTIONS",
-           "BROADCASTS", "ALLGATHERS", "ALLTOALLS", "MACRO_CAPABLE",
-           "macro_kind", "resolve"]
-
-
-@dataclass(frozen=True)
-class AlgorithmInfo:
-    """Capability metadata of one registered collective variant."""
-
-    kind: str
-    name: str
-    fn: Callable
-    #: macro window kind this strategy joins with, or None when it always
-    #: runs fine-grained (never bets in the macro grant audit)
-    macro_kind: Optional[str]
+__all__ = ["register", "BARRIERS", "REDUCTIONS", "BROADCASTS", "ALLGATHERS",
+           "ALLTOALLS", "MACRO_CAPABLE", "macro_kind", "resolve"]
 
 
 #: name → implementation, per kind — the tables the runtime resolves
@@ -85,9 +68,6 @@ _TABLES: Dict[str, Dict[str, Callable]] = {
     "allgather": ALLGATHERS,
     "alltoall": ALLTOALLS,
 }
-
-#: (kind, name) → full capability record
-_INFO: Dict[Tuple[str, str], AlgorithmInfo] = {}
 
 #: strategies the macro-event coordinator can collapse, mapped to the
 #: window kind they join with (:data:`repro.collectives.macro.REPLAYABLE`).
@@ -115,15 +95,8 @@ def register(kind: str, name: str, fn: Callable, *,
     if name in table:
         raise ValueError(f"{kind} strategy {name!r} is already registered")
     table[name] = fn
-    _INFO[(kind, name)] = AlgorithmInfo(kind, name, fn, macro_kind)
     if macro_kind is not None:
         MACRO_CAPABLE[(kind, name)] = macro_kind
-
-
-def info(kind: str, name: str) -> AlgorithmInfo:
-    """Full capability record of a registered variant."""
-    resolve(kind, name)  # uniform unknown-kind/name errors
-    return _INFO[(kind, name)]
 
 
 def macro_kind(kind: str, name: str) -> Optional[str]:
@@ -150,20 +123,14 @@ def resolve(kind: str, name: str) -> Callable:
 
 
 # ----------------------------------------------------------------------
-# The built-in families.  Registration order is load-bearing for the
-# quick fault matrix (it probes the first name of each kind), so the
-# long-standing defaults stay first and new families append at the end.
+# The built-in families
 # ----------------------------------------------------------------------
 register("barrier", "dissemination", barrier_dissemination, macro_kind=None)
 register("barrier", "dissemination-mcs", barrier_dissemination_mcs,
          macro_kind=None)
-register("barrier", "dissemination-twowait", barrier_dissemination_twowait,
-         macro_kind=None)
 register("barrier", "linear", barrier_linear, macro_kind="linear")
-register("barrier", "tournament", barrier_tournament, macro_kind=None)
 register("barrier", "tdlb", barrier_tdlb, macro_kind="tdlb")
 register("barrier", "tdlb-numa", barrier_tdlb_numa, macro_kind=None)
-register("barrier", "shmwin", barrier_shmwin, macro_kind=None)
 
 register("reduce", "linear-flat", allreduce_linear_flat, macro_kind=None)
 register("reduce", "binomial-flat", allreduce_binomial_flat, macro_kind=None)
@@ -172,12 +139,9 @@ register("reduce", "recursive-doubling", allreduce_recursive_doubling,
 register("reduce", "rabenseifner", allreduce_rabenseifner, macro_kind=None)
 register("reduce", "two-level", allreduce_two_level, macro_kind="reduce-2l")
 register("reduce", "three-level", allreduce_three_level, macro_kind=None)
-register("reduce", "shmwin", allreduce_shmwin, macro_kind=None)
 
-register("broadcast", "linear-flat", bcast_linear_flat, macro_kind=None)
 register("broadcast", "binomial-flat", bcast_binomial_flat, macro_kind=None)
 register("broadcast", "two-level", bcast_two_level, macro_kind="bcast-2l")
-register("broadcast", "shmwin", bcast_shmwin, macro_kind=None)
 
 register("allgather", "linear-flat", allgather_linear_flat, macro_kind=None)
 register("allgather", "bruck-flat", allgather_bruck_flat, macro_kind=None)

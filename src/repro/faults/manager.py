@@ -10,7 +10,7 @@ fault schedule is installed).  It plays four roles:
    :class:`~repro.sim.process.Process` is killed mid-generator, its
    deadlock bookkeeping retired, and its result pinned to the
    :data:`FAILED` sentinel.  The failed image never runs again, and the
-   mailboxes and window slots of every team it belongs to are dropped
+   mailboxes of every team it belongs to are dropped
    (:meth:`~repro.teams.team.TeamShared.close_data_plane`).
 2. **Oracle** — ``image_status()`` / ``failed_images()`` and the per-team
    :meth:`check_team` entry check read the failed set.
@@ -286,7 +286,7 @@ class FaultManager:
         # resuming before any survivor is woken to observe the failure.
         process.kill(result=FAILED)
         # No wait on a team the victim belongs to succeeds from now on,
-        # so their mailboxes and window slots would never be read.
+        # so their mailboxes would never be read.
         teams = [self._initial_team] if self._initial_team is not None else []
         for team in teams:
             if proc in team.proc_to_index:

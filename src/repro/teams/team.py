@@ -8,8 +8,9 @@ communication layer", plus the synchronization state collectives need
 * :class:`TeamShared` — one object per formed team, shared by all its
   members: the index→proc mapping, the precomputed
   :class:`~repro.teams.hierarchy.HierarchyInfo`, and the synchronization
-  cells (dissemination ``sync_flags``, linear-barrier cocounters and
-  release flags, tagged mailboxes for data-carrying collectives).
+  cells (dissemination ``sync_flags``, which other barriers reuse as
+  named counter tables; TDLB's cocounters and release flags; tagged
+  mailboxes for data-carrying collectives).
 * :class:`TeamView` — one per member image: its 1-based index, its
   barrier/collective sequence counters, a link to the view of the
   parent team it was formed from, and its member plan (the resolved
@@ -90,11 +91,6 @@ class TeamShared:
         # --- tagged mailboxes for data-carrying collectives --------------
         #: (index, tag) → its mailbox, which carries the deposited values
         self._mail_cells: Dict[tuple, _MailCell] = {}
-        # --- node-shared window slots (shmwin collectives) ---------------
-        #: key → [value, remaining_readers]; entries free themselves when
-        #: the last expected reader takes the value, so a long run of
-        #: window collectives never accumulates dead slots
-        self._win_values: Dict[tuple, list] = {}
         # --- form_team rendezvous state ----------------------------------
         self.formation_counter = 0
         self._formations: Dict[int, dict] = {}
@@ -128,6 +124,10 @@ class TeamShared:
     # member per round — the "carry" that makes the one-wait barrier work)
     # ------------------------------------------------------------------
     def diss_flag(self, index: int, round_: int, variant: str = "tdlb") -> Cell:
+        """Member ``index``'s round-``round_`` flag of ``variant``.  Other
+        barriers keep their counters here too, under variants of their
+        own (``linear-arrive``/``linear-release``, ``tdlb3-*``), so the
+        deadlock analyzer can tell from a cell whose protocol wrote it."""
         flags = self._diss_flags.get(variant)
         if flags is None:
             flags = self._diss_flags[variant] = {}
@@ -169,7 +169,7 @@ class TeamShared:
         return cell
 
     def release_flag(self, index: int) -> Cell:
-        """Per-slave release counter for the linear barrier's second phase."""
+        """Per-slave release counter of TDLB's third step."""
         cell = self._release.get(index)
         if cell is None:
             cell = Cell(
@@ -206,33 +206,12 @@ class TeamShared:
         return [] if cell is None else cell.values
 
     def close_data_plane(self) -> None:
-        """Drop every mailbox and window slot of a team that lost a
-        member, and every deposit or store still to land in one.  After
-        a failure no wait on the team succeeds — each survivor's next
-        wait or entry check raises — and every value is taken right
-        after its wait, so nothing would ever read them."""
+        """Drop every mailbox of a team that lost a member, and every
+        deposit still to land in one.  After a failure no wait on the
+        team succeeds — each survivor's next wait or entry check raises
+        — and every value is collected right after its wait, so nothing
+        would ever read them."""
         self._mail_cells = _Discard()
-        self._win_values = _Discard()
-
-    # ------------------------------------------------------------------
-    # Node-shared window slots (data plane of the shmwin collectives)
-    # ------------------------------------------------------------------
-    def win_put(self, key: tuple, value: Any, readers: int) -> None:
-        """Publish ``value`` in window slot ``key`` for exactly ``readers``
-        consumers — called from store-delivery callbacks only.  With no
-        expected readers the slot is never materialized."""
-        if readers > 0:
-            self._win_values[key] = [value, readers]
-
-    def win_take(self, key: tuple) -> Any:
-        """Read window slot ``key``; the slot frees itself when its last
-        expected reader has taken the value.  Readers take right after
-        their wait and charge the load afterwards."""
-        entry = self._win_values[key]
-        entry[1] -= 1
-        if entry[1] <= 0:
-            del self._win_values[key]
-        return entry[0]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

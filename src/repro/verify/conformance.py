@@ -88,7 +88,7 @@ from ..faults import (
     Stat,
 )
 from ..machine.spec import MachineSpec, NetworkSpec, NodeSpec, paper_cluster
-from ..runtime.config import UHCAF_2LEVEL
+from ..runtime.config import UHCAF_1LEVEL, UHCAF_2LEVEL
 from ..runtime.program import run_spmd
 from ..sim.errors import DeadlockError, ProcessFailure
 from .deadlock import explain_deadlock
@@ -455,13 +455,14 @@ class CaseResult:
 
 
 def _smoke_algs(kind: str) -> List[str]:
-    """The quick set's algorithms under faults: the first registered and
-    the paper's two-level default."""
-    names = list(KINDS[kind])
+    """The quick set's algorithms under faults: the paper's two UHCAF
+    lines, the flat algorithm of ``UHCAF_1LEVEL`` and the two-level
+    default of ``UHCAF_2LEVEL``."""
     if kind not in _CONFIG_FIELD:
-        return names
+        return list(KINDS[kind])
+    field = _CONFIG_FIELD[kind]
     return list(dict.fromkeys(
-        [names[0], getattr(UHCAF_2LEVEL, _CONFIG_FIELD[kind])]))
+        [getattr(UHCAF_1LEVEL, field), getattr(UHCAF_2LEVEL, field)]))
 
 
 def build_matrix(

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Set
 
-from ..collectives.base import binomial_peers
 from ..sim.errors import DeadlockError
 
 __all__ = ["WaiterRecord", "DeadlockAnalysis", "analyze_deadlock", "explain_deadlock"]
@@ -140,12 +139,13 @@ def _diss_writers(meta: dict) -> Optional[List[int]]:
     n = team.size
     if variant in _LEADER_VARIANTS:
         participants = list(h.leaders)
-    elif variant == "tourn-arrive":
-        # diss_flag(parent_index, child_rank): the notifier is the child.
-        return [_global_image(team, round_ + 1)]
-    elif variant == "tourn-release":
-        parent, _children = binomial_peers(index - 1, n)
-        return [] if parent is None else [_global_image(team, parent + 1)]
+    elif variant == "linear-arrive":
+        # The linear barrier's leader counts every other member in.
+        return sorted(_global_image(team, i)
+                      for i in range(1, n + 1) if i != index)
+    elif variant == "linear-release":
+        # ... and releases each of them itself.
+        return [_global_image(team, 1)]
     elif variant.startswith("tdlb3"):
         # Socket-tier counters are shared by several roles; any intranode
         # peer may be the notifier.
@@ -191,15 +191,11 @@ def _expected_writers(meta: Optional[dict],
         return sorted(_global_image(team, i)
                       for i in range(1, team.size + 1) if i != index)
     if kind == "cocounter":
-        slaves = h.slaves_of(index)
-        writers = slaves if slaves else [i for i in range(1, team.size + 1)
-                                         if i != index]
-        return sorted(_global_image(team, i) for i in writers)
+        # TDLB's step 1: the leader's intranode slaves arrive.
+        return sorted(_global_image(team, i) for i in h.slaves_of(index))
     if kind == "release":
-        # Written by the TDLB node leader or the linear barrier's leader
-        # (team index 1) — report both candidates.
-        writers = {h.leader_of[index], 1} - {index}
-        return sorted(_global_image(team, i) for i in writers)
+        # TDLB's step 3: the node leader releases its slaves.
+        return [_global_image(team, h.leader_of[index])]
     if kind == "mail":
         return sorted(_global_image(team, i) for i in range(1, team.size + 1)
                       if i != index)

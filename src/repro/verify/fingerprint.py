@@ -9,9 +9,9 @@ macro-replayed run spends fewer engine events, so it is compared
 
 :func:`leftovers` lists what a run that ended cleanly left behind that
 it should not have: a resource still held, a blocked or parked process,
-an open macro gather or pending macro wake, a mailbox cell or a window
-slot in any team.  Persistent counters (dissemination flags,
-cocounters, release flags) are state by design and are not listed.
+an open macro gather or pending macro wake, a mailbox cell in any team.
+Persistent counters (dissemination flags, cocounters, release flags)
+are state by design and are not listed.
 """
 
 from __future__ import annotations
@@ -87,6 +87,4 @@ def leftovers(world) -> List[str]:
         teams.extend(team.children)
         out += [f"mailbox cell left: t{team.uid}.mail[{index}]{tag}"
                 for index, tag in team._mail_cells]
-        out += [f"window slot left: t{team.uid} {key}"
-                for key in team._win_values]
     return out

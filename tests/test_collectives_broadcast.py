@@ -10,7 +10,7 @@ from repro.runtime.config import UHCAF_1LEVEL, UHCAF_2LEVEL
 from repro.sim import ProcessFailure
 from tests.conftest import run_small
 
-ALL_BCASTS = ["linear-flat", "binomial-flat", "two-level"]
+ALL_BCASTS = ["binomial-flat", "two-level"]
 
 
 def bcast_config(name, base=UHCAF_2LEVEL):

@@ -1,9 +1,9 @@
 """Tests for cross-cutting runtime features: noise-free compute, tracing,
-the tournament barrier, custom reduction operations."""
+custom reduction operations."""
 
 import pytest
 
-from repro.runtime.config import GASNET_IB_DISSEMINATION, UHCAF_2LEVEL
+from repro.runtime.config import UHCAF_2LEVEL
 from repro.runtime.program import CafContext
 from tests.conftest import run_small
 
@@ -99,45 +99,6 @@ class TestTrace:
                 ("lock", "lk[1]"),
                 ("unlock", "lk[1]"),
             ]
-
-
-class TestTournamentBarrier:
-    CFG = GASNET_IB_DISSEMINATION.with_(barrier="tournament")
-
-    def test_holds_everyone(self):
-        def main(ctx):
-            if ctx.this_image() == 3:
-                yield from ctx.compute(seconds=1e-3)
-            arrive = ctx.now
-            yield from ctx.sync_all()
-            return (arrive, ctx.now)
-
-        result = run_small(main, images=8, ipn=4, config=self.CFG)
-        last = max(a for a, _ in result.results)
-        assert all(t >= last for _, t in result.results)
-
-    def test_message_count_is_2n_minus_2(self):
-        def main(ctx):
-            yield from ctx.sync_all()
-
-        n = 8
-        traffic = run_small(main, images=n, ipn=4, config=self.CFG).traffic
-        assert traffic.total_messages == 2 * (n - 1)
-
-    def test_repeated_invocations(self):
-        def main(ctx):
-            for _ in range(4):
-                yield from ctx.sync_all()
-            return True
-
-        assert all(run_small(main, images=6, ipn=3, config=self.CFG).results)
-
-    def test_non_power_of_two(self):
-        def main(ctx):
-            yield from ctx.sync_all()
-            return True
-
-        assert all(run_small(main, images=7, ipn=4, config=self.CFG).results)
 
 
 class TestCustomReduceOp:

@@ -135,24 +135,24 @@ def check_plan(world, view):
                 _route(world, view, s, "direct") for s in slaves]
             assert all(_bumps(bump, shared.release_flag(s))
                        for (_, bump), s in zip(tdlb.releases, slaves))
-    for (_, variant, path), (participants, rounds) in plan.diss.items():
+    for (_, variant), (participants, rounds) in plan.diss.items():
         built.add(f"diss:{variant}")
         n = len(participants)
         rank = participants.index(me)
         assert len(rounds) == (n - 1).bit_length()
         for r, (route, bump, my_flag) in enumerate(rounds):
             send_to = participants[(rank + (1 << r)) % n]
-            assert route is _route(world, view, send_to, path)
+            assert route is _route(world, view, send_to, "auto")
             assert _bumps(bump, shared.diss_flag(send_to, r, variant))
             assert my_flag is shared.diss_flag(me, r, variant)
-    for (_, path), rd in plan.rd.items():
+    for rd in plan.rd.values():
         built.add("rd")
         sends, waits = _reference_rd(rd.participants, me)
         steps = ([rd.fold_to] if rd.fold_to else []) + [
             (route, target, suffix) for route, target, suffix, _ in rd.rounds
         ] + ([rd.unfold_to] if rd.unfold_to else [])
         assert [(t, s) for _, t, s in steps] == sends
-        assert all(route is _route(world, view, t, path)
+        assert all(route is _route(world, view, t, "auto")
                    for route, t, _ in steps)
         got_waits = ([rd.fold_from] if rd.fold_from else []) + [
             w for *_, w in rd.rounds

@@ -159,13 +159,11 @@ class TestClosedDataPlane:
     def test_keeps_nothing_and_drops_late_stores(self):
         _, shared = make_shared()
         shared.deposit(1, "t", "early")
-        shared.win_put(("w", 1), "slot", readers=2)
         shared.close_data_plane()
-        assert shared._mail_cells == {} and shared._win_values == {}
+        assert shared._mail_cells == {}
         shared.deposit(1, "t", "late")  # a deposit still in flight
         shared.mail_cell(2, "u")  # a waiter whose wait will raise
-        shared.win_put(("w", 2), "slot", readers=1)
-        assert shared._mail_cells == {} and shared._win_values == {}
+        assert shared._mail_cells == {}
         assert shared.collect(1, "t") == []
 
 

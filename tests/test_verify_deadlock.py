@@ -11,7 +11,7 @@ import textwrap
 
 import pytest
 
-from repro.runtime.config import UHCAF_2LEVEL
+from repro.runtime.config import UHCAF_1LEVEL, UHCAF_2LEVEL
 from repro.sim import BlockedInfo
 from repro.sim.errors import DeadlockError
 from repro.verify import analyze_deadlock, explain_deadlock
@@ -49,10 +49,34 @@ class TestPinnedReports:
         expected = textwrap.dedent("""\
             deadlock wait-for analysis: 2 image(s) blocked, 1 image(s) exited without notifying a waiter
             blocked:
-              image1 waits on cell 'tN.cocounter[1]' [cocounter, team#-1 size 3, owner image1, node 0, leader image1] value=1; expected notifiers: image2, image3
-              image2 waits on cell 'tN.release[2]' [release, team#-1 size 3, owner image2, node 0, leader image1] value=0; expected notifiers: image1
+              image1 waits on cell 'tN.linear-arrive[1][0]' [diss, team#-1 size 3, owner image1, node 0, leader image1] value=1; expected notifiers: image2, image3
+              image2 waits on cell 'tN.linear-release[2][0]' [diss, team#-1 size 3, owner image2, node 0, leader image1] value=0; expected notifiers: image1
             exited before notifying: image3
             potential wait-for cycle: image1 -> image2 -> image1""")
+        assert _normalize(explain_deadlock(err)) == expected
+
+    def test_linear_barrier_skip_report_on_two_nodes(self):
+        # 8 images, 4 per node, the E6 counts config: image6 skips
+        # sync_all.  The leader (image1) counts every other member in
+        # and releases each of them itself, so the report names image6,
+        # not the leader's node mates, and the only cycle is the
+        # leader/member mutual wait.
+        err = _deadlock_from(
+            _skip_last(6), images=8, ipn=4,
+            config=UHCAF_1LEVEL.with_(barrier="linear", macro_events=False),
+        )
+        expected = textwrap.dedent("""\
+            deadlock wait-for analysis: 7 image(s) blocked, 1 image(s) exited without notifying a waiter
+            blocked:
+              image1 waits on cell 'tN.linear-arrive[1][0]' [diss, team#-1 size 8, owner image1, node 0, leader image1] value=6; expected notifiers: image2, image3, image4, image5, image6, image7, image8
+              image5 waits on cell 'tN.linear-release[5][0]' [diss, team#-1 size 8, owner image5, node 1, leader image5] value=0; expected notifiers: image1
+              image7 waits on cell 'tN.linear-release[7][0]' [diss, team#-1 size 8, owner image7, node 1, leader image5] value=0; expected notifiers: image1
+              image8 waits on cell 'tN.linear-release[8][0]' [diss, team#-1 size 8, owner image8, node 1, leader image5] value=0; expected notifiers: image1
+              image2 waits on cell 'tN.linear-release[2][0]' [diss, team#-1 size 8, owner image2, node 0, leader image1] value=0; expected notifiers: image1
+              image3 waits on cell 'tN.linear-release[3][0]' [diss, team#-1 size 8, owner image3, node 0, leader image1] value=0; expected notifiers: image1
+              image4 waits on cell 'tN.linear-release[4][0]' [diss, team#-1 size 8, owner image4, node 0, leader image1] value=0; expected notifiers: image1
+            exited before notifying: image6
+            potential wait-for cycle: image1 -> image2 -> image3 -> image4 -> image5 -> image7 -> image8 -> image1""")
         assert _normalize(explain_deadlock(err)) == expected
 
     def test_tdlb_barrier_skip_report(self):
@@ -98,6 +122,18 @@ class TestAnalysisStructure:
         assert analysis.blocked == [1, 2]
         assert analysis.missing == [3]
         assert analysis.cycles == [[1, 2]]
+
+    def test_linear_barrier_blames_the_skipper_on_the_aware_runtime(self):
+        # As the pinned 8x4 report, on the hierarchy-aware config: the
+        # linear barrier's cells are its own, so no node roles leak
+        # into the inference.
+        err = _deadlock_from(
+            _skip_last(6), images=8, ipn=4,
+            config=UHCAF_2LEVEL.with_(barrier="linear", macro_events=False),
+        )
+        analysis = analyze_deadlock(err)
+        assert analysis.missing == [6]
+        assert analysis.cycles == [[1, 2, 3, 4, 5, 7, 8]]
 
     def test_dissemination_partner_inference(self):
         # Flat dissemination, 4 images: in round r the waiter expects

@@ -50,14 +50,12 @@ class TestLeftovers:
         world = _run().world
         shared = world.initial_shared
         shared.mail_cell(3, ("red", 9))
-        shared.win_put(("w", 1), "slot", readers=1)
         world.macro._gathers[(shared.uid, "tdlb", 9)] = _Gather("fine")
         world.macro._pending_wakes = 1
         world.engine.note_blocked("image4: waiting on nothing")
         world.resources()[0]._in_use = 1
         found = leftovers(world)
-        assert len(found) == 6
+        assert len(found) == 5
         for what in ("still in use", "still blocked", "gather still open",
-                     "wake(s) still pending", "mailbox cell left",
-                     "window slot left"):
+                     "wake(s) still pending", "mailbox cell left"):
             assert any(what in line for line in found), what
