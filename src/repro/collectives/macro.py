@@ -18,37 +18,64 @@ That drives the engagement rules:
 Static eligibility (checked at each invocation's first arrival by
 :meth:`MacroCollectives.offer`)
   No monitor, no engine trace, no tiebreak RNG, no fault manager, no
-  world-level trace log, ``config.macro_events`` on, and the collective
-  spans the *full* image set (a sub-team window can interleave with
-  images outside the team).
+  world-level trace log, and ``config.macro_events`` on.  A window on
+  the full image set may be any replayable kind; one on a sub-team is a
+  TDLB barrier or a two-level or recursive-doubling reduction (a
+  broadcast commits only on the full team, see below).
 
-One image per node
-  Macro-events engage only when every image owns its node, so that the
-  team's node leaders are all of its images.  Then every message takes
-  the remote path and holds only its sender's NIC and progress engine,
-  and a window replays as sweeps over per-image ledger slots.  Where a
-  node holds several images, a committed window's intranode release
-  ladders and fan-outs would hold shared buses *virtually* past early
-  exits, and the next window's fine-grained traffic lands among those
-  holds: on the paper's 8-per-node shapes nearly every run would lose
-  its commit bet after one collapsed window and keep that window's
-  drift in its end time.  The first replayable arrival on such a
-  machine sets ``disabled_reason = "hierarchical"``, so the run is the
-  fine-grained run by construction.
+Teams that are flat within themselves
+  A window opens only on a team whose members each own their node
+  *within the team* (``len(hierarchy.leaders) == size``): on the full
+  team that means one image per node; a sub-team, such as HPL's column
+  team on an 8-per-node machine, may share its nodes with images
+  outside it.  Then every message between members takes the remote path
+  and holds only its sender's NIC and progress engine, and a window
+  replays as sweeps over per-member ledger slots.  Where a node holds
+  several members, a committed window's intranode release ladders and
+  fan-outs would hold shared buses *virtually* past early exits, and
+  the next window's fine-grained traffic lands among those holds: on
+  the paper's 8-per-node shapes nearly every such window would lose its
+  commit bet and keep its drift.  So a team with several members on one
+  node never opens a window; the verdict is cached per team at its
+  first offered arrival, so each later arrival costs one set lookup,
+  and the run's other teams are unaffected.
 
 Dynamic window check (pinned at the FIRST arrival of each invocation)
-  The engine must be *globally quiet*: every pending event is one of the
-  coordinator's own not-yet-fired wake events, and every machine
-  resource (conduit progress engines, NICs, memory buses) is idle.  Any
-  foreign in-flight work — an unfinished put, a straggler's timeout —
-  pins this invocation to the fine-grained path.  The check is re-run at
-  commit (last arrival) against a snapshot of the engine's lifetime
-  grant counter (:attr:`repro.sim.Engine.grants`): if anything acquired
-  a resource while the gather was open, the window is demoted.  The
-  idle sweep itself stays per resource: ``Engine.pending_events`` does
-  not count the rest of the batch being drained, so a hold whose
-  completion sits later in that batch is invisible to it — "no foreign
-  pending event" does not imply "every resource is idle".
+  A full-team window needs the engine *globally quiet*: every pending
+  event is one of the coordinator's own not-yet-fired wake events, and
+  every machine resource (conduit progress engines, NICs, memory buses)
+  is idle.  Any foreign in-flight work — an unfinished put, a
+  straggler's timeout — pins this invocation to the fine-grained path.
+  The check is re-run at commit (last arrival) against a snapshot of
+  the engine's lifetime grant counter (:attr:`repro.sim.Engine.grants`):
+  if anything acquired a resource while the gather was open, the window
+  is demoted.  The idle sweep itself stays per resource:
+  ``Engine.pending_events`` does not count the rest of the batch being
+  drained, so a hold whose completion sits later in that batch is
+  invisible to it — "no foreign pending event" does not imply "every
+  resource is idle".
+
+  A sub-team window is participant-aware instead.  It opens when every
+  image outside the team is blocked or finished (counted in O(team) by
+  :meth:`repro.runtime.program.World.others_waiting`), and every pending
+  record is a macro wake, a delivery into the team's own mailboxes, or
+  the record of a member that has not arrived yet and is computing in
+  user code, still inside an operation on this same team, or in a
+  transfer to a teammate with no delivery callback (HPL's row swap);
+  the last three are told apart by walking that member's suspended
+  ``yield from`` chain, at the first arrival only.  Then only members
+  can act, each member's sends hold only its own node's NIC and
+  progress engine, and every virtual hold on those ends by that
+  member's own exit.  So the checks are per member.  The window claims
+  every member's NIC and progress engine at its first arrival (a claim
+  another image holds pins it) and keeps each claim until that member's
+  exit wake.  A member's resources must be idle when it arrives (busy
+  ones pin the window at the first arrival and demote it later), must
+  see no grant between its arrival and the commit (else the window is
+  demoted, ``"contention"``), and none beyond the replay's own between
+  the commit and its exit (else the run reads ``inexact``,
+  ``"overlap"``).  A teammate's swap may still hold its own NIC at the
+  first arrival: it releases the NIC before it arrives itself.
 
 Parked arrivals
   An engaged arrival records its time, arrival position and frozen
@@ -61,13 +88,14 @@ Parked arrivals
 Chained windows (sustained collapse)
   A committed window's pending wakes are pure deliveries: the replay
   released every resource, so nothing is held.  Every transfer touches
-  only its own image's sender-side NIC and conduit engine, so
+  only its own member's sender-side NIC and conduit engine, so
   consecutive windows can never need the same resource out of order — a
   new barrier or reduction window may therefore open and commit *under*
   the previous window's still-pending wakes, with staggered arrivals.
   This is what lets a back-to-back 10k-image allreduce loop stay
   collapsed even though recursive doubling's fold/unfold staggers the
-  exit instants of each iteration.
+  exit instants of each iteration, and what lets HPL's column team
+  chain its pivot searches while its diagonal owner swaps rows.
 
   Broadcast windows additionally require every arrival on the commit
   instant: a fine-grained broadcast lets early subtrees finish *before*
@@ -91,6 +119,12 @@ arrival order; because demotion also *disables* macro-events for the run
 be promised), at most one window per run can be perturbed, and only in
 programs that race asynchronous traffic against a collective.
 
+A replayed window resumes the members that leave it at one instant in
+team-index order, where the fine-grained path resumes them in the order
+their last deliveries fire.  On full-team and sub-team windows alike, a
+``lock``, an ``atomic_fetch_add`` or a ``get`` aimed at one image right
+after a window can therefore resolve differently, unflagged.
+
 The replay itself mirrors the fine-grained cost model operation by
 operation — it prices every virtual transfer from the same conduit
 :class:`~repro.runtime.conduit.Route` (overhead command and cost-table
@@ -102,12 +136,12 @@ produced are the very floats the event path would have produced
 re-associates it).
 
 Every window replays one *round* at a time as NumPy sweeps over the
-images on one :class:`_RoundLedger`: TDLB's leader dissemination,
+members on one :class:`_RoundLedger`: TDLB's leader dissemination,
 recursive doubling's fold/exchange/unfold, the two-level broadcast's
 binomial tree (one stride per round, largest first; see
 :meth:`MacroCollectives._replay_bcast`) and the linear barrier's arrival
-round.  Images sit on pairwise distinct nodes, so a round holds each
-image's NIC (and conduit progress engine) at most once and the
+round.  Members sit on pairwise distinct nodes, so a round holds each
+member's NIC (and conduit progress engine) at most once and the
 per-resource FIFO order within a round is moot; elementwise
 ``np.maximum``/``+`` on float64 are the same IEEE operations the event
 path performs.  The linear barrier's root releases its images one send
@@ -121,11 +155,12 @@ from __future__ import annotations
 import math
 from functools import partial
 from operator import attrgetter
+from types import GeneratorType
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..sim import Hold, Park
+from ..sim import Hold, Park, Process
 from ..sim.primitives import all_idle
 from .base import NOTIFY_NBYTES, combine_flops, payload_nbytes
 from .reduce import REDUCE_OPS, _combine, _freeze
@@ -135,6 +170,18 @@ __all__ = ["MacroCollectives", "Replayed"]
 #: window kinds :meth:`MacroCollectives.offer` knows how to replay; the
 #: last three carry data (the replay also produces result values)
 REPLAYABLE = ("tdlb", "linear", "reduce-2l", "reduce-rd", "bcast-2l")
+
+#: the kinds that may also open on a sub-team (see the module doc)
+SUBTEAM_KINDS = ("tdlb", "reduce-2l", "reduce-rd")
+
+#: teams up to this size replay those kinds one message at a time on a
+#: :class:`_SlotLedger`, larger ones as NumPy sweeps
+SLOT_REPLAY_MAX = 16
+
+#: the packages whose generators are runtime operations, not user code
+_RUNTIME = tuple(f"{__package__.rpartition('.')[0]}.{name}."
+                 for name in ("collectives", "faults", "runtime", "sim",
+                              "teams"))
 
 
 class Replayed:
@@ -159,11 +206,14 @@ class _Gather:
     A macro-mode gather keeps per-index arrays (slot ``index - 1``) of
     arrival time, arrival position and frozen payload, and the processes
     parked on it in arrival order.  A fine-mode gather only counts the
-    members passing through, to know when to forget it.
+    members passing through, to know when to forget it.  A sub-team
+    gather also keeps its team's ring and, per arrived slot, the grant
+    counts of the resources it claimed.
     """
 
     __slots__ = ("mode", "passed", "count", "opened", "when", "pos",
-                 "payloads", "waiters", "park", "op", "source")
+                 "payloads", "waiters", "park", "op", "source", "ring",
+                 "marks")
 
     def __init__(self, mode: str, size: int = 0, now: float = 0.0):
         self.mode = mode  # "macro" | "fine"
@@ -184,19 +234,24 @@ class _Gather:
         #: the reduction operator and broadcast source of the window
         self.op: Any = None
         self.source: Optional[int] = None
+        #: sub-team windows: the team's ring, and per slot the grant
+        #: counts of its claimed resources at arrival (None until then)
+        self.ring: Optional[_LeaderRing] = None
+        self.marks: List[Optional[list]] = []
 
 
 class _LeaderRing:
     """Per-team constants of the replay rounds, built once per team.
 
-    Macro-events engage only when every image owns its node, so every
-    image is its node's leader and slot ``i`` is team index ``i + 1``.
-    Every message between two images takes the remote path, and slot
-    ``i``'s sends hold only its node's NIC and conduit progress engine.
-    Every remote route out of any node has the same overhead command
-    shape, fabric and NIC cost table, so one resolved route (slot 0 to
-    slot 1) prices every message; the per-slot resources are the ones
-    the conduit would put on each image's own routes.
+    Macro-events engage only on a team whose members each own their
+    node within the team, so every member is its node's leader and slot
+    ``i`` is team index ``i + 1``.  Every message between two members
+    takes the remote path, and slot ``i``'s sends hold only its node's
+    NIC and conduit progress engine (``held[i]``).  Every remote route
+    out of any node has the same overhead command shape, fabric and NIC
+    cost table, so one resolved route (slot 0 to slot 1) prices every
+    message; the per-slot resources are the ones the conduit would put
+    on each member's own routes.
     """
 
     def __init__(self, world, shared):
@@ -208,8 +263,13 @@ class _LeaderRing:
         nodes = list(map(world.machine.topology.node_of, members))
         self.nics = list(map(world.machine.interconnect.nic, nodes))
         #: progress engines, when the profile serializes the overhead
-        self.engines = (list(map(conduit.progress_engine, nodes))
-                        if type(route.overhead) is Hold else [])
+        self.engines = engines = (list(map(conduit.progress_engine, nodes))
+                                  if type(route.overhead) is Hold else [])
+        #: per slot, the resources its sends hold
+        self.held = (list(zip(self.nics, engines)) if engines
+                     else [(nic,) for nic in self.nics])
+        #: proc ids by slot
+        self.procs = members
         self.slots = slots = np.arange(k)
         #: dissemination round r: slot j hears from slot (j - 2^r) mod k
         self.diss_sources = [
@@ -234,6 +294,14 @@ class _LeaderRing:
         while stride:
             self.tree.append((stride, np.arange(0, k - stride, 2 * stride)))
             stride >>= 1
+        if k <= SLOT_REPLAY_MAX:
+            #: the dissemination and recursive-doubling schedules as
+            #: lists, for :class:`_SlotLedger`
+            self.diss_source_slots = [s.tolist() for s in self.diss_sources]
+            self.fold_pairs = list(zip(self.evens.tolist(),
+                                       self.odds.tolist()))
+            self.active_slots = self.active.tolist()
+            self.partner_positions = [p.tolist() for p in self.partners]
 
 
 class _RoundLedger:
@@ -246,9 +314,9 @@ class _RoundLedger:
     released ``duration`` later, ``np.maximum(free, t) + duration``.  A
     round touches each slot at most once, so the FIFO order within it is
     irrelevant; a slot's successive sends must be fed in fine-grained
-    order.  The engagement guard guarantees every resource starts the
-    window idle, so the ledger starts empty.  The ring's one route
-    prices every slot's messages.
+    order.  The engagement guard guarantees every slot's resources are
+    idle from its arrival on, so the ledger starts empty.  The ring's
+    one route prices every slot's messages.
     """
 
     def __init__(self, world, ring: _LeaderRing):
@@ -290,10 +358,15 @@ class _RoundLedger:
         self.sent[slots] += 1
         return t, t + wire
 
+    def counts(self) -> List[int]:
+        """Messages sent per slot."""
+        return self.sent.tolist()
+
     def flush(self) -> int:
         """Apply the swept messages to the conduit, interconnect and
         resource grant counters; return the number of grants."""
-        messages = int(self.sent.sum())
+        sent = self.counts()
+        messages = sum(sent)
         route = self.route
         self.world.conduit.counts[route.kind] += messages
         fabric = route.fabric
@@ -302,11 +375,51 @@ class _RoundLedger:
         held = [self.ring.nics]
         if self.engine is not None:
             held.append(self.ring.engines)
-        sent = self.sent.tolist()
         for resources in held:
             for resource, count in zip(resources, sent):
                 resource._granted += count
         return messages * len(held)
+
+
+class _SlotLedger(_RoundLedger):
+    """:class:`_RoundLedger` one message at a time, on Python floats.
+    ``max(free, t) + duration`` is the same IEEE arithmetic as the NumPy
+    sweep, so a small team, where a NumPy call per round costs more
+    than a loop over its members, replays on this one (see
+    :data:`SLOT_REPLAY_MAX`)."""
+
+    def __init__(self, world, ring: _LeaderRing):
+        self.world = world
+        self.ring = ring
+        self.route = ring.route
+        self.overhead = ring.route.overhead
+        k = ring.size
+        self.nic = [-math.inf] * k
+        self.engine = [-math.inf] * k if ring.engines else None
+        self.sent = [0] * k
+        self.bytes = 0
+
+    def send(self, slot: int, t: float, nbytes: int) -> Tuple[float, float]:
+        """One message from ``slot`` issued at ``t``; returns
+        ``(source_done, delivered)``."""
+        hold, wire = self.route.costs[nbytes]
+        self.bytes += nbytes
+        overhead = self.overhead
+        if overhead is not None:
+            engine = self.engine
+            if engine is not None:
+                t = max(engine[slot], t) + overhead.duration
+                engine[slot] = t
+            else:
+                t = t + overhead.delay
+        nic = self.nic
+        t = max(nic[slot], t) + hold.duration
+        nic[slot] = t
+        self.sent[slot] += 1
+        return t, t + wire
+
+    def counts(self) -> List[int]:
+        return self.sent
 
 
 _shape_of = attrgetter("shape")
@@ -349,6 +462,67 @@ def _fold(op, work, own: np.ndarray, other: np.ndarray) -> None:
         work[a] = value
 
 
+def _unchanged(ring: _LeaderRing, marks: list) -> bool:
+    """Whether no grant reached any member's resources since it arrived."""
+    for resources, counts in zip(ring.held, marks):
+        if [r._granted for r in resources] != counts:
+            return False
+    return True
+
+
+_CODES: tuple = ()
+
+
+def _runtime_codes() -> tuple:
+    """The code objects of ``Conduit.send`` and ``CafContext.compute``,
+    imported on first use: the runtime imports this module."""
+    global _CODES
+    if not _CODES:
+        from ..runtime.conduit import Conduit
+        from ..runtime.program import CafContext
+        _CODES = (Conduit.send.__code__, CafContext.compute.__code__)
+    return _CODES
+
+
+def _busy(resources) -> bool:
+    """Whether any of a member's resources is held or queued for."""
+    for resource in resources:
+        if resource._in_use:
+            return True
+    return False
+
+
+def _may_arrive(process: Process, shared) -> bool:
+    """Whether a member that has not arrived yet, with a record pending,
+    is doing what a sub-team window may open under: computing in user
+    code, in a transfer to a teammate with no delivery callback, or
+    inside an operation on this same team.  Walks its suspended ``yield
+    from`` chain, innermost last."""
+    send_code, compute_code = _runtime_codes()
+    chain = []
+    gen = process.generator
+    while type(gen) is GeneratorType and gen.gi_frame is not None:
+        chain.append(gen)
+        gen = gen.gi_yieldfrom
+    if not chain:
+        return False
+    inner = chain[-1].gi_frame
+    code = inner.f_code
+    if code is send_code:
+        local = inner.f_locals
+        if (local["on_delivered"] is None
+                and local["route"].dst in shared.proc_to_index):
+            return True
+    elif code is compute_code or not inner.f_globals.get(
+            "__name__", "").startswith(_RUNTIME):
+        return True
+    for gen in chain:
+        view = gen.gi_frame.f_locals.get("view")
+        if getattr(view, "shared", None) is shared:
+            return True
+    return False
+
+
 class MacroCollectives:
     """Per-World coordinator that gathers collective arrivals and, when
     the window is provably unobservable, replays it analytically.
@@ -356,8 +530,8 @@ class MacroCollectives:
     Beyond TDLB/linear barriers it collapses the paper's two-level
     reduction, flat recursive-doubling reduction, and two-level
     broadcast — the full window including payload movement, combine
-    compute, and the result values themselves — on machines where every
-    image owns its node.
+    compute, and the result values themselves — on teams whose members
+    each own their node within the team.
     """
 
     def __init__(self, world):
@@ -367,12 +541,11 @@ class MacroCollectives:
         #: wake events scheduled but not yet fired — the only pending
         #: engine events a quiet window is allowed to contain
         self._pending_wakes = 0
-        #: engine grant counter snapshot taken when the open gather was
-        #: pinned
+        #: engine grant counter snapshot taken when the open full-team
+        #: gather was pinned (later commits add their own grants)
         self._grant_mark = 0
-        #: None while live; "hierarchical" / "async" / "contention" /
-        #: "stagger" once permanently off ("overlap" is set by the
-        #: post-commit audit)
+        #: None while live; "async" / "contention" / "stagger" once
+        #: permanently off ("overlap" is set by the post-commit audits)
         self.disabled_reason: Optional[str] = None
         #: windows replayed analytically
         self.replays = 0
@@ -388,11 +561,11 @@ class MacroCollectives:
         #: resource traffic (or a demotion interrupted parked
         #: registrants): macro-on times may have drifted from macro-off
         #: from that window onward.  Committing is a bet that nothing
-        #: touches the fabric until the window's last delivery; this
+        #: touches the window's resources until its last delivery; this
         #: flag records a lost bet, and losing one also sets
         #: :attr:`disabled_reason` so it can happen at most once per run.
         self.inexact = False
-        #: committed windows still delivering wakes, each as
+        #: committed full-team windows still delivering wakes, each as
         #: ``[remaining_wake_events, expected_grant_total]`` — empty when
         #: everything committed has fully delivered.  A new window may
         #: commit *under* a previous window's wakes, so more than one
@@ -402,6 +575,15 @@ class MacroCollectives:
         self._active_windows: List[list] = []
         #: team uid → its :class:`_LeaderRing`
         self._rings: Dict[int, _LeaderRing] = {}
+        #: uids of the teams that never open a window (several members
+        #: on one node, or a single member)
+        self._skip: set = set()
+        #: resource → ``[proc, count]``: the resources sub-team windows
+        #: hold for their members, each from the window's first arrival
+        #: to that member's exit wake.  One image may hold its own
+        #: resources for two windows of its team at once (it is still
+        #: parked in the earlier one), never another image's.
+        self._claimed: Dict[Any, list] = {}
         self._hook_installed = False
 
     # ------------------------------------------------------------------
@@ -414,7 +596,8 @@ class MacroCollectives:
         return ring
 
     def _window_clear(self, allow_overlap: bool) -> bool:
-        """The dynamic quiet-window test, taken at first arrival.
+        """The dynamic quiet-window test of a full-team window, taken at
+        first arrival.
 
         The engine must be quiet up to this coordinator's own pending
         wakes: every pending event is a not-yet-fired macro wake, and
@@ -435,14 +618,68 @@ class MacroCollectives:
         return all_idle(self.world.resources())
 
     def _commit_clear(self) -> bool:
-        """Re-check at last arrival: still quiet, and nothing acquired a
-        resource while the gather was open.  Wakes pending here can only
-        belong to a previous window this gather was allowed to open
-        under (their firing is what delivered the later arrivals)."""
+        """Re-check of a full-team window at last arrival: still quiet,
+        and nothing acquired a resource while the gather was open.  Wakes
+        pending here can only belong to a previous window this gather
+        was allowed to open under (their firing is what delivered the
+        later arrivals)."""
         engine = self.world.engine
         if engine.pending_events != self._pending_wakes:
             return False
         return engine.grants == self._grant_mark
+
+    def _claimable(self, ring: _LeaderRing) -> bool:
+        """No member's resources are held for another image."""
+        claimed = self._claimed
+        for proc, resources in zip(ring.procs, ring.held):
+            for resource in resources:
+                owner = claimed.get(resource)
+                if owner is not None and owner[0] != proc:
+                    return False
+        return True
+
+    def _claim(self, ring: _LeaderRing) -> None:
+        claimed = self._claimed
+        for proc, resources in zip(ring.procs, ring.held):
+            for resource in resources:
+                owner = claimed.get(resource)
+                if owner is None:
+                    claimed[resource] = [proc, 1]
+                else:
+                    owner[1] += 1
+
+    def _unclaim(self, resources) -> None:
+        claimed = self._claimed
+        for resource in resources:
+            owner = claimed[resource]
+            owner[1] -= 1
+            if not owner[1]:
+                del claimed[resource]
+
+    def _members_only(self, shared) -> bool:
+        """The participant-aware test of a sub-team window, taken at
+        first arrival: every image outside the team is blocked or
+        finished, and every pending record is a macro wake, a delivery
+        into this team's mailboxes, or the record of a member that may
+        arrive (:func:`_may_arrive`)."""
+        world = self.world
+        if not world.others_waiting(shared.members):
+            return False
+        engine = world.engine
+        if engine.pending_events == self._pending_wakes:
+            return True
+        members = shared.proc_to_index
+        deposit = shared.deposit
+        for _key, fn, label in engine.pending_records():
+            if label == "macro-wake":
+                continue
+            cls = fn.__class__
+            if cls is partial and fn.func == deposit:
+                continue
+            if cls is Process and fn.actor in members and _may_arrive(fn, shared):
+                continue
+            return False
+        return True
 
     # ------------------------------------------------------------------
     # Sticky disables and demotion
@@ -470,6 +707,19 @@ class MacroCollectives:
         reports name real cells, not macro internals)."""
         return self._demote_open()
 
+    def _demote(self, g: _Gather) -> None:
+        """Demote a macro gather the caller has forgotten: give back a
+        sub-team gather's claims, then resume the parked registrants on
+        the fine-grained path, in arrival order."""
+        ring = g.ring
+        if ring is not None:
+            for resources in ring.held:
+                self._unclaim(resources)
+        self.demotions += 1
+        for proc in g.waiters:
+            proc.resume(False)
+        g.waiters.clear()
+
     def _demote_open(self) -> bool:
         progressed = False
         for key in list(self._gathers):
@@ -477,16 +727,20 @@ class MacroCollectives:
             if g is None or g.mode != "macro":
                 continue
             del self._gathers[key]
-            self.demotions += 1
             if g.waiters:
                 # Parked registrants resume *now*, later than their
                 # fine-grained arrival instants — times have drifted.
                 progressed = True
                 self.inexact = True
-            for proc in g.waiters:  # arrival order
-                proc.resume(False)
-            g.waiters.clear()
+            self._demote(g)
         return progressed
+
+    def _lose(self, g: _Gather, reason: str) -> None:
+        """Demote a gather perturbed after registration began — too late
+        for exact fine-grained timing, so never engage again."""
+        self._disable(reason)
+        self.inexact = True
+        self._demote(g)
 
     def _ensure_hook(self) -> None:
         if not self._hook_installed:
@@ -511,15 +765,19 @@ class MacroCollectives:
         :class:`Replayed` (data kinds) when the window was replayed, or
         with ``False`` when the gather was demoted.
 
-        The static screen and the quiet-window test run at the first
-        arrival only: every later arrival of the same invocation shares
-        its team, kind and run-wide observers.  Only the sticky disable
-        and the team size, which rules out every sub-team collective,
-        are tested per arrival.
+        The static screen and the window test run at the first arrival
+        only: every later arrival of the same invocation shares its
+        team, kind and run-wide observers.  Only the sticky disable and
+        the cached verdict on teams that never open a window are tested
+        per arrival, and a sub-team member's resources must be idle
+        (their grant counts are noted for the commit).
         """
-        if self.disabled_reason is not None or view.size != self._num_images:
+        if self.disabled_reason is not None:
             return None
-        key = (view.shared.uid, kind, seq)
+        uid = view.shared.uid
+        if uid in self._skip:
+            return None
+        key = (uid, kind, seq)
         g = self._gathers.get(key)
         if g is None:
             g = self._open(view, kind, seq, op, source)
@@ -532,9 +790,17 @@ class MacroCollectives:
                 del self._gathers[key]
             return None
 
-        engine = self.world.engine
         slot = view.index - 1
-        now = engine.now
+        ring = g.ring
+        if ring is not None:
+            resources = ring.held[slot]
+            if _busy(resources):
+                # a member's NIC or progress engine busy at its arrival
+                del self._gathers[key]
+                self._lose(g, "contention")
+                return None
+            g.marks[slot] = [r._granted for r in resources]
+        now = self.world.engine.now
         g.when[slot] = now
         g.pos[slot] = count = g.count
         g.count = count = count + 1
@@ -550,26 +816,21 @@ class MacroCollectives:
         # late.  Reduce/barrier exits all depend on the last
         # arrival, so staggered windows commit exactly.
         stagger = kind == "bcast-2l" and g.opened != now
-        if not stagger and self._commit_clear():
+        if not stagger and (self._commit_clear() if ring is None
+                            else _unchanged(ring, g.marks)):
             self._commit(view, kind, g)
             # the last arriver parks too; its wake resolves it by
             # arrival position when it fires
             return g.park
-        # The window was perturbed after registration — too late for
-        # exact fine-grained timing, so never engage again.
-        self._disable("stagger" if stagger else "contention")
-        self.inexact = True
-        self.demotions += 1
-        for proc in g.waiters:  # arrival order
-            proc.resume(False)
-        g.waiters.clear()
+        # The window was perturbed after registration.
+        self._lose(g, "stagger" if stagger else "contention")
         return None
 
     def _open(self, view, kind: str, seq, op: Any,
               source: Optional[int]) -> Optional[_Gather]:
         """First arrival of an invocation: the static screen (None when
         the window can never be replayed), then a macro-mode gather if
-        the engine is quiet, else a fine-mode one."""
+        the window test passes, else a fine-mode one."""
         world = self.world
         engine = world.engine
         if (
@@ -582,21 +843,31 @@ class MacroCollectives:
         ):
             return None
         size = view.size
-        if size <= 1 or kind not in REPLAYABLE:
+        shared = view.shared
+        if size <= 1 or len(shared.hierarchy.leaders) != size:
+            # Some node holds several members: its intranode steps
+            # would hold a shared bus virtually past the window's early
+            # exits, where the next window's traffic lands (see the
+            # module doc).  This team never opens a window.
+            self._skip.add(shared.uid)
             return None
-        if len(view.shared.hierarchy.leaders) != size:
-            # Some node holds several images: its intranode steps would
-            # hold a shared bus virtually past the window's early exits,
-            # where the next window's traffic lands (see the module
-            # doc).  Off for the whole run: the team spans every image,
-            # so this holds for every later window too.
-            self._disable("hierarchical")
-            return None
-        # Broadcast windows must never open under a previous window's
-        # wakes: overlapped windows have staggered arrivals, which a
-        # broadcast cannot commit (see offer), and demoting parked
-        # registrants would break exactness.
-        if not self._window_clear(allow_overlap=kind != "bcast-2l"):
+        ring = None
+        if size == self._num_images:
+            if kind not in REPLAYABLE:
+                return None
+            # Broadcast windows must never open under a previous
+            # window's wakes: overlapped windows have staggered
+            # arrivals, which a broadcast cannot commit (see offer), and
+            # demoting parked registrants would break exactness.
+            clear = self._window_clear(allow_overlap=kind != "bcast-2l")
+        else:
+            if kind not in SUBTEAM_KINDS:
+                return None
+            ring = self._ring(shared)
+            clear = (not _busy(ring.held[view.index - 1])
+                     and self._claimable(ring)
+                     and self._members_only(shared))
+        if not clear:
             self.fine_pins += 1
             return _Gather("fine")
         g = _Gather("macro", size, engine.now)
@@ -604,74 +875,104 @@ class MacroCollectives:
         g.op = op
         g.source = source
         self._ensure_hook()
-        self._grant_mark = engine.grants
+        if ring is None:
+            self._grant_mark = engine.grants
+        else:
+            self._claim(ring)
+            g.ring = ring
+            g.marks = [None] * size
         return g
 
     # ------------------------------------------------------------------
     # Commit: replay + wake scheduling + state mirroring
     # ------------------------------------------------------------------
     def _commit(self, view, kind: str, g: _Gather) -> None:
-        rounds = _RoundLedger(self.world, self._ring(view.shared))
+        shared = view.shared
+        ring = g.ring or self._ring(shared)
+        small = kind in SUBTEAM_KINDS and ring.size <= SLOT_REPLAY_MAX
+        rounds = (_SlotLedger if small else _RoundLedger)(self.world, ring)
         results: Optional[list] = None
         if kind == "tdlb":
-            exit_at = self._replay_tdlb(rounds, view.shared, g)
+            replay_tdlb = self._replay_tdlb_slots if small else self._replay_tdlb
+            exit_at = replay_tdlb(rounds, shared, g)
         elif kind == "linear":
-            exit_at = self._replay_linear(rounds, view.shared, g)
+            exit_at = self._replay_linear(rounds, shared, g)
         elif kind == "bcast-2l":
             exit_at, results = self._replay_bcast(rounds, g)
         else:  # "reduce-2l" and "reduce-rd": recursive doubling alone
-            exit_at, results = self._replay_rd(rounds, g)
+            replay_rd = self._replay_rd_slots if small else self._replay_rd
+            exit_at, results = replay_rd(rounds, g)
         grants = rounds.flush()
         self.replays += 1
         self.replays_by_kind[kind] = self.replays_by_kind.get(kind, 0) + 1
 
         # The commit is a bet that no foreign resource request lands
-        # inside the window's (now virtual) delivery span.  Track the
-        # window until its last wake and audit the engine's grant
-        # counter there: a lost bet is marked inexact and disables
-        # macro-events for the rest of the run (see the module doc's
-        # exactness contract).  The replay's mirrored grants go into the
-        # counter first.  A chained window committing under this one's
-        # wakes is *not* foreign — its replay grants are exact by
-        # construction — so they are also folded into every
-        # still-delivering window's expectation.
+        # inside the window's (now virtual) delivery span.  A full-team
+        # window is tracked until its last wake, which audits the
+        # engine's grant counter; a sub-team window audits each
+        # member's own resources at its exit wake.  A lost bet is marked
+        # inexact and disables macro-events for the rest of the run (see
+        # the module doc's exactness contract).  The replay's mirrored
+        # grants go into the counter first.  A chained window committing
+        # under another one's wakes is *not* foreign — its replay grants
+        # are exact by construction — so they are also folded into every
+        # still-delivering full-team window's expectation, and into an
+        # open full-team gather's mark.
         engine = self.world.engine
         engine.grants += grants
+        self._grant_mark += grants
         for earlier in self._active_windows:
             earlier[1] += grants
 
         # One wake per distinct exit instant, in time order; within an
         # instant, images resume in team index order (a stable sort of
-        # the per-index exit times).
-        order = np.argsort(exit_at, kind="stable")
-        times = exit_at[order]
-        starts = [0, *(np.flatnonzero(times[1:] != times[:-1]) + 1).tolist()]
+        # the per-index exit times: a list from a slot replay, an array
+        # from the sweeps).
+        if isinstance(exit_at, list):
+            order = sorted(range(len(exit_at)), key=exit_at.__getitem__)
+            times = [exit_at[i] for i in order]
+            starts = [i for i, t in enumerate(times)
+                      if not i or t != times[i - 1]]
+        else:
+            order = np.argsort(exit_at, kind="stable")
+            times = exit_at[order]
+            starts = [0, *(np.flatnonzero(times[1:] != times[:-1]) + 1).tolist()]
+            order = order.tolist()
+            times = times.tolist()
         ends = starts[1:] + [len(order)]
-        positions = np.array(g.pos)[order].tolist()
+        pos = g.pos
+        positions = [pos[i] for i in order]
         if results is None:
             values: list = [True] * len(order)
         else:
-            values = [Replayed(results[i]) for i in order.tolist()]
-        window = [len(starts), engine.grants]
-        self._active_windows.append(window)
-        fire = self._fire
+            values = [Replayed(results[i]) for i in order]
         waiters = g.waiters
-        for t, lo, hi in zip(times[starts].tolist(), starts, ends):
+        if g.ring is None:
+            window = [len(starts), engine.grants]
+            self._active_windows.append(window)
+            wakes = [partial(self._fire, window, waiters, positions[lo:hi],
+                             values[lo:hi])
+                     for lo, hi in zip(starts, ends)]
+        else:
+            # each member's resources, with their grant counts once the
+            # replay's own grants are in
+            window = [len(starts)]
+            held = [ring.held[i] for i in order]
+            audit = [(res, [r._granted for r in res]) for res in held]
+            wakes = [partial(self._fire_members, window, waiters,
+                             positions[lo:hi], values[lo:hi], audit[lo:hi])
+                     for lo, hi in zip(starts, ends)]
+        for t, wake in zip([times[lo] for lo in starts], wakes):
             self._pending_wakes += 1
-            engine.schedule_at(
-                t,
-                partial(fire, window, waiters, positions[lo:hi],
-                        values[lo:hi]),
-                label="macro-wake",
-            )
+            engine.schedule_at(t, wake, label="macro-wake")
         self.wake_events += len(starts)
 
     def _fire(self, window: list, waiters: list, positions: List[int],
               values: list) -> None:
-        """One wake: audit if it is the window's last, then resume the
-        images exiting at this instant.  ``positions`` are arrival
-        positions, resolved in ``waiters`` only now — the last arriver
-        parks after its commit."""
+        """One wake of a full-team window: audit if it is the window's
+        last, then resume the images exiting at this instant.
+        ``positions`` are arrival positions, resolved in ``waiters``
+        only now — the last arriver parks after its commit."""
         self._pending_wakes -= 1
         window[0] -= 1
         last = window[0] == 0
@@ -683,6 +984,30 @@ class MacroCollectives:
             ):
                 self.inexact = True
                 self._disable("overlap")
+        self._resume(waiters, positions, values, last)
+
+    def _fire_members(self, window: list, waiters: list,
+                      positions: List[int], values: list,
+                      audit: list) -> None:
+        """One wake of a sub-team window: each member exiting at this
+        instant gives back its resources, which must have seen no grant
+        beyond the replay's own since the commit; then they resume."""
+        self._pending_wakes -= 1
+        window[0] -= 1
+        exact = True
+        for resources, marks in audit:
+            self._unclaim(resources)
+            if [r._granted for r in resources] != marks:
+                exact = False
+        if not exact:
+            self.inexact = True
+            if self.disabled_reason is None:
+                self._disable("overlap")
+        self._resume(waiters, positions, values, window[0] == 0)
+
+    @staticmethod
+    def _resume(waiters: list, positions: List[int], values: list,
+                last: bool) -> None:
         for p, value in zip(positions, values):
             waiters[p].resume(value)
         if last:
@@ -694,12 +1019,14 @@ class MacroCollectives:
 
     # -- a compute_cost Timeout's span ----------------------------------
     def _compute_delay(self, flops: float) -> float:
-        """The exact delay ``ctx.compute_cost(flops)`` would charge —
-        same ``machine.compute`` call, so the same float."""
+        """The exact delay ``ctx.compute_cost(flops)`` charges: the same
+        command, from the world's table of them."""
         world = self.world
-        return world.machine.compute(
-            flops, efficiency=world.config.compute_efficiency
-        ).delay
+        command = world.compute_costs.get(flops)
+        if command is None:
+            command = world.compute_costs[flops] = world.machine.compute(
+                flops, efficiency=world.config.compute_efficiency)
+        return command.delay
 
     # Every replay below sends on the window's one ledger and returns
     # its exit instants as one float64 array indexed ``index - 1`` (and,
@@ -796,6 +1123,50 @@ class MacroCollectives:
                 for e, o in zip(evens.tolist(), odds.tolist()):
                     work[o] = _freeze(work[e])
         return t, list(work)
+
+    # -- the same two on a _SlotLedger ---------------------------------
+    def _replay_tdlb_slots(self, rounds: _SlotLedger, shared,
+                           g: _Gather) -> List[float]:
+        """:meth:`_replay_tdlb`, one message at a time."""
+        send = rounds.send
+        ready = list(g.when)
+        for sources in rounds.ring.diss_source_slots:
+            out = [send(j, t, NOTIFY_NBYTES) for j, t in enumerate(ready)]
+            ready = [max(done, out[s][1]) for (done, _), s in zip(out, sources)]
+        shared.credit_diss("tdlb-leaders")
+        return ready
+
+    def _replay_rd_slots(self, rounds: _SlotLedger,
+                         g: _Gather) -> Tuple[List[float], list]:
+        """:meth:`_replay_rd`, one message and one combine at a time,
+        each from the pre-round values."""
+        ring = rounds.ring
+        send = rounds.send
+        op = g.op
+        work = list(g.payloads)
+        delay = self._compute_delay
+        dt = [delay(combine_flops(v)) for v in work]
+        t = list(g.when)
+        pairs = ring.fold_pairs
+        for e, o in pairs:
+            done, delivered = send(o, t[o], payload_nbytes(work[o]))
+            t[e] = max(t[e], delivered) + dt[e]
+            t[o] = done
+            work[e] = _combine(op, work[e], work[o])
+        active = ring.active_slots
+        for partner in ring.partner_positions:
+            out = [send(a, t[a], payload_nbytes(work[a])) for a in active]
+            new = [_combine(op, work[a], work[active[p]])
+                   for a, p in zip(active, partner)]
+            for a, (done, _), p, value in zip(active, out, partner, new):
+                t[a] = max(done, out[p][1]) + dt[a]
+                work[a] = value
+        for e, o in pairs:
+            done, delivered = send(e, t[e], payload_nbytes(work[e]))
+            t[e] = done
+            t[o] = max(t[o], delivered)
+            work[o] = _freeze(work[e])
+        return t, work
 
     # -- bcast_two_level ------------------------------------------------
     def _replay_bcast(self, rounds: _RoundLedger,

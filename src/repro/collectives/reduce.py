@@ -59,6 +59,11 @@ REDUCE_OPS = {
     "prod": np.multiply,
 }
 
+#: the operators the recursive-doubling call sites offer to a macro
+#: window: the built-ins, and HPL's ``maxloc``, whose tuple payloads the
+#: replay combines pair by pair
+REPLAY_OPS = frozenset([*REDUCE_OPS, "maxloc"])
+
 
 #: The original UHCAF reduction was Active-Message based: each arriving
 #: contribution runs a handler on the root image's conduit engine, so the
@@ -341,7 +346,7 @@ def allreduce_recursive_doubling(
         macro is not None
         and result_image is None
         and not callable(op)
-        and op in REDUCE_OPS
+        and op in REPLAY_OPS
     ):
         park = macro.offer(view, "reduce-rd", tag, payload=value, op=op)
         if park is not None:
@@ -382,7 +387,7 @@ def allreduce_two_level(
         macro is not None
         and result_image is None
         and not callable(op)
-        and op in REDUCE_OPS
+        and op in REPLAY_OPS
     ):
         park = macro.offer(view, "reduce-2l", tag, payload=value, op=op)
         if park is not None:

@@ -64,12 +64,16 @@ class RuntimeConfig:
     leader_strategy: str = "lowest"
     #: allow :mod:`repro.collectives.macro` to collapse eligible
     #: collective windows into analytically-replayed macro-events.  They
-    #: engage only when every image owns its node; elsewhere the first
-    #: collective switches them off.  The replay is not always exact: a
-    #: replayed window resumes the images that leave it at one instant
-    #: in team-index order, not in the fine-grained path's order, so a
-    #: ``lock``, ``atomic_fetch_add`` or ``get`` aimed at one image
-    #: right after it can resolve differently, unflagged (see
+    #: engage on teams that are flat within themselves (each member owns
+    #: its node within the team): the full team when every image owns
+    #: its node, and sub-teams such as HPL's column teams on machines
+    #: with several images per node.  A team with several members on one
+    #: node never opens a window.  The replay is not always exact: a
+    #: replayed window, on the full team or a sub-team, resumes the
+    #: images that leave it at one instant in team-index order, not in
+    #: the fine-grained path's order, so a ``lock``,
+    #: ``atomic_fetch_add`` or ``get`` aimed at one image right after it
+    #: can resolve differently, unflagged (see
     #: :func:`repro.runtime.program.run_spmd`).  A blocking ``get``
     #: landing among a collapsed window's virtual NIC holds is caught
     #: and flags ``world.macro.inexact``.  The runtime falls back to

@@ -135,10 +135,30 @@ class World:
         #: :meth:`CafContext.compute_cost`)
         self.compute_costs: Dict[float, Timeout] = {}
         self._resources: Optional[list] = None
+        #: the image processes, by proc id, while :func:`run_spmd` runs
+        self.processes: List[Process] = []
+        #: images whose process has not finished
+        self.running = machine.num_images
 
     @property
     def num_images(self) -> int:
         return self.machine.num_images
+
+    def others_waiting(self, members: Sequence[int]) -> bool:
+        """True when every image outside ``members`` (proc ids) is
+        blocked or finished.  Only image processes enter the engine's
+        blocked registry, so the images outside are counted by
+        subtracting the members: O(len(members)), not O(images)."""
+        running = self.running
+        blocked = self.engine.blocked_count
+        processes = self.processes
+        for proc in members:
+            process = processes[proc]
+            if process.blocked:
+                blocked -= 1
+            if not process.finished:
+                running -= 1
+        return running == blocked
 
     def resources(self) -> list:
         """Every fabric resource of the run: each node's conduit progress
@@ -962,6 +982,7 @@ def _image_done(world: World, proc: int, _result: Any) -> None:
     image", distinct from a fail-stopped one).  A fail-stop records the
     failure before its kill triggers ``done``, so it skips the mark; an
     escaping error never triggers ``done`` at all."""
+    world.running -= 1
     faults = world.faults
     if faults is None or not faults.is_failed(proc):
         world.liveness.mark_stopped(proc)
@@ -1006,11 +1027,14 @@ def run_spmd(
 
     ``macro_events`` overrides ``config.macro_events`` for this run:
     False forces every collective through the fine-grained path, True
-    re-enables the (default-on) macro-event collapse, which engages only
-    when every image owns its node.  The two paths do not always
-    agree.  A replayed window resumes the images that leave it at one
-    instant in team-index order, where the fine-grained path resumes
-    them in the order their last deliveries fire.  So a ``lock``, an
+    re-enables the (default-on) macro-event collapse, which engages on
+    teams that are flat within themselves: the full team when every
+    image owns its node, and a sub-team (HPL's column team on an
+    8-per-node machine) whose members each own their node within it.
+    The two paths do not always agree.  A replayed window, on the full
+    team or a sub-team, resumes the images that leave it at one instant
+    in team-index order, where the fine-grained path resumes them in
+    the order their last deliveries fire.  So a ``lock``, an
     ``atomic_fetch_add`` or a ``get`` aimed at one image right after a
     replayed window can resolve differently (other per-image results or
     completion times), and nothing flags the run.  A blocking ``get``
@@ -1064,7 +1088,7 @@ def run_spmd(
             engine.monitor = monitor
 
         world = World(machine, config, trace=trace, fault_schedule=faults)
-        processes = []
+        processes = world.processes
         for proc in range(machine.num_images):
             process = Process(engine, main(CafContext(world, proc), *args),
                               name=f"image{proc + 1}", actor=proc)
@@ -1073,6 +1097,9 @@ def run_spmd(
         if world.faults is not None:
             world.faults.arm(processes, world.initial_shared)
         final_time = engine.run()
+    # the world outlives the run in the result; its finished processes
+    # need not
+    world.processes = []
     return SpmdResult(
         time=final_time,
         results=[p.result for p in processes],

@@ -41,7 +41,7 @@ import itertools
 import math
 import random
 from bisect import insort
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from .errors import DeadlockError, ProcessFailure, SimulationLimitExceeded
 
@@ -228,6 +228,14 @@ class Engine:
         """
         return sum(map(len, self._buckets.values()))
 
+    def pending_records(self) -> Iterator[tuple]:
+        """The records :attr:`pending_events` counts, each ``(key, fn,
+        label)``, instant by instant in no particular order.  A read-only
+        view for the macro coordinator's sub-team window test, which
+        asks what each pending record is; it must not schedule while
+        iterating."""
+        return itertools.chain.from_iterable(self._buckets.values())
+
     @property
     def next_time(self) -> Optional[float]:
         """Timestamp of the earliest pending instant, or ``None``."""
@@ -252,6 +260,12 @@ class Engine:
     def note_unblocked(self, token: int) -> None:
         """Forget a blocked-process record created by :meth:`note_blocked`."""
         self._blocked.pop(token, None)
+
+    @property
+    def blocked_count(self) -> int:
+        """Number of blocked waiters: processes parked or waiting on a
+        cell, event or resource grant, plus :meth:`note_blocked` records."""
+        return len(self._blocked)
 
     @property
     def blocked_descriptions(self) -> list[str]:

@@ -254,6 +254,17 @@ class Process:
         return self._finished
 
     @property
+    def blocked(self) -> bool:
+        """True while the process is in the engine's blocked registry."""
+        return self._wait_kind is not None
+
+    @property
+    def generator(self) -> ProcGen:
+        """The generator this process drives; its suspended ``yield
+        from`` chain says where the process is."""
+        return self._gen
+
+    @property
     def result(self) -> Any:
         return self.done.value
 

@@ -24,7 +24,6 @@ charged through the conduit before the shared structure is updated.
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..machine import Topology
@@ -79,7 +78,6 @@ class TeamShared:
         #: every team index in order — the participant list of flat
         #: (whole-team) algorithms, one persistent object per team
         self.indices = range(1, n + 1)
-        self.num_rounds = max(1, math.ceil(math.log2(n))) if n > 1 else 0
         # --- synchronization cells, indexed by 1-based team index -------
         #: variant → {(index, round): cell}
         self._diss_flags: Dict[str, Dict[Tuple[int, int], Cell]] = {}
@@ -123,7 +121,7 @@ class TeamShared:
     # Dissemination sync_flags (one monotonically increasing counter per
     # member per round — the "carry" that makes the one-wait barrier work)
     # ------------------------------------------------------------------
-    def diss_flag(self, index: int, round_: int, variant: str = "tdlb") -> Cell:
+    def diss_flag(self, index: int, round_: int, variant: str) -> Cell:
         """Member ``index``'s round-``round_`` flag of ``variant``.  Other
         barriers keep their counters here too, under variants of their
         own (``linear-arrive``/``linear-release``, ``tdlb3-*``), so the

@@ -9,7 +9,8 @@ macro-replayed run spends fewer engine events, so it is compared
 
 :func:`leftovers` lists what a run that ended cleanly left behind that
 it should not have: a resource still held, a blocked or parked process,
-an open macro gather or pending macro wake, a mailbox cell in any team.
+an open macro gather, a pending macro wake or a resource a sub-team
+window still claims, a mailbox cell in any team.
 Persistent counters (dissemination flags, cocounters, release flags)
 are state by design and are not listed.
 """
@@ -82,6 +83,7 @@ def leftovers(world) -> List[str]:
     out += [f"macro gather still open: {key}" for key in macro._gathers]
     if macro._pending_wakes:
         out.append(f"{macro._pending_wakes} macro wake(s) still pending")
+    out += sorted(f"macro claim still held: {r.name}" for r in macro._claimed)
     teams = [world.initial_shared]
     for team in teams:
         teams.extend(team.children)

@@ -21,10 +21,15 @@ lifetime grant counter must equal the sum over the fabric resources.
 Each leg is mutation-checked: a one-grant or one-ulp divergence planted
 into that leg alone must fail the comparison.
 
-Programs on machines with several images per node never replay a window
-(``disabled_reason == "hierarchical"``), so the mixed blocks bound
-nothing but exactness; a flat-only block of the same generator checks
-that most programs really replay.
+These programs use the initial team only, and on machines with several
+images per node that team never opens a window (no replay, no fine
+pin), so the mixed blocks bound nothing but exactness; a flat-only block
+of the same generator checks that most programs really replay.  A
+sub-team block with its own generator forms row and column teams on
+machines with 1, 2, 4 and 8 images per node, runs HPL-shaped pivot
+searches on one column team while the other columns wait, and checks
+that most of its programs replay sub-team windows and that a planted
+divergence in one fails the macro-on leg.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import numpy as np
 import pytest
 
 from repro import run_spmd
+from repro.collectives.macro import MacroCollectives
 from repro.exec import ResultCache, TaskSpec, run_tasks
 from repro.machine import build_machine, paper_cluster
 from repro.runtime.config import UHCAF_2LEVEL
@@ -158,7 +164,7 @@ def _run_leg(seed, flat, leg):
     assert_counts_agree(world.conduit.counts, res.traffic)
     if leg == "macro-on" and ipn > 1:
         assert world.macro.replays == 0, where
-        assert world.macro.disabled_reason == "hierarchical", where
+        assert world.macro.fine_pins == 0, where
     return res
 
 
@@ -291,3 +297,194 @@ class TestPlantedDivergence:
         assert warm.hits == 1
         with pytest.raises(AssertionError, match="leg differs"):
             _assert_legs(seeds, _inline(seeds), got, "warm")
+
+
+# ----------------------------------------------------------------------
+# Sub-team block: row and column teams, HPL-shaped phases
+# ----------------------------------------------------------------------
+#: the sub-team generator's seeds, drawn from a stream of its own so the
+#: programs above keep theirs
+SUBTEAM_SEEDS = range(40)
+
+#: the sub-team generator's stream
+SUBTEAM_STREAM = 5
+
+
+def _subteam_program(ctx, q, phases):
+    """Form the row and column teams of a ``num_images / q`` by ``q``
+    grid, then run ``phases``; returns every result and the time after
+    every phase."""
+    me = ctx.this_image()
+    grid_row, grid_col = divmod(me - 1, q)
+    row = yield from ctx.form_team(grid_row + 1)
+    col = yield from ctx.form_team(grid_col + 1)
+    out = []
+    for phase in phases:
+        op, args = phase[0], phase[1:]
+        if op == "compute":
+            yield ctx.compute_cost(args[0][me - 1])
+        elif op == "pivot":
+            # one column searches pivots while the other columns wait in
+            # the row broadcast, as in HPL's panel factorization
+            column, diag, flops, candidates, swap, sync, payloads = args
+            if grid_col == column:
+                for work, cand in zip(flops, candidates):
+                    yield ctx.compute_cost(work[me - 1])
+                    out.append((yield from ctx.co_reduce(
+                        cand[me - 1], op="maxloc", team=col)))
+                    out.append(ctx.now)
+                    if col.index == diag:
+                        partner = col.index % col.size + 1
+                        yield from ctx.conduit.transfer(
+                            col.proc, col.shared.proc_of(partner), swap)
+                if sync:
+                    yield from ctx.sync_team(col)
+            out.append((yield from ctx.co_broadcast(
+                payloads[me - 1], source_image=column + 1, team=row)))
+        elif op == "col_sum":
+            out.append((yield from ctx.co_sum(args[0][me - 1], team=col)))
+        elif op == "col_maxloc":
+            out.append((yield from ctx.co_reduce(
+                args[0][me - 1], op="maxloc", team=col)))
+        elif op == "col_sync":
+            yield from ctx.sync_team(col)
+        elif op == "row_sum":
+            out.append((yield from ctx.co_sum(args[0][me - 1], team=row)))
+        elif op == "change":
+            yield from ctx.change_team(col)
+            out.append((yield from ctx.co_sum(args[0][me - 1])))
+            yield from ctx.sync_all()
+            yield from ctx.end_team()
+        else:  # "sync_all"
+            yield from ctx.sync_all()
+        out.append(ctx.now)
+    return out
+
+
+def _candidates(rng, images):
+    """``maxloc`` pairs with ties in value and in location."""
+    return [(float(v), int(loc)) for v, loc in
+            zip(rng.integers(0, 4, size=images),
+                rng.integers(1, 2 * images, size=images))]
+
+
+def _subteam_case(seed):
+    """One random grid program: ``(images, ipn, config, q, phases)``.
+    Column teams are flat within themselves when ``q`` is a multiple of
+    the images per node, which most shapes draw."""
+    rng = np.random.default_rng([SUBTEAM_STREAM, seed])
+    ipn = int(rng.choice([1, 2, 4, 8]))
+    if ipn > 1 and rng.random() < 0.2:
+        q = ipn // 2  # two grid rows share a node: hierarchical columns
+    else:
+        q = ipn * int(rng.integers(1, 3)) if ipn > 1 else int(rng.integers(2, 6))
+    p = int(rng.integers(2, 5)) if q <= 8 else 2
+    images = p * q
+    config = RD_CONFIG if rng.random() < 0.5 else UHCAF_2LEVEL
+    phases = []
+    for _ in range(int(rng.integers(3, 7))):
+        if rng.random() < 0.5:
+            flops = (np.full(images, float(rng.integers(1, 4) * 5e4))
+                     if rng.random() < 0.5
+                     else 5e4 + rng.integers(0, 4, size=images) * 1e4)
+            phases.append(("compute", [float(f) for f in flops]))
+        op = str(rng.choice(["pivot", "col_sum", "col_maxloc", "col_sync",
+                             "row_sum", "change", "sync_all"],
+                            p=[0.4, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1]))
+        if op == "pivot":
+            steps = int(rng.integers(2, 5))
+            flops = [[float(f) for f in 2e4 + rng.integers(0, 3, size=images) * 5e3]
+                     for _ in range(steps)]
+            phases.append((op, int(rng.integers(0, q)),
+                           int(rng.integers(1, p + 1)), flops,
+                           [_candidates(rng, images) for _ in range(steps)],
+                           int(rng.choice([8, 512, 4096])),
+                           bool(rng.random() < 0.5), _payloads(rng, images)))
+        elif op == "col_maxloc":
+            phases.append((op, _candidates(rng, images)))
+        elif op in ("col_sum", "row_sum", "change"):
+            phases.append((op, _payloads(rng, images)))
+        else:
+            phases.append((op,))
+    return images, ipn, config, q, phases
+
+
+def _run_subteam_leg(seed, leg):
+    images, ipn, config, q, phases = _subteam_case(seed)
+    engine = Engine(trace=_ignore if leg == "traced" else None)
+    machine = build_machine(engine, paper_cluster(-(-images // ipn)),
+                            images, images_per_node=ipn)
+    res = run_spmd(_subteam_program, machine=machine, config=config,
+                   args=(q, phases),
+                   macro_events=False if leg == "macro-off" else None)
+    where = f"seed {seed}, {leg}: {images} images, {ipn}/node, {config.name}"
+    world = res.world
+    assert world.engine.grants == sum(
+        r.total_grants for r in world.resources()), where
+    assert leftovers(world) == [], where
+    assert_counts_agree(world.conduit.counts, res.traffic)
+    return res
+
+
+SUBTEAM_LEGS = ("macro-off", "macro-on", "traced")
+
+
+def _check_subteams(seed):
+    """Run one grid program through the sub-team block's legs; returns
+    the macro-on run's coordinator."""
+    runs = {leg: _run_subteam_leg(seed, leg) for leg in SUBTEAM_LEGS}
+    off = fingerprint(runs["macro-off"])
+    for leg, res in runs.items():
+        want, got = off, fingerprint(res)
+        if leg == "macro-on":
+            want, got = want.without_events(), got.without_events()
+        _assert_same(want, got, leg, f"sub-team seed {seed}")
+    return runs["macro-on"].world.macro
+
+
+@pytest.fixture
+def subteam_commits(monkeypatch):
+    """The kinds of the sub-team windows committed while a test runs."""
+    kinds = []
+    commit = MacroCollectives._commit
+
+    def counting(self, view, kind, g):
+        if view.size < self.world.num_images:
+            kinds.append(kind)
+        return commit(self, view, kind, g)
+
+    monkeypatch.setattr(MacroCollectives, "_commit", counting)
+    return kinds
+
+
+def test_subteam_programs_replay(subteam_commits):
+    """Macro on and off, and traced, give one fingerprint; and the block
+    is not vacuous: most programs replay sub-team windows, exactly."""
+    replayed = 0
+    for seed in SUBTEAM_SEEDS:
+        before = len(subteam_commits)
+        macro = _check_subteams(seed)
+        if len(subteam_commits) > before and not macro.inexact:
+            replayed += 1
+    assert replayed >= len(SUBTEAM_SEEDS) // 2, replayed
+    assert {"reduce-2l", "reduce-rd", "tdlb"} <= set(subteam_commits)
+
+
+@pytest.mark.parametrize("replay", ["_replay_rd", "_replay_rd_slots"])
+def test_planted_subteam_divergence_fails(monkeypatch, replay):
+    """One ulp on a member's exit from every sub-team reduction window
+    (on either ledger) fails the macro-on leg."""
+    real = getattr(MacroCollectives, replay)
+
+    def late(self, rounds, g):
+        exit_at, results = real(self, rounds, g)
+        if g.ring is not None:
+            exit_at[0] = float(np.nextafter(exit_at[0], np.inf))
+        return exit_at, results
+
+    monkeypatch.setattr(MacroCollectives, replay, late)
+    if replay == "_replay_rd":  # every team replays as NumPy sweeps
+        monkeypatch.setattr("repro.collectives.macro.SLOT_REPLAY_MAX", 0)
+    with pytest.raises(AssertionError, match="macro-on leg differs"):
+        for seed in SUBTEAM_SEEDS:
+            _check_subteams(seed)

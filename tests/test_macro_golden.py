@@ -3,11 +3,13 @@
 Macro-on and macro-off runs must agree on final coarray states, final
 simulated time, and fabric traffic across every conformance machine
 shape — for barriers *and* for the data-carrying reduce/broadcast
-windows.  Windows replay only where every image owns its node; every
-other shape must switch macro-events off at its first replayable
-arrival (``disabled_reason == "hierarchical"``), which makes it the
-fine-grained run, including the paper's E2–E4 cells at 8 images per
-node.  Macro mode must auto-disable whenever an observer (HB monitor,
+windows.  These programs use the initial team, which opens windows
+only where every image owns its node; on every other shape it never
+opens one, which makes the run the fine-grained run, including the
+paper's E2–E4 cells at 8 images per node.  Sub-teams that are flat
+within themselves do replay on such machines: HPL's column teams at
+64(8) replay their pivot searches exactly, and an outsider that sends
+on a member's node mid-window is caught.  Macro mode must auto-disable whenever an observer (HB monitor,
 trace, tiebreak seed, fault schedule) is attached, beside a control run
 that does replay; and a flat program that really loses its commit bet —
 a blocking ``get`` landing among a committed window's virtual NIC holds
@@ -30,6 +32,7 @@ import numpy as np
 import pytest
 
 from repro.faults import FaultSchedule, ImageFailure, Stat
+from repro.hpl.driver import hpl_main
 from repro.bench.microbench import (
     barrier_benchmark,
     broadcast_benchmark,
@@ -194,13 +197,12 @@ def _observed(result):
 
 
 def _assert_replays(shape, macro, flat_replays):
-    """Flat shapes replay (``flat_replays`` checks the count); a shape
-    with several images on a node switches macro-events off instead."""
+    """Flat shapes replay (``flat_replays`` checks the count); on a shape
+    with several images on a node the team never opens a window."""
     if SHAPES[shape].images_per_node == 1:
         assert flat_replays(macro.replays)
     else:
-        assert macro.replays == 0
-        assert macro.disabled_reason == "hierarchical"
+        assert macro.replays == 0 and macro.fine_pins == 0
 
 
 # ----------------------------------------------------------------------
@@ -272,7 +274,7 @@ class TestExactnessBoundary:
         off = _run("2x4", _barrier_loop, args=(6,), macro=False)
         m = on.world.macro
         assert _observed(on) == _observed(off)
-        assert m.replays == 0 and m.disabled_reason == "hierarchical"
+        assert m.replays == 0 and m.fine_pins == 0
 
     def test_lost_bet_disables_for_rest_of_run(self):
         # 13 flat images: allocate's barrier and the co_sum replay, then
@@ -283,6 +285,84 @@ class TestExactnessBoundary:
         assert m.inexact
         assert m.disabled_reason == "overlap"
         # once the bet is lost nothing replays again
+        assert m.replays == 2
+
+
+def _hpl(ctx):
+    return (yield from hpl_main(ctx, 2048, 128))
+
+
+def _column_sum_after_sync_all(ctx):
+    """A full-team ``sync_all`` (several images per node: that team never
+    opens a window), then column 1's team reduces while every other
+    image waits in the next ``sync_all``."""
+    me = ctx.this_image()
+    col = yield from ctx.form_team((me - 1) % 8 + 1)
+    yield from ctx.sync_all()
+    acc = None
+    if (me - 1) % 8 == 0:
+        yield ctx.compute_cost(DATA_SEPARATING_FLOPS)
+        acc = yield from ctx.co_sum(float(me), team=col)
+    yield from ctx.sync_all()
+    return acc, ctx.now
+
+
+def _swap_partner_wakes_outsider(ctx):
+    """Column 1 of a 2 x 8 grid searches pivots while the other columns
+    wait.  Mid-panel, its member on node 0 meets image 10, an outsider on
+    the other member's node, in ``sync images``; image 10 then puts
+    across the network, on the NIC the other member's window holds."""
+    me = ctx.this_image()
+    co = yield from ctx.allocate("bet", (1,))
+    col = yield from ctx.form_team((me - 1) % 8 + 1)
+    out = []
+    if (me - 1) % 8 == 0:
+        for it in range(4):
+            yield ctx.compute_cost(5e4 if me == 9 else 1e5)
+            if me == 1 and it == 1:
+                yield from ctx.sync_images([10])
+            out.append((yield from ctx.co_reduce(
+                (float(it), me), op="maxloc", team=col)))
+            out.append(ctx.now)
+    elif me == 10:
+        yield from ctx.sync_images([1])
+        yield from ctx.put(co, 2, float(me))
+    yield from ctx.sync_all()
+    out.append(ctx.now)
+    return out
+
+
+class TestSubTeamWindows:
+    """Windows on teams that are flat within themselves, on machines with
+    several images per node."""
+
+    def test_hpl_pivot_search_replays_exactly(self):
+        # HPL at 64(8): every column team holds one image per node.  The
+        # pivot windows whose first arrival sees another column's DGEMM
+        # compute pending pin fine; the rest replay.
+        on, off = (run_spmd(_hpl, num_images=64, images_per_node=8,
+                            macro_events=macro) for macro in (True, False))
+        assert _observed(on) == _observed(off)
+        m = on.world.macro
+        assert (m.replays, m.fine_pins) == (1572, 476)
+        assert m.replays_by_kind == {"reduce-2l": 1572}
+        assert not m.inexact and m.demotions == 0
+
+    def test_flat_subteam_after_full_team_sync_all(self):
+        on, off = (run_spmd(_column_sum_after_sync_all, num_images=16,
+                            images_per_node=8, macro_events=macro)
+                   for macro in (True, False))
+        assert _observed(on) == _observed(off)
+        m = on.world.macro
+        assert m.replays == 1 and m.replays_by_kind == {"reduce-2l": 1}
+        assert m.disabled_reason is None and not m.inexact
+
+    def test_outsider_on_a_members_node_loses_the_bet(self):
+        on = run_spmd(_swap_partner_wakes_outsider, num_images=16,
+                      images_per_node=8, macro_events=True)
+        m = on.world.macro
+        assert m.inexact and m.disabled_reason == "overlap"
+        # the first two pivot windows replayed; nothing after the loss
         assert m.replays == 2
 
 

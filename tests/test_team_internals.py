@@ -47,11 +47,6 @@ class TestTeamShared:
         with pytest.raises(ValueError, match="at least one"):
             make_shared(members=[])
 
-    def test_num_rounds_log2(self):
-        assert make_shared(members=list(range(8)))[1].num_rounds == 3
-        assert make_shared(members=list(range(9)), images=16, ipn=4)[1].num_rounds == 4
-        assert make_shared(members=[0])[1].num_rounds == 0
-
     def test_ancestor_chain(self):
         eng, root = make_shared()
         topo = Topology(paper_cluster(2), block_placement(8, 4))
