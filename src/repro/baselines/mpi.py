@@ -31,10 +31,9 @@ import math
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..calibration import MPI_NATIVE
-from ..collectives.base import binomial_peers
+from ..collectives.base import binomial_peers, payload_nbytes
+from ..collectives.reduce import _freeze
 from ..machine import Machine, MachineSpec, build_machine, paper_cluster
 from ..runtime.conduit import Conduit
 from ..sim import Cell, Engine, Process, Timeout, WaitFor
@@ -42,15 +41,6 @@ from ..sim import Cell, Engine, Process, Timeout, WaitFor
 __all__ = ["MpiWorld", "MpiContext", "run_mpi", "MPI_TUNINGS"]
 
 MPI_TUNINGS = ("mvapich", "openmpi", "openmpi-hierarch")
-
-
-def _payload_nbytes(value: Any) -> int:
-    nbytes = getattr(value, "nbytes", None)
-    return int(nbytes) if nbytes is not None else 8
-
-
-def _freeze(value: Any) -> Any:
-    return value.copy() if isinstance(value, np.ndarray) else value
 
 
 class MpiWorld:
@@ -101,11 +91,11 @@ class MpiContext:
         return self.world.engine.now
 
     @property
-    def machine(self):
-        """The simulated machine (traffic counters etc.), mirroring
+    def conduit(self) -> Conduit:
+        """The job's conduit (its traffic counters), mirroring
         :class:`~repro.runtime.program.CafContext` so benchmark bodies
         run unchanged on either stack."""
-        return self.world.machine
+        return self.world.conduit
 
     def rank(self) -> int:
         return self.proc
@@ -122,7 +112,7 @@ class MpiContext:
         world = self.world
         payload = _freeze(value)
         yield from world.conduit.transfer(
-            self.proc, dest, _payload_nbytes(value),
+            self.proc, dest, payload_nbytes(value),
             on_delivered=lambda: world.enqueue(dest, self.proc, tag, payload),
         )
 

@@ -72,7 +72,7 @@ def _timed(ctx, op: Callable[[], Iterator], iters: int) -> Iterator:
     """
     for _ in range(WARMUP):
         yield from op()
-    mark = ctx.machine.traffic()
+    mark = ctx.conduit.traffic()
     t0 = ctx.now
     for _ in range(iters):
         yield from op()
@@ -186,7 +186,7 @@ def mpi_barrier_benchmark(
     res = run_mpi(body, num_ranks=num_ranks, images_per_node=images_per_node,
                   spec=spec, tuning=tuning)
     per_image_times, traffic_marks = zip(*res.results)
-    traffic = res.world.machine.traffic() - traffic_marks[0]
+    traffic = res.world.conduit.traffic() - traffic_marks[0]
     return _per_op(per_image_times, traffic, iters)
 
 

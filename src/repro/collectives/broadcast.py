@@ -16,19 +16,11 @@ from __future__ import annotations
 
 from typing import Any, Iterator
 
-import numpy as np
-
 from ..teams.team import TeamView
 from .base import binomial_peers, member_plan, node_plan
-from .reduce import _post, _send_value, _wait_values
+from .reduce import _freeze, _post, _send_value, _wait_values
 
 __all__ = ["bcast_binomial_flat", "bcast_two_level"]
-
-
-def _freeze(value: Any) -> Any:
-    if isinstance(value, np.ndarray):
-        return value.copy()
-    return value
 
 
 def _check_source(view: TeamView, source_image: int) -> None:

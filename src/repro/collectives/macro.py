@@ -363,15 +363,14 @@ class _RoundLedger:
         return self.sent.tolist()
 
     def flush(self) -> int:
-        """Apply the swept messages to the conduit, interconnect and
-        resource grant counters; return the number of grants."""
+        """Apply the swept messages to the conduit's traffic counters and
+        the resource grant counters; return the number of grants."""
         sent = self.counts()
         messages = sum(sent)
-        route = self.route
-        self.world.conduit.counts[route.kind] += messages
-        fabric = route.fabric
-        fabric.messages += messages
-        fabric.bytes += self.bytes
+        kind = self.route.kind
+        conduit = self.world.conduit
+        conduit.counts[kind] += messages
+        conduit.bytes[kind] += self.bytes
         held = [self.ring.nics]
         if self.engine is not None:
             held.append(self.ring.engines)

@@ -4,9 +4,9 @@ A Machine binds a :class:`~repro.machine.spec.MachineSpec`, an image
 :class:`~repro.machine.topology.Topology`, and the two fabrics
 (:class:`~repro.machine.network.Interconnect` and
 :class:`~repro.machine.memnode.SharedMemory`) to a simulation engine.  It
-answers placement queries, prices compute, and snapshots the fabrics'
-traffic counters; it moves no data itself.  Every message goes through a
-:class:`~repro.runtime.conduit.Conduit` route, and the path choice (a NIC
+answers placement queries and prices compute; it moves no data itself.
+Every message goes through a :class:`~repro.runtime.conduit.Conduit`
+route, which also counts it, and the path choice (a NIC
 transaction or a cache-coherence transaction) lives in
 ``Conduit.resolve_path``.  That choice is the knowledge a
 memory-hierarchy-aware runtime has and a flat runtime ignores — the
@@ -29,8 +29,10 @@ __all__ = ["Machine", "TrafficSnapshot", "build_machine"]
 
 @dataclass(frozen=True)
 class TrafficSnapshot:
-    """Cumulative fabric counters at one instant; subtract two snapshots to
-    get per-phase traffic (used by the notification-count experiments)."""
+    """Cumulative inter- and intra-node message and byte counts at one
+    instant (see :meth:`repro.runtime.conduit.Conduit.traffic`); subtract
+    two snapshots to get per-phase traffic (used by the
+    notification-count experiments)."""
 
     inter_messages: int
     inter_bytes: int
@@ -51,7 +53,7 @@ class TrafficSnapshot:
 
 
 class Machine:
-    """Placement queries, compute costs and fabric traffic counters."""
+    """Placement queries and compute costs over the two fabrics."""
 
     def __init__(self, engine: Engine, topology: Topology):
         self.engine = engine
@@ -88,17 +90,6 @@ class Machine:
             raise ValueError(f"efficiency must be in (0, 1], got {efficiency}")
         rate = self.spec.node.core_flops * efficiency
         return Timeout(flops / rate)
-
-    # ------------------------------------------------------------------
-    # Statistics
-    # ------------------------------------------------------------------
-    def traffic(self) -> TrafficSnapshot:
-        return TrafficSnapshot(
-            inter_messages=self.interconnect.messages,
-            inter_bytes=self.interconnect.bytes,
-            intra_messages=self.shared_memory.messages,
-            intra_bytes=self.shared_memory.bytes,
-        )
 
 
 def build_machine(

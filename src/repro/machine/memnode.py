@@ -30,8 +30,8 @@ __all__ = ["SharedMemory"]
 
 
 class SharedMemory:
-    """Per-socket memory-controller model, plus the lifetime message and
-    byte counters the conduit's same-node routes bump."""
+    """Per-socket memory-controller model; the conduit counts the
+    stores its same-node routes make."""
 
     def __init__(self, engine: Engine, spec: MachineSpec):
         self._spec = spec
@@ -43,8 +43,6 @@ class SharedMemory:
             ]
             for n in range(spec.num_nodes)
         ]
-        self.messages = 0
-        self.bytes = 0
 
     def bus(self, node: int, socket: int = 0) -> Resource:
         return self._buses[node][socket]

@@ -28,16 +28,14 @@ __all__ = ["Interconnect"]
 
 
 class Interconnect:
-    """The cluster's network: one NIC resource per node plus the
-    lifetime message and byte counters the conduit's remote routes bump."""
+    """The cluster's network: one NIC resource per node; the conduit
+    counts the messages its remote routes inject."""
 
     def __init__(self, engine: Engine, spec: MachineSpec):
         self._nics = [
             Resource(engine, capacity=spec.network.nic_capacity, name=f"nic{n}")
             for n in range(spec.num_nodes)
         ]
-        self.messages = 0
-        self.bytes = 0
 
     def nic(self, node: int) -> Resource:
         return self._nics[node]

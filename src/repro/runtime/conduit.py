@@ -24,13 +24,18 @@ per node.
 
 Placement is fixed at launch, so everything about a transfer except its
 size is resolved once per ``(src, dst, path)`` into a :class:`Route`:
-the path, the sender-overhead command, the fabric and its delivery
-label, and a cost table ``nbytes → (Hold(resource, occupancy),
-latency)`` filled from the fabric's own formulas on first use of each
-size.  Cost tables are shared by every route that holds the same
-resource with the same cost shape.  The collectives' member plans hold
-routes, and the macro-event replay prices its virtual transfers from
-the same routes, so both paths charge the very same floats.
+the path, the sender-overhead command, the delivery label, and a cost
+table ``nbytes → (Hold(resource, occupancy), latency)`` filled from the
+fabric's own formulas on first use of each size.  Cost tables are
+shared by every route that holds the same resource with the same cost
+shape.  The collectives' member plans hold routes, and the macro-event
+replay prices its virtual transfers from the same routes, so both paths
+charge the very same floats.
+
+The conduit is also the run's one traffic meter: it counts each message
+and its bytes by path once, when the message reaches its fabric (after
+any link jitter and the sender's overhead), and :meth:`Conduit.traffic`
+snapshots those counts.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from functools import partial
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from ..calibration import DIRECT_SMP, ConduitProfile
-from ..machine import Machine
+from ..machine import Machine, TrafficSnapshot
 from ..sim import Hold, Resource, SimEvent, Timeout
 
 __all__ = ["Conduit", "Route", "CostTable"]
@@ -90,23 +95,19 @@ class Route:
 
     ``overhead`` is the sender's software-overhead command — a
     ``Hold`` on the node's progress engine, a ``Timeout``, or None when
-    the path charges none.  ``fabric`` is the
-    :class:`~repro.machine.network.Interconnect` or
-    :class:`~repro.machine.memnode.SharedMemory` whose ``messages`` and
-    ``bytes`` counters the transfer bumps; ``label`` names its delivery
-    event; ``penalty`` is the loopback target-poll delay (0 elsewhere).
+    the path charges none.  ``label`` names its delivery event;
+    ``penalty`` is the loopback target-poll delay (0 elsewhere).
     """
 
-    __slots__ = ("src", "dst", "kind", "overhead", "fabric", "label",
-                 "penalty", "costs")
+    __slots__ = ("src", "dst", "kind", "overhead", "label", "penalty",
+                 "costs")
 
-    def __init__(self, src: int, dst: int, kind: str, overhead, fabric,
+    def __init__(self, src: int, dst: int, kind: str, overhead,
                  label: str, penalty: float, costs: CostTable):
         self.src = src
         self.dst = dst
         self.kind = kind
         self.overhead = overhead
-        self.fabric = fabric
         self.label = label
         self.penalty = penalty
         self.costs = costs
@@ -154,8 +155,10 @@ class Conduit:
         #: cost → per-node sender-overhead commands
         self._overheads: Dict[float, list] = {}
         self._nic_price = partial(_nic_price, machine.spec.network)
-        #: lifetime message counters by path, for the accounting experiments
+        #: lifetime message and byte counters by path, bumped when a
+        #: message reaches its fabric (see :meth:`traffic`)
         self.counts = {"remote": 0, "loopback": 0, "direct": 0}
+        self.bytes = {"remote": 0, "loopback": 0, "direct": 0}
         #: back-reference to :class:`repro.collectives.macro.MacroCollectives`
         #: (set by the World that owns this conduit); None when the run has
         #: no macro-event coordinator
@@ -175,6 +178,18 @@ class Conduit:
 
     def progress_engine(self, node: int) -> Resource:
         return self._engines[node]
+
+    def traffic(self) -> TrafficSnapshot:
+        """The messages and bytes counted so far: inter-node is the
+        ``remote`` path, intra-node ``loopback`` plus ``direct``.  A
+        message still in its sender's jitter or overhead is not in it."""
+        counts, nbytes = self.counts, self.bytes
+        return TrafficSnapshot(
+            inter_messages=counts["remote"],
+            inter_bytes=nbytes["remote"],
+            intra_messages=counts["loopback"] + counts["direct"],
+            intra_bytes=nbytes["loopback"] + nbytes["direct"],
+        )
 
     def monitored_delivery(
         self,
@@ -270,7 +285,7 @@ class Conduit:
             return Route(
                 src_image, dst_image, kind,
                 self._overhead(ps.node, profile.remote_overhead),
-                machine.interconnect, f"wire{ps.node}->{pd.node}", 0.0, costs,
+                f"wire{ps.node}->{pd.node}", 0.0, costs,
             )
         if kind == "loopback":
             overhead = self._overhead(ps.node, profile.local_overhead)
@@ -292,7 +307,7 @@ class Conduit:
                 bus, partial(_bus_price, sm, ps.core, pd.core, factor)
             )
         return Route(
-            src_image, dst_image, kind, overhead, sm,
+            src_image, dst_image, kind, overhead,
             f"smp{ps.node}:{ps.core}->{pd.core}", penalty, costs,
         )
 
@@ -323,9 +338,9 @@ class Conduit:
     ) -> Iterator:
         """:meth:`transfer` over an already resolved ``route``: the
         sender-overhead command, then the fabric hold, then delivery one
-        fabric latency (plus the loopback poll) later."""
+        fabric latency (plus the loopback poll) later.  The message is
+        counted when it reaches the fabric hold."""
         hold, latency = route.costs[nbytes]
-        self.counts[route.kind] += 1
         faults = self.faults
         if faults is not None:
             # A message to a dead image still pays wire costs (the sender
@@ -340,9 +355,9 @@ class Conduit:
         overhead = route.overhead
         if overhead is not None:
             yield overhead
-        fabric = route.fabric
-        fabric.messages += 1
-        fabric.bytes += nbytes
+        kind = route.kind
+        self.counts[kind] += 1
+        self.bytes[kind] += nbytes
         yield hold
         if on_delivered is not None:
             if route.penalty > 0.0:
@@ -372,7 +387,6 @@ class Conduit:
         route = self.route(src_image, dst_image, path)
         hold, latency = route.costs[nbytes]
         self.note_async()
-        self.counts[route.kind] += 1
         faults = self.faults
         if faults is not None:
             on_delivered = faults.filter_delivery(route.dst, on_delivered)
@@ -391,14 +405,13 @@ class Conduit:
         post's leader relay, a ``get_nb`` response); the returned event
         fires when the fabric hold retires."""
         hold, latency = route.costs[nbytes]
-        self.counts[route.kind] += 1
         return self._launch(route, nbytes, hold, latency, on_delivered)
 
     def _launch(self, route: Route, nbytes: int, hold: Hold, latency: float,
                 on_delivered: Optional[Callable[[], None]]) -> SimEvent:
-        fabric = route.fabric
-        fabric.messages += 1
-        fabric.bytes += nbytes
+        kind = route.kind
+        self.counts[kind] += 1
+        self.bytes[kind] += nbytes
         then = None
         if on_delivered is not None:
             if route.penalty > 0.0:

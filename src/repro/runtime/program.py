@@ -146,9 +146,10 @@ class World:
 
     def others_waiting(self, members: Sequence[int]) -> bool:
         """True when every image outside ``members`` (proc ids) is
-        blocked or finished.  Only image processes enter the engine's
-        blocked registry, so the images outside are counted by
-        subtracting the members: O(len(members)), not O(images)."""
+        blocked or finished.  Only processes enter the engine's blocked
+        registry, and a run's only processes are its images, so the
+        images outside are counted by subtracting the members:
+        O(len(members)), not O(images)."""
         running = self.running
         blocked = self.engine.blocked_count
         processes = self.processes
@@ -1103,6 +1104,6 @@ def run_spmd(
     return SpmdResult(
         time=final_time,
         results=[p.result for p in processes],
-        traffic=machine.traffic(),
+        traffic=world.conduit.traffic(),
         world=world,
     )

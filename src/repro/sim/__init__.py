@@ -18,7 +18,6 @@ from .errors import (
 )
 from .primitives import Cell, Resource, SimEvent
 from .process import (
-    Acquire,
     BlockedInfo,
     Hold,
     Park,
@@ -40,7 +39,6 @@ __all__ = [
     "Timeout",
     "Wait",
     "WaitFor",
-    "Acquire",
     "Hold",
     "Park",
     "SimulationError",

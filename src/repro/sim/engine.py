@@ -109,7 +109,7 @@ class Engine:
     __slots__ = (
         "_times", "_buckets", "_mint", "_now", "_max_events",
         "_events_processed", "_tiebreak_seed", "trace", "monitor",
-        "_blocked", "_blocked_seq", "_running", "_drain_hooks",
+        "_blocked", "_running", "_drain_hooks",
         "schedule", "call_now", "schedule_at", "grants",
     )
 
@@ -131,11 +131,10 @@ class Engine:
         #: :class:`repro.verify.HBMonitor`).  The sim primitives consult it
         #: on every write/wait when set; ``None`` costs one attribute read.
         self.monitor: Optional[Any] = None
-        # Blocked waiters for deadlock reports, in block order: a blocked
-        # Process registers as ``proc -> proc`` (report text built on
-        # demand), ``note_blocked`` as ``token -> (description, info)``.
+        # Blocked processes for deadlock reports, in block order: a
+        # blocked Process registers as ``proc -> proc`` and the report
+        # text is built on demand.
         self._blocked: dict[Any, Any] = {}
-        self._blocked_seq = itertools.count()
         self._running = False
         # Last-chance hooks consulted when the queue drains with blocked
         # processes, before a DeadlockError is raised; see add_drain_hook.
@@ -245,47 +244,22 @@ class Engine:
     # ------------------------------------------------------------------
     # Blocked-process bookkeeping (for deadlock diagnostics)
     # ------------------------------------------------------------------
-    def note_blocked(self, description: str, info: Any = None) -> int:
-        """Record that a waiter is blocked; returns a token for :meth:`note_unblocked`.
-
-        ``info`` may carry a structured record (see
-        :class:`repro.sim.process.BlockedInfo`) that deadlock reports use
-        to reconstruct the wait-for graph.  Processes do not come through
-        here: they register themselves in the same ordered registry.
-        """
-        token = next(self._blocked_seq)
-        self._blocked[token] = (description, info)
-        return token
-
-    def note_unblocked(self, token: int) -> None:
-        """Forget a blocked-process record created by :meth:`note_blocked`."""
-        self._blocked.pop(token, None)
-
     @property
     def blocked_count(self) -> int:
-        """Number of blocked waiters: processes parked or waiting on a
-        cell, event or resource grant, plus :meth:`note_blocked` records."""
+        """Number of blocked processes: parked or waiting on a cell or
+        an event."""
         return len(self._blocked)
 
     @property
     def blocked_descriptions(self) -> list[str]:
         """Descriptions of currently blocked processes (ordered by block time)."""
-        return [
-            entry[0] if entry.__class__ is tuple else entry.blocked_description()
-            for entry in self._blocked.values()
-        ]
+        return [proc.blocked_description() for proc in self._blocked]
 
     @property
     def blocked_details(self) -> list[Any]:
-        """Structured records of currently blocked processes, where the
-        waiter supplied one (ordered by block time)."""
-        details = []
-        for entry in self._blocked.values():
-            if entry.__class__ is not tuple:
-                details.append(entry.blocked_info())
-            elif entry[1] is not None:
-                details.append(entry[1])
-        return details
+        """:class:`~repro.sim.process.BlockedInfo` records of currently
+        blocked processes (ordered by block time)."""
+        return [proc.blocked_info() for proc in self._blocked]
 
     # ------------------------------------------------------------------
     # Drain hooks (macro-event fallback)
@@ -368,7 +342,9 @@ class Engine:
         one turns the inline resume off: Process records then take the
         generic ``fn()`` branch, which carries the trace call, and
         :meth:`Process.__call__ <repro.sim.process.Process.__call__>`
-        takes the same steps.  The dispatched count lives in a local
+        releases the held resource and steps through
+        :meth:`Process.resume <repro.sim.process.Process.resume>`, the
+        only other step path.  The dispatched count lives in a local
         until the loop exits, so :attr:`events_processed` is stale inside
         callbacks.
         """

@@ -211,20 +211,18 @@ class Resource:
     precisely the serialization effect the paper's Section IV-A argues
     makes flat dissemination slow on multicore nodes.
 
-    One FIFO serves two kinds of request.  A *hold* (:meth:`hold`, and
-    through it :meth:`occupy` and the ``Hold`` process command) is queued
-    as one ``(duration, waiter)`` entry: at grant the resource schedules
-    the holder's completion ``duration`` later, and the completion
-    releases the resource (granting the next entry) before the holder
-    goes on.  A :class:`~repro.sim.process.Process` waiter is its own
-    completion record: the grant notes the resource in the process's
-    ``_holding`` slot and schedules the process itself, which releases
-    it when it fires (the engine's drain loop grants a process's
-    ``Hold`` inline the same way).  Any other waiter is a callable, and
-    its record is ``partial(_complete, resource, waiter)``.  Both records
-    carry the label ``<name>.hold``.  An explicit :meth:`acquire` is
-    queued as ``(None, grant_event)`` and granted by triggering its
-    event; the caller releases it.
+    Every request is a *hold* (:meth:`hold`, and through it
+    :meth:`occupy` and the ``Hold`` process command), queued as one
+    ``(duration, waiter)`` entry: at grant the resource schedules the
+    holder's completion ``duration`` later, and the completion releases
+    the resource (granting the next entry) before the holder goes on.
+    A :class:`~repro.sim.process.Process` waiter is its own completion
+    record: the grant notes the resource in the process's ``_holding``
+    slot and schedules the process itself, which releases it when it
+    fires (the engine's drain loop grants a process's ``Hold`` inline
+    the same way).  Any other waiter is a callable, and its record is
+    ``partial(_complete, resource, waiter)``.  Both records carry the
+    label ``<name>.hold``.
     """
 
     __slots__ = ("_engine", "capacity", "_in_use", "_queue", "name", "_granted",
@@ -277,7 +275,7 @@ class Resource:
         """Longest queue observed (contention statistics)."""
         return self._peak
 
-    def _enqueue(self, duration: Optional[float], waiter: Any) -> None:
+    def _enqueue(self, duration: float, waiter: Any) -> None:
         queue = self._queue
         if queue is _NO_QUEUE:
             queue = self._queue = deque()
@@ -285,19 +283,8 @@ class Resource:
         if len(queue) > self._peak:
             self._peak = len(queue)
 
-    def acquire(self) -> SimEvent:
-        """Request the resource; the returned event triggers when granted."""
-        grant = SimEvent(self._engine, name=f"{self.name}.grant")
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            self._granted += 1
-            self._engine.grants += 1
-            grant.trigger()
-        else:
-            self._enqueue(None, grant)
-        return grant
-
     def release(self) -> None:
+        """End one hold: grant the next queued entry, or free the unit."""
         if self._in_use <= 0:
             raise RuntimeError(f"release of idle resource {self.name!r}")
         if self._queue:
@@ -305,9 +292,7 @@ class Resource:
             self._granted += 1
             engine = self._engine
             engine.grants += 1
-            if duration is None:
-                waiter.trigger()
-            elif waiter.__class__ is _PROCESS_CLASS:
+            if waiter.__class__ is _PROCESS_CLASS:
                 waiter._holding = self
                 engine.schedule(duration, waiter, label=self._hold_label)
             else:

@@ -20,9 +20,6 @@ Commands
 ``WaitFor(cell, pred)``
     Block until ``pred(cell.value)``; resumes with the satisfying value.
     Models a shared-memory spin-wait at zero simulated cost.
-``Acquire(resource)``
-    Block until the resource is granted; the process must later call
-    ``resource.release()`` itself.
 ``Hold(resource, duration)``
     Acquire, hold for ``duration``, release; resumes at release time.
     A hold always has a scheduled end, so it never counts as blocked.
@@ -49,7 +46,7 @@ from .errors import ProcessFailure
 from .primitives import Cell, Resource, SimEvent
 
 __all__ = [
-    "Timeout", "Wait", "WaitFor", "Acquire", "Hold", "Park", "Process",
+    "Timeout", "Wait", "WaitFor", "Hold", "Park", "Process",
     "ProcGen", "BlockedInfo",
 ]
 
@@ -101,13 +98,6 @@ class WaitFor:
 
 
 @dataclass(frozen=True, slots=True)
-class Acquire:
-    """Block until ``resource`` is granted; caller must release it."""
-
-    resource: Resource
-
-
-@dataclass(frozen=True, slots=True)
 class Hold:
     """Acquire ``resource``, hold it ``duration`` seconds, then release.
 
@@ -147,9 +137,9 @@ class BlockedInfo:
 
     ``actor`` is the identity the spawner gave the process (0-based global
     proc id for SPMD images, ``None`` for anonymous processes); ``kind``
-    is one of ``cell``/``event``/``resource``/``park``; ``target`` is the
-    primitive being waited on (a :class:`Cell`, :class:`SimEvent`,
-    :class:`Resource`, or the :class:`Park` command).
+    is one of ``cell``/``event``/``park``; ``target`` is the primitive
+    being waited on (a :class:`Cell`, a :class:`SimEvent`, or the
+    :class:`Park` command).
     """
 
     process: str
@@ -214,40 +204,17 @@ class Process:
         """Resume the generator with no value: the spawn step, a Timeout's
         expiry, or the end of a Hold.  At the end of a Hold the process
         first releases the resource it held (which may grant and
-        schedule the next holder), and only then runs the finished
-        guard, so a killed holder still releases on schedule.
-        The engine's drain loop inlines this exact body when it
-        recognizes a scheduled :class:`Process` and no trace or monitor
-        is attached; this method serves traced and monitored runs — the
-        two must stay behaviourally identical.
+        schedule the next holder), and only then resumes, so a killed
+        holder still releases on schedule.  The engine's drain loop
+        inlines this when it recognizes a scheduled :class:`Process` and
+        no trace or monitor is attached; traced and monitored runs come
+        here.
         """
         res = self._holding
         if res is not None:
             self._holding = None
             res.release()
-        if self._finished:
-            return  # fail-stopped (or completed): stale wake-up
-        monitor = self._engine.monitor
-        if monitor is not None:
-            self._step_monitored(None, monitor)
-            return
-        try:
-            command = self._send(None)
-        except StopIteration as stop:
-            self._finished = True
-            self.done.trigger(stop.value)
-            return
-        except Exception as exc:  # noqa: BLE001 - wrap any model bug
-            self._finished = True
-            raise ProcessFailure(self.name, exc) from exc
-        if type(command) is Timeout:
-            self._engine.schedule(command.delay, self, label=self._timeout_label)
-            return
-        handler = _DISPATCH.get(type(command))
-        if handler is None:
-            self._dispatch_other(command)
-        else:
-            handler(self, command)
+        self.resume(None)
 
     @property
     def finished(self) -> bool:
@@ -299,8 +266,8 @@ class Process:
 
     def blocked_description(self) -> str:
         """Deadlock-report line, e.g. ``"image3: waiting on cell 'x'"``."""
-        verb = "acquiring" if self._wait_kind == "resource" else "waiting on"
-        return f"{self.name}: {verb} {self._wait_kind} {self._wait_target.name!r}"
+        return (f"{self.name}: waiting on {self._wait_kind} "
+                f"{self._wait_target.name!r}")
 
     def blocked_info(self) -> BlockedInfo:
         """Structured deadlock-report record of the current wait."""
@@ -311,16 +278,18 @@ class Process:
         """Resume the process with ``value`` at the current instant: leave
         the blocked registry, then step the generator.  Every wait that
         delivers a value ends here; a :class:`Park` ends only when the
-        queue's owner calls this.
+        queue's owner calls this.  With a concurrency monitor attached,
+        each generator step is bracketed by its ``begin_step`` and
+        ``end_step`` hooks (see ``repro.verify``).
 
         A wait that already holds when the process yields it (a set
-        event, a true predicate, a free resource) calls this from inside
-        the handler that dispatches it.  The value is then left in
-        ``_pending`` for the stepping loop, which sends it once the
-        handler returns, so any number of satisfied waits in a row runs
-        in one frame instead of one frame each.  No handler does anything
-        after its synchronous callback returns, so the order of effects
-        is the one nested calls would give.
+        event, a true predicate) calls this from inside the handler that
+        dispatches it.  The value is then left in ``_pending`` for the
+        stepping loop, which sends it once the handler returns, so any
+        number of satisfied waits in a row runs in one frame instead of
+        one frame each.  No handler does anything after its synchronous
+        callback returns, so the order of effects is the one nested
+        calls would give.
         """
         if self._wait_kind is not None:
             self._wait_kind = None
@@ -331,11 +300,10 @@ class Process:
             self._pending = value
             return
         monitor = self._engine.monitor
-        if monitor is not None:
-            self._step_monitored(value, monitor)
-            return
         send = self._send
         while True:
+            if monitor is not None:
+                monitor.begin_step(self.actor)
             try:
                 command = send(value)
             except StopIteration as stop:
@@ -345,6 +313,9 @@ class Process:
             except Exception as exc:  # noqa: BLE001 - wrap and surface any model bug
                 self._finished = True
                 raise ProcessFailure(self.name, exc) from exc
+            finally:
+                if monitor is not None:
+                    monitor.end_step()
             # Timeout is the dominant command (every charged cost is one),
             # so it is tested inline before the dispatch-table lookup.
             if type(command) is Timeout:
@@ -352,13 +323,10 @@ class Process:
                     command.delay, self, label=self._timeout_label
                 )
                 return
-            handler = _DISPATCH.get(type(command))
+            handler = _DISPATCH.get(type(command), _not_a_command)
             self._stepping = True
             try:
-                if handler is None:
-                    self._dispatch_other(command)
-                else:
-                    handler(self, command)
+                handler(self, command)
             finally:
                 self._stepping = False
             value = self._pending
@@ -366,54 +334,13 @@ class Process:
                 return
             self._pending = _NOTHING
 
-    def _step_monitored(self, send_value: Any, monitor: Any) -> None:
-        """Slow-path step: bracket the generator resume with the
-        concurrency monitor's begin/end hooks (see ``repro.verify``).
-        Loops on satisfied waits like :meth:`resume`."""
-        if self._finished:
-            return  # fail-stopped (or completed): stale wake-up
-        while True:
-            monitor.begin_step(self.actor)
-            try:
-                command = self._send(send_value)
-            except StopIteration as stop:
-                self._finished = True
-                self.done.trigger(stop.value)
-                return
-            except Exception as exc:  # noqa: BLE001 - wrap and surface any model bug
-                self._finished = True
-                raise ProcessFailure(self.name, exc) from exc
-            finally:
-                monitor.end_step()
-            handler = _DISPATCH.get(type(command))
-            self._stepping = True
-            try:
-                if handler is None:
-                    self._dispatch_other(command)
-                else:
-                    handler(self, command)
-            finally:
-                self._stepping = False
-            send_value = self._pending
-            if send_value is _NOTHING:
-                return
-            self._pending = _NOTHING
-
     def _dispatch(self, command: Any) -> None:
-        """Execute one yielded command (type-keyed; kept as the single
-        entry point for tests and subclasses)."""
-        handler = _DISPATCH.get(type(command))
-        if handler is None:
-            self._dispatch_other(command)
-        else:
-            handler(self, command)
+        """Execute one yielded command other than a ``Timeout``: the
+        engine's inline lane hands over each command it does not grant
+        itself."""
+        _DISPATCH.get(type(command), _not_a_command)(self, command)
 
     # -- per-command handlers (type-keyed via _DISPATCH) ----------------
-    def _do_timeout(self, command: Timeout) -> None:
-        self._engine.schedule(
-            command.delay, self, label=self._timeout_label
-        )
-
     def _do_wait(self, command: Wait) -> None:
         ev = command.event
         if not ev.triggered:
@@ -436,13 +363,6 @@ class Process:
         if key is not None:
             self._block("cell", cell)
 
-    def _do_acquire(self, command: Acquire) -> None:
-        res = command.resource
-        grant = res.acquire()
-        if not grant.triggered:
-            self._block("resource", res)
-        grant.on_trigger(self.resume)
-
     def _do_hold(self, command: Hold) -> None:
         # The process is its own completion record: the resource notes
         # itself in ``_holding`` at grant and schedules the process,
@@ -452,18 +372,6 @@ class Process:
     def _do_park(self, command: Park) -> None:
         command.queue.append(self)
         self._block("park", command)
-
-    def _dispatch_other(self, command: Any) -> None:
-        """Fallback for command *subclasses* (exact-type dispatch missed)
-        and the non-command error path."""
-        for cls, handler in _DISPATCH.items():
-            if isinstance(command, cls):
-                handler(self, command)
-                return
-        raise ProcessFailure(
-            self.name,
-            TypeError(f"process yielded non-command object {command!r}"),
-        )
 
     def _observing_resume(self, kind: str, target: Any) -> Callable[[Any], None]:
         """A resume callback that first tells the monitor (if any) that this
@@ -484,14 +392,19 @@ class Process:
         return _resume_observed
 
 
-#: Exact-type command dispatch: one dict hit replaces the historical
-#: five-branch ``isinstance`` ladder on the per-event hot path.  Command
-#: subclasses still work via :meth:`Process._dispatch_other`.
+def _not_a_command(process: Process, command: Any) -> None:
+    """The handler of anything a process yields that is not a command."""
+    raise ProcessFailure(
+        process.name,
+        TypeError(f"process yielded non-command object {command!r}"),
+    )
+
+
+#: Exact-type command dispatch for every command but ``Timeout``, which
+#: both step paths test first.
 _DISPATCH: dict = {
-    Timeout: Process._do_timeout,
     Wait: Process._do_wait,
     WaitFor: Process._do_wait_for,
-    Acquire: Process._do_acquire,
     Hold: Process._do_hold,
     Park: Process._do_park,
 }

@@ -53,7 +53,7 @@ class WaiterRecord:
     process: str
     kind: str
     target_name: str
-    #: current value of the waited-on cell (None for events/resources)
+    #: current value of the waited-on cell (None for events and parks)
     value: Any
     #: human-readable location context (team/owner/node/leader), may be ""
     context: str

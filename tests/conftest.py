@@ -20,14 +20,6 @@ def run_small(main, images=4, ipn=2, config=UHCAF_2LEVEL, **kwargs):
     )
 
 
-def assert_counts_agree(counts, traffic):
-    """Every message the conduit counts by path is one the fabrics count:
-    remote ones on the interconnect, loopback and direct ones in shared
-    memory."""
-    assert counts["remote"] == traffic.inter_messages
-    assert counts["loopback"] + counts["direct"] == traffic.intra_messages
-
-
 @pytest.fixture
 def spmd():
     """Fixture handing tests the :func:`run_small` helper."""

@@ -9,7 +9,7 @@ import pytest
 from repro.calibration import DIRECT_SMP, GASNET_RDMA, IB_VERBS
 from repro.faults import FaultSchedule, ImageFailure
 from repro.faults.manager import FaultManager
-from repro.machine import build_machine, paper_cluster
+from repro.machine import TrafficSnapshot, build_machine, paper_cluster
 from repro.runtime.conduit import Conduit
 from repro.runtime.program import run_spmd
 from repro.sim import Engine, Hold, Process, Timeout
@@ -198,6 +198,20 @@ class TestCosts:
         Process(eng, proc())
         eng.run()
         assert c.counts == {"remote": 1, "loopback": 1, "direct": 1}
+        assert c.bytes == {"remote": 8, "loopback": 8, "direct": 8}
+        assert c.traffic() == TrafficSnapshot(1, 8, 2, 16)
+
+    @pytest.mark.parametrize("nonblocking", [False, True],
+                             ids=["transfer", "transfer_nb"])
+    def test_counted_when_it_reaches_the_fabric(self, nonblocking):
+        # not while the sender is still in its software overhead
+        eng, c = make()
+        send = c.transfer_nb if nonblocking else c.transfer
+        Process(eng, send(0, 4, 64))
+        eng.run(until=GASNET_RDMA.remote_overhead / 2)
+        assert c.traffic() == TrafficSnapshot(0, 0, 0, 0)
+        eng.run()
+        assert c.traffic() == TrafficSnapshot(1, 64, 0, 0)
 
 
 class TestProfiles:
@@ -281,7 +295,6 @@ class TestRoutes:
         assert latency == net.wire_time(4096)
         assert r.overhead == Hold(c.progress_engine(0),
                                   GASNET_RDMA.remote_overhead)
-        assert r.fabric is c.machine.interconnect
         assert r.label == "wire0->1" and r.penalty == 0.0
 
     def test_loopback_entry_equals_smp_plan_with_penalty(self):
@@ -296,7 +309,7 @@ class TestRoutes:
         assert r.penalty == GASNET_RDMA.loopback_penalty > 0.0
         assert r.overhead == Hold(c.progress_engine(0),
                                   GASNET_RDMA.local_overhead)
-        assert r.label == "smp0:0->1" and r.fabric is sm
+        assert r.label == "smp0:0->1"
 
     @pytest.mark.parametrize("dst, crossing", [(1, False), (3, True)])
     def test_direct_entry_equals_smp_plan(self, dst, crossing):
@@ -328,7 +341,7 @@ class TestRoutes:
         drive(eng, proc())
         assert eng.now == 0.0
         assert c.counts == {"remote": 0, "loopback": 0, "direct": 0}
-        assert c.machine.traffic().total_messages == 0
+        assert c.traffic() == TrafficSnapshot(0, 0, 0, 0)
 
     def test_fault_filter_and_link_jitter_still_apply(self):
         eng = Engine()

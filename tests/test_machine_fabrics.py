@@ -39,7 +39,9 @@ class TestInterconnect:
         eng, m, c = make()
         drive(eng, c.transfer(0, 1, 8, path="remote"))
         assert c.counts["loopback"] == 1
-        assert (m.interconnect.messages, m.shared_memory.messages) == (0, 1)
+        assert c.traffic() == TrafficSnapshot(0, 0, 1, 8)
+        assert m.interconnect.nic(0).total_grants == 0
+        assert m.shared_memory.bus(0).total_grants == 1
 
     def test_sender_blocks_for_injection_only(self):
         eng, m, c = make()
@@ -89,9 +91,9 @@ class TestInterconnect:
     def test_traffic_counters(self):
         eng, m, c = make()
         drive(eng, c.transfer(0, 4, 512, path="remote"))
-        assert m.interconnect.messages == 1
-        assert m.interconnect.bytes == 512
-        assert m.traffic() == TrafficSnapshot(1, 512, 0, 0)
+        assert c.counts == {"remote": 1, "loopback": 0, "direct": 0}
+        assert c.bytes == {"remote": 512, "loopback": 0, "direct": 0}
+        assert c.traffic() == TrafficSnapshot(1, 512, 0, 0)
 
     def test_negative_bytes_rejected(self):
         eng, m, c = make()
@@ -154,14 +156,12 @@ class TestMachineFacade:
     def test_transfer_routes_same_node_to_shared_memory(self):
         eng, m, c = make()
         drive(eng, c.transfer(0, 1, 64))
-        assert m.shared_memory.messages == 1
-        assert m.interconnect.messages == 0
+        assert c.traffic() == TrafficSnapshot(0, 0, 1, 64)
 
     def test_transfer_routes_cross_node_to_interconnect(self):
         eng, m, c = make()
         drive(eng, c.transfer(0, 4, 64))
-        assert m.interconnect.messages == 1
-        assert m.shared_memory.messages == 0
+        assert c.traffic() == TrafficSnapshot(1, 64, 0, 0)
 
     def test_traffic_snapshot_subtraction(self):
         eng, m, c = make()
@@ -169,10 +169,10 @@ class TestMachineFacade:
 
         def proc():
             yield from c.transfer(0, 4, 64)
-            marks.append(m.traffic())
+            marks.append(c.traffic())
             yield from c.transfer(0, 1, 16)
             yield from c.transfer(0, 2, 16)
-            marks.append(m.traffic())
+            marks.append(c.traffic())
 
         drive(eng, proc())
         phase = marks[1] - marks[0]

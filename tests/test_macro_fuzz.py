@@ -44,7 +44,6 @@ from repro.machine import build_machine, paper_cluster
 from repro.runtime.config import UHCAF_2LEVEL
 from repro.sim.engine import Engine
 from repro.verify import HBMonitor, fingerprint, leftovers
-from tests.conftest import assert_counts_agree
 
 #: the generator's seeds, run through every in-process leg in blocks
 SEEDS = range(200)
@@ -161,7 +160,6 @@ def _run_leg(seed, flat, leg):
     assert world.engine.grants == sum(
         r.total_grants for r in world.resources()), where
     assert leftovers(world) == [], where
-    assert_counts_agree(world.conduit.counts, res.traffic)
     if leg == "macro-on" and ipn > 1:
         assert world.macro.replays == 0, where
         assert world.macro.fine_pins == 0, where
@@ -422,7 +420,6 @@ def _run_subteam_leg(seed, leg):
     assert world.engine.grants == sum(
         r.total_grants for r in world.resources()), where
     assert leftovers(world) == [], where
-    assert_counts_agree(world.conduit.counts, res.traffic)
     return res
 
 

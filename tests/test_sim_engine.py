@@ -10,9 +10,12 @@ from repro.sim import (
     Cell,
     DeadlockError,
     Engine,
+    Park,
     Process,
+    SimEvent,
     SimulationLimitExceeded,
     Timeout,
+    Wait,
     WaitFor,
 )
 
@@ -248,27 +251,36 @@ class TestLimits:
         assert fired == ["a", "b", "newer"]
 
 
+def _waiter(command):
+    yield command
+
+
 class TestDeadlockDetection:
     def test_blocked_process_reported_on_drain(self):
         eng = Engine()
-        eng.note_blocked("proc A: waiting forever")
+        Process(eng, _waiter(Wait(SimEvent(eng, name="forever"))),
+                name="proc A")
         with pytest.raises(DeadlockError) as exc:
             eng.run()
         assert "proc A" in str(exc.value)
 
     def test_unblocked_process_not_reported(self):
         eng = Engine()
-        token = eng.note_blocked("transient")
-        eng.note_unblocked(token)
+        transient = SimEvent(eng, name="transient")
+        Process(eng, _waiter(Wait(transient)), name="proc A")
+        eng.schedule(1.0, transient.trigger)
         eng.run()  # no exception
+        assert eng.blocked_count == 0
 
     def test_deadlock_lists_all_blocked(self):
         eng = Engine()
+        gate = Park([], "gate")
         for name in ("p1", "p2", "p3"):
-            eng.note_blocked(name)
+            Process(eng, _waiter(gate), name=name)
         with pytest.raises(DeadlockError) as exc:
             eng.run()
-        assert exc.value.blocked == ["p1", "p2", "p3"]
+        assert exc.value.blocked == [f"{name}: waiting on park 'gate'"
+                                     for name in ("p1", "p2", "p3")]
 
     def test_trace_hook_sees_labeled_events(self):
         seen = []

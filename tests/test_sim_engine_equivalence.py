@@ -229,8 +229,24 @@ class TestDispatchLanes:
         faults = FaultSchedule(failures=(ImageFailure(5, 35e-6),))
         run = _lane_run(UHCAF_1LEVEL, "inline", faults)
         traced = _lane_run(UHCAF_1LEVEL, "traced", faults)
-        assert held_at_kill == [True, True]
+        monitored = _lane_run(UHCAF_1LEVEL, "monitored", faults)
+        assert held_at_kill == [True, True, True]
         assert fingerprint(traced) == fingerprint(run)
+        assert fingerprint(monitored) == fingerprint(run)
         assert run.results[4] != run.results[0]
         # the killed holder released on schedule: nothing is left behind
         assert leftovers(run.world) == []
+
+    def test_message_killed_in_its_overhead_is_not_counted(self):
+        # The run above: image5 is killed at 35 us while it holds node
+        # 0's progress engine for a loopback overhead.  That message
+        # never reaches the memory bus, so it is in neither the
+        # conduit's counts nor the run's traffic.
+        faults = FaultSchedule(failures=(ImageFailure(5, 35e-6),))
+        run = _lane_run(UHCAF_1LEVEL, "inline", faults)
+        conduit = run.world.conduit
+        assert conduit.counts == {"remote": 2, "loopback": 19, "direct": 0}
+        traffic = run.traffic
+        assert (traffic.inter_messages, traffic.inter_bytes,
+                traffic.intra_messages, traffic.intra_bytes) == (2, 16, 19, 152)
+        assert conduit.traffic() == traffic

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.sim import (
-    Acquire,
     Cell,
     Engine,
     Hold,
@@ -146,25 +145,23 @@ class TestResource:
 
     def test_grant_immediate_when_free(self, eng):
         r = Resource(eng)
-        assert r.acquire().triggered is True
-        assert r.in_use == 1
+        r.hold(1.0, _noop)
+        assert (r.in_use, r.queue_length, r.total_grants) == (1, 0, 1)
 
     def test_queueing_when_full(self, eng):
         r = Resource(eng, capacity=1)
-        r.acquire()
-        second = r.acquire()
-        assert second.triggered is False
-        assert r.queue_length == 1
+        r.hold(1.0, _noop)
+        r.hold(1.0, _noop)
+        assert (r.in_use, r.queue_length, r.total_grants) == (1, 1, 1)
 
     def test_release_grants_fifo(self, eng):
         r = Resource(eng, capacity=1)
-        r.acquire()
+        r.hold(1.0, _noop)
         order = []
-        r.acquire().on_trigger(lambda _: order.append("first"))
-        r.acquire().on_trigger(lambda _: order.append("second"))
-        r.release()
-        r.release()
-        assert order == ["first", "second"]
+        r.hold(1.0, lambda: order.append(("first", eng.now)))
+        r.hold(1.0, lambda: order.append(("second", eng.now)))
+        eng.run()
+        assert order == [("first", 2.0), ("second", 3.0)]
 
     def test_release_idle_raises(self, eng):
         with pytest.raises(RuntimeError, match="idle"):
@@ -172,9 +169,9 @@ class TestResource:
 
     def test_capacity_two_grants_two(self, eng):
         r = Resource(eng, capacity=2)
-        assert r.acquire().triggered
-        assert r.acquire().triggered
-        assert not r.acquire().triggered
+        for _ in range(3):
+            r.hold(1.0, _noop)
+        assert (r.in_use, r.queue_length, r.total_grants) == (2, 1, 2)
 
     def test_occupy_serializes_holders(self, eng):
         r = Resource(eng, capacity=1)
@@ -212,6 +209,10 @@ def _noop():
     pass
 
 
+def _holder(res, duration):
+    yield Hold(res, duration)
+
+
 class TestEngineGrantCounter:
     """Every grant a resource counts, its engine counts once too."""
 
@@ -233,13 +234,16 @@ class TestEngineGrantCounter:
         assert eng.grants == 2
 
     def test_acquire_and_release(self, eng):
+        # process Holds: the first is granted on the engine's inline
+        # lane, the second queues and is granted at the first's release
         r = Resource(eng)
-        r.acquire()
-        waiting = r.acquire()
-        assert eng.grants == 1 and not waiting.triggered
-        r.release()  # hands off to the queued acquire
-        assert waiting.triggered and eng.grants == 2
-        r.release()
+        for _ in range(2):
+            Process(eng, _holder(r, 1.0))
+        eng.run(until=0.0)
+        assert eng.grants == 1 and r.queue_length == 1
+        eng.run(until=1.0)
+        assert eng.grants == 2 and r.queue_length == 0
+        eng.run()
         assert r.idle and eng.grants == r.total_grants == 2
 
     def test_capacity_two(self, eng):
@@ -254,7 +258,7 @@ class TestEngineGrantCounter:
         a, b = Resource(eng), Resource(eng, capacity=2)
         for r in (a, a, b, b, b):
             r.occupy(1.0)
-        b.acquire()
+        b.hold(1.0, _noop)
         eng.run()
         assert eng.grants == a.total_grants + b.total_grants == 6
 
@@ -298,11 +302,12 @@ class TestHoldDuration:
 
 
 class TestHoldQueue:
-    """``Hold``, ``occupy()`` and ``Acquire``/``release`` share one FIFO.
+    """A process's ``Hold``, ``occupy()`` and a callable's ``hold()``
+    share one FIFO.
 
     A hold's completion releases the resource (which grants the next
-    entry, and resumes a granted acquirer on the spot) before its own
-    holder runs on; the times and orders below pin that.
+    entry and schedules its completion) before its own holder runs on;
+    the times and orders below pin that.
     """
 
     @staticmethod
@@ -311,12 +316,10 @@ class TestHoldQueue:
         log.append((tag, eng.now))
 
     @staticmethod
-    def _acquirer(eng, res, log, tag, duration):
-        yield Acquire(res)
-        log.append((tag + ".granted", eng.now))
-        yield Timeout(duration)
-        res.release()
-        log.append((tag + ".released", eng.now))
+    def _caller(eng, res, log, tag, duration):
+        # queue a callable waiter from a process step, in spawn order
+        res.hold(duration, lambda: log.append((tag, eng.now)))
+        yield Timeout(0.0)
 
     @staticmethod
     def _occupy(eng, res, log, tag, duration):
@@ -328,16 +331,15 @@ class TestHoldQueue:
         log = []
         self._occupy(eng, r, log, "D", 3.0)  # granted before any process runs
         Process(eng, self._holder(eng, r, log, "A", 2.0))
-        Process(eng, self._acquirer(eng, r, log, "B", 1.0))
+        Process(eng, self._caller(eng, r, log, "B", 1.0))
         Process(eng, self._holder(eng, r, log, "C", 0.5))
         assert not r.idle
+        eng.run(until=0.0)
+        assert r.queue_length == 3
         eng.run()
-        assert log == [
-            ("D.then", 3.0), ("D", 3.0),
-            # A's completion grants B first; B resumes inside the release
-            ("B.granted", 5.0), ("A", 5.0),
-            ("B.released", 6.0), ("C", 6.5),
-        ]
+        # each completion grants the next entry before its holder runs on
+        assert log == [("D.then", 3.0), ("D", 3.0), ("A", 5.0), ("B", 6.0),
+                       ("C", 6.5)]
         assert (r.total_grants, r.peak_queue) == (4, 3)
         assert r.idle and r.in_use == 0 and r.queue_length == 0
 
@@ -346,14 +348,12 @@ class TestHoldQueue:
         log = []
         self._occupy(eng, r, log, "D", 1.0)
         Process(eng, self._holder(eng, r, log, "A", 3.0))
-        Process(eng, self._acquirer(eng, r, log, "B", 0.5))
+        Process(eng, self._caller(eng, r, log, "B", 0.5))
         Process(eng, self._holder(eng, r, log, "C", 1.0))
         Process(eng, self._holder(eng, r, log, "E", 1.0))
         eng.run()
-        assert log == [
-            ("B.granted", 1.0), ("D.then", 1.0), ("D", 1.0),
-            ("B.released", 1.5), ("C", 2.5), ("A", 3.0), ("E", 3.5),
-        ]
+        assert log == [("D.then", 1.0), ("D", 1.0), ("B", 1.5), ("C", 2.5),
+                       ("A", 3.0), ("E", 3.5)]
         assert (r.total_grants, r.peak_queue) == (5, 3)
         assert r.idle
 

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.sim import (
-    Acquire,
     BlockedInfo,
     Cell,
     DeadlockError,
@@ -20,6 +19,7 @@ from repro.sim import (
     Wait,
     WaitFor,
 )
+from repro.verify import HBMonitor
 
 
 @pytest.fixture
@@ -93,27 +93,6 @@ class TestCommands:
         eng.run()
         assert times == [(2.0, 2)]
 
-    def test_acquire_and_manual_release(self, eng):
-        res = Resource(eng, capacity=1)
-        order = []
-
-        def holder():
-            yield Acquire(res)
-            order.append(("got", eng.now))
-            yield Timeout(2.0)
-            res.release()
-
-        def contender():
-            yield Timeout(0.1)
-            yield Acquire(res)
-            order.append(("second", eng.now))
-            res.release()
-
-        Process(eng, holder())
-        Process(eng, contender())
-        eng.run()
-        assert order == [("got", 0.0), ("second", 2.0)]
-
     def test_hold_acquires_for_duration(self, eng):
         res = Resource(eng, capacity=1)
         marks = []
@@ -152,13 +131,33 @@ class TestCommands:
         assert got == [("a", "x", 2.0), ("b", "y", 2.0)]
         assert eng.blocked_descriptions == []
 
-    def test_unknown_command_fails_process(self, eng):
-        def proc():
-            yield "not a command"
+    @staticmethod
+    def _non_command(ev, first):
+        if first == "timeout":
+            yield Timeout(1.0)
+        elif first == "wait":
+            yield Wait(ev)
+        yield "not a command"
 
-        Process(eng, proc())
-        with pytest.raises(ProcessFailure, match="non-command"):
-            eng.run()
+    def test_unknown_command_fails_process(self):
+        # The same failure on every step path: the engine's inline lane,
+        # a traced run (``Process.__call__``) and a monitored one; as the
+        # first step, after a Timeout, and after a satisfied wait.
+        for lane in ("inline", "traced", "monitored"):
+            for first in ("spawn", "timeout", "wait"):
+                eng = Engine(trace=(lambda t, label: None)
+                             if lane == "traced" else None)
+                if lane == "monitored":
+                    eng.monitor = HBMonitor()
+                ev = SimEvent(eng, name="set")
+                ev.trigger()
+                Process(eng, self._non_command(ev, first), name="image3",
+                        actor=2)
+                with pytest.raises(ProcessFailure,
+                                   match="non-command") as exc:
+                    eng.run()
+                assert exc.value.process == "image3", (lane, first)
+                assert isinstance(exc.value.original, TypeError)
 
     @pytest.mark.parametrize("duration", [-1.0, math.nan, math.inf])
     def test_hold_invalid_duration_rejected(self, eng, duration):
@@ -226,21 +225,6 @@ class TestSatisfiedWaitsRunFlat:
         p = Process(eng, proc())
         eng.run()
         assert p.result == 2 * self.N
-
-    def test_acquire_release_pairs_on_a_free_resource(self, eng):
-        res = Resource(eng, name="lock")
-
-        def proc():
-            for _ in range(self.N):
-                yield Acquire(res)
-                res.release()
-            yield Timeout(1.0)
-            return "done"
-
-        p = Process(eng, proc())
-        eng.run()
-        assert p.result == "done" and eng.now == 1.0
-        assert res.total_grants == self.N and res.idle
 
     def test_order_of_effects_is_the_nested_one(self, eng):
         # A satisfied wait, then one that blocks, then a satisfied one:
@@ -361,13 +345,15 @@ class TestBlockedRegistry:
         return exc.value
 
     def test_cell_event_and_acquire_waiters(self, eng):
+        # an acquirer spins on a lock word, as the runtime's locks do;
+        # a parked process waits in its queue
         ev = SimEvent(eng, name="ev")
         cell = Cell(eng, 0, name="flag")
-        res = Resource(eng, name="nic")
+        lock = Cell(eng, 1, name="lock")
+        park = Park([], "gate")
 
         def late_event():
             yield Timeout(1.0)
-            yield Acquire(res)
             yield Wait(ev)
 
         def cell_waiter():
@@ -375,28 +361,37 @@ class TestBlockedRegistry:
 
         def acquirer():
             yield Timeout(2.0)
-            yield Acquire(res)
+            yield WaitFor(lock, lambda v: v == 0)
+
+        def parked():
+            yield Timeout(3.0)
+            yield park
 
         Process(eng, late_event(), name="p1", actor=1)
         Process(eng, cell_waiter(), name="p2", actor=2)
         Process(eng, acquirer(), name="p3", actor=3)
+        Process(eng, parked(), name="p4", actor=4)
         err = self._report(eng)
         assert err.blocked == [
             "p2: waiting on cell 'flag'",
             "p1: waiting on event 'ev'",
-            "p3: acquiring resource 'nic'",
+            "p3: waiting on cell 'lock'",
+            "p4: waiting on park 'gate'",
         ]
         assert err.details == [
             BlockedInfo("p2", 2, "cell", cell),
             BlockedInfo("p1", 1, "event", ev),
-            BlockedInfo("p3", 3, "resource", res),
+            BlockedInfo("p3", 3, "cell", lock),
+            BlockedInfo("p4", 4, "park", park),
         ]
 
     def test_reblocking_moves_to_the_end(self, eng):
         cell = Cell(eng, 0, name="c")
         ev = SimEvent(eng, name="ev")
         never = SimEvent(eng, name="never")
-        eng.note_blocked("external: waiting")
+
+        def parked():
+            yield Park([], "gate")
 
         def twice():
             yield WaitFor(cell, lambda v: v >= 1)
@@ -409,16 +404,17 @@ class TestBlockedRegistry:
             yield Timeout(1.0)
             cell.set(1)
 
+        Process(eng, parked(), name="parked")
         Process(eng, twice(), name="twice")
         Process(eng, once(), name="once")
         Process(eng, writer(), name="writer")
         err = self._report(eng)
         assert err.blocked == [
-            "external: waiting",
+            "parked: waiting on park 'gate'",
             "once: waiting on event 'never'",
             "twice: waiting on event 'ev'",
         ]
-        assert [d.process for d in err.details] == ["once", "twice"]
+        assert [d.process for d in err.details] == ["parked", "once", "twice"]
 
     def test_killed_blocked_process_leaves_no_entry(self, eng):
         never = SimEvent(eng, name="never")

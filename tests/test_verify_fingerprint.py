@@ -5,6 +5,7 @@ import numpy as np
 
 from repro.collectives.macro import _Gather
 from repro.runtime.program import run_spmd
+from repro.sim import Park, Process
 from repro.verify import fingerprint, leftovers
 
 
@@ -18,6 +19,10 @@ def _mix(ctx):
 
 def _run(**kwargs):
     return run_spmd(_mix, num_images=8, images_per_node=4, **kwargs)
+
+
+def _parked():
+    yield Park([], "nothing")
 
 
 class TestFingerprint:
@@ -48,11 +53,16 @@ class TestLeftovers:
 
     def test_each_kind_of_leftover_is_listed(self):
         world = _run().world
+        engine = world.engine
+        # a process parks; a later event keeps the run from ending in
+        # a deadlock report
+        Process(engine, _parked(), name="image4")
+        engine.schedule(1.0, lambda: None)
+        engine.run(until=engine.now)
         shared = world.initial_shared
         shared.mail_cell(3, ("red", 9))
         world.macro._gathers[(shared.uid, "tdlb", 9)] = _Gather("fine")
         world.macro._pending_wakes = 1
-        world.engine.note_blocked("image4: waiting on nothing")
         world.resources()[0]._in_use = 1
         found = leftovers(world)
         assert len(found) == 5
